@@ -2,9 +2,9 @@
 
 The package builds CSS product codes from two classical parity-check
 matrices, finds exact energy barriers by exhaustive bottleneck path search
-over the full state space, and mechanically checks the structural claims
-about those barriers (stabilizer bounds, canonical operator barriers, the
-product barrier formula) on small concrete instances.
+(per CSS sector, modulo the stabilizer group), and mechanically checks the
+structural claims about those barriers (stabilizer bounds, canonical
+operator barriers, the product barrier formula) on small concrete instances.
 """
 
 from .errors import (
@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TrivialOperator,
+    WitnessError,
 )
 from .f2core import BitMatrix, BitVec, kernel_basis, rank, rref
 from .codes import (

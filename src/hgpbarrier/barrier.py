@@ -13,6 +13,21 @@ and makes the first pop of a state final.
 
 Energies of the form weight(M x) are updated incrementally: flipping
 coordinate q XORs column q of M into the running syndrome.
+
+Sector tables search the quotient of F2^n by the stabilizer group S that
+leaves the sector energy unchanged (HZ for the z-sector, HX for the
+x-sector), so a table has 2^(n - rank S) entries instead of 2^n. Exact
+values of single states come back through voltages: the search tree lifts
+each quotient state to one vector, and every non-tree edge (u, q, v) closes
+a cycle whose lift ends at the stabilizer lift(u) ^ e_q ^ lift(v), reachable
+at level max(best u, best v). Voltages inserted in level order into an
+echelon basis tag each basis vector with the level it becomes reachable,
+and then
+
+    value(z) = max(best[[z]], highest tag used to reduce z ^ lift([z])).
+
+This is the covering-space picture of voltage graphs (Gross & Tucker,
+*Topological Graph Theory*, ch. 2).
 """
 
 from __future__ import annotations
@@ -32,8 +47,9 @@ from .errors import (
     NotElementary,
     NoTarget,
     OutsideNormalizer,
+    WitnessError,
 )
-from .f2core import BitMatrix, BitVec, mat_vec, row_reducer, weight
+from .f2core import BitMatrix, BitVec, mat_vec, rref, weight
 from .hgp import HgpCode
 from .logicals import CanonicalXOp, CanonicalZOp, PauliVec
 
@@ -163,23 +179,38 @@ def _make_tables(n_states: int, n_moves: int, max_energy: int):
     return best, pred
 
 
+def _lift_store(n_states: int, n_bits: int):
+    """Zeroed per-state store for n_bits-wide lifts, in the narrowest array."""
+    for code in "BHILQ":
+        size = array(code).itemsize
+        if 8 * size >= n_bits:
+            return array(code, bytes(size * n_states))
+    return [0] * n_states
+
+
 def _syndrome_search(
-    energy: SyndromeEnergy,
+    n_dim: int,
     moves: Sequence[int],
+    deltas: Sequence[int],
+    max_energy: int,
     target_pred,
     cap: int,
+    lift_moves: Sequence[int] | None = None,
 ):
-    """Core engine. target_pred(state, energy) or None to exhaust all states.
+    """Core engine over the n_dim-bit states: move i XORs moves[i] into the
+    state and deltas[i] into the syndrome. target_pred(state, energy) or
+    None to exhaust all states. With lift_moves, lifts[s] is the XOR of
+    lift_moves along the search-tree path to s.
 
-    Returns (final_state, best, pred, explored); final_state is None in
-    exhaust mode.
+    Returns (final_state, best, pred, lifts, explored); final_state is None
+    in exhaust mode and lifts is None without lift_moves.
     """
-    n_dim = energy.n_dim
     if (1 << n_dim) > cap:
         raise CapExceeded(f"2^{n_dim} states exceed cap {cap}")
-    moves = tuple(moves)
-    deltas = tuple(energy.delta(m) for m in moves)
-    best, pred = _make_tables(1 << n_dim, len(moves), len(energy.rows))
+    best, pred = _make_tables(1 << n_dim, len(moves), max_energy)
+    lifts = None
+    if lift_moves is not None:
+        lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
     best[0] = 0
     heap = [(0, 0, 0, 0)]  # (max energy, path length, state, syndrome)
     explored = 0
@@ -189,7 +220,7 @@ def _syndrome_search(
             continue
         explored += 1
         if target_pred is not None and target_pred(state, syn.bit_count()):
-            return state, best, pred, explored
+            return state, best, pred, lifts, explored
         nplen = plen + 1
         for mi in range(len(moves)):
             ns = state ^ moves[mi]
@@ -199,10 +230,12 @@ def _syndrome_search(
             if nmax < best[ns]:
                 best[ns] = nmax
                 pred[ns] = mi
+                if lifts is not None:
+                    lifts[ns] = lifts[state] ^ lift_moves[mi]
                 heapq.heappush(heap, (nmax, nplen, ns, nsyn))
     if target_pred is not None:
         raise NoTarget("no state satisfying the target predicate is reachable")
-    return None, best, pred, explored
+    return None, best, pred, lifts, explored
 
 
 def _generic_search(
@@ -237,13 +270,27 @@ def _generic_search(
     raise NoTarget("no state satisfying the target predicate is reachable")
 
 
-def _reconstruct_bits(state: int, pred, moves: Sequence[int]) -> list[int]:
-    seq = [state]
+def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
+    """Move indices along the search tree from the zero state to ``state``."""
+    seq = []
     while state:
-        state ^= moves[pred[state]]
-        seq.append(state)
+        mi = pred[state]
+        seq.append(mi)
+        state ^= moves[mi]
     seq.reverse()
     return seq
+
+
+def _walk(masks: Iterable[int]) -> list[int]:
+    """States visited from zero by XORing in each mask in turn."""
+    seq = [0]
+    for m in masks:
+        seq.append(seq[-1] ^ m)
+    return seq
+
+
+def _reconstruct_bits(state: int, pred, moves: Sequence[int]) -> list[int]:
+    return _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
 
 
 def _path_from_bits(seq: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
@@ -282,7 +329,10 @@ def bottleneck_search(
         if energy.n_dim != n_dim:
             raise DimensionMismatch(f"energy over {energy.n_dim} dims, search over {n_dim}")
         moves = tuple(1 << q for q in range(n_dim))
-        state, best, pred, explored = _syndrome_search(energy, moves, pred_fn, cap)
+        deltas = tuple(energy.delta(m) for m in moves)
+        state, best, pred, _, explored = _syndrome_search(
+            n_dim, moves, deltas, len(energy.rows), pred_fn, cap
+        )
         seq = _reconstruct_bits(state, pred, moves)
         record = _path_from_bits(seq, n_dim, energy.bits_energy)
         return BarrierResult(best[state], record, BitVec(n_dim, state), explored)
@@ -295,50 +345,206 @@ def bottleneck_search(
 
 
 @dataclass(frozen=True)
+class _Quotient:
+    """F2^n modulo the row space of a stabilizer matrix S.
+
+    With rref(S) rows R_i and pivot columns p_i, every vector splits uniquely
+    as z = f ^ (XOR of the R_i whose pivot bit is set in z), where f is zero
+    on the pivots. The quotient state of z packs f's free columns, low to
+    high; its lift coordinates are z's pivot bits, bit i standing for R_i.
+    Both maps are linear, so ``split`` reads them off per-byte tables.
+    """
+
+    n: int
+    rank: int
+    masks: tuple[int, ...]  # quotient image of each unit vector e_q
+    lift_moves: tuple[int, ...]  # lift coordinates of e_q: bit i when q = p_i
+    byte_tables: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.n - self.rank
+
+    def split(self, bits: int) -> tuple[int, int]:
+        """(quotient state, lift coordinates) of an n-bit vector."""
+        w = 0
+        for table in self.byte_tables:
+            w ^= table[bits & 0xFF]
+            bits >>= 8
+        return w & ((1 << self.dim) - 1), w >> self.dim
+
+
+@lru_cache(maxsize=256)
+def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
+    res = rref(BitMatrix(len(stab_rows), n, stab_rows))
+    pivots = res.pivot_cols
+    free = [q for q in range(n) if q not in set(pivots)]
+    packed = {q: 1 << i for i, q in enumerate(free)}
+    masks = [packed.get(q, 0) for q in range(n)]
+    lift_moves = [0] * n
+    for i, p in enumerate(pivots):
+        row = res.rref.row_bits[i]
+        masks[p] = sum(b for q, b in packed.items() if (row >> q) & 1)
+        lift_moves[p] = 1 << i
+    words = [m | (c << len(free)) for m, c in zip(masks, lift_moves)]
+    tables = []
+    for base in range(0, n, 8):
+        table = [0]
+        for w in words[base : base + 8]:
+            table += [t ^ w for t in table]  # bit j of the index selects words[base + j]
+        tables.append(tuple(table))
+    return _Quotient(n, res.rank, tuple(masks), tuple(lift_moves), tuple(tables))
+
+
+def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
+    quotient = _quotient(stab_rows, n)
+    if (1 << quotient.dim) > cap:
+        raise CapExceeded(f"2^{quotient.dim} quotient states exceed cap {cap}")
+    return quotient
+
+
+def _reduce(basis, x: int) -> tuple[int, int, int]:
+    """Reduce x by a tagged echelon basis: (residue, highest tag used, edges used)."""
+    level = edges = 0
+    for vec, tag, vec_edges in basis:
+        if x ^ vec < x:  # x has vec's leading bit
+            x ^= vec
+            level = max(level, tag)
+            edges ^= vec_edges
+    return x, level, edges
+
+
+def _states_at(best, level: int):
+    """States whose table value is ``level``, ascending."""
+    s = -1
+    try:
+        while True:
+            s = best.index(level, s + 1)
+            yield s
+    except ValueError:
+        return
+
+
+def _voltage_basis(best, lifts, moves, lift_moves, rank: int):
+    """Tagged echelon basis of the voltages, edges taken in level order.
+
+    An edge (u, q, v) lies at level max(best u, best v) and carries the
+    voltage lift(u) ^ lift_moves[q] ^ lift(v): zero on tree edges, the
+    stabilizer closing its fundamental cycle otherwise. The voltages up to
+    level t span H_t, the stabilizers joined to 0 below t, so tagging each
+    new basis vector with its level makes the highest tag used to reduce x
+    the level at which x joins. Entries are (vector, tag, edges used) sorted
+    by leading bit, highest first; ``edges`` lists the (u, q, v) behind each
+    accepted voltage, and "edges used" is a bitmask over that list.
+    """
+    basis, edges = [], []
+    for t in range(max(best) + 1):
+        for u in _states_at(best, t):
+            for q, m in enumerate(moves):
+                v = u ^ m
+                if best[v] > t:
+                    continue
+                g = lifts[u] ^ lift_moves[q] ^ lifts[v]
+                if not g:
+                    continue
+                g, _, used = _reduce(basis, g)
+                if g:
+                    basis.append((g, t, used ^ (1 << len(edges))))
+                    basis.sort(reverse=True)
+                    edges.append((u, q, v))
+                    if len(edges) == rank:
+                        return tuple(basis), tuple(edges)
+    return tuple(basis), tuple(edges)
+
+
+@dataclass(frozen=True)
 class MinimaxTable:
-    """Exhaustive minimax values from the zero state, one entry per state."""
+    """Exhaustive minimax values from the zero state.
+
+    The search runs on ``quotient``, F2^n modulo a stabilizer group that
+    leaves the energy unchanged (the empty group for classical tables, where
+    quotient states are the vectors themselves). ``best``, ``pred`` and
+    ``explored`` count quotient states; ``lifts``, ``basis`` and ``edges``
+    hold the voltage bookkeeping that recovers each vector's exact value.
+    """
 
     n_dim: int
     energy: SyndromeEnergy
     best: object = field(repr=False)
     pred: object = field(repr=False)
     explored: int
+    quotient: _Quotient = field(repr=False)
+    lifts: object = field(default=None, repr=False)
+    basis: tuple = field(default=(), repr=False)
+    edges: tuple = field(default=(), repr=False)
+
+    def _fiber(self, bits: int) -> tuple[int, int]:
+        """(quotient state, stabilizer from its tree lift to ``bits``)."""
+        state, coords = self.quotient.split(bits)
+        if self.lifts is not None:
+            coords ^= self.lifts[state]
+        return state, coords
 
     def value(self, bits: int) -> int:
-        return self.best[bits]
+        state, stab = self._fiber(bits)
+        _, level, _ = _reduce(self.basis, stab)
+        return max(self.best[state], level)
 
     def path(self, bits: int) -> PathRecord:
-        moves = tuple(1 << q for q in range(self.n_dim))
-        seq = _reconstruct_bits(bits, self.pred, moves)
+        """Peak-optimal walk to ``bits``: a loop around the fundamental cycle
+        of each voltage used, then the lifted tree path. Every loop state is
+        a stabilizer translate of a state at or below the loop's level."""
+        state, stab = self._fiber(bits)
+        _, _, used = _reduce(self.basis, stab)
+        tree = lambda s: _tree_moves(s, self.pred, self.quotient.masks)
+        flips = []
+        for j, (u, q, v) in enumerate(self.edges):
+            if (used >> j) & 1:
+                flips += tree(u) + [q] + tree(v)[::-1]
+        flips += tree(state)
+        seq = _walk(1 << q for q in flips)
+        if seq[-1] != bits:
+            raise WitnessError(f"table walk ends at {seq[-1]:#x}, not at {bits:#x}")
         return _path_from_bits(seq, self.n_dim, self.energy.bits_energy)
 
 
 @lru_cache(maxsize=64)
-def _unit_move_table(rows: tuple[int, ...], n_dim: int) -> MinimaxTable:
-    energy = SyndromeEnergy(rows, n_dim)
-    _, best, pred, explored = _syndrome_search(
-        energy, tuple(1 << q for q in range(n_dim)), None, 1 << n_dim
+def _table(rows: tuple[int, ...], stab_rows: tuple[int, ...], n: int) -> MinimaxTable:
+    quotient = _quotient(stab_rows, n)
+    energy = SyndromeEnergy(rows, n)
+    deltas = tuple(energy.delta(1 << q) for q in range(n))
+    lift_moves = quotient.lift_moves if quotient.rank else None
+    _, best, pred, lifts, explored = _syndrome_search(
+        quotient.dim, quotient.masks, deltas, len(rows), None, 1 << quotient.dim, lift_moves
     )
-    return MinimaxTable(n_dim, energy, best, pred, explored)
+    if lifts is None:
+        return MinimaxTable(n, energy, best, pred, explored, quotient)
+    basis, edges = _voltage_basis(best, lifts, quotient.masks, lift_moves, quotient.rank)
+    return MinimaxTable(n, energy, best, pred, explored, quotient, lifts, basis, edges)
 
 
 def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
-    if (1 << c.n) > cap:
-        raise CapExceeded(f"2^{c.n} states exceed cap {cap}")
-    return _unit_move_table(c.h.row_bits, c.n)
+    _quotient_within((), c.n, cap)
+    return _table(c.h.row_bits, (), c.n)
+
+
+def _sector_matrices(code: HgpCode, sector: str) -> tuple[BitMatrix, BitMatrix]:
+    """(check matrix, stabilizer matrix) of a CSS sector: z-space is checked
+    by HX and taken modulo the rows of HZ, x-space the other way round."""
+    s = sector.lower()
+    if s == "z":
+        return code.hx, code.hz
+    if s == "x":
+        return code.hz, code.hx
+    raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z' or 'x'")
 
 
 def sector_table(code: HgpCode, sector: str, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
-    """Full minimax table for one CSS sector: z-space under HX or x-space under HZ."""
-    n = code.n_qubits
-    if (1 << n) > cap:
-        raise CapExceeded(f"2^{n} states exceed cap {cap}")
-    s = sector.lower()
-    if s == "z":
-        return _unit_move_table(code.hx.row_bits, n)
-    if s == "x":
-        return _unit_move_table(code.hz.row_bits, n)
-    raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z' or 'x'")
+    """Exhaustive minimax table for one CSS sector, over 2^(n - rank S)
+    quotient states; ``cap`` bounds that count."""
+    checks, stab = _sector_matrices(code, sector)
+    _quotient_within(stab.row_bits, code.n_qubits, cap)
+    return _table(checks.row_bits, stab.row_bits, code.n_qubits)
 
 
 def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> BarrierResult:
@@ -353,19 +559,20 @@ def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> Barrier
 
 
 def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
+    """Cheapest nontrivial logical of one sector, searched on the quotient:
+    a nonzero quotient state without syndrome is a nontrivial logical coset,
+    and the lifted tree path reaches one of its vectors at the coset's value."""
     n = code.n_qubits
-    if sector == "z":
-        energy = SyndromeEnergy(code.hx.row_bits, n)
-        reduce_bits = row_reducer(code.hz)
-        wrap = PauliVec.z_type
-    else:
-        energy = SyndromeEnergy(code.hz.row_bits, n)
-        reduce_bits = row_reducer(code.hx)
-        wrap = PauliVec.x_type
-    pred = lambda s, e: e == 0 and reduce_bits(s) != 0
-    moves = tuple(1 << q for q in range(n))
-    state, best, predarr, explored = _syndrome_search(energy, moves, pred, cap)
-    seq = _reconstruct_bits(state, predarr, moves)
+    checks, stab = _sector_matrices(code, sector)
+    quotient = _quotient_within(stab.row_bits, n, cap)
+    energy = SyndromeEnergy(checks.row_bits, n)
+    deltas = tuple(energy.delta(1 << q) for q in range(n))
+    pred = lambda s, e: e == 0 and s != 0
+    state, best, predarr, _, explored = _syndrome_search(
+        quotient.dim, quotient.masks, deltas, len(energy.rows), pred, cap
+    )
+    seq = _walk(1 << q for q in _tree_moves(state, predarr, quotient.masks))
+    wrap = PauliVec.z_type if sector == "z" else PauliVec.x_type
     states = tuple(wrap(BitVec(n, b)) for b in seq)
     energies = tuple(energy.bits_energy(b) for b in seq)
     record = PathRecord(states, energies, max(energies, default=0))
@@ -422,8 +629,11 @@ def pauli_barrier_general(
         moves.append((1 << q) | (1 << (n + q)))
     goal = target.x.bits | (target.z.bits << n)
     pred = lambda s, e: s == goal
-    state, best, predarr, explored = _syndrome_search(energy, tuple(moves), pred, cap)
-    seq = _reconstruct_bits(state, predarr, tuple(moves))
+    deltas = tuple(energy.delta(m) for m in moves)
+    state, best, predarr, _, explored = _syndrome_search(
+        2 * n, moves, deltas, len(rows), pred, cap
+    )
+    seq = _reconstruct_bits(state, predarr, moves)
     mask = (1 << n) - 1
     states = tuple(PauliVec(n, BitVec(n, b & mask), BitVec(n, b >> n)) for b in seq)
     energies = tuple(energy.bits_energy(b) for b in seq)
@@ -541,8 +751,10 @@ def sweep_path_for_canonical(code: HgpCode, op, cap: int = DEFAULT_STATE_CAP) ->
     states = tuple(wrap(to_state(w)) for w in leg.states)
     energies = tuple(energy.bits_energy(s.x.bits | s.z.bits) for s in states)
     # the quantum energy along the sweep reduces exactly to the classical one
-    assert energies == leg.energies
-    assert states[-1].x == op.realized.x and states[-1].z == op.realized.z
+    if energies != leg.energies:
+        raise WitnessError("sweep energies differ from its classical leg's")
+    if states[-1].x != op.realized.x or states[-1].z != op.realized.z:
+        raise WitnessError("sweep does not end at the canonical operator")
     return PathRecord(states, energies, max(energies, default=0))
 
 

@@ -70,3 +70,7 @@ class TrivialOperator(HgpBarrierError, ValueError):
 
 class OutsideNormalizer(HgpBarrierError, ValueError):
     """The operator anticommutes with some check, so sector barriers do not apply."""
+
+
+class WitnessError(HgpBarrierError):
+    """A constructed witness path misses its target or its expected energies."""

@@ -688,8 +688,8 @@ def check_css_restriction(
     barrier of a pure-Z (pure-X) logical equals its sector barrier."""
     start = time.perf_counter()
     _require_logicals(code)
-    tz = sector_table(code, "z")
-    tx = sector_table(code, "x")
+    tz = sector_table(code, "z", cap)
+    tx = sector_table(code, "x", cap)
     checked = 0
     counter = None
     for p in enumerate_z_logicals(code):

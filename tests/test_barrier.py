@@ -14,7 +14,9 @@ from hgpbarrier.errors import (
     NotElementary,
     NoTarget,
     OutsideNormalizer,
+    WitnessError,
 )
+from hgpbarrier import barrier as barrier_module
 from hgpbarrier.f2core import BitMatrix, BitVec
 from hgpbarrier.hgp import build_hgp, qubit_index
 from hgpbarrier.logicals import (
@@ -347,6 +349,28 @@ class TestSweepPath:
             BitMatrix.zeros(1, 1), BitMatrix.zeros(1, 1), PauliVec.identity(18)
         )
         with pytest.raises(NotElementary):
+            sweep_path_for_canonical(code, op)
+
+    def test_wrong_leg_endpoint_raises_typed_error(self, monkeypatch):
+        code = toric()
+        op = canonical_z_basis(code)[0]
+        stuck = lambda h, word, cap: PathRecord((BitVec(h.cols, 0),), (0,), 0)
+        monkeypatch.setattr(barrier_module, "_classical_path_to", stuck)
+        with pytest.raises(WitnessError):
+            sweep_path_for_canonical(code, op)
+
+    def test_wrong_leg_energies_raise_typed_error(self, monkeypatch):
+        code = toric()
+        op = canonical_z_basis(code)[0]
+        real = barrier_module._classical_path_to
+
+        def inflated(h, word, cap):
+            leg = real(h, word, cap)
+            energies = tuple(e + 1 for e in leg.energies)
+            return PathRecord(leg.states, energies, max(energies))
+
+        monkeypatch.setattr(barrier_module, "_classical_path_to", inflated)
+        with pytest.raises(WitnessError):
             sweep_path_for_canonical(code, op)
 
 

@@ -1,0 +1,159 @@
+"""Sector tables on the stabilizer quotient, checked state by state.
+
+Every table value, and every sector barrier, is compared with the
+independent all-states minimax in ``oracles.minimax_values``, which searches
+the full 2^n space with no quotient, and witness walks are re-validated
+step by step.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from hgpbarrier import barrier
+from hgpbarrier.barrier import (
+    SyndromeEnergy,
+    classical_barrier,
+    classical_table,
+    energy_quantum,
+    quantum_barrier,
+    sector_table,
+    validate_path,
+)
+from hgpbarrier.codes import ClassicalCode, ring_repetition
+from hgpbarrier.errors import CapExceeded, WitnessError
+from hgpbarrier.f2core import BitMatrix, rank
+from hgpbarrier.hgp import build_hgp
+from hgpbarrier.logicals import canonical_z_basis
+from hgpbarrier.verify import quantum_instances
+
+
+def _check_sector(code, sector, n_paths, seed=0):
+    """Compare every table entry and the sector barrier with the oracle, and
+    validate the barrier witness and n_paths sampled table walks."""
+    checks = code.hx if sector == "z" else code.hz
+    stab = code.hz if sector == "z" else code.hx
+    n = code.n_qubits
+    table = sector_table(code, sector)
+    assert table.explored == len(table.best) == 1 << (n - rank(stab))
+    want = oracles.minimax_values(checks.row_bits, n)
+    got = [table.value(s) for s in range(1 << n)]
+    assert got == want
+    energy = SyndromeEnergy(checks.row_bits, n)
+    rng = random.Random(seed)
+    for s in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(n_paths)]:
+        path = table.path(s)
+        assert validate_path(path, energy)
+        assert path.states[0].bits == 0 and path.states[-1].bits == s
+        assert path.max_energy == want[s]
+
+    stab_np = oracles.np_from_bitmatrix(stab)
+    logicals = {
+        sum(int(b) << j for j, b in enumerate(v))
+        for v in oracles.span(oracles.np_kernel(oracles.np_from_bitmatrix(checks)), n)
+        if not oracles.np_in_rowspace(stab_np, v)
+    }
+    if not logicals:
+        return
+    result = quantum_barrier(code, sector)
+    assert result.value == min(want[s] for s in logicals)
+    bits = [p.z.bits if sector == "z" else p.x.bits for p in result.witness.states]
+    assert bits[0] == 0 and bits[-1] in logicals
+    assert validate_path(result.witness, lambda p: energy_quantum(code, p))
+    assert result.witness.max_energy == result.value
+
+
+@pytest.mark.parametrize("name", sorted(quantum_instances()))
+@pytest.mark.parametrize("sector", ("z", "x"))
+def test_every_state_matches_full_space_oracle(name, sector):
+    code = quantum_instances()[name]
+    assert code.n_qubits <= 18
+    _check_sector(code, sector, n_paths=40)
+
+
+def _parent(n_max=4, r_max=4):
+    """Check matrices with r, n <= 4; small widths make zero and repeated rows common."""
+    return st.tuples(st.integers(1, r_max), st.integers(1, n_max)).flatmap(
+        lambda rn: st.lists(
+            st.integers(0, (1 << rn[1]) - 1), min_size=rn[0], max_size=rn[0]
+        ).map(lambda rows: ClassicalCode(BitMatrix(rn[0], rn[1], tuple(rows))))
+    )
+
+
+def _code(rows, n):
+    return ClassicalCode(BitMatrix(len(rows), n, tuple(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parent(), _parent())
+# zero row, duplicate rows and weight-1 columns: HZ and HX get weight-1
+# rows (moves that vanish in the quotient) and repeated columns (parallel moves)
+@example(_code((0b011, 0b011, 0), 3), _code((0b01, 0b10), 2))
+@example(_code((0b1, 0b1), 1), _code((0b101, 0), 3))
+def test_random_products_match_oracle(h1, h2):
+    code = build_hgp(h1, h2)
+    assume(code.n_qubits <= 12)
+    for sector in ("z", "x"):
+        _check_sector(code, sector, n_paths=6)
+
+
+def test_zero_and_parallel_moves_are_exercised():
+    # the explicit examples above really produce both kinds of degenerate move
+    code = build_hgp(_code((0b011, 0b011, 0), 3), _code((0b01, 0b10), 2))
+    masks = barrier._quotient(code.hz.row_bits, code.n_qubits).masks
+    assert 0 in masks
+    nonzero = [m for m in masks if m]
+    assert len(set(nonzero)) < len(nonzero)
+
+
+def test_classical_table_is_the_plain_unit_move_table():
+    c = ring_repetition(5)
+    table = classical_table(c)
+    assert table.lifts is None and table.basis == ()
+    assert table.explored == len(table.best) == 32
+    assert [table.value(s) for s in range(32)] == oracles.minimax_values(c.h.row_bits, 5)
+    # with no stabilizers the walk is the plain search-tree path
+    path = table.path(0b10110)
+    assert len(path.states) == 4
+
+
+def test_cap_counts_quotient_states():
+    toric = quantum_instances()["toric_3"]  # rank HZ = 8: 2^10 quotient states
+    table = sector_table(toric, "z", cap=1 << 10)
+    assert len(table.best) == 1 << 10
+    assert table.lifts.typecode == "B"  # 8 lift bits per state
+    # the cap is checked before the table cache, so a cached table is no way round it
+    with pytest.raises(CapExceeded):
+        sector_table(toric, "z", cap=1 << 9)
+
+
+def test_toric4_z_table_within_default_cap():
+    c = ring_repetition(4)
+    code = build_hgp(c, c)  # 32 qubits, 2^17 quotient states
+    table = sector_table(code, "z")
+    assert len(table.best) == 1 << 17
+    assert table.lifts.typecode == "H"  # rank HZ = 15 lift bits per state
+    values = [table.value(op.realized.z.bits) for op in canonical_z_basis(code)]
+    expected = min(classical_barrier(c).value, classical_barrier(c.transpose()).value)
+    assert values == [expected, expected] == [2, 2]
+    energy = SyndromeEnergy(code.hx.row_bits, code.n_qubits)
+    for op in canonical_z_basis(code):
+        path = table.path(op.realized.z.bits)
+        assert validate_path(path, energy) and path.max_energy == 2
+        assert path.states[-1].bits == op.realized.z.bits
+
+
+def test_table_walk_missing_its_target_raises():
+    toric = quantum_instances()["toric_3"]
+    table = sector_table(toric, "z")
+    # a stabilizer sits over quotient state 0 and is reached only through
+    # voltage loops; without them the walk stops at the zero vector
+    target = toric.hz.row_bits[0]
+    assert table.quotient.split(target)[0] == 0
+    broken = dataclasses.replace(table, edges=())
+    with pytest.raises(WitnessError):
+        broken.path(target)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
-from hgpbarrier.errors import NoLogicals
+from hgpbarrier.errors import CapExceeded, NoLogicals
 from hgpbarrier.f2core import BitMatrix
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier import verify as V
@@ -217,6 +217,17 @@ def test_css_restriction_counts(instances):
         r = V.check_css_restriction(instances[name], instance=name)
         assert r.passed, name
         assert r.checked == count
+
+
+def test_css_restriction_cap_bounds_sector_tables(instances, monkeypatch):
+    # tiny_2 has 2^3 quotient states per sector: a cap of 4 must stop the
+    # sector tables before any full-Pauli search starts
+    def no_pauli(*args, **kwargs):
+        raise AssertionError("full-Pauli search ran despite the cap")
+
+    monkeypatch.setattr(V, "pauli_barrier_general", no_pauli)
+    with pytest.raises(CapExceeded):
+        V.check_css_restriction(instances["tiny_2"], cap=4, instance="tiny_2")
 
 
 # -- report plumbing ------------------------------------------------------------
