@@ -16,13 +16,13 @@ coordinate q XORs column q of M into the running syndrome.
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
-x-sector), so a table has 2^(n - rank S) entries instead of 2^n. Exact
-values of single states come back through voltages: the search tree lifts
-each quotient state to one vector, and every non-tree edge (u, q, v) closes
-a cycle whose lift ends at the stabilizer lift(u) ^ e_q ^ lift(v), reachable
-at level max(best u, best v). Voltages inserted in level order into an
-echelon basis tag each basis vector with the level it becomes reachable,
-and then
+x-sector), 2^(n - rank S) entries instead of 2^n; full-Pauli tables take
+F2^(2n) modulo both groups. Exact values of single states come back through
+voltages: the search tree lifts each quotient state to one vector, and every
+non-tree edge (u, q, v) along move mask m_q closes a cycle whose lift ends
+at the stabilizer lift(u) ^ m_q ^ lift(v), reachable at max(best u, best v).
+Voltages inserted in level order into an echelon basis tag each basis
+vector with the level it becomes reachable, and then
 
     value(z) = max(best[[z]], highest tag used to reduce z ^ lift([z])).
 
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 1 << 24
-DEFAULT_PAULI_CAP = 1 << 20  # 4^10 general-Pauli states
+DEFAULT_PAULI_CAP = 1 << 20  # 2^(n + k) full-Pauli quotient states
 
 
 @dataclass(frozen=True)
@@ -289,10 +289,6 @@ def _walk(masks: Iterable[int]) -> list[int]:
     return seq
 
 
-def _reconstruct_bits(state: int, pred, moves: Sequence[int]) -> list[int]:
-    return _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
-
-
 def _path_from_bits(seq: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
     states = tuple(BitVec(n_dim, b) for b in seq)
     energies = tuple(energy_bits(b) for b in (s.bits for s in states))
@@ -333,13 +329,13 @@ def bottleneck_search(
         state, best, pred, _, explored = _syndrome_search(
             n_dim, moves, deltas, len(energy.rows), pred_fn, cap
         )
-        seq = _reconstruct_bits(state, pred, moves)
+        seq = _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
         record = _path_from_bits(seq, n_dim, energy.bits_energy)
         return BarrierResult(best[state], record, BitVec(n_dim, state), explored)
     energy_bits = lambda b: energy(BitVec(n_dim, b))
     moves = tuple(1 << q for q in range(n_dim))
     state, best, pred, explored = _generic_search(energy_bits, n_dim, pred_fn, cap)
-    seq = _reconstruct_bits(state, pred, moves)
+    seq = _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
     record = _path_from_bits(seq, n_dim, energy_bits)
     return BarrierResult(best[state], record, BitVec(n_dim, state), explored)
 
@@ -357,13 +353,16 @@ class _Quotient:
 
     n: int
     rank: int
-    masks: tuple[int, ...]  # quotient image of each unit vector e_q
-    lift_moves: tuple[int, ...]  # lift coordinates of e_q: bit i when q = p_i
     byte_tables: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.n - self.rank
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Quotient image of each unit vector e_q."""
+        return tuple(self.split(1 << q)[0] for q in range(self.n))
 
     def split(self, bits: int) -> tuple[int, int]:
         """(quotient state, lift coordinates) of an n-bit vector."""
@@ -380,20 +379,17 @@ def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
     pivots = res.pivot_cols
     free = [q for q in range(n) if q not in set(pivots)]
     packed = {q: 1 << i for i, q in enumerate(free)}
-    masks = [packed.get(q, 0) for q in range(n)]
-    lift_moves = [0] * n
+    words = [packed.get(q, 0) for q in range(n)]  # e_q: image | lift << dim
     for i, p in enumerate(pivots):
         row = res.rref.row_bits[i]
-        masks[p] = sum(b for q, b in packed.items() if (row >> q) & 1)
-        lift_moves[p] = 1 << i
-    words = [m | (c << len(free)) for m, c in zip(masks, lift_moves)]
+        words[p] = sum(b for q, b in packed.items() if (row >> q) & 1) | (1 << (len(free) + i))
     tables = []
     for base in range(0, n, 8):
         table = [0]
         for w in words[base : base + 8]:
             table += [t ^ w for t in table]  # bit j of the index selects words[base + j]
         tables.append(tuple(table))
-    return _Quotient(n, res.rank, tuple(masks), tuple(lift_moves), tuple(tables))
+    return _Quotient(n, res.rank, tuple(tables))
 
 
 def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
@@ -463,9 +459,10 @@ class MinimaxTable:
 
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
     leaves the energy unchanged (the empty group for classical tables, where
-    quotient states are the vectors themselves). ``best``, ``pred`` and
-    ``explored`` count quotient states; ``lifts``, ``basis`` and ``edges``
-    hold the voltage bookkeeping that recovers each vector's exact value.
+    quotient states are the vectors themselves), along the full-space masks
+    ``moves``. ``best``, ``pred`` and ``explored`` count quotient states;
+    ``lifts``, ``basis`` and ``edges`` hold the voltage bookkeeping that
+    recovers each vector's exact value.
     """
 
     n_dim: int
@@ -474,6 +471,8 @@ class MinimaxTable:
     pred: object = field(repr=False)
     explored: int
     quotient: _Quotient = field(repr=False)
+    moves: tuple[int, ...] = field(repr=False)
+    images: tuple[int, ...] = field(repr=False)  # quotient image of each move
     lifts: object = field(default=None, repr=False)
     basis: tuple = field(default=(), repr=False)
     edges: tuple = field(default=(), repr=False)
@@ -496,31 +495,37 @@ class MinimaxTable:
         a stabilizer translate of a state at or below the loop's level."""
         state, stab = self._fiber(bits)
         _, _, used = _reduce(self.basis, stab)
-        tree = lambda s: _tree_moves(s, self.pred, self.quotient.masks)
+        tree = lambda s: _tree_moves(s, self.pred, self.images)
         flips = []
         for j, (u, q, v) in enumerate(self.edges):
             if (used >> j) & 1:
                 flips += tree(u) + [q] + tree(v)[::-1]
         flips += tree(state)
-        seq = _walk(1 << q for q in flips)
+        seq = _walk(self.moves[q] for q in flips)
         if seq[-1] != bits:
             raise WitnessError(f"table walk ends at {seq[-1]:#x}, not at {bits:#x}")
         return _path_from_bits(seq, self.n_dim, self.energy.bits_energy)
 
 
 @lru_cache(maxsize=64)
-def _table(rows: tuple[int, ...], stab_rows: tuple[int, ...], n: int) -> MinimaxTable:
+def _table(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None = None) -> MinimaxTable:
+    """Exhaustive table over F2^n / rowspace(stab_rows) along the full-space
+    move masks ``moves`` (unit vectors by default); callers check the cap."""
+    moves = moves or tuple(1 << q for q in range(n))
     quotient = _quotient(stab_rows, n)
     energy = SyndromeEnergy(rows, n)
-    deltas = tuple(energy.delta(1 << q) for q in range(n))
-    lift_moves = quotient.lift_moves if quotient.rank else None
+    images = tuple(quotient.split(m)[0] for m in moves)
+    lift_moves = tuple(quotient.split(m)[1] for m in moves) if quotient.rank else None
+    deltas = tuple(energy.delta(m) for m in moves)
     _, best, pred, lifts, explored = _syndrome_search(
-        quotient.dim, quotient.masks, deltas, len(rows), None, 1 << quotient.dim, lift_moves
+        quotient.dim, images, deltas, len(rows), None, 1 << quotient.dim, lift_moves
     )
     if lifts is None:
-        return MinimaxTable(n, energy, best, pred, explored, quotient)
-    basis, edges = _voltage_basis(best, lifts, quotient.masks, lift_moves, quotient.rank)
-    return MinimaxTable(n, energy, best, pred, explored, quotient, lifts, basis, edges)
+        return MinimaxTable(n, energy, best, pred, explored, quotient, moves, images)
+    basis, edges = _voltage_basis(best, lifts, images, lift_moves, quotient.rank)
+    return MinimaxTable(
+        n, energy, best, pred, explored, quotient, moves, images, lifts, basis, edges
+    )
 
 
 def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
@@ -552,10 +557,7 @@ def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> Barrier
     if c.k == 0:
         raise NoLogicals("code has no nonzero codewords")
     energy = SyndromeEnergy(c.h.row_bits, c.n)
-    result = bottleneck_search(
-        energy, c.n, lambda v: energy(v) == 0 and v.bits != 0, cap
-    )
-    return result
+    return bottleneck_search(energy, c.n, lambda v: energy(v) == 0 and v.bits != 0, cap)
 
 
 def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
@@ -565,13 +567,14 @@ def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
     n = code.n_qubits
     checks, stab = _sector_matrices(code, sector)
     quotient = _quotient_within(stab.row_bits, n, cap)
+    masks = quotient.masks
     energy = SyndromeEnergy(checks.row_bits, n)
     deltas = tuple(energy.delta(1 << q) for q in range(n))
     pred = lambda s, e: e == 0 and s != 0
     state, best, predarr, _, explored = _syndrome_search(
-        quotient.dim, quotient.masks, deltas, len(energy.rows), pred, cap
+        quotient.dim, masks, deltas, len(energy.rows), pred, cap
     )
-    seq = _walk(1 << q for q in _tree_moves(state, predarr, quotient.masks))
+    seq = _walk(1 << q for q in _tree_moves(state, predarr, masks))
     wrap = PauliVec.z_type if sector == "z" else PauliVec.x_type
     states = tuple(wrap(BitVec(n, b)) for b in seq)
     energies = tuple(energy.bits_energy(b) for b in seq)
@@ -589,10 +592,7 @@ def quantum_barrier(
     sector component of the endpoint, so the full-group barrier is the
     smaller of the two sector barriers.
     """
-    k1, k2 = code.h1.k, code.h2.k
-    k1t = code.h1.r - code.h1.rank
-    k2t = code.h2.r - code.h2.rank
-    if k1 * k2 + k1t * k2t == 0:
+    if code.k == 0:
         raise NoLogicals("code has no logical qubits")
     s = sector.lower()
     if s == "z":
@@ -606,39 +606,40 @@ def quantum_barrier(
     return rz if rz.value <= rx.value else rx
 
 
+def _pauli_table(code: HgpCode) -> MinimaxTable:
+    """Table of states x | z << n under the 3n X/Z/Y moves, modulo HX on x and HZ on z."""
+    n = code.n_qubits
+    rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
+    stab_rows = code.hx.row_bits + tuple(r << n for r in code.hz.row_bits)
+    moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q), (1 << q) | (1 << (n + q))))
+    return _table(rows, stab_rows, 2 * n, moves)
+
+
 def pauli_barrier_general(
     code: HgpCode, target: PauliVec, cap: int = DEFAULT_PAULI_CAP
 ) -> BarrierResult:
     """Minimax over the full Pauli group: states are (x, z) pairs, and a step
     may change one qubit to any Pauli (x flip, z flip, or both).
 
-    Exponentially larger than the sector searches; serves as the oracle that
-    validates the sector decomposition on small codes.
+    The energy wt(HZ x) + wt(HX z) is unchanged when x gains a row of HX or z
+    a row of HZ, so the search runs modulo both stabilizer groups: 2^(n + k)
+    quotient states, which ``cap`` bounds, in one cached table per code that
+    answers every target. Used to cross-check the sector decomposition.
     """
     n = code.n_qubits
     if target.n != n:
         raise DimensionMismatch(f"target on {target.n} qubits, code has {n}")
-    if (1 << (2 * n)) > cap:
-        raise CapExceeded(f"4^{n} Pauli states exceed cap {cap}")
-    rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
-    energy = SyndromeEnergy(rows, 2 * n)
-    moves = []
-    for q in range(n):
-        moves.append(1 << q)
-        moves.append(1 << (n + q))
-        moves.append((1 << q) | (1 << (n + q)))
+    if (1 << (n + code.k)) > cap:
+        raise CapExceeded(f"2^(n + k) = 2^{n + code.k} Pauli quotient states exceed cap {cap}")
+    table = _pauli_table(code)
     goal = target.x.bits | (target.z.bits << n)
-    pred = lambda s, e: s == goal
-    deltas = tuple(energy.delta(m) for m in moves)
-    state, best, predarr, _, explored = _syndrome_search(
-        2 * n, moves, deltas, len(rows), pred, cap
-    )
-    seq = _reconstruct_bits(state, predarr, moves)
+    walk = table.path(goal)
     mask = (1 << n) - 1
-    states = tuple(PauliVec(n, BitVec(n, b & mask), BitVec(n, b >> n)) for b in seq)
-    energies = tuple(energy.bits_energy(b) for b in seq)
-    record = PathRecord(states, energies, max(energies, default=0))
-    return BarrierResult(best[state], record, states[-1], explored)
+    states = tuple(
+        PauliVec(n, BitVec(n, s.bits & mask), BitVec(n, s.bits >> n)) for s in walk.states
+    )
+    record = PathRecord(states, walk.energies, walk.max_energy)
+    return BarrierResult(table.value(goal), record, states[-1], table.explored)
 
 
 def normalizer_barrier(
@@ -695,8 +696,7 @@ def _classical_path_to(h: BitMatrix, word: BitVec, cap: int) -> PathRecord:
     energy = SyndromeEnergy(h.row_bits, h.cols)
     if word.bits == 0:
         return PathRecord((BitVec(h.cols, 0),), (0,), 0)
-    result = bottleneck_search(energy, h.cols, word, cap)
-    return result.witness
+    return bottleneck_search(energy, h.cols, word, cap).witness
 
 
 def sweep_path_for_canonical(code: HgpCode, op, cap: int = DEFAULT_STATE_CAP) -> PathRecord:

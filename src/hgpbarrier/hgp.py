@@ -69,6 +69,11 @@ class HgpCode:
     def n_qubits(self) -> int:
         return self.n1 * self.n2 + self.r1 * self.r2
 
+    @property
+    def k(self) -> int:
+        """Logical qubits, k1*k2 + k1T*k2T; a transpose code has dimension r - rank."""
+        return self.h1.k * self.h2.k + (self.r1 - self.h1.rank) * (self.r2 - self.h2.rank)
+
     @cached_property
     def w_c(self) -> int:
         """Largest stabilizer weight across both check matrices."""
@@ -106,16 +111,13 @@ def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> QuantumParams:
     distances, skipping the infinite ones (a parent with k = 0 contributes no
     logicals, hence no distance).
     """
-    k1, k2 = code.h1.k, code.h2.k
-    k1t, k2t = code.h1.r - code.h1.rank, code.h2.r - code.h2.rank
-    k = k1 * k2 + k1t * k2t
-    if k == 0:
+    if code.k == 0:
         raise NoLogicals("code has no logical qubits, distance undefined")
     parents = (code.h1, code.h2, code.h1.transpose(), code.h2.transpose())
     d = min(p.parameters(cap).d for p in parents)
     if d == math.inf:
         raise NoLogicals("all four parent codes are trivial")
-    return QuantumParams(code.n_qubits, k, d)
+    return QuantumParams(code.n_qubits, code.k, d)
 
 
 def qubit_index(code: HgpCode, block: str, a: int, b: int) -> int:

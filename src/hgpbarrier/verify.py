@@ -41,9 +41,8 @@ from .codes import (
     random_ldpc,
     ring_repetition,
 )
-from .deform import weight_reduction_gap
-from .errors import NoLogicals
-from .f2core import BitMatrix, BitVec, rref
+from .errors import CapExceeded, NoLogicals
+from .f2core import BitMatrix, BitVec, mat_mul, rref
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -156,10 +155,7 @@ def lemma4_default_family() -> list[tuple[ClassicalCode, ClassicalCode]]:
 
 
 def _require_logicals(code: HgpCode) -> None:
-    k1, k2 = code.h1.k, code.h2.k
-    k1t = code.h1.r - code.h1.rank
-    k2t = code.h2.r - code.h2.rank
-    if k1 * k2 + k1t * k2t == 0:
+    if code.k == 0:
         raise NoLogicals("instance has no logical qubits")
 
 
@@ -510,41 +506,83 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     return report
 
 
+def _pack(rows, cols: int) -> int:
+    """Matrix rows packed row-major into one integer: row a at bits a * cols."""
+    return sum(r << (a * cols) for a, r in enumerate(rows))
+
+
+def _packed_span(rows: int, cols: int, image) -> list[int]:
+    """Entry _pack(M) is _pack(image(M)) for every rows x cols matrix M. image
+    is linear, so the table is the XOR span of the images of the unit matrices."""
+    table = [0]
+    for j in range(rows * cols):
+        unit = [0] * rows
+        unit[j // cols] = 1 << (j % cols)
+        m = image(BitMatrix(rows, cols, tuple(unit)))
+        u = _pack(m.row_bits, m.cols)
+        table += [t ^ u for t in table]  # bit j of the index selects unit j
+    return table
+
+
+def _lemma4_pair(h1: ClassicalCode, h2: ClassicalCode, words: list[BitVec]):
+    """Both sides of the collapse inequality for one pair, one Z1 at a time.
+
+    H1 Z1 + Z2 H2 is linear in (Z1, Z2), so it is the XOR of two span-table
+    entries, and H1 (Z1 L) = (H1 Z1) L reads off the rows of the H1 Z1 entry.
+    Yields (Z1 rows, wt(H1 Z1 L) per codeword L, wt(H1 Z1 + Z2 H2) per Z2),
+    with Z1 and Z2 in ``product`` order over their rows.
+    """
+    n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
+    a = _packed_span(n1, n2, lambda z1: mat_mul(h1.h, z1))
+    b = _packed_span(r1, r2, lambda z2: mat_mul(z2, h2.h))
+    z2_terms = [b[_pack(z2, r2)] for z2 in product(range(1 << r2), repeat=r1)]
+    for z1 in product(range(1 << n2), repeat=n1):
+        h1z1 = a[_pack(z1, n2)]
+        lhs = [sum(((h1z1 >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
+        yield z1, lhs, [(h1z1 ^ t).bit_count() for t in z2_terms]
+
+
 def check_lemma4(
     family: list[tuple[ClassicalCode, ClassicalCode]] | None = None,
     cap: int = DEFAULT_STATE_CAP,
     instance: str = "2x3 family",
 ) -> VerifyReport:
     """Column collapse never gains weight: wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2),
-    exhaustively over all Z1, Z2 and nonzero codewords of H2."""
+    exhaustively over all Z1, Z2 and nonzero codewords of H2.
+
+    For each Z1 the inequality holds on every triple exactly when the largest
+    left side is at most the smallest right side; only a Z1 that fails is
+    rescanned in (Z2, L) order, for the first counterexample. ``cap`` bounds
+    the 2^(n1 n2) + 2^(r1 r2) span-table entries of each pair.
+    """
     start = time.perf_counter()
     if family is None:
         family = lemma4_default_family()
     checked = 0
     counter = None
     for h1, h2 in family:
-        code = build_hgp(h1, h2)
         words = [w for w in h2.iter_codewords() if w.bits]
         if not words:
             continue
-        n1, n2, r1, r2 = code.n1, code.n2, code.r1, code.r2
-        for z1_bits in product(range(1 << n2), repeat=n1):
-            z1 = BitMatrix(n1, n2, z1_bits)
-            for z2_bits in product(range(1 << r2), repeat=r1):
-                z2 = BitMatrix(r1, r2, z2_bits)
-                for w in words:
-                    lhs, rhs = weight_reduction_gap(code, z1, z2, w)
-                    checked += 1
-                    if lhs > rhs and counter is None:
-                        counter = {
-                            "h1": h1.h.to01_rows(),
-                            "h2": h2.h.to01_rows(),
-                            "z1": z1.to01_rows(),
-                            "z2": z2.to01_rows(),
-                            "codeword": w.to01(),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
+        n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
+        if (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
+            raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 table entries exceed cap {cap}")
+        checked += (1 << (n1 * n2 + r1 * r2)) * len(words)
+        for z1, lhs, rhs in _lemma4_pair(h1, h2, words):
+            if counter is not None or max(lhs) <= min(rhs):
+                continue
+            z2_all = product(range(1 << r2), repeat=r1)
+            z2, r = next((z2, r) for z2, r in zip(z2_all, rhs) if r < max(lhs))
+            j = next(j for j, l in enumerate(lhs) if l > r)
+            counter = {
+                "h1": h1.h.to01_rows(),
+                "h2": h2.h.to01_rows(),
+                "z1": BitMatrix(n1, n2, z1).to01_rows(),
+                "z2": BitMatrix(r1, r2, z2).to01_rows(),
+                "codeword": words[j].to01(),
+                "lhs": lhs[j],
+                "rhs": r,
+            }
     report = VerifyReport(
         claim="lemma4",
         instance=instance,

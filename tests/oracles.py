@@ -181,13 +181,15 @@ def exhaustive_pauli_barrier(hx: np.ndarray, hz: np.ndarray, x_bits: int, z_bits
     return bottleneck_oracle(2 * n, moves, energy, 0, lambda s: s == target)
 
 
-def minimax_values(rows: list[int], n: int) -> list[int]:
-    """Exact minimax value from 0 of every n-bit state under single-bit moves.
+def minimax_values(rows: list[int], n: int, moves: list[int] | None = None) -> list[int]:
+    """Exact minimax value from 0 of every n-bit state.
 
-    The energy of a state is the number of packed ``rows`` with odd overlap.
-    Values are the fixed point of v[s] = max(e[s], min(v[s], min_q v[s ^ 2^q]))
-    relaxed from v[0] = e[0] and infinity elsewhere, all states at once: after
-    k rounds v holds the best peak over walks of at most k steps.
+    A step XORs one of ``moves`` into the state (single-bit flips when
+    omitted). The energy of a state is the number of packed ``rows`` with
+    odd overlap. Values are the fixed point of
+    v[s] = max(e[s], min(v[s], min_m v[s ^ m])) relaxed from v[0] = e[0] and
+    infinity elsewhere, all states at once: after k rounds v holds the best
+    peak over walks of at most k steps.
     """
     states = np.arange(1 << n, dtype=np.int64)
     energy = np.zeros(1 << n, dtype=np.int32)
@@ -201,9 +203,13 @@ def minimax_values(rows: list[int], n: int) -> list[int]:
     value[0] = energy[0]
     while True:
         low = value.copy()
-        for q in range(n):
-            # value[s ^ 2^q] for every s: swap the halves of each 2^(q+1) block
-            np.minimum(low, value.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1), out=low)
+        if moves is None:
+            for q in range(n):
+                # value[s ^ 2^q] for every s: swap the halves of each 2^(q+1) block
+                np.minimum(low, value.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1), out=low)
+        else:
+            for m in moves:
+                np.minimum(low, value[states ^ m], out=low)
         new = np.maximum(energy, low)
         if np.array_equal(new, value):
             return value.tolist()

@@ -261,8 +261,27 @@ class TestPauliGeneral:
             assert pauli_barrier_general(code, p).value == ref
 
     def test_cap_guards_large_codes(self):
+        # ring_4 x ring_4: 2^(32 + 2) quotient states (toric_3's 2^20 now fit)
+        c = ring_repetition(4)
         with pytest.raises(CapExceeded):
-            pauli_barrier_general(toric(), PauliVec.identity(18))
+            pauli_barrier_general(build_hgp(c, c), PauliVec.identity(32))
+
+    def test_cap_counts_quotient_states_before_any_search(self, monkeypatch):
+        code = tiny_hgp()
+        states = 1 << (code.n_qubits + code.k)  # 2^(5 + 1)
+        target = PauliVec.identity(5)
+        assert pauli_barrier_general(code, target, cap=states).explored == states
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran despite the cap")
+
+        # the cap is checked before the table cache and before any search
+        monkeypatch.setattr(barrier_module, "_syndrome_search", no_search)
+        with pytest.raises(CapExceeded):
+            pauli_barrier_general(code, target, cap=states - 1)
+        barrier_module._table.cache_clear()
+        with pytest.raises(CapExceeded):
+            pauli_barrier_general(code, target, cap=states - 1)
 
 
 class TestNormalizerBarrier:

@@ -117,6 +117,17 @@ class TestParameters:
             else:
                 assert hgp_parameters(code).k == expected
 
+    def test_k_property_matches_rank_oracle_including_zero(self):
+        # HgpCode.k needs no logicals, so it also reads 0 where hgp_parameters raises
+        rng = random.Random(6)
+        for _ in range(20):
+            code = build_hgp(random_code(rng), random_code(rng))
+            hx = oracles.np_from_bitmatrix(code.hx)
+            hz = oracles.np_from_bitmatrix(code.hz)
+            assert code.k == code.n_qubits - oracles.np_rank(hx) - oracles.np_rank(hz)
+        c = ClassicalCode(BitMatrix.identity(2))
+        assert build_hgp(c, c).k == 0
+
     def test_distance_matches_coset_oracle(self):
         for code in (toric(), surface()):
             hx = oracles.np_from_bitmatrix(code.hx)

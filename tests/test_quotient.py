@@ -1,9 +1,10 @@
-"""Sector tables on the stabilizer quotient, checked state by state.
+"""Sector and full-Pauli tables on the stabilizer quotient, checked state by
+state.
 
-Every table value, and every sector barrier, is compared with the
-independent all-states minimax in ``oracles.minimax_values``, which searches
-the full 2^n space with no quotient, and witness walks are re-validated
-step by step.
+Every table value, every sector barrier and every full-Pauli barrier is
+compared with the independent all-states minimax in
+``oracles.minimax_values``, which searches the full 2^n (or 4^n) space with
+no quotient, and witness walks are re-validated step by step.
 """
 
 import dataclasses
@@ -20,15 +21,16 @@ from hgpbarrier.barrier import (
     classical_barrier,
     classical_table,
     energy_quantum,
+    pauli_barrier_general,
     quantum_barrier,
     sector_table,
     validate_path,
 )
 from hgpbarrier.codes import ClassicalCode, ring_repetition
 from hgpbarrier.errors import CapExceeded, WitnessError
-from hgpbarrier.f2core import BitMatrix, rank
+from hgpbarrier.f2core import BitMatrix, BitVec, rank
 from hgpbarrier.hgp import build_hgp
-from hgpbarrier.logicals import canonical_z_basis
+from hgpbarrier.logicals import PauliVec, canonical_z_basis
 from hgpbarrier.verify import quantum_instances
 
 
@@ -157,3 +159,62 @@ def test_table_walk_missing_its_target_raises():
     broken = dataclasses.replace(table, edges=())
     with pytest.raises(WitnessError):
         broken.path(target)
+
+
+# -- full-Pauli barriers --------------------------------------------------------
+
+def _pauli_oracle(code):
+    """All 4^n minimax values of x | z << n, with X, Z and Y moves on each qubit."""
+    n = code.n_qubits
+    rows = list(code.hz.row_bits) + [r << n for r in code.hx.row_bits]
+    moves = [m for q in range(n) for m in (1 << q, 1 << (n + q), (1 << q) | (1 << (n + q)))]
+    return oracles.minimax_values(rows, 2 * n, moves)
+
+
+def _pauli(n, bits):
+    return PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
+
+
+def _check_pauli_witnesses(code, want, n_paths, seed=0):
+    n = code.n_qubits
+    rng = random.Random(seed)
+    for t in [0, (1 << 2 * n) - 1] + [rng.randrange(1 << 2 * n) for _ in range(n_paths)]:
+        result = pauli_barrier_general(code, _pauli(n, t))
+        assert result.value == want[t]
+        walk = result.witness
+        assert validate_path(walk, lambda p: energy_quantum(code, p))
+        assert walk.states[0] == PauliVec.identity(n) and walk.states[-1] == _pauli(n, t)
+        assert walk.max_energy == want[t]
+
+
+@pytest.mark.parametrize("name", ("tiny_2", "rect_2_3"))
+def test_pauli_barrier_matches_oracle_on_every_target(name):
+    code = quantum_instances()[name]
+    n = code.n_qubits
+    want = _pauli_oracle(code)
+    got = [pauli_barrier_general(code, _pauli(n, t)).value for t in range(1 << 2 * n)]
+    assert got == want
+    _check_pauli_witnesses(code, want, n_paths=30)
+
+
+@pytest.mark.parametrize("name", ("ring_2", "rect_3_2"))
+def test_pauli_table_matches_oracle_on_every_state(name):
+    code = quantum_instances()[name]
+    n = code.n_qubits
+    table = barrier._pauli_table(code)
+    assert table.explored == len(table.best) == 1 << (n + code.k)
+    want = _pauli_oracle(code)
+    assert [table.value(t) for t in range(1 << 2 * n)] == want
+    _check_pauli_witnesses(code, want, n_paths=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_parent(3, 3), _parent(3, 3))
+def test_random_products_pauli_barriers_match_oracle(h1, h2):
+    code = build_hgp(h1, h2)
+    assume(code.n_qubits <= 5)
+    want = _pauli_oracle(code)
+    table = barrier._pauli_table(code)
+    assert table.explored == 1 << (code.n_qubits + code.k)
+    assert [table.value(t) for t in range(1 << 2 * code.n_qubits)] == want
+    _check_pauli_witnesses(code, want, n_paths=8)

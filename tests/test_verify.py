@@ -154,9 +154,13 @@ def test_lemma4_default_family_shape():
 
 
 def test_lemma4_counterexample_fields(monkeypatch):
-    # force the comparison to trip so the counterexample payload is exercised
+    # force the per-pair kernel to trip so the counterexample payload is exercised
     import hgpbarrier.verify as mod
-    monkeypatch.setattr(mod, "weight_reduction_gap", lambda code, z1, z2, w: (5, 1))
+
+    def rigged(h1, h2, words):
+        yield (0, 0, 0), [5] * len(words), [1] * 16
+
+    monkeypatch.setattr(mod, "_lemma4_pair", rigged)
     h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
     r = mod.check_lemma4(family=[(h, h)])
     assert not r.passed
@@ -164,6 +168,73 @@ def test_lemma4_counterexample_fields(monkeypatch):
     assert ce["lhs"] == 5 and ce["rhs"] == 1
     assert ce["h1"] == ["110", "011"]
     assert len(ce["z1"]) == 3 and len(ce["z2"]) == 2
+
+
+def test_lemma4_kernel_matches_weight_reduction_gap():
+    # every triple of a two-pair family against the per-triple public API
+    from itertools import product
+
+    from hgpbarrier.deform import weight_reduction_gap
+
+    fam = V.lemma4_default_family()
+    checked = 0
+    for h1, h2 in (fam[1], fam[13]):
+        code = build_hgp(h1, h2)
+        words = [w for w in h2.iter_codewords() if w.bits]
+        z2_all = list(product(range(1 << h2.r), repeat=h1.r))
+        for z1, lhs, rhs in V._lemma4_pair(h1, h2, words):
+            assert len(rhs) == len(z2_all)
+            for z2, r in zip(z2_all, rhs):
+                for w, l in zip(words, lhs):
+                    m1, m2 = BitMatrix(h1.n, h2.n, z1), BitMatrix(h1.r, h2.r, z2)
+                    assert weight_reduction_gap(code, m1, m2, w) == (l, r)
+                    checked += 1
+    assert checked == 512 * 16 * (1 + 3)  # 2^9 Z1, 2^4 Z2, one and three codewords
+
+
+def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
+    # planted sides where Z1 number 100 fails first at Z2 number 2 with the
+    # second codeword, while a codeword-first scan would stop at Z2 number 3
+    # with the first; the span-table scan must pick the (Z1, Z2, L) loop's triple
+    import random
+    from itertools import product
+
+    rng = random.Random(4)
+    sides = [
+        (z1, [rng.randrange(3) for _ in range(3)], [rng.randrange(3, 6) for _ in range(16)])
+        for z1 in product(range(8), repeat=3)
+    ]
+    sides[100] = (sides[100][0], [2, 4, 3], [5, 5, 3, 1] + [0] * 12)
+    sides[200] = (sides[200][0], [5, 5, 5], [0] * 16)
+    monkeypatch.setattr(V, "_lemma4_pair", lambda h1, h2, words: iter(sides))
+    h = ClassicalCode(BitMatrix.from_rows(["111", "111"]))  # three nonzero codewords
+    r = V.check_lemma4(family=[(h, h)])
+    words = [w for w in h.iter_codewords() if w.bits]
+    z1, z2, w, l, rr = next(
+        (z1, z2, w, l, rr)
+        for z1, lhs, rhs in sides
+        for z2, rr in zip(product(range(4), repeat=2), rhs)
+        for w, l in zip(words, lhs)
+        if l > rr
+    )
+    assert (z1, z2, w, l, rr) == (sides[100][0], (0, 2), words[1], 4, 3)
+    assert r.counterexample == {
+        "h1": ["111", "111"],
+        "h2": ["111", "111"],
+        "z1": BitMatrix(3, 3, z1).to01_rows(),
+        "z2": BitMatrix(2, 2, z2).to01_rows(),
+        "codeword": w.to01(),
+        "lhs": l,
+        "rhs": rr,
+    }
+    assert r.checked == 512 * 16 * 3
+
+
+def test_lemma4_cap_bounds_span_tables():
+    h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
+    assert V.check_lemma4(family=[(h, h)], cap=512 + 16).passed
+    with pytest.raises(CapExceeded):
+        V.check_lemma4(family=[(h, h)], cap=512 + 16 - 1)
 
 
 # -- prop1 checker ---------------------------------------------------------------
