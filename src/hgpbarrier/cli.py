@@ -13,6 +13,7 @@ Exit codes: 0 success or all claims pass, 1 at least one claim failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,13 +24,16 @@ from .codes import ClassicalCode, emit_dense, parse_alist, parse_auto, parse_den
 from .errors import CapExceeded, HgpBarrierError, NoLogicals, ParseError
 from .hgp import build_hgp, css_check, hgp_parameters
 from .logicals import canonical_x_basis, canonical_z_basis
-from .verify import CLAIMS, run_all, run_claim
-from . import verify
+from .verify import CLAIMS, run_all, run_claim, summarize
 
 EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# no table of more than 2^64 states can be addressed; checked before any
+# 1 << max_dim is computed
+MAX_DIM = 64
 
 
 def _emit_error(kind: str, detail: str) -> None:
@@ -98,7 +102,7 @@ def _witness_dict(result) -> dict:
 
 def cmd_info(args) -> int:
     c = _load_code(args.path, args.fmt)
-    p = c.parameters(1 << args.max_dim)
+    p = c.parameters(args.cap)
     report = {
         "n": c.n,
         "r": c.r,
@@ -116,7 +120,7 @@ def cmd_hgp(args) -> int:
     c2 = _load_code(args.path2, args.fmt)
     code = build_hgp(c1, c2)
     try:
-        p = hgp_parameters(code, 1 << args.max_dim)
+        p = hgp_parameters(code, args.cap)
         k, d = p.k, p.d
     except NoLogicals:
         k, d = 0, math.inf
@@ -141,13 +145,12 @@ def cmd_hgp(args) -> int:
 
 
 def cmd_barrier(args) -> int:
-    cap = 1 << args.max_dim
     if args.kind == "classical":
         if len(args.paths) != 1:
             _emit_error("usage", "barrier classical takes exactly one matrix file")
             return EXIT_USAGE
         c = _load_code(args.paths[0], args.fmt)
-        result = classical_barrier(c, cap)
+        result = classical_barrier(c, args.cap)
         report = {
             "kind": "classical",
             "value": result.value,
@@ -163,7 +166,7 @@ def cmd_barrier(args) -> int:
     c2 = _load_code(args.paths[1], args.fmt)
     code = build_hgp(c1, c2)
     if args.kind == "quantum":
-        result = quantum_barrier(code, args.sector, cap)
+        result = quantum_barrier(code, args.sector, args.cap)
         report = {
             "kind": "quantum",
             "sector": args.sector,
@@ -177,12 +180,12 @@ def cmd_barrier(args) -> int:
     report = {"kind": "canonical", "sector": args.sector}
     values = []
     if args.sector in ("z", "both"):
-        tz = sector_table(code, "z", cap)
+        tz = sector_table(code, "z", args.cap)
         vz = min(tz.value(op.realized.z.bits) for op in canonical_z_basis(code))
         report["z"] = vz
         values.append(vz)
     if args.sector in ("x", "both"):
-        tx = sector_table(code, "x", cap)
+        tx = sector_table(code, "x", args.cap)
         vx = min(tx.value(op.realized.x.bits) for op in canonical_x_basis(code))
         report["x"] = vx
         values.append(vx)
@@ -217,43 +220,21 @@ def _op_record(kind: str, op) -> dict:
 
 
 def cmd_verify(args) -> int:
-    cap = 1 << args.max_dim
     if args.paths and args.claim in ("all", "lemma4"):
         _emit_error("usage", f"verify {args.claim} runs on built-in instances only")
         return EXIT_USAGE
     if args.paths and len(args.paths) != 2:
         _emit_error("usage", "verify takes zero or two matrix files")
         return EXIT_USAGE
-    if args.paths:
-        c1 = _load_code(args.paths[0], args.fmt)
-        c2 = _load_code(args.paths[1], args.fmt)
-        name = f"{args.paths[0]} x {args.paths[1]}"
-        if args.claim == "main":
-            reports = [verify.check_main_equality(c1, c2, cap, instance=name)]
-        else:
-            code = build_hgp(c1, c2)
-            dispatch = {
-                "lemma1": lambda: verify.check_lemma1(code, cap, instance=name),
-                "thm1": lambda: verify.check_theorem1(
-                    code, samples=100, seed=args.seed, cap=cap, instance=name
-                ),
-                "lemma2": lambda: verify.check_lemma2(code, cap, instance=name),
-                "lemma3": lambda: verify.check_lemma3(code, cap, instance=name),
-                "prop1": lambda: verify.check_proposition1(code, cap, instance=name),
-                "css-restriction": lambda: verify.check_css_restriction(
-                    code, cap, instance=name
-                ),
-            }
-            reports = [dispatch[args.claim]()]
-    elif args.claim == "all":
-        reports, _ = run_all(seed=args.seed, cap=cap, pauli_cap=cap)
+    if args.claim == "all":
+        reports, _ = run_all(seed=args.seed, cap=args.cap, pauli_cap=args.cap)
     else:
-        reports = run_claim(args.claim, seed=args.seed, cap=cap, pauli_cap=cap)
-    summary = {
-        "claims": len(reports),
-        "passes": sum(r.passed for r in reports),
-        "fails": sum(not r.passed for r in reports),
-    }
+        pair = tuple(_load_code(p, args.fmt) for p in args.paths) or None
+        reports = run_claim(
+            args.claim, seed=args.seed, cap=args.cap, pauli_cap=args.cap,
+            pair=pair, instance=" x ".join(args.paths),
+        )
+    summary = summarize(reports)
     if args.format == "json":
         for r in reports:
             print(json.dumps(r.to_json_dict(), sort_keys=True))
@@ -268,7 +249,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if summary["fails"] == 0 else EXIT_CLAIM_FAIL
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later
+    ``main`` call; ``parse_args`` leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
@@ -285,7 +269,7 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
-    parser = _Parser(prog="hgpbarrier", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hgpbarrier", description="Command line front end.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common], help="classical code parameters")
@@ -323,11 +307,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.max_dim < 1:
         _emit_error("usage", "--max-dim must be positive")
         return EXIT_USAGE
+    if args.max_dim > MAX_DIM:
+        _emit_error("cap-exceeded", f"--max-dim {args.max_dim} exceeds {MAX_DIM}")
+        return EXIT_CAP
+    args.cap = 1 << args.max_dim
     try:
         return args.func(args)
     except CapExceeded as e:

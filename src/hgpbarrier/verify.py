@@ -67,6 +67,7 @@ __all__ = [
     "check_css_restriction",
     "run_claim",
     "run_all",
+    "summarize",
 ]
 
 CLAIMS = (
@@ -278,30 +279,40 @@ def _generator_boundaries(code: HgpCode, combo: BitVec) -> list[int]:
     return marks
 
 
-def _random_logical(code: HgpCode, rng: random.Random):
-    """Random nontrivial logical: canonical combination times a stabilizer."""
-    zops = canonical_z_basis(code)
-    xops = canonical_x_basis(code)
-    while True:
-        z_sel = rng.randrange(1 << len(zops))
-        x_sel = rng.randrange(1 << len(xops))
-        if z_sel or x_sel:
-            break
-    z_bits = 0
-    for i in range(len(zops)):
-        if (z_sel >> i) & 1:
-            z_bits ^= zops[i].realized.z.bits
+def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
+    """Random stabilizer (x bits, z bits): each row of HX, then of HZ, with
+    probability 1/2."""
     x_bits = 0
-    for i in range(len(xops)):
-        if (x_sel >> i) & 1:
-            x_bits ^= xops[i].realized.x.bits
     for r in code.hx.row_bits:
         if rng.random() < 0.5:
             x_bits ^= r
+    z_bits = 0
     for r in code.hz.row_bits:
         if rng.random() < 0.5:
             z_bits ^= r
     return x_bits, z_bits
+
+
+def _random_logical(
+    code: HgpCode, rng: random.Random, zs: list[int], xs: list[int]
+) -> tuple[int, int]:
+    """Random nontrivial logical: a combination of the canonical Z operators'
+    z bits ``zs`` and X operators' x bits ``xs``, times a stabilizer."""
+    while True:
+        z_sel = rng.randrange(1 << len(zs))
+        x_sel = rng.randrange(1 << len(xs))
+        if z_sel or x_sel:
+            break
+    z_bits = 0
+    for i in range(len(zs)):
+        if (z_sel >> i) & 1:
+            z_bits ^= zs[i]
+    x_bits = 0
+    for i in range(len(xs)):
+        if (x_sel >> i) & 1:
+            x_bits ^= xs[i]
+    sx, sz = _random_stabilizer(code, rng)
+    return x_bits ^ sx, z_bits ^ sz
 
 
 def check_theorem1(
@@ -327,19 +338,14 @@ def check_theorem1(
     bx = _rowspace_basis(code.hx)
     bz = _rowspace_basis(code.hz)
     sweep_all = len(bx) + len(bz) <= 12
+    zs = [op.realized.z.bits for op in canonical_z_basis(code)]
+    xs = [op.realized.x.bits for op in canonical_x_basis(code)]
     rng = random.Random(seed)
     counter = None
     largest_gap = None
     for _ in range(samples):
-        lx, lz = _random_logical(code, rng)
-        sx = 0
-        sz = 0
-        for r in code.hx.row_bits:
-            if rng.random() < 0.5:
-                sx ^= r
-        for r in code.hz.row_bits:
-            if rng.random() < 0.5:
-                sz ^= r
+        lx, lz = _random_logical(code, rng, zs, xs)
+        sx, sz = _random_stabilizer(code, rng)
         d_l = _normalizer_value(tx, tz, lx, lz)
         d_ls = _normalizer_value(tx, tz, lx ^ sx, lz ^ sz)
         rhs = max(d_l, bound)
@@ -359,12 +365,14 @@ def check_theorem1(
         if sweep_all and counter is None:
             wx, wx_state = 0, lx
             for s in _span_gray(bx):
-                if tx.value(lx ^ s) > wx:
-                    wx, wx_state = tx.value(lx ^ s), lx ^ s
+                v = tx.value(lx ^ s)
+                if v > wx:
+                    wx, wx_state = v, lx ^ s
             wz, wz_state = 0, lz
             for s in _span_gray(bz):
-                if tz.value(lz ^ s) > wz:
-                    wz, wz_state = tz.value(lz ^ s), lz ^ s
+                v = tz.value(lz ^ s)
+                if v > wz:
+                    wz, wz_state = v, lz ^ s
             if max(wx, wz) > rhs:
                 counter = {
                     "l_x": lx,
@@ -756,42 +764,36 @@ def check_css_restriction(
 
 # -- claim runner ---------------------------------------------------------------
 
+# registry instances each claim runs on when no explicit pair is given
+_CLAIM_INSTANCES = {
+    "lemma1": ("surface_3", "toric_3"),
+    "thm1": ("surface_3", "toric_3"),
+    "lemma2": ("surface_3", "toric_3", "ring_2", "rect_2_3"),
+    "lemma3": ("surface_3", "toric_3", "ring_2", "rect_2_3"),
+    "prop1": ("tiny_2", "rect_2_3", "ring_2", "surface_3", "toric_3"),
+    "css-restriction": ("tiny_2", "rect_2_3", "rect_3_2", "ring_2"),
+}
+
+
 def run_claim(
     claim: str,
     seed: int = 0,
     cap: int = DEFAULT_STATE_CAP,
     pauli_cap: int = DEFAULT_PAULI_CAP,
+    pair: tuple[ClassicalCode, ClassicalCode] | None = None,
+    instance: str = "",
 ) -> list[VerifyReport]:
-    inst = quantum_instances()
-    if claim == "lemma1":
-        return [
-            check_lemma1(inst[name], cap, instance=name)
-            for name in ("surface_3", "toric_3")
-        ]
-    if claim == "thm1":
-        return [
-            check_theorem1(inst[name], samples=100, seed=seed, cap=cap, instance=name)
-            for name in ("surface_3", "toric_3")
-        ]
-    if claim == "lemma2":
-        return [
-            check_lemma2(inst[name], cap, instance=name)
-            for name in ("surface_3", "toric_3", "ring_2", "rect_2_3")
-        ]
-    if claim == "lemma3":
-        return [
-            check_lemma3(inst[name], cap, instance=name)
-            for name in ("surface_3", "toric_3", "ring_2", "rect_2_3")
-        ]
+    """Reports of one claim: on its registry instances, or, given ``pair``,
+    on the product of those two parents, reported under ``instance``.
+    lemma4 checks its own matrix family and takes no pair."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
     if claim == "lemma4":
+        if pair is not None:
+            raise ValueError("lemma4 runs on its built-in family only")
         return [check_lemma4(cap=cap)]
-    if claim == "prop1":
-        return [
-            check_proposition1(inst[name], cap, instance=name)
-            for name in ("tiny_2", "rect_2_3", "ring_2", "surface_3", "toric_3")
-        ]
     if claim == "main":
-        pairs = {
+        pairs = {instance: pair} if pair is not None else {
             "toric_3": (ring_repetition(3), ring_repetition(3)),
             "surface_3": (open_repetition(3), open_repetition(3)),
             "rect_2_3": (open_repetition(2), open_repetition(3)),
@@ -802,12 +804,31 @@ def run_claim(
             check_main_equality(h1, h2, cap, instance=name)
             for name, (h1, h2) in pairs.items()
         ]
-    if claim == "css-restriction":
-        return [
-            check_css_restriction(inst[name], pauli_cap, instance=name)
-            for name in ("tiny_2", "rect_2_3", "rect_3_2", "ring_2")
-        ]
-    raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
+    check = {
+        "lemma1": lambda code, name: check_lemma1(code, cap, instance=name),
+        "thm1": lambda code, name: check_theorem1(
+            code, samples=100, seed=seed, cap=cap, instance=name
+        ),
+        "lemma2": lambda code, name: check_lemma2(code, cap, instance=name),
+        "lemma3": lambda code, name: check_lemma3(code, cap, instance=name),
+        "prop1": lambda code, name: check_proposition1(code, cap, instance=name),
+        "css-restriction": lambda code, name: check_css_restriction(
+            code, pauli_cap, instance=name
+        ),
+    }[claim]
+    if pair is not None:
+        return [check(build_hgp(*pair), instance)]
+    inst = quantum_instances()
+    return [check(inst[name], name) for name in _CLAIM_INSTANCES[claim]]
+
+
+def summarize(reports: list[VerifyReport]) -> dict:
+    """The summary line of a report stream: claims, passes and fails."""
+    return {
+        "claims": len(reports),
+        "passes": sum(r.passed for r in reports),
+        "fails": sum(not r.passed for r in reports),
+    }
 
 
 def run_all(
@@ -818,9 +839,4 @@ def run_all(
     reports = []
     for claim in CLAIMS:
         reports.extend(run_claim(claim, seed=seed, cap=cap, pauli_cap=pauli_cap))
-    summary = {
-        "claims": len(reports),
-        "passes": sum(r.passed for r in reports),
-        "fails": sum(not r.passed for r in reports),
-    }
-    return reports, summary
+    return reports, summarize(reports)

@@ -1,10 +1,16 @@
 """CLI surface: outputs, formats, exit codes, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hgpbarrier.cli import main
+import hgpbarrier
+from hgpbarrier.cli import _build_parser, main
 from hgpbarrier.codes import (
     emit_alist,
     emit_dense,
@@ -259,3 +265,70 @@ def test_nonpositive_max_dim(files, capsys):
     code, _, err = run(capsys, "info", files / "ring3.alist", "--max-dim", "0")
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+def test_max_dim_above_64_exits_3_before_any_shift(files, capsys):
+    # 65 first: were the bound missing, that case fails and stops the loop
+    # before 1 << 10**12 could be attempted
+    for dim in (65, 10**12):
+        code, out, err = run(capsys, "info", files / "ring3.alist", "--max-dim", dim)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "cap-exceeded"
+    code, _, _ = run(capsys, "info", files / "ring3.alist", "--max-dim", 64)
+    assert code == 0
+
+
+def test_optimized_interpreter_without_docstrings(files):
+    env = dict(os.environ, PYTHONPATH=str(Path(hgpbarrier.__file__).parents[1]))
+    argv = ["-m", "hgpbarrier.cli", "info", str(files / "ring5.alist")]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    stripped = subprocess.run([sys.executable, "-OO", *argv], capture_output=True, env=env)
+    assert plain.returncode == 0 and stripped.returncode == 0
+    assert stripped.stdout == plain.stdout != b""
+    assert stripped.stderr == b""
+
+
+# -- one parser per process -------------------------------------------------------
+
+def test_repeated_calls_do_not_carry_options_over(files, capsys):
+    plain = [
+        ["info", files / "open3.txt"],
+        ["barrier", "quantum", files / "open3.txt", files / "open3.txt"],
+        ["logicals", files / "ring3.alist", files / "open3.txt"],
+        ["verify", "lemma3", files / "ring3.alist", files / "open3.txt"],
+    ]
+    flagged = [
+        ["info", files / "open3.txt", "--format", "text", "--fmt", "dense"],
+        ["barrier", "quantum", files / "open3.txt", files / "open3.txt", "--sector", "x",
+         "--max-dim", "8"],
+        ["logicals", files / "ring3.alist", files / "open3.txt", "--sector", "x"],
+        ["verify", "lemma3", files / "ring3.alist", files / "open3.txt", "--seed", "4",
+         "--format", "text"],
+    ]
+    _build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in plain]
+    assert all(code == 0 for code, _, _ in first)
+    for argv in flagged:
+        assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as ei:
+        main(["barrier", "quantum", str(files / "open3.txt"), "--sector", "w"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in plain] == first
+
+
+def test_second_call_builds_no_parser(files, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    run(capsys, "info", files / "ring3.alist")
+    assert built
+    built.clear()
+    assert run(capsys, "info", files / "ring5.alist")[0] == 0
+    assert built == []

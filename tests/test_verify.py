@@ -89,6 +89,24 @@ def test_theorem1_deterministic(instances):
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
+    calls = {"z": 0, "x": 0}
+
+    def counted(kind, fn):
+        def wrapper(code):
+            calls[kind] += 1
+            return fn(code)
+        return wrapper
+
+    monkeypatch.setattr(V, "canonical_z_basis", counted("z", V.canonical_z_basis))
+    monkeypatch.setattr(V, "canonical_x_basis", counted("x", V.canonical_x_basis))
+    for samples in (1, 40):
+        calls.update(z=0, x=0)
+        r = V.check_theorem1(instances["surface_3"], samples=samples, seed=2)
+        assert r.checked == samples
+        assert calls == {"z": 1, "x": 1}
+
+
 def test_theorem1_requires_logicals():
     trivial = ClassicalCode(BitMatrix.identity(2))
     with pytest.raises(NoLogicals):
@@ -327,6 +345,19 @@ def test_run_claim_lemma3_instances():
     reports = V.run_claim("lemma3")
     assert [r.instance for r in reports] == ["surface_3", "toric_3", "ring_2", "rect_2_3"]
     assert all(r.passed for r in reports)
+
+
+def test_run_claim_on_a_pair_matches_the_registry_instance():
+    # rect_2_3 is the product of these parents; with the pair named after it,
+    # each claim must report exactly what its registry run reports
+    pair = (open_repetition(2), open_repetition(3))
+    for claim in ("lemma2", "lemma3", "prop1", "main", "css-restriction"):
+        registry = [r for r in V.run_claim(claim) if r.instance == "rect_2_3"]
+        explicit = V.run_claim(claim, pair=pair, instance="rect_2_3")
+        assert [r.to_json_dict() for r in explicit] == [r.to_json_dict() for r in registry]
+        assert V.summarize(explicit) == {"claims": 1, "passes": 1, "fails": 0}
+    with pytest.raises(ValueError):
+        V.run_claim("lemma4", pair=pair, instance="rect_2_3")
 
 
 def test_run_all_summary_shape():
