@@ -3,16 +3,20 @@
 The barrier of reaching a target configuration is the smallest possible value
 of the maximum energy seen along any path from the all-zero state, where a
 path changes one coordinate (one qubit) per step. Searches run over packed
-integer states with a Dijkstra-style frontier ordered by
+integer states with a Dijkstra-style frontier popped in the order
 
     (max energy so far, path length, state value)
 
-so results and witness paths are deterministic. A state is pushed only when
-its key strictly improves, which keeps at most one live heap entry per state
-and makes the first pop of a state final.
-
-Energies of the form weight(M x) are updated incrementally: flipping
-coordinate q XORs column q of M into the running syndrome.
+so results and witness paths are deterministic. Energies of the form
+weight(M x) are small integers, so the frontier is a bucket queue (Dial's
+algorithm): one bucket per peak level, split by path length, each layer
+sorted by state when its turn comes. A state enters the queue only when its
+peak strictly improves, so it sits in at most one entry per level, and its
+first pop is final. Exhaustive tables read each neighbour's energy off a
+per-state table spanned out from the syndromes of the moves; target
+searches, which stop early, update a running syndrome instead (flipping
+coordinate q XORs column q of M into it). Only callable energies, which
+have no such bound, still use a binary heap.
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -188,6 +193,65 @@ def _lift_store(n_states: int, n_bits: int):
     return [0] * n_states
 
 
+def _energy_table(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
+    """Syndrome weight of every n_dim-bit state, indexed by state.
+
+    The syndrome is linear in the state. Reducing the moves, each with its
+    syndrome, to a reduced echelon basis gives the syndrome of every unit
+    vector that is a pivot; the other unit vectors get 0, which changes no
+    state the moves reach. The table is then spanned out by doubling, one
+    block of 2^lo states per value of the high bits, so no list of 2^n_dim
+    ints exists.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, syndrome)
+    for m, d in zip(moves, deltas):
+        while m:
+            lead = m.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = (m, d)
+                break
+            v, dv = basis[lead]
+            m ^= v
+            d ^= dv
+    unit = [0] * n_dim
+    for lead in sorted(basis):  # lower pivots are already reduced
+        v, dv = basis[lead]
+        for low in range(lead):
+            if (v >> low) & 1 and low in basis:
+                v ^= basis[low][0]
+                dv ^= basis[low][1]
+        basis[lead] = (v, dv)
+        unit[lead] = dv
+    lo = n_dim // 2
+    low_syns, high_syns = [0], [0]
+    for q in range(n_dim):
+        half = low_syns if q < lo else high_syns
+        half += [s ^ unit[q] for s in half]  # bit j of the index selects unit[j]
+    table = bytearray() if max_energy < 0xFF else array("H")
+    for high in high_syns:
+        table.extend([(high ^ s).bit_count() for s in low_syns])
+    return table
+
+
+def _bucket_layers(buckets):
+    """Pop order of the bucket queue: levels ascending, then path lengths
+    ascending, each layer sorted by state. Yields (level, next path length,
+    layer, list for pushes at this level); pushes at a higher level e go to
+    buckets[e][next path length]."""
+    for level, layers in enumerate(buckets):
+        plen = 0
+        while layers:
+            if plen not in layers:
+                plen = min(layers)
+            layer = layers.pop(plen)
+            layer.sort()
+            plen += 1
+            same = layers.setdefault(plen, [])
+            yield level, plen, layer, same
+            if not same:
+                del layers[plen]
+
+
 def _syndrome_search(
     n_dim: int,
     moves: Sequence[int],
@@ -200,7 +264,17 @@ def _syndrome_search(
     """Core engine over the n_dim-bit states: move i XORs moves[i] into the
     state and deltas[i] into the syndrome. target_pred(state, energy) or
     None to exhaust all states. With lift_moves, lifts[s] is the XOR of
-    lift_moves along the search-tree path to s.
+    lift_moves along the search-tree path to each popped state s.
+
+    A bucket queue (Dial's algorithm): energies are integers in
+    [0, max_energy], so the frontier is one bucket per peak level, each
+    mapping path length to a list of states, and pops come in the order
+    (peak, path length, state). A state enters the queue only when its
+    peak strictly improves, at its own level or above, so the first pop of
+    a state is final and a popped state whose best is lower is stale.
+    Exhaustive searches read neighbour energies off a per-state table
+    (``_energy_table``), dropped on return; target searches stop early, so
+    they carry each state's syndrome instead.
 
     Returns (final_state, best, pred, lifts, explored); final_state is None
     in exhaust mode and lifts is None without lift_moves.
@@ -212,30 +286,58 @@ def _syndrome_search(
     if lift_moves is not None:
         lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
     best[0] = 0
-    heap = [(0, 0, 0, 0)]  # (max energy, path length, state, syndrome)
+    buckets = [defaultdict(list) for _ in range(max_energy + 1)]
+    indexed = tuple(enumerate(moves))
     explored = 0
-    while heap:
-        maxe, plen, state, syn = heapq.heappop(heap)
-        if maxe != best[state]:
-            continue
-        explored += 1
-        if target_pred is not None and target_pred(state, syn.bit_count()):
-            return state, best, pred, lifts, explored
-        nplen = plen + 1
-        for mi in range(len(moves)):
-            ns = state ^ moves[mi]
-            nsyn = syn ^ deltas[mi]
-            ne = nsyn.bit_count()
-            nmax = maxe if maxe >= ne else ne
-            if nmax < best[ns]:
-                best[ns] = nmax
-                pred[ns] = mi
-                if lifts is not None:
-                    lifts[ns] = lifts[state] ^ lift_moves[mi]
-                heapq.heappush(heap, (nmax, nplen, ns, nsyn))
-    if target_pred is not None:
-        raise NoTarget("no state satisfying the target predicate is reachable")
-    return None, best, pred, lifts, explored
+    if target_pred is None:
+        energy = _energy_table(n_dim, moves, deltas, max_energy)
+        buckets[0][0].append(0)
+        for level, plen, layer, same in _bucket_layers(buckets):
+            for state in layer:
+                if best[state] != level:
+                    continue
+                explored += 1
+                if lifts is not None and state:  # the tree parent was popped first
+                    mi = pred[state]
+                    lifts[state] = lifts[state ^ moves[mi]] ^ lift_moves[mi]
+                for mi, m in indexed:
+                    ns = state ^ m
+                    e = energy[ns]
+                    if e <= level:
+                        if level < best[ns]:
+                            best[ns] = level
+                            pred[ns] = mi
+                            same.append(ns)
+                    elif e < best[ns]:
+                        best[ns] = e
+                        pred[ns] = mi
+                        buckets[e][plen].append(ns)
+        return None, best, pred, lifts, explored
+    buckets[0][0].append((0, 0))  # (state, syndrome)
+    for level, plen, layer, same in _bucket_layers(buckets):
+        for state, syn in layer:
+            if best[state] != level:
+                continue
+            explored += 1
+            if lifts is not None and state:
+                mi = pred[state]
+                lifts[state] = lifts[state ^ moves[mi]] ^ lift_moves[mi]
+            if target_pred(state, syn.bit_count()):
+                return state, best, pred, lifts, explored
+            for mi, m in indexed:
+                ns = state ^ m
+                nsyn = syn ^ deltas[mi]
+                e = nsyn.bit_count()
+                if e <= level:
+                    if level < best[ns]:
+                        best[ns] = level
+                        pred[ns] = mi
+                        same.append((ns, nsyn))
+                elif e < best[ns]:
+                    best[ns] = e
+                    pred[ns] = mi
+                    buckets[e][plen].append((ns, nsyn))
+    raise NoTarget("no state satisfying the target predicate is reachable")
 
 
 def _generic_search(
@@ -606,13 +708,20 @@ def quantum_barrier(
     return rz if rz.value <= rx.value else rx
 
 
-def _pauli_table(code: HgpCode) -> MinimaxTable:
-    """Table of states x | z << n under the 3n X/Z/Y moves, modulo HX on x and HZ on z."""
+@lru_cache(maxsize=64)
+def _pauli_inputs(code: HgpCode) -> tuple:
+    """``_table`` arguments for states x | z << n under the 3n X/Z/Y moves,
+    modulo HX on x and HZ on z. Cached per code; the table itself lives
+    only in ``_table``'s cache."""
     n = code.n_qubits
     rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
     stab_rows = code.hx.row_bits + tuple(r << n for r in code.hz.row_bits)
     moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q), (1 << q) | (1 << (n + q))))
-    return _table(rows, stab_rows, 2 * n, moves)
+    return rows, stab_rows, 2 * n, moves
+
+
+def _pauli_table(code: HgpCode) -> MinimaxTable:
+    return _table(*_pauli_inputs(code))
 
 
 def pauli_barrier_general(

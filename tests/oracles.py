@@ -7,6 +7,8 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from itertools import combinations, product
 
 import numpy as np
@@ -214,3 +216,47 @@ def minimax_values(rows: list[int], n: int, moves: list[int] | None = None) -> l
         if np.array_equal(new, value):
             return value.tolist()
         value = new
+
+
+def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, cap, lift_moves=None):
+    """The binary-heap minimax engine that ``barrier._syndrome_search``
+    replaced, kept as the reference for its pop order.
+
+    Frontier entries are (max energy, path length, state, syndrome); a state
+    is pushed only when its peak strictly improves. Same arguments and
+    return value as the package engine: (final_state, best, pred, lifts,
+    explored), with the same table types.
+    """
+    if (1 << n_dim) > cap:
+        raise ValueError(f"2^{n_dim} states exceed cap {cap}")
+    n_states = 1 << n_dim
+    best = bytearray(b"\xff" * n_states) if max_energy < 0xFF else array("H", [0xFFFF] * n_states)
+    pred = bytearray(b"\xff" * n_states) if len(moves) < 0xFF else array("H", [0xFFFF] * n_states)
+    lifts = None
+    if lift_moves is not None:
+        bits = max(lift_moves).bit_length()
+        code = next((c for c in "BHILQ" if 8 * array(c).itemsize >= bits), None)
+        lifts = array(code, bytes(array(code).itemsize * n_states)) if code else [0] * n_states
+    best[0] = 0
+    heap = [(0, 0, 0, 0)]
+    explored = 0
+    while heap:
+        maxe, plen, state, syn = heapq.heappop(heap)
+        if maxe != best[state]:
+            continue
+        explored += 1
+        if target_pred is not None and target_pred(state, syn.bit_count()):
+            return state, best, pred, lifts, explored
+        for mi in range(len(moves)):
+            ns = state ^ moves[mi]
+            nsyn = syn ^ deltas[mi]
+            nmax = max(maxe, nsyn.bit_count())
+            if nmax < best[ns]:
+                best[ns] = nmax
+                pred[ns] = mi
+                if lifts is not None:
+                    lifts[ns] = lifts[state] ^ lift_moves[mi]
+                heapq.heappush(heap, (nmax, plen + 1, ns, nsyn))
+    if target_pred is not None:
+        raise LookupError("no state satisfying the target predicate is reachable")
+    return None, best, pred, lifts, explored

@@ -1,6 +1,8 @@
 """Tests for energy functions, exact searches, and constructive paths."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -27,6 +29,7 @@ from hgpbarrier.logicals import (
     classify,
     enumerate_z_logicals,
 )
+from hgpbarrier.verify import quantum_instances
 from hgpbarrier.barrier import (
     BarrierResult,
     PathRecord,
@@ -282,6 +285,28 @@ class TestPauliGeneral:
         barrier_module._table.cache_clear()
         with pytest.raises(CapExceeded):
             pauli_barrier_general(code, target, cap=states - 1)
+
+    def test_warm_call_builds_no_table_inputs(self):
+        code = quantum_instances()["rect_2_3"]
+        n = code.n_qubits
+        pauli_barrier_general(code, PauliVec.identity(n))
+        inputs = barrier_module._pauli_inputs.cache_info()
+        tables = barrier_module._table.cache_info()
+        target = PauliVec(n, BitVec(n, 0b101), BitVec(n, 0b11))
+        pauli_barrier_general(code, target)
+        # no rows, stabilizer rows or move masks rebuilt, no table built
+        assert barrier_module._pauli_inputs.cache_info().misses == inputs.misses
+        assert barrier_module._pauli_inputs.cache_info().hits == inputs.hits + 1
+        assert barrier_module._table.cache_info().misses == tables.misses
+
+    def test_cached_inputs_keep_no_table_alive(self):
+        code = tiny_hgp()
+        table = barrier_module._pauli_table(code)
+        ref = weakref.ref(table)
+        del table
+        barrier_module._table.cache_clear()
+        gc.collect()
+        assert ref() is None
 
 
 class TestNormalizerBarrier:
