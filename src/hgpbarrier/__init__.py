@@ -41,8 +41,7 @@ from .codes import (
 )
 from .hgp import HgpCode, QuantumParams, build_hgp, css_check, hgp_parameters, qubit_index
 from .logicals import (
-    CanonicalXOp,
-    CanonicalZOp,
+    CanonicalOp,
     PauliClass,
     PauliVec,
     canonical_x_basis,
@@ -50,6 +49,7 @@ from .logicals import (
     classify,
     compose_canonical,
     compose_canonical_x,
+    elementary_leg,
     enumerate_x_logicals,
     enumerate_z_logicals,
 )
@@ -70,8 +70,6 @@ from .barrier import (
 )
 from .deform import (
     DeformSpec,
-    collapse_columns,
-    column_index_set,
     deform_path,
     deform_pauli,
     deformation_trace,

@@ -15,8 +15,7 @@ peak strictly improves, so it sits in at most one entry per level, and its
 first pop is final. Exhaustive tables read each neighbour's energy off a
 per-state table spanned out from the syndromes of the moves; target
 searches, which stop early, update a running syndrome instead (flipping
-coordinate q XORs column q of M into it). Only callable energies, which
-have no such bound, still use a binary heap.
+coordinate q XORs column q of M into it).
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
@@ -36,12 +35,11 @@ This is the covering-space picture of voltage graphs (Gross & Tucker,
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .codes import ClassicalCode
 from .errors import (
@@ -49,14 +47,13 @@ from .errors import (
     DimensionMismatch,
     NoLogicals,
     NotAStabilizer,
-    NotElementary,
     NoTarget,
     OutsideNormalizer,
     WitnessError,
 )
 from .f2core import BitMatrix, BitVec, mat_vec, rref, weight
 from .hgp import HgpCode
-from .logicals import CanonicalXOp, CanonicalZOp, PauliVec
+from .logicals import CanonicalOp, PauliVec, elementary_leg
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -340,38 +337,6 @@ def _syndrome_search(
     raise NoTarget("no state satisfying the target predicate is reachable")
 
 
-def _generic_search(
-    energy_bits: Callable[[int], int],
-    n_dim: int,
-    target_pred,
-    cap: int,
-):
-    """Fallback engine for arbitrary energy functions (no syndrome deltas)."""
-    if (1 << n_dim) > cap:
-        raise CapExceeded(f"2^{n_dim} states exceed cap {cap}")
-    moves = tuple(1 << q for q in range(n_dim))
-    e0 = energy_bits(0)
-    best = {0: e0}
-    pred: dict[int, int] = {}
-    heap = [(e0, 0, 0)]
-    explored = 0
-    while heap:
-        maxe, plen, state = heapq.heappop(heap)
-        if maxe != best[state]:
-            continue
-        explored += 1
-        if target_pred(state, energy_bits(state)):
-            return state, best, pred, explored
-        for mi, mv in enumerate(moves):
-            ns = state ^ mv
-            nmax = max(maxe, energy_bits(ns))
-            if nmax < best.get(ns, 1 << 62):
-                best[ns] = nmax
-                pred[ns] = mi
-                heapq.heappush(heap, (nmax, plen + 1, ns))
-    raise NoTarget("no state satisfying the target predicate is reachable")
-
-
 def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
     """Move indices along the search tree from the zero state to ``state``."""
     seq = []
@@ -411,35 +376,21 @@ def _normalize_targets(targets, n_dim: int):
 
 
 def bottleneck_search(
-    energy,
+    energy: SyndromeEnergy,
     n_dim: int,
     targets,
     cap: int = DEFAULT_STATE_CAP,
 ) -> BarrierResult:
     """Exact minimax path value from the zero state to the nearest target.
 
-    ``energy`` is a SyndromeEnergy (fast path) or any callable BitVec -> int.
     ``targets`` is a predicate over BitVec, a single BitVec/int state, or a
     collection of them.
     """
-    pred_fn = _normalize_targets(targets, n_dim)
-    if isinstance(energy, SyndromeEnergy):
-        if energy.n_dim != n_dim:
-            raise DimensionMismatch(f"energy over {energy.n_dim} dims, search over {n_dim}")
-        moves = tuple(1 << q for q in range(n_dim))
-        deltas = tuple(energy.delta(m) for m in moves)
-        state, best, pred, _, explored = _syndrome_search(
-            n_dim, moves, deltas, len(energy.rows), pred_fn, cap
-        )
-        seq = _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
-        record = _path_from_bits(seq, n_dim, energy.bits_energy)
-        return BarrierResult(best[state], record, BitVec(n_dim, state), explored)
-    energy_bits = lambda b: energy(BitVec(n_dim, b))
-    moves = tuple(1 << q for q in range(n_dim))
-    state, best, pred, explored = _generic_search(energy_bits, n_dim, pred_fn, cap)
-    seq = _walk(moves[mi] for mi in _tree_moves(state, pred, moves))
-    record = _path_from_bits(seq, n_dim, energy_bits)
-    return BarrierResult(best[state], record, BitVec(n_dim, state), explored)
+    if not isinstance(energy, SyndromeEnergy):
+        raise TypeError(f"energy must be a SyndromeEnergy, got {type(energy).__name__}")
+    if energy.n_dim != n_dim:
+        raise DimensionMismatch(f"energy over {energy.n_dim} dims, search over {n_dim}")
+    return _target_search(energy.rows, (), n_dim, _normalize_targets(targets, n_dim), cap)
 
 
 @dataclass(frozen=True)
@@ -460,11 +411,6 @@ class _Quotient:
     @property
     def dim(self) -> int:
         return self.n - self.rank
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Quotient image of each unit vector e_q."""
-        return tuple(self.split(1 << q)[0] for q in range(self.n))
 
     def split(self, bits: int) -> tuple[int, int]:
         """(quotient state, lift coordinates) of an n-bit vector."""
@@ -609,16 +555,35 @@ class MinimaxTable:
         return _path_from_bits(seq, self.n_dim, self.energy.bits_energy)
 
 
+class _Inputs(NamedTuple):
+    """What a search over F2^n / rowspace(S) along full-space move masks needs."""
+
+    quotient: _Quotient
+    energy: SyndromeEnergy
+    moves: tuple[int, ...]
+    images: tuple[int, ...]  # quotient image of each move
+    lift_moves: tuple[int, ...] | None  # lift coordinates of each move; None if S = 0
+    deltas: tuple[int, ...]  # syndrome change of each move
+
+
+@lru_cache(maxsize=256)
+def _search_inputs(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None) -> _Inputs:
+    """Search inputs over F2^n / rowspace(stab_rows) along the full-space
+    move masks ``moves`` (unit vectors when None), cached per argument tuple."""
+    moves = moves or tuple(1 << q for q in range(n))
+    quotient = _quotient(stab_rows, n)
+    energy = SyndromeEnergy(rows, n)
+    splits = [quotient.split(m) for m in moves]
+    lift_moves = tuple(lift for _, lift in splits) if quotient.rank else None
+    deltas = tuple(energy.delta(m) for m in moves)
+    return _Inputs(quotient, energy, moves, tuple(s for s, _ in splits), lift_moves, deltas)
+
+
 @lru_cache(maxsize=64)
 def _table(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None = None) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows) along the full-space
     move masks ``moves`` (unit vectors by default); callers check the cap."""
-    moves = moves or tuple(1 << q for q in range(n))
-    quotient = _quotient(stab_rows, n)
-    energy = SyndromeEnergy(rows, n)
-    images = tuple(quotient.split(m)[0] for m in moves)
-    lift_moves = tuple(quotient.split(m)[1] for m in moves) if quotient.rank else None
-    deltas = tuple(energy.delta(m) for m in moves)
+    quotient, energy, moves, images, lift_moves, deltas = _search_inputs(rows, stab_rows, n, moves)
     _, best, pred, lifts, explored = _syndrome_search(
         quotient.dim, images, deltas, len(rows), None, 1 << quotient.dim, lift_moves
     )
@@ -628,6 +593,24 @@ def _table(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None = None) ->
     return MinimaxTable(
         n, energy, best, pred, explored, quotient, moves, images, lifts, basis, edges
     )
+
+
+def _target_search(rows, stab_rows, n: int, target_pred, cap: int) -> BarrierResult:
+    """Nearest quotient state of F2^n / rowspace(stab_rows) under unit flips
+    with target_pred(state, energy). The witness is the lifted tree path, so
+    it ends at one n-bit vector of that state; with no stabilizers the
+    quotient states are the vectors themselves."""
+    inputs = _search_inputs(rows, stab_rows, n, None)
+    state, best, pred, _, explored = _syndrome_search(
+        inputs.quotient.dim, inputs.images, inputs.deltas, len(rows), target_pred, cap
+    )
+    seq = _walk(inputs.moves[mi] for mi in _tree_moves(state, pred, inputs.images))
+    record = _path_from_bits(seq, n, inputs.energy.bits_energy)
+    return BarrierResult(best[state], record, record.states[-1], explored)
+
+
+def _nonzero_codeword(state: int, energy: int) -> bool:
+    return energy == 0 and state != 0
 
 
 def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
@@ -658,30 +641,19 @@ def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> Barrier
     """Minimax barrier from zero to the nearest nonzero codeword."""
     if c.k == 0:
         raise NoLogicals("code has no nonzero codewords")
-    energy = SyndromeEnergy(c.h.row_bits, c.n)
-    return bottleneck_search(energy, c.n, lambda v: energy(v) == 0 and v.bits != 0, cap)
+    return _target_search(c.h.row_bits, (), c.n, _nonzero_codeword, cap)
 
 
 def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
     """Cheapest nontrivial logical of one sector, searched on the quotient:
     a nonzero quotient state without syndrome is a nontrivial logical coset,
     and the lifted tree path reaches one of its vectors at the coset's value."""
-    n = code.n_qubits
     checks, stab = _sector_matrices(code, sector)
-    quotient = _quotient_within(stab.row_bits, n, cap)
-    masks = quotient.masks
-    energy = SyndromeEnergy(checks.row_bits, n)
-    deltas = tuple(energy.delta(1 << q) for q in range(n))
-    pred = lambda s, e: e == 0 and s != 0
-    state, best, predarr, _, explored = _syndrome_search(
-        quotient.dim, masks, deltas, len(energy.rows), pred, cap
-    )
-    seq = _walk(1 << q for q in _tree_moves(state, predarr, masks))
+    res = _target_search(checks.row_bits, stab.row_bits, code.n_qubits, _nonzero_codeword, cap)
     wrap = PauliVec.z_type if sector == "z" else PauliVec.x_type
-    states = tuple(wrap(BitVec(n, b)) for b in seq)
-    energies = tuple(energy.bits_energy(b) for b in seq)
-    record = PathRecord(states, energies, max(energies, default=0))
-    return BarrierResult(best[state], record, states[-1], explored)
+    states = tuple(wrap(s) for s in res.witness.states)
+    record = PathRecord(states, res.witness.energies, res.witness.max_energy)
+    return BarrierResult(res.value, record, states[-1], res.explored)
 
 
 def quantum_barrier(
@@ -710,13 +682,13 @@ def quantum_barrier(
 
 @lru_cache(maxsize=64)
 def _pauli_inputs(code: HgpCode) -> tuple:
-    """``_table`` arguments for states x | z << n under the 3n X/Z/Y moves,
+    """``_table`` arguments for states x | z << n under the 2n X and Z flips,
     modulo HX on x and HZ on z. Cached per code; the table itself lives
     only in ``_table``'s cache."""
     n = code.n_qubits
     rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
     stab_rows = code.hx.row_bits + tuple(r << n for r in code.hz.row_bits)
-    moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q), (1 << q) | (1 << (n + q))))
+    moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q)))
     return rows, stab_rows, 2 * n, moves
 
 
@@ -728,7 +700,10 @@ def pauli_barrier_general(
     code: HgpCode, target: PauliVec, cap: int = DEFAULT_PAULI_CAP
 ) -> BarrierResult:
     """Minimax over the full Pauli group: states are (x, z) pairs, and a step
-    may change one qubit to any Pauli (x flip, z flip, or both).
+    flips the x or the z bit of one qubit. A Y step, which flips both, would
+    add nothing: the energy is E_x(x) + E_z(z), and of the two one-flip
+    orders of a Y step, the one through the lower of the two intermediate
+    energies peaks no higher than the Y step itself.
 
     The energy wt(HZ x) + wt(HX z) is unchanged when x gains a row of HX or z
     a row of HZ, so the search runs modulo both stabilizer groups: 2^(n + k)
@@ -781,100 +756,34 @@ def normalizer_barrier(
     return BarrierResult(value, record, states[-1], tx.explored + tz.explored)
 
 
-def _single_coefficient(op) -> tuple[str, int, int]:
-    lam_ones = [
-        (k, j)
-        for k in range(op.lam.rows)
-        for j in range(op.lam.cols)
-        if op.lam.entry(k, j)
-    ]
-    kap_ones = [
-        (l, m)
-        for l in range(op.kappa.rows)
-        for m in range(op.kappa.cols)
-        if op.kappa.entry(l, m)
-    ]
-    if len(lam_ones) + len(kap_ones) != 1:
-        raise NotElementary("operator must have exactly one nonzero coefficient")
-    if lam_ones:
-        return "vv", *lam_ones[0]
-    return "cc", *kap_ones[0]
-
-
 def _classical_path_to(h: BitMatrix, word: BitVec, cap: int) -> PathRecord:
-    energy = SyndromeEnergy(h.row_bits, h.cols)
-    if word.bits == 0:
-        return PathRecord((BitVec(h.cols, 0),), (0,), 0)
-    return bottleneck_search(energy, h.cols, word, cap).witness
+    return _target_search(h.row_bits, (), h.cols, lambda s, e: s == word.bits, cap).witness
 
 
-def sweep_path_for_canonical(code: HgpCode, op, cap: int = DEFAULT_STATE_CAP) -> PathRecord:
-    """Constructive path to an elementary canonical operator, one block column
-    (or row) at a time.
+def sweep_path_for_canonical(
+    code: HgpCode, op: CanonicalOp, cap: int = DEFAULT_STATE_CAP
+) -> PathRecord:
+    """Constructive path to an elementary canonical operator along one line
+    of its block's grid.
 
-    A VV-type Z operator is carried by a single column of the bit-bit grid;
-    walking its parent codeword along an optimal classical witness keeps the
-    quantum energy equal to the classical one at every step, so the sweep
-    attains the parent-code barrier of that codeword.
+    The operator is its parent codeword placed along that line
+    (``elementary_leg``); walking the codeword along an optimal classical
+    witness keeps the quantum energy equal to the classical one at every
+    step, so the sweep attains the parent-code barrier of that codeword.
     """
-    from .logicals import _x_ingredients, _z_ingredients  # local to avoid cycle at import
-
-    block, i1, i2 = _single_coefficient(op)
-    n = code.n_qubits
-    n1, n2, r1, r2 = code.n1, code.n2, code.r1, code.r2
-    if isinstance(op, CanonicalZOp):
-        xbar, ys, als, bbar = _z_ingredients(code)
-        if block == "vv":
-            word, unit = xbar[i1], ys[i2]
-            leg = _classical_path_to(code.h1.h, word, cap)
-            col = unit.bits.bit_length() - 1
-            to_state = lambda w: BitVec(n, _spread_rows(w.bits, n1, n2, col))
-        else:
-            word, unit = bbar[i2], als[i1]
-            leg = _classical_path_to(code.h2.h.transpose(), word, cap)
-            row = unit.bits.bit_length() - 1
-            offset = n1 * n2 + row * r2
-            to_state = lambda w: BitVec(n, w.bits << offset)
-        wrap = PauliVec.z_type
-        energy = SyndromeEnergy(code.hx.row_bits, n)
-    elif isinstance(op, CanonicalXOp):
-        xs, ybar, abar, bs = _x_ingredients(code)
-        if block == "vv":
-            word, unit = ybar[i2], xs[i1]
-            leg = _classical_path_to(code.h2.h, word, cap)
-            row = unit.bits.bit_length() - 1
-            offset = row * n2
-            to_state = lambda w: BitVec(n, w.bits << offset)
-        else:
-            word, unit = abar[i1], bs[i2]
-            leg = _classical_path_to(code.h1.h.transpose(), word, cap)
-            col = unit.bits.bit_length() - 1
-            to_state = lambda w: BitVec(
-                n, _spread_rows(w.bits, r1, r2, col) << (n1 * n2)
-            )
-        wrap = PauliVec.x_type
-        energy = SyndromeEnergy(code.hz.row_bits, n)
-    else:
-        raise NotElementary(f"expected a canonical operator, got {type(op).__name__}")
-
-    states = tuple(wrap(to_state(w)) for w in leg.states)
+    parent, word, placement = elementary_leg(code, op)
+    leg = _classical_path_to(parent, word, cap)
+    checks, _ = _sector_matrices(code, op.kind)
+    energy = SyndromeEnergy(checks.row_bits, code.n_qubits)
+    wrap = PauliVec.z_type if op.kind == "z" else PauliVec.x_type
+    states = tuple(wrap(placement(w)) for w in leg.states)
     energies = tuple(energy.bits_energy(s.x.bits | s.z.bits) for s in states)
     # the quantum energy along the sweep reduces exactly to the classical one
     if energies != leg.energies:
         raise WitnessError("sweep energies differ from its classical leg's")
-    if states[-1].x != op.realized.x or states[-1].z != op.realized.z:
+    if states[-1] != op.realized:
         raise WitnessError("sweep does not end at the canonical operator")
     return PathRecord(states, energies, max(energies, default=0))
-
-
-def _spread_rows(bits: int, n_rows: int, n_cols: int, col: int) -> int:
-    """Place bit i of ``bits`` at grid position (i, col) of an n_rows x n_cols grid."""
-    out = 0
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        out |= 1 << (i * n_cols + col)
-        bits &= bits - 1
-    return out
 
 
 def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> PathRecord:

@@ -201,17 +201,17 @@ def cmd_logicals(args) -> int:
     records = []
     if args.sector in ("z", "both"):
         for op in canonical_z_basis(code):
-            records.append(_op_record("Z", op))
+            records.append(_op_record(op))
     if args.sector in ("x", "both"):
         for op in canonical_x_basis(code):
-            records.append(_op_record("X", op))
+            records.append(_op_record(op))
     _print_report({"count": len(records), "operators": records}, args.format)
     return EXIT_OK
 
 
-def _op_record(kind: str, op) -> dict:
+def _op_record(op) -> dict:
     return {
-        "type": kind,
+        "type": op.kind.upper(),
         "lambda": op.lam.to01_rows(),
         "kappa": op.kappa.to01_rows(),
         "support": list(op.realized.support()),

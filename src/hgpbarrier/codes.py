@@ -26,8 +26,6 @@ from .f2core import BitMatrix, BitVec, kernel_basis, mat_vec, rref, weight
 __all__ = [
     "ClassicalCode",
     "CodeParams",
-    "from_matrix",
-    "transpose_code",
     "parse_dense",
     "parse_alist",
     "parse_auto",
@@ -121,14 +119,6 @@ class ClassicalCode:
 
     def transpose(self) -> "ClassicalCode":
         return ClassicalCode(self.h.transpose())
-
-
-def from_matrix(h: BitMatrix) -> ClassicalCode:
-    return ClassicalCode(h)
-
-
-def transpose_code(c: ClassicalCode) -> ClassicalCode:
-    return c.transpose()
 
 
 # -- file formats -------------------------------------------------------------

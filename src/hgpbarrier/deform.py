@@ -36,13 +36,11 @@ from .f2core import (
     weight,
 )
 from .hgp import HgpCode
-from .logicals import CanonicalZOp, PauliVec
+from .logicals import CanonicalOp, PauliVec, _ingredients
 from .barrier import PathRecord, energy_quantum
 
 __all__ = [
     "DeformSpec",
-    "column_index_set",
-    "collapse_columns",
     "deform_pauli",
     "deform_path",
     "deformation_trace",
@@ -72,18 +70,6 @@ class DeformSpec:
             raise DimensionMismatch(f"alpha {self.alpha} not in the collapsed set")
         if self.block not in ("vv", "cc"):
             raise DimensionMismatch(f"unknown block {self.block!r}")
-
-
-def column_index_set(l_c: BitVec) -> frozenset[int]:
-    """Indices of the nonzero entries (0-indexed)."""
-    return frozenset(l_c.support())
-
-
-def collapse_columns(z1: BitMatrix, l_c: BitVec) -> BitVec:
-    """XOR of the columns of z1 selected by l_c, i.e. the product z1 * l_c."""
-    if z1.cols != l_c.n:
-        raise DimensionMismatch(f"{z1.cols} columns vs codeword length {l_c.n}")
-    return mat_vec(z1, l_c)
 
 
 def _check_spec(code: HgpCode, spec: DeformSpec) -> None:
@@ -176,7 +162,7 @@ def _graded_combinations(k: int):
         yield from combinations(range(k), size)
 
 
-def find_activating_codeword(code: HgpCode, op: CanonicalZOp) -> DeformSpec:
+def find_activating_codeword(code: HgpCode, op: CanonicalOp) -> DeformSpec:
     """Choose a collapse codeword that keeps the operator nontrivial.
 
     Works on the coefficient matrices: the collapsed column carries
@@ -192,10 +178,8 @@ def find_activating_codeword(code: HgpCode, op: CanonicalZOp) -> DeformSpec:
     kap_nonzero = any(op.kappa.row_bits)
     if not lam_nonzero and not kap_nonzero:
         raise TrivialOperator("all coefficients are zero")
+    _, ys, als, _ = _ingredients(code, "z")
     if lam_nonzero:
-        from .logicals import _z_ingredients
-
-        _, ys, _, _ = _z_ingredients(code)
         us = []
         for k in range(op.lam.rows):
             u = BitVec(code.n2)
@@ -207,9 +191,6 @@ def find_activating_codeword(code: HgpCode, op: CanonicalZOp) -> DeformSpec:
         block = "vv"
         n = code.n2
     else:
-        from .logicals import _z_ingredients
-
-        _, _, als, _ = _z_ingredients(code)
         us = []
         for m in range(op.kappa.cols):
             u = BitVec(code.r1)
@@ -226,5 +207,5 @@ def find_activating_codeword(code: HgpCode, op: CanonicalZOp) -> DeformSpec:
             l_c ^= basis[i]
         if any((u.bits & l_c.bits).bit_count() & 1 for u in us):
             alpha = min(l_c.support())
-            return DeformSpec(l_c, alpha, column_index_set(l_c), block)
+            return DeformSpec(l_c, alpha, frozenset(l_c.support()), block)
     raise TrivialOperator("no collapse codeword activates the operator")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapExceeded, DimensionMismatch, NoLogicals, ShapeMismatch
+from .errors import CapExceeded, DimensionMismatch, NoLogicals, NotElementary, ShapeMismatch
 from .f2core import (
     BitMatrix,
     BitVec,
@@ -36,12 +36,12 @@ from .hgp import HgpCode
 __all__ = [
     "PauliVec",
     "PauliClass",
-    "CanonicalZOp",
-    "CanonicalXOp",
+    "CanonicalOp",
     "canonical_z_basis",
     "canonical_x_basis",
     "compose_canonical",
     "compose_canonical_x",
+    "elementary_leg",
     "classify",
     "enumerate_z_logicals",
     "enumerate_x_logicals",
@@ -95,7 +95,12 @@ class PauliClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CanonicalZOp:
+class CanonicalOp:
+    """A canonical operator of ``kind`` "z" or "x": coefficients lam on the
+    bit-bit block and kappa on the check-check block, and the Pauli they
+    realize."""
+
+    kind: str
     lam: BitMatrix
     kappa: BitMatrix
     realized: PauliVec
@@ -105,17 +110,19 @@ class CanonicalZOp:
         ones += sum(r.bit_count() for r in self.kappa.row_bits)
         return ones == 1
 
-
-@dataclass(frozen=True)
-class CanonicalXOp:
-    lam: BitMatrix
-    kappa: BitMatrix
-    realized: PauliVec
-
-    def is_elementary(self) -> bool:
-        ones = sum(r.bit_count() for r in self.lam.row_bits)
-        ones += sum(r.bit_count() for r in self.kappa.row_bits)
-        return ones == 1
+    def coefficient(self) -> tuple[str, int, int]:
+        """(block, row, column) of the one nonzero coefficient, block "vv"
+        for lam and "cc" for kappa."""
+        ones = [
+            (block, i, j)
+            for block, m in (("vv", self.lam), ("cc", self.kappa))
+            for i in range(m.rows)
+            for j in range(m.cols)
+            if m.entry(i, j)
+        ]
+        if len(ones) != 1:
+            raise NotElementary("operator must have exactly one nonzero coefficient")
+        return ones[0]
 
 
 def _free_columns(m: BitMatrix) -> tuple[int, ...]:
@@ -123,66 +130,52 @@ def _free_columns(m: BitMatrix) -> tuple[int, ...]:
     return tuple(c for c in range(m.cols) if c not in piv)
 
 
-@lru_cache(maxsize=128)
-def _z_ingredients(code: HgpCode):
-    xbar = kernel_basis(code.h1.h)
-    ys = tuple(BitVec.unit(code.n2, c) for c in _free_columns(code.h2.h))
-    als = tuple(BitVec.unit(code.r1, c) for c in _free_columns(code.h1.h.transpose()))
-    bbar = kernel_basis(code.h2.h.transpose())
-    return xbar, ys, als, bbar
+@lru_cache(maxsize=256)
+def _ingredients(code: HgpCode, kind: str):
+    """(vv left, vv right, cc left, cc right): the vectors whose tensor
+    products lam and kappa weight. Z takes kernels of H1 and H2^T and units
+    of H2 and H1^T; X is the mirror, kernels of H2 and H1^T and units of H1
+    and H2^T."""
+    h1, h2 = code.h1.h, code.h2.h
+    h1t, h2t = h1.transpose(), h2.transpose()
+    units = lambda m: tuple(BitVec.unit(m.cols, c) for c in _free_columns(m))
+    if kind == "z":
+        return kernel_basis(h1), units(h2), units(h1t), kernel_basis(h2t)
+    return units(h1), kernel_basis(h2), kernel_basis(h1t), units(h2t)
 
 
-@lru_cache(maxsize=128)
-def _x_ingredients(code: HgpCode):
-    xs = tuple(BitVec.unit(code.n1, c) for c in _free_columns(code.h1.h))
-    ybar = kernel_basis(code.h2.h)
-    abar = kernel_basis(code.h1.h.transpose())
-    bs = tuple(BitVec.unit(code.r2, c) for c in _free_columns(code.h2.h.transpose()))
-    return xs, ybar, abar, bs
-
-
-def _combine(code: HgpCode, lam: BitMatrix, kappa: BitMatrix, vv_pairs, cc_pairs) -> BitVec:
-    left, right = vv_pairs
+def _compose(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
+    left, right, aside, bside = _ingredients(code, kind)
+    if (lam.rows, lam.cols) != (len(left), len(right)):
+        raise ShapeMismatch(f"lam is {lam.rows}x{lam.cols}, need {len(left)}x{len(right)}")
+    if (kappa.rows, kappa.cols) != (len(aside), len(bside)):
+        raise ShapeMismatch(
+            f"kappa is {kappa.rows}x{kappa.cols}, need {len(aside)}x{len(bside)}"
+        )
     vv = BitVec(code.n1 * code.n2)
     for k in range(lam.rows):
         for j in range(lam.cols):
             if lam.entry(k, j):
                 vv ^= tensor_vec(left[k], right[j])
-    aside, bside = cc_pairs
     cc = BitVec(code.r1 * code.r2)
     for l in range(kappa.rows):
         for m in range(kappa.cols):
             if kappa.entry(l, m):
                 cc ^= tensor_vec(aside[l], bside[m])
-    return vec_concat(vv, cc)
+    wrap = PauliVec.z_type if kind == "z" else PauliVec.x_type
+    return CanonicalOp(kind, lam, kappa, wrap(vec_concat(vv, cc)))
 
 
-def compose_canonical(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalZOp:
+def compose_canonical(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
     """Realize the Z-type operator with the given coefficients.
 
     All-zero coefficients give the identity Pauli.
     """
-    xbar, ys, als, bbar = _z_ingredients(code)
-    if (lam.rows, lam.cols) != (len(xbar), len(ys)):
-        raise ShapeMismatch(f"lam is {lam.rows}x{lam.cols}, need {len(xbar)}x{len(ys)}")
-    if (kappa.rows, kappa.cols) != (len(als), len(bbar)):
-        raise ShapeMismatch(
-            f"kappa is {kappa.rows}x{kappa.cols}, need {len(als)}x{len(bbar)}"
-        )
-    z = _combine(code, lam, kappa, (xbar, ys), (als, bbar))
-    return CanonicalZOp(lam, kappa, PauliVec.z_type(z))
+    return _compose(code, "z", lam, kappa)
 
 
-def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalXOp:
-    xs, ybar, abar, bs = _x_ingredients(code)
-    if (lam.rows, lam.cols) != (len(xs), len(ybar)):
-        raise ShapeMismatch(f"lam is {lam.rows}x{lam.cols}, need {len(xs)}x{len(ybar)}")
-    if (kappa.rows, kappa.cols) != (len(abar), len(bs)):
-        raise ShapeMismatch(
-            f"kappa is {kappa.rows}x{kappa.cols}, need {len(abar)}x{len(bs)}"
-        )
-    x = _combine(code, lam, kappa, (xs, ybar), (abar, bs))
-    return CanonicalXOp(lam, kappa, PauliVec.x_type(x))
+def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
+    return _compose(code, "x", lam, kappa)
 
 
 def _elementary_coeffs(rows1: int, cols1: int, rows2: int, cols2: int):
@@ -200,25 +193,41 @@ def _elementary_coeffs(rows1: int, cols1: int, rows2: int, cols2: int):
             yield BitMatrix.zeros(rows1, cols1), kap
 
 
-def canonical_z_basis(code: HgpCode) -> list[CanonicalZOp]:
+def _basis(code: HgpCode, kind: str) -> list[CanonicalOp]:
+    """The elementary operators of one kind, bit-bit block first."""
+    left, right, aside, bside = _ingredients(code, kind)
+    if len(left) * len(right) + len(aside) * len(bside) == 0:
+        raise NoLogicals("code has no logical qubits")
+    return [
+        _compose(code, kind, lam, kap)
+        for lam, kap in _elementary_coeffs(len(left), len(right), len(aside), len(bside))
+    ]
+
+
+def canonical_z_basis(code: HgpCode) -> list[CanonicalOp]:
     """The k1*k2 + k1T*k2T elementary Z operators, bit-bit block first."""
-    xbar, ys, als, bbar = _z_ingredients(code)
-    if len(xbar) * len(ys) + len(als) * len(bbar) == 0:
-        raise NoLogicals("code has no logical qubits")
-    return [
-        compose_canonical(code, lam, kap)
-        for lam, kap in _elementary_coeffs(len(xbar), len(ys), len(als), len(bbar))
-    ]
+    return _basis(code, "z")
 
 
-def canonical_x_basis(code: HgpCode) -> list[CanonicalXOp]:
-    xs, ybar, abar, bs = _x_ingredients(code)
-    if len(xs) * len(ybar) + len(abar) * len(bs) == 0:
-        raise NoLogicals("code has no logical qubits")
-    return [
-        compose_canonical_x(code, lam, kap)
-        for lam, kap in _elementary_coeffs(len(xs), len(ybar), len(abar), len(bs))
-    ]
+def canonical_x_basis(code: HgpCode) -> list[CanonicalOp]:
+    return _basis(code, "x")
+
+
+def elementary_leg(code: HgpCode, op: CanonicalOp):
+    """(parent check matrix, parent codeword, placement) of an elementary
+    operator: the operator is ``placement(codeword)``, the codeword laid
+    along one line of its block's grid, and ``placement`` maps any parent
+    vector onto that line. A Z operator's codeword is a word of H1 (bit-bit)
+    or H2^T (check-check), an X operator's a word of H2 or H1^T."""
+    block, i, j = op.coefficient()
+    vv_left, vv_right, cc_left, cc_right = _ingredients(code, op.kind)
+    left, right = (vv_left[i], vv_right[j]) if block == "vv" else (cc_left[i], cc_right[j])
+    n, shift = code.n_qubits, 0 if block == "vv" else code.vv_count
+    if (op.kind == "z") == (block == "vv"):  # the codeword is the left factor
+        parent = code.h1.h if block == "vv" else code.h1.h.transpose()
+        return parent, left, lambda w: BitVec(n, tensor_vec(w, right).bits << shift)
+    parent = code.h2.h if block == "vv" else code.h2.h.transpose()
+    return parent, right, lambda w: BitVec(n, tensor_vec(left, w).bits << shift)
 
 
 def classify(code: HgpCode, p: PauliVec) -> PauliClass:

@@ -47,6 +47,7 @@ from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
     canonical_z_basis,
+    elementary_leg,
     enumerate_x_logicals,
     enumerate_z_logicals,
 )
@@ -400,33 +401,6 @@ def check_theorem1(
     return report
 
 
-def _elementary_legs(code: HgpCode):
-    """(op, parent check matrix, parent codeword) for each elementary Z op."""
-    from .logicals import _z_ingredients
-
-    xbar, ys, als, bbar = _z_ingredients(code)
-    legs = []
-    for op in canonical_z_basis(code):
-        lam_ones = [
-            (k, j)
-            for k in range(op.lam.rows)
-            for j in range(op.lam.cols)
-            if op.lam.entry(k, j)
-        ]
-        if lam_ones:
-            k, _ = lam_ones[0]
-            legs.append((op, code.h1.h, xbar[k]))
-        else:
-            (l, m) = next(
-                (l, m)
-                for l in range(op.kappa.rows)
-                for m in range(op.kappa.cols)
-                if op.kappa.entry(l, m)
-            )
-            legs.append((op, code.h2.h.transpose(), bbar[m]))
-    return legs
-
-
 def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """An elementary operator's barrier is attained inside its own grid line:
     the unrestricted exact barrier equals the single-column restricted one."""
@@ -436,7 +410,8 @@ def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     checked = 0
     counter = None
     values = []
-    for op, parent, word in _elementary_legs(code):
+    for op in canonical_z_basis(code):
+        parent, word, _ = elementary_leg(code, op)
         unrestricted = tz.value(op.realized.z.bits)
         restricted = _unit_move_value(parent, word, cap)
         # constructive witness: the single-line sweep stays in the subset and

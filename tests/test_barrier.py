@@ -22,6 +22,7 @@ from hgpbarrier import barrier as barrier_module
 from hgpbarrier.f2core import BitMatrix, BitVec
 from hgpbarrier.hgp import build_hgp, qubit_index
 from hgpbarrier.logicals import (
+    CanonicalOp,
     PauliClass,
     PauliVec,
     canonical_x_basis,
@@ -140,10 +141,18 @@ class TestBottleneckSearch:
     def test_generic_energy_agrees_with_syndrome_engine(self):
         c = ring_repetition(5)
         syn = SyndromeEnergy(c.h.row_bits, 5)
-        fast = bottleneck_search(syn, 5, BitVec.from01("11111"))
-        slow = bottleneck_search(lambda v: syn(v), 5, BitVec.from01("11111"))
-        assert fast.value == slow.value
-        assert fast.witness.states == slow.witness.states
+        res = bottleneck_search(syn, 5, BitVec.from01("11111"))
+        ref = oracles.bottleneck_oracle(
+            5, [1 << q for q in range(5)], syn.bits_energy, 0, lambda s: s == 0b11111
+        )
+        assert res.value == ref == 2
+        assert validate_path(res.witness, syn)
+        assert res.witness.states[-1] == BitVec.from01("11111")
+
+    def test_plain_callable_energy_rejected(self):
+        syn = SyndromeEnergy(ring_repetition(3).h.row_bits, 3)
+        with pytest.raises(TypeError):
+            bottleneck_search(lambda v: syn(v), 3, BitVec.from01("111"))
 
     def test_callable_and_collection_targets(self):
         c = open_repetition(3)
@@ -236,6 +245,15 @@ class TestQuantumBarrier:
     def test_bad_sector_name(self):
         with pytest.raises(DimensionMismatch):
             quantum_barrier(surface(), sector="y")
+
+    def test_warm_call_builds_no_search_inputs(self):
+        code = quantum_instances()["rect_2_3"]
+        quantum_barrier(code, "z")
+        inputs = barrier_module._search_inputs.cache_info()
+        quantum_barrier(code, "z")
+        # no quotient images, lifts or syndrome deltas rebuilt
+        assert barrier_module._search_inputs.cache_info().misses == inputs.misses
+        assert barrier_module._search_inputs.cache_info().hits == inputs.hits + 1
 
 
 class TestPauliGeneral:
@@ -389,9 +407,7 @@ class TestSweepPath:
 
     def test_identity_rejected(self):
         code = toric()
-        op = type(canonical_z_basis(code)[0])(
-            BitMatrix.zeros(1, 1), BitMatrix.zeros(1, 1), PauliVec.identity(18)
-        )
+        op = CanonicalOp("z", BitMatrix.zeros(1, 1), BitMatrix.zeros(1, 1), PauliVec.identity(18))
         with pytest.raises(NotElementary):
             sweep_path_for_canonical(code, op)
 
@@ -506,4 +522,4 @@ class TestPathRecord:
         p = PauliVec(5, BitVec.unit(5, 1), BitVec.unit(5, 1))
         res = pauli_barrier_general(code, p)
         labels = {s["pauli_change"] for s in res.witness.steps_json()[1:]}
-        assert labels <= {"X", "Z", "Y"}
+        assert labels <= {"X", "Z"}

@@ -1,6 +1,7 @@
 """CLI surface: outputs, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -224,6 +225,15 @@ def test_verify_deterministic_bytes(files, capsys):
     _, out2, _ = run(capsys, "verify", "thm1", "--seed", "5")
     assert out1 == out2
     assert json.loads(out1.strip().splitlines()[0])["seed"] == 5
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    # two runs agreeing with each other (criterion 11) cannot see a change
+    # that alters both; this digest of the seed-0 JSON stream can
+    code, out, _ = run(capsys, "verify", "all", "--seed", "0")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b0c7e63067605832d79a56a2fd1f0a392427302b2a182234046c6f8a853e6521"
 
 
 def test_verify_lemma4_rejects_paths(files, capsys):

@@ -12,7 +12,6 @@ from hgpbarrier.codes import (
     ClassicalCode,
     emit_alist,
     emit_dense,
-    from_matrix,
     hamming_7_4,
     open_repetition,
     parse_alist,
@@ -20,7 +19,6 @@ from hgpbarrier.codes import (
     parse_dense,
     random_ldpc,
     ring_repetition,
-    transpose_code,
 )
 from hgpbarrier.errors import (
     CapExceeded,
@@ -42,7 +40,7 @@ def small_code(max_rows=4, max_cols=6):
 
 class TestParameters:
     def test_identity_has_no_codewords(self):
-        p = from_matrix(BitMatrix.identity(3)).parameters()
+        p = ClassicalCode(BitMatrix.identity(3)).parameters()
         assert (p.n, p.k) == (3, 0)
         assert p.d == math.inf
 
@@ -78,18 +76,18 @@ class TestParameters:
 
 class TestTranspose:
     def test_ring_three_transpose_keeps_dimension(self):
-        assert transpose_code(ring_repetition(3)).k == 1
+        assert ring_repetition(3).transpose().k == 1
 
     def test_open_three_transpose_is_trivial(self):
-        assert transpose_code(open_repetition(3)).k == 0
+        assert open_repetition(3).transpose().k == 0
 
     def test_zero_transpose_dimension_is_row_count(self):
         c = ClassicalCode(BitMatrix.zeros(2, 3))
-        assert transpose_code(c).k == 2
+        assert c.transpose().k == 2
 
     @given(small_code())
     def test_double_transpose_round_trip(self, c):
-        assert transpose_code(transpose_code(c)).h == c.h
+        assert c.transpose().transpose().h == c.h
 
 
 class TestSyndrome:

@@ -14,8 +14,6 @@ from hgpbarrier.barrier import (
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.deform import (
     DeformSpec,
-    collapse_columns,
-    column_index_set,
     deform_path,
     deform_pauli,
     deformation_trace,
@@ -45,41 +43,45 @@ def surface():
 
 
 class TestColumnIndexSet:
+    """A collapse set is the codeword's support, ``frozenset(l_c.support())``."""
+
     def test_documented_example(self):
         # the worked example picks "columns 1, 2, and 4" counting from 1
-        assert column_index_set(BitVec.from01("110100")) == {0, 1, 3}
+        assert frozenset(BitVec.from01("110100").support()) == {0, 1, 3}
 
     def test_zero(self):
-        assert column_index_set(BitVec(4)) == frozenset()
+        assert frozenset(BitVec(4).support()) == frozenset()
 
     def test_all_ones(self):
-        assert column_index_set(BitVec.from01("111")) == {0, 1, 2}
+        assert frozenset(BitVec.from01("111").support()) == {0, 1, 2}
 
 
 class TestCollapseColumns:
+    """Collapsing Z1's columns along L_c is the product ``mat_vec(z1, l_c)``."""
+
     def test_zero_matrix(self):
-        assert collapse_columns(BitMatrix.zeros(3, 4), BitVec.from01("1010")).bits == 0
+        assert mat_vec(BitMatrix.zeros(3, 4), BitVec.from01("1010")).bits == 0
 
     def test_single_selected_column_passes_through(self):
         z1 = BitMatrix.from_rows(["0100", "0100", "0000"])
-        assert collapse_columns(z1, BitVec.from01("0100")).to01() == "110"
+        assert mat_vec(z1, BitVec.from01("0100")).to01() == "110"
 
     def test_pair_of_columns_xors(self):
         rng = random.Random(3)
         rows = tuple(rng.randrange(16) for _ in range(3))
         z1 = BitMatrix(3, 4, rows)
-        got = collapse_columns(z1, BitVec.from01("1010"))
+        got = mat_vec(z1, BitVec.from01("1010"))
         expect = z1.column(0) ^ z1.column(2)
         assert got == expect
 
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
-            collapse_columns(BitMatrix.zeros(2, 3), BitVec(4))
+            mat_vec(BitMatrix.zeros(2, 3), BitVec(4))
 
 
 def spec_all_ones(code, alpha):
     l_c = BitVec(code.n2, (1 << code.n2) - 1)
-    return DeformSpec(l_c, alpha, column_index_set(l_c), "vv")
+    return DeformSpec(l_c, alpha, frozenset(l_c.support()), "vv")
 
 
 class TestDeformPauli:
@@ -118,7 +120,7 @@ class TestDeformPauli:
     def test_bad_codeword_rejected(self):
         code = surface()
         l_c = BitVec.from01("100")
-        spec = DeformSpec(l_c, 0, column_index_set(l_c), "vv")
+        spec = DeformSpec(l_c, 0, frozenset(l_c.support()), "vv")
         with pytest.raises(NotACodeword):
             deform_pauli(code, PauliVec.identity(13), spec)
 

@@ -3,13 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
-from hgpbarrier.errors import CapExceeded, DimensionMismatch, NoLogicals, ShapeMismatch
+from hgpbarrier.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    NoLogicals,
+    NotElementary,
+    ShapeMismatch,
+)
 from hgpbarrier.f2core import BitMatrix, BitVec, mat_vec, rank
 from hgpbarrier.hgp import build_hgp, index_to_block
 from hgpbarrier.logicals import (
-    CanonicalZOp,
+    CanonicalOp,
     PauliClass,
     PauliVec,
     canonical_x_basis,
@@ -17,6 +25,7 @@ from hgpbarrier.logicals import (
     classify,
     compose_canonical,
     compose_canonical_x,
+    elementary_leg,
     enumerate_x_logicals,
     enumerate_z_logicals,
 )
@@ -128,6 +137,47 @@ class TestCompose:
                 assert classify(code, op.realized) is PauliClass.NONTRIVIAL_LOGICAL
             for op in xops:
                 assert classify(code, op.realized) is PauliClass.NONTRIVIAL_LOGICAL
+
+
+def parent_codes(max_r=3, max_n=4):
+    return st.tuples(st.integers(1, max_r), st.integers(1, max_n)).flatmap(
+        lambda rn: st.lists(
+            st.integers(0, (1 << rn[1]) - 1), min_size=rn[0], max_size=rn[0]
+        ).map(lambda rows: ClassicalCode(BitMatrix(rn[0], rn[1], tuple(rows))))
+    )
+
+
+class TestElementaryLeg:
+    @settings(max_examples=60, deadline=None)
+    @given(parent_codes(), parent_codes())
+    def test_placed_codeword_is_the_operator(self, h1, h2):
+        code = build_hgp(h1, h2)
+        for kind, basis in (("z", canonical_z_basis), ("x", canonical_x_basis)):
+            try:
+                ops = basis(code)
+            except NoLogicals:
+                continue
+            for op in ops:
+                assert op.kind == kind
+                parent, word, placement = elementary_leg(code, op)
+                assert mat_vec(parent, word).bits == 0
+                realized = op.realized.z if kind == "z" else op.realized.x
+                assert placement(word) == realized
+
+    def test_kinds_follow_the_basis(self):
+        code = toric()
+        assert {op.kind for op in canonical_z_basis(code)} == {"z"}
+        assert {op.kind for op in canonical_x_basis(code)} == {"x"}
+        assert canonical_x_basis(code)[0].realized.z.bits == 0
+
+    def test_composite_operator_has_no_single_coefficient(self):
+        code = toric()
+        op = compose_canonical(code, BitMatrix.from_rows(["1"]), BitMatrix.from_rows(["1"]))
+        assert isinstance(op, CanonicalOp) and not op.is_elementary()
+        with pytest.raises(NotElementary):
+            op.coefficient()
+        with pytest.raises(NotElementary):
+            elementary_leg(code, op)
 
 
 class TestClassify:

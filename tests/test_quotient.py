@@ -106,7 +106,7 @@ def test_random_products_match_oracle(h1, h2):
 def test_zero_and_parallel_moves_are_exercised():
     # the explicit examples above really produce both kinds of degenerate move
     code = build_hgp(_code((0b011, 0b011, 0), 3), _code((0b01, 0b10), 2))
-    masks = barrier._quotient(code.hz.row_bits, code.n_qubits).masks
+    masks = barrier._search_inputs(code.hx.row_bits, code.hz.row_bits, code.n_qubits, None).images
     assert 0 in masks
     nonzero = [m for m in masks if m]
     assert len(set(nonzero)) < len(nonzero)
@@ -164,7 +164,10 @@ def test_table_walk_missing_its_target_raises():
 # -- full-Pauli barriers --------------------------------------------------------
 
 def _pauli_oracle(code):
-    """All 4^n minimax values of x | z << n, with X, Z and Y moves on each qubit."""
+    """All 4^n minimax values of x | z << n, with X, Z and Y moves on each qubit.
+
+    The package's table has no Y moves, so agreement with this oracle shows
+    that dropping them changes no value."""
     n = code.n_qubits
     rows = list(code.hz.row_bits) + [r << n for r in code.hx.row_bits]
     moves = [m for q in range(n) for m in (1 << q, 1 << (n + q), (1 << q) | (1 << (n + q)))]
