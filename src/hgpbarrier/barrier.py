@@ -365,11 +365,8 @@ def _path_from_bits(seq: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
 def _normalize_targets(targets, n_dim: int):
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
-    if isinstance(targets, BitVec):
-        goal = targets.bits
-        return lambda s, e: s == goal
-    if isinstance(targets, int):
-        goal = targets
+    if isinstance(targets, (BitVec, int)):
+        goal = targets.bits if isinstance(targets, BitVec) else targets
         return lambda s, e: s == goal
     goals = {t.bits if isinstance(t, BitVec) else int(t) for t in targets}
     return lambda s, e: s in goals
@@ -587,9 +584,9 @@ def _table(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None = None) ->
     _, best, pred, lifts, explored = _syndrome_search(
         quotient.dim, images, deltas, len(rows), None, 1 << quotient.dim, lift_moves
     )
-    if lifts is None:
-        return MinimaxTable(n, energy, best, pred, explored, quotient, moves, images)
-    basis, edges = _voltage_basis(best, lifts, images, lift_moves, quotient.rank)
+    basis = edges = ()
+    if lifts is not None:
+        basis, edges = _voltage_basis(best, lifts, images, lift_moves, quotient.rank)
     return MinimaxTable(
         n, energy, best, pred, explored, quotient, moves, images, lifts, basis, edges
     )
@@ -650,8 +647,7 @@ def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
     and the lifted tree path reaches one of its vectors at the coset's value."""
     checks, stab = _sector_matrices(code, sector)
     res = _target_search(checks.row_bits, stab.row_bits, code.n_qubits, _nonzero_codeword, cap)
-    wrap = PauliVec.z_type if sector == "z" else PauliVec.x_type
-    states = tuple(wrap(s) for s in res.witness.states)
+    states = tuple(PauliVec.of_kind(sector, s) for s in res.witness.states)
     record = PathRecord(states, res.witness.energies, res.witness.max_energy)
     return BarrierResult(res.value, record, states[-1], res.explored)
 
@@ -669,10 +665,8 @@ def quantum_barrier(
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
     s = sector.lower()
-    if s == "z":
-        return _sector_result(code, "z", cap)
-    if s == "x":
-        return _sector_result(code, "x", cap)
+    if s in ("z", "x"):
+        return _sector_result(code, s, cap)
     if s != "both":
         raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z', 'x', or 'both'")
     rz = _sector_result(code, "z", cap)
@@ -687,9 +681,18 @@ def _pauli_inputs(code: HgpCode) -> tuple:
     only in ``_table``'s cache."""
     n = code.n_qubits
     rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
-    stab_rows = code.hx.row_bits + tuple(r << n for r in code.hz.row_bits)
     moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q)))
-    return rows, stab_rows, 2 * n, moves
+    return rows, _generators(code), 2 * n, moves
+
+
+def _generators(code: HgpCode) -> tuple[int, ...]:
+    """The stabilizer generators, HX rows then HZ rows, packed x | z << n."""
+    return code.hx.row_bits + tuple(r << code.n_qubits for r in code.hz.row_bits)
+
+
+def _pauli_state(bits: int, n: int) -> PauliVec:
+    """The Pauli on n qubits packed as x | z << n."""
+    return PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
 
 
 def _pauli_table(code: HgpCode) -> MinimaxTable:
@@ -718,10 +721,7 @@ def pauli_barrier_general(
     table = _pauli_table(code)
     goal = target.x.bits | (target.z.bits << n)
     walk = table.path(goal)
-    mask = (1 << n) - 1
-    states = tuple(
-        PauliVec(n, BitVec(n, s.bits & mask), BitVec(n, s.bits >> n)) for s in walk.states
-    )
+    states = tuple(_pauli_state(s.bits, n) for s in walk.states)
     record = PathRecord(states, walk.energies, walk.max_energy)
     return BarrierResult(table.value(goal), record, states[-1], table.explored)
 
@@ -775,8 +775,7 @@ def sweep_path_for_canonical(
     leg = _classical_path_to(parent, word, cap)
     checks, _ = _sector_matrices(code, op.kind)
     energy = SyndromeEnergy(checks.row_bits, code.n_qubits)
-    wrap = PauliVec.z_type if op.kind == "z" else PauliVec.x_type
-    states = tuple(wrap(placement(w)) for w in leg.states)
+    states = tuple(PauliVec.of_kind(op.kind, placement(w)) for w in leg.states)
     energies = tuple(energy.bits_energy(s.x.bits | s.z.bits) for s in states)
     # the quantum energy along the sweep reduces exactly to the classical one
     if energies != leg.energies:
@@ -791,41 +790,23 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     order, one qubit at a time. Generators are the HX rows followed by the
     HZ rows; the peak energy is at most w_c * w_q.
     """
-    n_gen = code.hx.rows + code.hz.rows
-    if generator_combo.n != n_gen:
-        raise DimensionMismatch(f"combo length {generator_combo.n}, need {n_gen}")
-    if s.n != code.n_qubits:
-        raise DimensionMismatch(f"Pauli on {s.n} qubits, code has {code.n_qubits}")
-    x_acc = 0
-    z_acc = 0
-    for g in generator_combo.support():
-        if g < code.hx.rows:
-            x_acc ^= code.hx.row_bits[g]
-        else:
-            z_acc ^= code.hz.row_bits[g - code.hx.rows]
-    if x_acc != s.x.bits or z_acc != s.z.bits:
-        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
-
+    gens = _generators(code)
+    if generator_combo.n != len(gens):
+        raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
     n = code.n_qubits
-    cur_x, cur_z = 0, 0
-    states = [PauliVec.identity(n)]
+    if s.n != n:
+        raise DimensionMismatch(f"Pauli on {s.n} qubits, code has {n}")
+    seq = [0]
     for g in generator_combo.support():
-        if g < code.hx.rows:
-            flips = code.hx.row_bits[g]
-            is_x = True
-        else:
-            flips = code.hz.row_bits[g - code.hx.rows]
-            is_x = False
+        flips = gens[g]
         while flips:
-            q = (flips & -flips).bit_length() - 1
+            seq.append(seq[-1] ^ (flips & -flips))
             flips &= flips - 1
-            if is_x:
-                cur_x ^= 1 << q
-            else:
-                cur_z ^= 1 << q
-            states.append(PauliVec(n, BitVec(n, cur_x), BitVec(n, cur_z)))
+    if seq[-1] != s.x.bits | s.z.bits << n:
+        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
+    states = tuple(_pauli_state(b, n) for b in seq)
     energies = tuple(energy_quantum(code, p) for p in states)
-    return PathRecord(tuple(states), energies, max(energies))
+    return PathRecord(states, energies, max(energies))
 
 
 def validate_path(record: PathRecord, energy: Callable) -> bool:

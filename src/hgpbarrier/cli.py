@@ -47,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_code(path: str, fmt: str | None) -> ClassicalCode:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot decode {path}: {e.reason} at byte {e.start}") from e
     if fmt == "alist":
         return parse_alist(text)
     if fmt == "dense":
@@ -178,33 +181,28 @@ def cmd_barrier(args) -> int:
         return EXIT_OK
     # canonical: cheapest canonical operator per requested sector
     report = {"kind": "canonical", "sector": args.sector}
-    values = []
-    if args.sector in ("z", "both"):
-        tz = sector_table(code, "z", args.cap)
-        vz = min(tz.value(op.realized.z.bits) for op in canonical_z_basis(code))
-        report["z"] = vz
-        values.append(vz)
-    if args.sector in ("x", "both"):
-        tx = sector_table(code, "x", args.cap)
-        vx = min(tx.value(op.realized.x.bits) for op in canonical_x_basis(code))
-        report["x"] = vx
-        values.append(vx)
-    report["value"] = min(values)
+    kinds = _requested_bases(args.sector)
+    for kind, basis in kinds:
+        table = sector_table(code, kind, args.cap)
+        report[kind] = min(table.value(op.realized.part(kind).bits) for op in basis(code))
+    report["value"] = min(report[kind] for kind, _ in kinds)
     _print_report(report, args.format)
     return EXIT_OK
+
+
+def _requested_bases(sector: str):
+    """(kind, canonical basis function) for each kind ``sector`` asks for,
+    Z first. The module names are read at call time, so a wrapper put in
+    their place (as ``perfbench --trace`` does) sees every call."""
+    bases = (("z", canonical_z_basis), ("x", canonical_x_basis))
+    return [(kind, basis) for kind, basis in bases if sector in (kind, "both")]
 
 
 def cmd_logicals(args) -> int:
     c1 = _load_code(args.path1, args.fmt)
     c2 = _load_code(args.path2, args.fmt)
     code = build_hgp(c1, c2)
-    records = []
-    if args.sector in ("z", "both"):
-        for op in canonical_z_basis(code):
-            records.append(_op_record(op))
-    if args.sector in ("x", "both"):
-        for op in canonical_x_basis(code):
-            records.append(_op_record(op))
+    records = [_op_record(op) for _, basis in _requested_bases(args.sector) for op in basis(code)]
     _print_report({"count": len(records), "operators": records}, args.format)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from .errors import (
     InconsistentDegrees,
     ParseError,
 )
-from .f2core import BitMatrix, BitVec, kernel_basis, mat_vec, rref, weight
+from .f2core import BitMatrix, BitVec, kernel_basis, mat_vec, rref, span, weight
 
 __all__ = [
     "ClassicalCode",
@@ -100,12 +100,8 @@ class ClassicalCode:
 
     def iter_codewords(self) -> Iterator[BitVec]:
         """All 2^k codewords, zero first, via a Gray walk over the kernel basis."""
-        basis = self.kernel
-        acc = 0
-        yield BitVec(self.n, 0)
-        for t in range(1, 1 << len(basis)):
-            acc ^= basis[(t & -t).bit_length() - 1].bits
-            yield BitVec(self.n, acc)
+        for bits in span([v.bits for v in self.kernel]):
+            yield BitVec(self.n, bits)
 
     def parameters(self, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
         """Exact [n, k, d] with d found by enumerating all nonzero codewords."""
@@ -127,6 +123,12 @@ def _nonempty_lines(text: str) -> list[tuple[int, str]]:
     return [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
 
 
+def _is_count(token: str) -> bool:
+    """ASCII decimal digits only: str.isdigit also accepts digits such as
+    "²" that int() rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_dense(text: str) -> ClassicalCode:
     """Read the dense format: a "rows cols" header, then 0/1 rows.
 
@@ -137,7 +139,7 @@ def parse_dense(text: str) -> ClassicalCode:
         raise ParseError("empty input")
     header_line, header = entries[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_count(p) for p in parts):
         raise ParseError("expected header 'rows cols'", line=header_line)
     rows, cols = int(parts[0]), int(parts[1])
     if rows < 1 or cols < 1:
@@ -177,7 +179,7 @@ def _int_line(entries, idx: int, what: str, expect: int | None = None) -> tuple[
     toks = ln.split()
     vals = []
     for pos, t in enumerate(toks, start=1):
-        if not (t.isdigit() or (t.startswith("-") and t[1:].isdigit())):
+        if not (_is_count(t) or (t.startswith("-") and _is_count(t[1:]))):
             raise ParseError(f"non-integer token {t!r} in {what}", line=lineno, column=pos)
         vals.append(int(t))
     if expect is not None and len(vals) != expect:
@@ -270,8 +272,10 @@ def emit_alist(code: ClassicalCode) -> str:
         " ".join(map(str, col_degs)),
         " ".join(map(str, row_degs)),
     ]
-    lines.extend(" ".join(str(c + 1) for c in col) for col in cols)
-    lines.extend(" ".join(str(b + 1) for b in row) for row in rows)
+    # an empty neighbor list is written as one "0" padding token, since the
+    # parser skips blank lines
+    lines.extend(" ".join(str(c + 1) for c in col) or "0" for col in cols)
+    lines.extend(" ".join(str(b + 1) for b in row) or "0" for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -286,7 +290,7 @@ def parse_auto(text: str) -> ClassicalCode:
     if not entries:
         raise ParseError("empty input")
     parts = entries[0][1].split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_count(p) for p in parts):
         raise ParseError("expected a two-integer header", line=entries[0][0])
     a, b = int(parts[0]), int(parts[1])
     if len(entries) == a + 1:

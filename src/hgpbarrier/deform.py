@@ -27,6 +27,7 @@ from .errors import (
 from .f2core import (
     BitMatrix,
     BitVec,
+    combine,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -74,15 +75,13 @@ class DeformSpec:
 
 def _check_spec(code: HgpCode, spec: DeformSpec) -> None:
     if spec.block == "vv":
-        if spec.l_c.n != code.n2:
-            raise DimensionMismatch(f"codeword length {spec.l_c.n}, need n2={code.n2}")
-        if mat_vec(code.h2.h, spec.l_c).bits:
-            raise NotACodeword("collapse codeword must satisfy H2 L = 0")
+        check, name, length = code.h2.h, "H2", "n2"
     else:
-        if spec.l_c.n != code.r1:
-            raise DimensionMismatch(f"codeword length {spec.l_c.n}, need r1={code.r1}")
-        if mat_vec(code.h1.h.transpose(), spec.l_c).bits:
-            raise NotACodeword("collapse codeword must satisfy H1^T L = 0")
+        check, name, length = code.h1.h.transpose(), "H1^T", "r1"
+    if spec.l_c.n != check.cols:
+        raise DimensionMismatch(f"codeword length {spec.l_c.n}, need {length}={check.cols}")
+    if mat_vec(check, spec.l_c).bits:
+        raise NotACodeword(f"collapse codeword must satisfy {name} L = 0")
 
 
 def deform_pauli(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
@@ -172,40 +171,25 @@ def find_activating_codeword(code: HgpCode, op: CanonicalOp) -> DeformSpec:
     nonzero because each u_k lives on free columns, hence outside the row
     space of H2. Searched in graded-lex order over the kernel basis for a
     deterministic result. A pure check-check operator gets the mirrored
-    treatment via H1^T.
+    treatment via H1^T: u_m sums the a_l over column m of kappa.
+
+    Only Z-kind operators can be collapsed; any other kind raises
+    DimensionMismatch.
     """
-    lam_nonzero = any(op.lam.row_bits)
-    kap_nonzero = any(op.kappa.row_bits)
-    if not lam_nonzero and not kap_nonzero:
+    if op.kind != "z":
+        raise DimensionMismatch(f"cannot collapse a {op.kind!r}-kind operator, need 'z'")
+    if not any(op.lam.row_bits) and not any(op.kappa.row_bits):
         raise TrivialOperator("all coefficients are zero")
     _, ys, als, _ = _ingredients(code, "z")
-    if lam_nonzero:
-        us = []
-        for k in range(op.lam.rows):
-            u = BitVec(code.n2)
-            for j in range(op.lam.cols):
-                if op.lam.entry(k, j):
-                    u ^= ys[j]
-            us.append(u)
-        basis = kernel_basis(code.h2.h)
-        block = "vv"
-        n = code.n2
+    if any(op.lam.row_bits):
+        block, units, coeffs, check = "vv", ys, op.lam, code.h2.h
     else:
-        us = []
-        for m in range(op.kappa.cols):
-            u = BitVec(code.r1)
-            for l in range(op.kappa.rows):
-                if op.kappa.entry(l, m):
-                    u ^= als[l]
-            us.append(u)
-        basis = kernel_basis(code.h1.h.transpose())
-        block = "cc"
-        n = code.r1
+        block, units, coeffs, check = "cc", als, op.kappa.transpose(), code.h1.h.transpose()
+    us = [combine([u.bits for u in units], row) for row in coeffs.row_bits]
+    basis = [v.bits for v in kernel_basis(check)]
     for combo in _graded_combinations(len(basis)):
-        l_c = BitVec(n)
-        for i in combo:
-            l_c ^= basis[i]
-        if any((u.bits & l_c.bits).bit_count() & 1 for u in us):
+        l_c = BitVec(check.cols, combine(basis, sum(1 << i for i in combo)))
+        if any((u & l_c.bits).bit_count() & 1 for u in us):
             alpha = min(l_c.support())
             return DeformSpec(l_c, alpha, frozenset(l_c.support()), block)
     raise TrivialOperator("no collapse codeword activates the operator")

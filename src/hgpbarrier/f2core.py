@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
 
@@ -20,6 +20,8 @@ __all__ = [
     "BitMatrix",
     "RrefResult",
     "weight",
+    "combine",
+    "span",
     "mat_mul",
     "mat_vec",
     "mat_add",
@@ -221,6 +223,26 @@ def weight(v) -> int:
     if isinstance(v, BitMatrix):
         return sum(r.bit_count() for r in v.row_bits)
     raise TypeError(f"weight() expects BitVec or BitMatrix, not {type(v).__name__}")
+
+
+def combine(rows: Sequence[int], sel: int) -> int:
+    """XOR of the packed ``rows`` selected by ``sel``: bit i selects rows[i]."""
+    acc = 0
+    for i in range(sel.bit_length()):
+        if (sel >> i) & 1:
+            acc ^= rows[i]
+    return acc
+
+
+def span(basis: Sequence[int]) -> Iterator[int]:
+    """All 2^len(basis) XOR combinations of the packed ``basis`` vectors, zero
+    first, in Gray-code order: each entry differs from the one before it by
+    exactly one basis vector."""
+    acc = 0
+    yield acc
+    for t in range(1, 1 << len(basis)):
+        acc ^= basis[(t & -t).bit_length() - 1]
+        yield acc
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -28,6 +28,7 @@ from .f2core import (
     mat_vec,
     row_reducer,
     rref,
+    span,
     tensor_vec,
     vec_concat,
 )
@@ -74,6 +75,16 @@ class PauliVec:
     def x_type(cls, x: BitVec) -> "PauliVec":
         return cls(x.n, x, BitVec(x.n))
 
+    @classmethod
+    def of_kind(cls, kind: str, v: BitVec) -> "PauliVec":
+        """The pure-``kind`` Pauli flipping ``v``: Z flips for kind "z", X
+        flips for kind "x"."""
+        return cls.z_type(v) if _is_z(kind) else cls.x_type(v)
+
+    def part(self, kind: str) -> BitVec:
+        """The z part for kind "z", the x part for kind "x"."""
+        return self.z if _is_z(kind) else self.x
+
     def __mul__(self, other: "PauliVec") -> "PauliVec":
         return PauliVec(self.n, self.x ^ other.x, self.z ^ other.z)
 
@@ -85,6 +96,12 @@ class PauliVec:
 
     def is_identity(self) -> bool:
         return not (self.x.bits or self.z.bits)
+
+
+def _is_z(kind: str) -> bool:
+    if kind not in ("z", "x"):
+        raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
+    return kind == "z"
 
 
 class PauliClass(enum.Enum):
@@ -162,8 +179,7 @@ def _compose(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix) -> Cano
         for m in range(kappa.cols):
             if kappa.entry(l, m):
                 cc ^= tensor_vec(aside[l], bside[m])
-    wrap = PauliVec.z_type if kind == "z" else PauliVec.x_type
-    return CanonicalOp(kind, lam, kappa, wrap(vec_concat(vv, cc)))
+    return CanonicalOp(kind, lam, kappa, PauliVec.of_kind(kind, vec_concat(vv, cc)))
 
 
 def compose_canonical(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
@@ -250,11 +266,9 @@ def _enumerate_coset(check: BitMatrix, stab_rows: BitMatrix, cap: int) -> Iterat
     if 1 << len(basis) > cap:
         raise CapExceeded(f"2^{len(basis)} kernel elements exceed cap {cap}")
     reduce_bits = row_reducer(stab_rows)
-    acc = 0
-    for t in range(1, 1 << len(basis)):
-        acc ^= basis[(t & -t).bit_length() - 1].bits
-        if reduce_bits(acc):
-            yield BitVec(check.cols, acc)
+    for bits in span([v.bits for v in basis]):
+        if reduce_bits(bits):
+            yield BitVec(check.cols, bits)
 
 
 def enumerate_z_logicals(code: HgpCode, cap: int = 1 << 20) -> Iterator[PauliVec]:

@@ -21,11 +21,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from .barrier import (
     DEFAULT_PAULI_CAP,
     DEFAULT_STATE_CAP,
+    _generators,
+    _pauli_state,
     classical_barrier,
     classical_table,
     pauli_barrier_general,
@@ -42,7 +44,7 @@ from .codes import (
     ring_repetition,
 )
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, mat_mul, rref
+from .f2core import BitMatrix, BitVec, combine, mat_mul, rref, span
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -156,6 +158,22 @@ def lemma4_default_family() -> list[tuple[ClassicalCode, ClassicalCode]]:
     return [(a, b) for a in codes for b in codes]
 
 
+def _report(
+    claim: str,
+    instance: str,
+    start: float,
+    checked: int,
+    details: dict,
+    counter: dict | None,
+    seed: int | None = None,
+) -> VerifyReport:
+    """The report of a check begun at ``start``: it passes when no
+    counterexample was found."""
+    status = "pass" if counter is None else "fail"
+    elapsed = time.perf_counter() - start
+    return VerifyReport(claim, instance, status, checked, details, counter, seed, elapsed)
+
+
 def _require_logicals(code: HgpCode) -> None:
     if code.k == 0:
         raise NoLogicals("instance has no logical qubits")
@@ -166,13 +184,15 @@ def _rowspace_basis(m) -> tuple[int, ...]:
     return tuple(res.rref.row_bits[i] for i in range(res.rank))
 
 
-def _span_gray(basis: tuple[int, ...]):
-    """All 2^len(basis) span elements, zero first, Gray-code order."""
-    acc = 0
-    yield acc
-    for t in range(1, 1 << len(basis)):
-        acc ^= basis[(t & -t).bit_length() - 1]
-        yield acc
+def _coset_max(table, basis: tuple[int, ...], base: int) -> tuple[int, int]:
+    """(value, vector) of the first strict maximum of table.value over the
+    coset base + span(basis) in span order; (0, base) if no value is positive."""
+    best, arg = 0, base
+    for s in span(basis):
+        v = table.value(base ^ s)
+        if v > best:
+            best, arg = v, base ^ s
+    return best, arg
 
 
 def _normalizer_value(tx, tz, x_bits: int, z_bits: int) -> int:
@@ -195,8 +215,8 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     counter = None
     if len(bx) + len(bz) <= 12:
         mode = "paired"
-        for x_bits in _span_gray(bx):
-            for z_bits in _span_gray(bz):
+        for x_bits in span(bx):
+            for z_bits in span(bz):
                 val = _normalizer_value(tx, tz, x_bits, z_bits)
                 checked += 1
                 if val > worst:
@@ -205,16 +225,9 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         # max over pairs of max(a, b) factors into the two sector maxima,
         # so scanning each rowspace once is still exhaustive
         mode = "factored"
-        best_x = max_x_bits = 0
-        for x_bits in _span_gray(bx):
-            checked += 1
-            if tx.value(x_bits) > best_x:
-                best_x, max_x_bits = tx.value(x_bits), x_bits
-        best_z = max_z_bits = 0
-        for z_bits in _span_gray(bz):
-            checked += 1
-            if tz.value(z_bits) > best_z:
-                best_z, max_z_bits = tz.value(z_bits), z_bits
+        best_x, max_x_bits = _coset_max(tx, bx, 0)
+        best_z, max_z_bits = _coset_max(tz, bz, 0)
+        checked = (1 << len(bx)) + (1 << len(bz))
         worst = max(best_x, best_z)
         worst_pair = (max_x_bits, max_z_bits)
     if worst > bound:
@@ -226,58 +239,26 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         }
     # constructive side: generator-by-generator paths stay under the bound;
     # the running energy after each full generator is recorded, not asserted
-    n_gen = code.hx.rows + code.hz.rows
+    gens = _generators(code)
     baselines = []
     rng = random.Random(0)
     for _ in range(8):
-        combo_bits = rng.randrange(1 << n_gen)
-        combo = BitVec(n_gen, combo_bits)
-        x_bits = 0
-        z_bits = 0
-        for g in combo.support():
-            if g < code.hx.rows:
-                x_bits ^= code.hx.row_bits[g]
-            else:
-                z_bits ^= code.hz.row_bits[g - code.hx.rows]
-        s = _pauli(code, x_bits, z_bits)
+        combo_bits = rng.randrange(1 << len(gens))
+        combo = BitVec(len(gens), combo_bits)
+        s = _pauli_state(combine(gens, combo_bits), code.n_qubits)
         path = stabilizer_path(code, s, combo)
         if path.max_energy > bound and counter is None:
             counter = {"combo_bits": combo_bits, "path_max": path.max_energy, "bound": bound}
-        marks = _generator_boundaries(code, combo)
+        # path indices where each selected generator has just been fully applied
+        marks = accumulate(gens[g].bit_count() for g in combo.support())
         baselines.append(max((path.energies[i] for i in marks), default=0))
-    report = VerifyReport(
-        claim="lemma1",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=checked,
-        details={
-            "bound": bound,
-            "worst_barrier": worst,
-            "mode": mode,
-            "constructive_baseline_peaks": baselines,
-        },
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-def _pauli(code: HgpCode, x_bits: int, z_bits: int):
-    from .logicals import PauliVec
-
-    n = code.n_qubits
-    return PauliVec(n, BitVec(n, x_bits), BitVec(n, z_bits))
-
-
-def _generator_boundaries(code: HgpCode, combo: BitVec) -> list[int]:
-    """Path indices where each selected generator has just been fully applied."""
-    marks = []
-    pos = 0
-    for g in combo.support():
-        row = code.hx.row_bits[g] if g < code.hx.rows else code.hz.row_bits[g - code.hx.rows]
-        pos += row.bit_count()
-        marks.append(pos)
-    return marks
+    details = {
+        "bound": bound,
+        "worst_barrier": worst,
+        "mode": mode,
+        "constructive_baseline_peaks": baselines,
+    }
+    return _report("lemma1", instance, start, checked, details, counter)
 
 
 def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
@@ -304,16 +285,8 @@ def _random_logical(
         x_sel = rng.randrange(1 << len(xs))
         if z_sel or x_sel:
             break
-    z_bits = 0
-    for i in range(len(zs)):
-        if (z_sel >> i) & 1:
-            z_bits ^= zs[i]
-    x_bits = 0
-    for i in range(len(xs)):
-        if (x_sel >> i) & 1:
-            x_bits ^= xs[i]
     sx, sz = _random_stabilizer(code, rng)
-    return x_bits ^ sx, z_bits ^ sz
+    return combine(xs, x_sel) ^ sx, combine(zs, z_sel) ^ sz
 
 
 def check_theorem1(
@@ -364,16 +337,8 @@ def check_theorem1(
                 "bound": bound,
             }
         if sweep_all and counter is None:
-            wx, wx_state = 0, lx
-            for s in _span_gray(bx):
-                v = tx.value(lx ^ s)
-                if v > wx:
-                    wx, wx_state = v, lx ^ s
-            wz, wz_state = 0, lz
-            for s in _span_gray(bz):
-                v = tz.value(lz ^ s)
-                if v > wz:
-                    wz, wz_state = v, lz ^ s
+            wx, wx_state = _coset_max(tx, bx, lx)
+            wz, wz_state = _coset_max(tz, bz, lz)
             if max(wx, wz) > rhs:
                 counter = {
                     "l_x": lx,
@@ -384,21 +349,12 @@ def check_theorem1(
                     "delta_ls": max(wx, wz),
                     "bound": bound,
                 }
-    report = VerifyReport(
-        claim="thm1",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=samples,
-        details={
-            "bound": bound,
-            "smallest_slack": largest_gap,
-            "stabilizer_sweep": "exhaustive" if sweep_all else "sampled",
-        },
-        counterexample=counter,
-        seed=seed,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    details = {
+        "bound": bound,
+        "smallest_slack": largest_gap,
+        "stabilizer_sweep": "exhaustive" if sweep_all else "sampled",
+    }
+    return _report("thm1", instance, start, samples, details, counter, seed)
 
 
 def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
@@ -433,16 +389,7 @@ def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
                 "restricted": restricted,
                 "witness_max": sweep.max_energy,
             }
-    report = VerifyReport(
-        claim="lemma2",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=checked,
-        details={"per_operator": values},
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _report("lemma2", instance, start, checked, {"per_operator": values}, counter)
 
 
 def _unit_move_value(parent: BitMatrix, word: BitVec, cap: int) -> int:
@@ -453,15 +400,8 @@ def _unit_move_value(parent: BitMatrix, word: BitVec, cap: int) -> int:
 def _canonical_z_values(code: HgpCode, cap: int) -> dict[int, int]:
     """Exact barrier of every nonzero canonical Z coefficient combination."""
     tz = sector_table(code, "z", cap)
-    ops = canonical_z_basis(code)
-    values = {}
-    for sel in range(1, 1 << len(ops)):
-        z_bits = 0
-        for i in range(len(ops)):
-            if (sel >> i) & 1:
-                z_bits ^= ops[i].realized.z.bits
-        values[sel] = tz.value(z_bits)
-    return values
+    zs = [op.realized.z.bits for op in canonical_z_basis(code)]
+    return {sel: tz.value(combine(zs, sel)) for sel in range(1, 1 << len(zs))}
 
 
 def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
@@ -476,17 +416,8 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         if val < elementary_min:
             counter = {"selection": sel, "barrier": val, "elementary_min": elementary_min}
             break
-    report = VerifyReport(
-        claim="lemma3",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=len(values),
-        details={"elementary_min": elementary_min,
-                 "composite_min": min(values.values())},
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    details = {"elementary_min": elementary_min, "composite_min": min(values.values())}
+    return _report("lemma3", instance, start, len(values), details, counter)
 
 
 def _pack(rows, cols: int) -> int:
@@ -566,16 +497,7 @@ def check_lemma4(
                 "lhs": lhs[j],
                 "rhs": r,
             }
-    report = VerifyReport(
-        claim="lemma4",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=checked,
-        details={"pairs": len(family)},
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    return _report("lemma4", instance, start, checked, {"pairs": len(family)}, counter)
 
 
 def _parent_barrier(c: ClassicalCode, cap: int) -> int | float:
@@ -599,21 +521,13 @@ def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: st
         if val < floor:
             counter = {"selection": sel, "barrier": val, "floor": floor}
             break
-    report = VerifyReport(
-        claim="prop1",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=len(values),
-        details={
-            "delta_h1": _json_value(d1),
-            "delta_h2t": _json_value(d2t),
-            "floor": _json_value(floor),
-            "canonical_min": min(values.values()),
-        },
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    details = {
+        "delta_h1": _json_value(d1),
+        "delta_h2t": _json_value(d2t),
+        "floor": _json_value(floor),
+        "canonical_min": min(values.values()),
+    }
+    return _report("prop1", instance, start, len(values), details, counter)
 
 
 def _json_value(v: int | float):
@@ -649,55 +563,41 @@ def check_main_equality(
     bound = code.w_c * code.w_q
     condition = min_parents != math.inf and min_parents > bound
 
-    tz = sector_table(code, "z", cap)
-    tx = sector_table(code, "x", cap)
-    zops = canonical_z_basis(code)
-    xops = canonical_x_basis(code)
-    canonical_z = min(tz.value(op.realized.z.bits) for op in zops)
-    canonical_x = min(tx.value(op.realized.x.bits) for op in xops)
-    has_vv_z = any(any(op.lam.row_bits) for op in zops)
-    has_cc_z = any(any(op.kappa.row_bits) for op in zops)
-    expect_z = min(
-        parents["h1"] if has_vv_z else math.inf,
-        parents["h2t"] if has_cc_z else math.inf,
-    )
-    has_vv_x = any(any(op.lam.row_bits) for op in xops)
-    has_cc_x = any(any(op.kappa.row_bits) for op in xops)
-    expect_x = min(
-        parents["h2"] if has_vv_x else math.inf,
-        parents["h1t"] if has_cc_x else math.inf,
-    )
-
     counter = None
-    if canonical_z != expect_z:
-        counter = {"side": "Z", "canonical": canonical_z, "expected": _json_value(expect_z)}
-    elif canonical_x != expect_x:
-        counter = {"side": "X", "canonical": canonical_x, "expected": _json_value(expect_x)}
-    elif condition and quantum != min_parents:
+    checked = 1
+    canonical = {}
+    # Z operators' bit-bit codewords are words of H1, check-check ones of
+    # H2^T; the X side mirrors that through H1 <-> H2^T
+    sides = (("z", canonical_z_basis, "h1", "h2t"), ("x", canonical_x_basis, "h2", "h1t"))
+    for kind, basis, vv_parent, cc_parent in sides:
+        table = sector_table(code, kind, cap)
+        ops = basis(code)
+        checked += len(ops)
+        canonical[kind] = min(table.value(op.realized.part(kind).bits) for op in ops)
+        expect = min(
+            parents[vv_parent] if any(any(op.lam.row_bits) for op in ops) else math.inf,
+            parents[cc_parent] if any(any(op.kappa.row_bits) for op in ops) else math.inf,
+        )
+        if canonical[kind] != expect and counter is None:
+            expected = _json_value(expect)
+            counter = {"side": kind.upper(), "canonical": canonical[kind], "expected": expected}
+    if condition and quantum != min_parents and counter is None:
         counter = {
             "side": "full",
             "quantum": quantum,
             "min_parents": _json_value(min_parents),
         }
-    report = VerifyReport(
-        claim="main",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=1 + len(zops) + len(xops),
-        details={
-            "quantum": quantum,
-            "parents": {k: _json_value(v) for k, v in parents.items()},
-            "min_parents": _json_value(min_parents),
-            "canonical_z": canonical_z,
-            "canonical_x": canonical_x,
-            "sparsity_bound": bound,
-            "condition_holds": condition,
-            "full_equality_observed": quantum == min_parents,
-        },
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    details = {
+        "quantum": quantum,
+        "parents": {k: _json_value(v) for k, v in parents.items()},
+        "min_parents": _json_value(min_parents),
+        "canonical_z": canonical["z"],
+        "canonical_x": canonical["x"],
+        "sparsity_bound": bound,
+        "condition_holds": condition,
+        "full_equality_observed": quantum == min_parents,
+    }
+    return _report("main", instance, start, checked, details, counter)
 
 
 def check_css_restriction(
@@ -709,32 +609,17 @@ def check_css_restriction(
     barrier of a pure-Z (pure-X) logical equals its sector barrier."""
     start = time.perf_counter()
     _require_logicals(code)
-    tz = sector_table(code, "z", cap)
-    tx = sector_table(code, "x", cap)
+    tables = {"z": sector_table(code, "z", cap), "x": sector_table(code, "x", cap)}
     checked = 0
     counter = None
-    for p in enumerate_z_logicals(code):
-        full = pauli_barrier_general(code, p, cap).value
-        sector = tz.value(p.z.bits)
-        checked += 1
-        if full != sector and counter is None:
-            counter = {"z_bits": p.z.bits, "full": full, "sector": sector}
-    for p in enumerate_x_logicals(code):
-        full = pauli_barrier_general(code, p, cap).value
-        sector = tx.value(p.x.bits)
-        checked += 1
-        if full != sector and counter is None:
-            counter = {"x_bits": p.x.bits, "full": full, "sector": sector}
-    report = VerifyReport(
-        claim="css-restriction",
-        instance=instance,
-        status="pass" if counter is None else "fail",
-        checked=checked,
-        details={},
-        counterexample=counter,
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    for kind, logicals in (("z", enumerate_z_logicals), ("x", enumerate_x_logicals)):
+        for p in logicals(code):
+            full = pauli_barrier_general(code, p, cap).value
+            sector = tables[kind].value(p.part(kind).bits)
+            checked += 1
+            if full != sector and counter is None:
+                counter = {f"{kind}_bits": p.part(kind).bits, "full": full, "sector": sector}
+    return _report("css-restriction", instance, start, checked, {}, counter)
 
 
 # -- claim runner ---------------------------------------------------------------

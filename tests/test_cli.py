@@ -59,6 +59,23 @@ def test_info_trivial_code_null_distance(files, capsys):
     assert json.loads(out)["d"] is None
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        "² 3\n110\n011\n".encode(),  # superscript digits pass str.isdigit
+        emit_alist(open_repetition(3)).replace("1 2 1", "1 ² 1", 1).encode(),
+        b"2 3\n1\xff0\n011\n",  # not decodable text
+    ],
+    ids=["dense-header", "alist-degree", "undecodable"],
+)
+def test_bad_input_bytes_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "info", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
 def test_fmt_override_mismatch(files, capsys):
     code, _, err = run(capsys, "info", files / "open3.txt", "--fmt", "alist")
     assert code == 2
@@ -185,6 +202,45 @@ def test_logicals_sector_filter(files, capsys):
     assert rep["count"] == 1 and rep["operators"][0]["type"] == "Z"
 
 
+LOGICALS_RING3_OPEN3_TEXT = """\
+count: 2
+operators:
+  -
+    type: Z
+    lambda:
+      - 1
+    kappa:
+      - 
+    support:
+      - 2
+      - 5
+      - 8
+    weight: 3
+  -
+    type: X
+    lambda:
+      - 1
+    kappa:
+      - 
+    support:
+      - 6
+      - 7
+      - 8
+    weight: 3
+"""
+
+
+def test_canonical_and_logicals_text_are_pinned(files, capsys):
+    pair = (files / "ring3.alist", files / "open3.txt")
+    flags = ("--sector", "both", "--format", "text")
+    code, out, _ = run(capsys, "barrier", "canonical", *pair, *flags)
+    assert code == 0
+    assert out == "kind: canonical\nsector: both\nz: 2\nx: 1\nvalue: 1\n"
+    code, out, _ = run(capsys, "logicals", *pair, *flags)
+    assert code == 0
+    assert out == LOGICALS_RING3_OPEN3_TEXT
+
+
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_main_with_files(files, capsys):
@@ -234,6 +290,19 @@ def test_verify_all_stdout_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "b0c7e63067605832d79a56a2fd1f0a392427302b2a182234046c6f8a853e6521"
+
+
+@pytest.mark.parametrize(
+    "seed, fmt, digest",
+    [
+        ("1", "json", "782a207a6916af4f391f48f54b0d409ab29cb376ef926fddab4b7149d73d46fe"),
+        ("0", "text", "c906ebad7fd7ce7e9c2fcb5a287abdba1e5612c7fc03278d2a9bfe1d2a3cbe94"),
+    ],
+)
+def test_verify_all_stdout_is_pinned_for_more_seeds_and_formats(capsys, seed, fmt, digest):
+    code, out, _ = run(capsys, "verify", "all", "--seed", seed, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_lemma4_rejects_paths(files, capsys):

@@ -24,6 +24,7 @@ from hgpbarrier.errors import (
     CapExceeded,
     DimensionMismatch,
     EmptyMatrix,
+    HgpBarrierError,
     InconsistentDegrees,
     ParseError,
 )
@@ -214,6 +215,38 @@ class TestAutoDetection:
     def test_rejects_unmatched_line_count(self):
         with pytest.raises(ParseError):
             parse_auto("2 3\n110\n011\n101\n")
+
+
+# tokens that look like numbers to str.isdigit or int() but are not ASCII
+# counts, beside the characters real inputs are made of
+FUZZ_ALPHABET = "0123456789 \t\n-x" + "²³¹٣０"
+FUZZ_TOKENS = ["0", "1", "2", "3", "10", "11", "101", "-1", "²", "٣"]
+fuzz_text = st.one_of(
+    st.text(),
+    st.text(alphabet=FUZZ_ALPHABET, max_size=60),
+    st.lists(
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join),
+        max_size=10,
+    ).map("\n".join),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300)
+    @given(fuzz_text)
+    def test_only_package_errors_escape(self, text):
+        for parse in (parse_dense, parse_alist, parse_auto):
+            try:
+                parse(text)
+            except HgpBarrierError:
+                pass
+
+    @given(small_code())
+    def test_emit_then_parse_round_trips(self, c):
+        assert parse_dense(emit_dense(c)).h == c.h
+        assert parse_alist(emit_alist(c)).h == c.h
+        assert parse_auto(emit_dense(c)).h == c.h
+        assert parse_auto(emit_alist(c)).h == c.h
 
 
 class TestBuilders:

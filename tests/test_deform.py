@@ -26,6 +26,7 @@ from hgpbarrier.hgp import build_hgp, index_to_block
 from hgpbarrier.logicals import (
     PauliClass,
     PauliVec,
+    canonical_x_basis,
     canonical_z_basis,
     classify,
     compose_canonical,
@@ -264,6 +265,16 @@ class TestFindActivatingCodeword:
         for q in deformed.support():
             block, a, _ = index_to_block(code, q)
             assert block == "CC" and a == spec.alpha
+
+    def test_x_kind_operator_rejected(self):
+        # an X operator's coefficients are not Z coefficients: on open_3 x
+        # open_4 the X operator on qubits 8-11 would otherwise get a spec
+        # that deforms it to the identity
+        code = build_hgp(open_repetition(3), open_repetition(4))
+        (op,) = canonical_x_basis(code)
+        assert op.realized.support() == (8, 9, 10, 11)
+        with pytest.raises(DimensionMismatch):
+            find_activating_codeword(code, op)
 
     def test_deterministic(self):
         code = surface()

@@ -9,6 +9,7 @@ from hgpbarrier.errors import DimensionMismatch, IndexOutOfRange
 from hgpbarrier.f2core import (
     BitMatrix,
     BitVec,
+    combine,
     flatten,
     hstack,
     in_row_space,
@@ -21,6 +22,7 @@ from hgpbarrier.f2core import (
     reshape,
     row_reducer,
     rref,
+    span,
     tensor_vec,
     vec_concat,
     vec_split,
@@ -223,3 +225,25 @@ def test_mat_vec_agrees_with_mat_mul(m, v):
 @given(bitmatrix())
 def test_mat_add_self_is_zero(m):
     assert mat_add(m, m).is_zero()
+
+
+packed_rows = st.lists(st.integers(0, 255), max_size=7)
+
+
+@given(packed_rows, st.integers(0, 127))
+def test_combine_matches_naive_loop(rows, sel):
+    sel &= (1 << len(rows)) - 1
+    expected = 0
+    for i, r in enumerate(rows):
+        if (sel >> i) & 1:
+            expected ^= r
+    assert combine(rows, sel) == expected
+
+
+@given(packed_rows)
+def test_span_yields_each_combination_once_in_gray_order(basis):
+    seq = list(span(basis))
+    assert seq[0] == 0
+    # as a multiset, one entry per selection of basis vectors
+    assert sorted(seq) == sorted(combine(basis, sel) for sel in range(1 << len(basis)))
+    assert all(a ^ b in basis for a, b in zip(seq, seq[1:]))

@@ -47,6 +47,28 @@ def random_code(rng, max_r=3, max_n=4):
     return ClassicalCode(BitMatrix(r, n, tuple(rng.randrange(1 << n) for _ in range(r))))
 
 
+def bitvec():
+    return st.integers(1, 8).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda bits: BitVec(n, bits))
+    )
+
+
+class TestPauliKinds:
+    @given(bitvec())
+    def test_of_kind_and_part_round_trip(self, v):
+        z, x = PauliVec.of_kind("z", v), PauliVec.of_kind("x", v)
+        assert z == PauliVec.z_type(v) and x == PauliVec.x_type(v)
+        assert z.part("z") == v and z.part("x") == BitVec(v.n)
+        assert x.part("x") == v and x.part("z") == BitVec(v.n)
+
+    def test_unknown_kind_rejected(self):
+        v = BitVec.from01("101")
+        with pytest.raises(DimensionMismatch):
+            PauliVec.of_kind("y", v)
+        with pytest.raises(DimensionMismatch):
+            PauliVec.identity(3).part("Z")
+
+
 class TestBases:
     def test_toric_has_two_z_ops(self):
         ops = canonical_z_basis(toric())
