@@ -45,13 +45,14 @@ from .codes import ClassicalCode
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     NoLogicals,
     NotAStabilizer,
     NoTarget,
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, mat_vec, rref, weight
+from .f2core import BitMatrix, BitVec, linear_table, mat_vec, rref, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, elementary_leg
 
@@ -99,27 +100,27 @@ class PathRecord:
         return max(len(self.states) - 1, 0)
 
     def steps_json(self) -> list[dict]:
-        """Step records for export: flipped qubit and Pauli change per move."""
+        """Step records for export: flipped qubit and Pauli change per move.
+        Raises WitnessError on a step that does not flip exactly one qubit."""
         out = []
-        prev = None
         for i, (state, e) in enumerate(zip(self.states, self.energies)):
-            entry = {"step": i, "flipped_qubit": None, "pauli_change": None, "energy": e}
-            if prev is not None:
-                if isinstance(state, PauliVec):
-                    dx = prev.x.bits ^ state.x.bits
-                    dz = prev.z.bits ^ state.z.bits
-                    q = (dx | dz).bit_length() - 1
-                    entry["flipped_qubit"] = q
-                    entry["pauli_change"] = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[
-                        ((dx >> q) & 1, (dz >> q) & 1)
-                    ]
-                else:
-                    diff = prev.bits ^ state.bits
-                    entry["flipped_qubit"] = diff.bit_length() - 1
-                    entry["pauli_change"] = "X"
-            out.append(entry)
-            prev = state
+            q, change = _flip(self.states[i - 1], state) if i else (None, None)
+            out.append({"step": i, "flipped_qubit": q, "pauli_change": change, "energy": e})
         return out
+
+
+def _flip(prev, state) -> tuple[int, str]:
+    """(qubit, "X", "Z" or "Y") of a step between two BitVec or two PauliVec
+    states; a BitVec step is an X flip. Raises WitnessError unless exactly
+    one qubit changes."""
+    if isinstance(state, PauliVec):
+        dx, dz = prev.x.bits ^ state.x.bits, prev.z.bits ^ state.z.bits
+    else:
+        dx, dz = prev.bits ^ state.bits, 0
+    if (dx | dz).bit_count() != 1:
+        raise WitnessError(f"step flips {(dx | dz).bit_count()} qubits, not one")
+    q = (dx | dz).bit_length() - 1
+    return q, {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(dx >> q) & 1, (dz >> q) & 1]
 
 
 @dataclass(frozen=True)
@@ -193,37 +194,18 @@ def _lift_store(n_states: int, n_bits: int):
 def _energy_table(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
     """Syndrome weight of every n_dim-bit state, indexed by state.
 
-    The syndrome is linear in the state. Reducing the moves, each with its
-    syndrome, to a reduced echelon basis gives the syndrome of every unit
-    vector that is a pivot; the other unit vectors get 0, which changes no
-    state the moves reach. The table is then spanned out by doubling, one
+    The syndrome is linear in the state. The moves, each with its syndrome
+    above bit n_dim, span the whole state space, so their reduced row-echelon
+    form has a pivot in every column below n_dim, and its row i is unit
+    vector i with that vector's syndrome. The table is then spanned out, one
     block of 2^lo states per value of the high bits, so no list of 2^n_dim
     ints exists.
     """
-    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, syndrome)
-    for m, d in zip(moves, deltas):
-        while m:
-            lead = m.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = (m, d)
-                break
-            v, dv = basis[lead]
-            m ^= v
-            d ^= dv
-    unit = [0] * n_dim
-    for lead in sorted(basis):  # lower pivots are already reduced
-        v, dv = basis[lead]
-        for low in range(lead):
-            if (v >> low) & 1 and low in basis:
-                v ^= basis[low][0]
-                dv ^= basis[low][1]
-        basis[lead] = (v, dv)
-        unit[lead] = dv
+    rows = tuple(m | d << n_dim for m, d in zip(moves, deltas))
+    reduced = rref(BitMatrix(len(rows), n_dim + max_energy, rows)).rref.row_bits
+    unit = [r >> n_dim for r in reduced[:n_dim]]
     lo = n_dim // 2
-    low_syns, high_syns = [0], [0]
-    for q in range(n_dim):
-        half = low_syns if q < lo else high_syns
-        half += [s ^ unit[q] for s in half]  # bit j of the index selects unit[j]
+    low_syns, high_syns = linear_table(unit[:lo]), linear_table(unit[lo:])
     table = bytearray() if max_energy < 0xFF else array("H")
     for high in high_syns:
         table.extend([(high ^ s).bit_count() for s in low_syns])
@@ -260,8 +242,9 @@ def _syndrome_search(
 ):
     """Core engine over the n_dim-bit states: move i XORs moves[i] into the
     state and deltas[i] into the syndrome. target_pred(state, energy) or
-    None to exhaust all states. With lift_moves, lifts[s] is the XOR of
-    lift_moves along the search-tree path to each popped state s.
+    None to exhaust all states. With lift_moves, an exhaustive search also
+    sets lifts[s] to the XOR of lift_moves along the search-tree path to
+    each state s.
 
     A bucket queue (Dial's algorithm): energies are integers in
     [0, max_energy], so the frontier is one bucket per peak level, each
@@ -274,19 +257,19 @@ def _syndrome_search(
     they carry each state's syndrome instead.
 
     Returns (final_state, best, pred, lifts, explored); final_state is None
-    in exhaust mode and lifts is None without lift_moves.
+    in exhaust mode, and lifts is None in target mode or without lift_moves.
     """
     if (1 << n_dim) > cap:
         raise CapExceeded(f"2^{n_dim} states exceed cap {cap}")
     best, pred = _make_tables(1 << n_dim, len(moves), max_energy)
-    lifts = None
-    if lift_moves is not None:
-        lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
     best[0] = 0
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
     indexed = tuple(enumerate(moves))
     explored = 0
     if target_pred is None:
+        lifts = None
+        if lift_moves is not None:
+            lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
         energy = _energy_table(n_dim, moves, deltas, max_energy)
         buckets[0][0].append(0)
         for level, plen, layer, same in _bucket_layers(buckets):
@@ -316,11 +299,8 @@ def _syndrome_search(
             if best[state] != level:
                 continue
             explored += 1
-            if lifts is not None and state:
-                mi = pred[state]
-                lifts[state] = lifts[state ^ moves[mi]] ^ lift_moves[mi]
             if target_pred(state, syn.bit_count()):
-                return state, best, pred, lifts, explored
+                return state, best, pred, None, explored
             for mi, m in indexed:
                 ns = state ^ m
                 nsyn = syn ^ deltas[mi]
@@ -348,18 +328,14 @@ def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
     return seq
 
 
-def _walk(masks: Iterable[int]) -> list[int]:
-    """States visited from zero by XORing in each mask in turn."""
+def _walk(masks: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
+    """The walk from zero that XORs in each mask in turn, with the energy
+    ``energy_bits`` gives each n_dim-bit state."""
     seq = [0]
     for m in masks:
         seq.append(seq[-1] ^ m)
-    return seq
-
-
-def _path_from_bits(seq: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
-    states = tuple(BitVec(n_dim, b) for b in seq)
-    energies = tuple(energy_bits(b) for b in (s.bits for s in states))
-    return PathRecord(states, energies, max(energies, default=0))
+    energies = tuple(energy_bits(b) for b in seq)
+    return PathRecord(tuple(BitVec(n_dim, b) for b in seq), energies, max(energies))
 
 
 def _normalize_targets(targets, n_dim: int):
@@ -428,13 +404,8 @@ def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
     for i, p in enumerate(pivots):
         row = res.rref.row_bits[i]
         words[p] = sum(b for q, b in packed.items() if (row >> q) & 1) | (1 << (len(free) + i))
-    tables = []
-    for base in range(0, n, 8):
-        table = [0]
-        for w in words[base : base + 8]:
-            table += [t ^ w for t in table]  # bit j of the index selects words[base + j]
-        tables.append(tuple(table))
-    return _Quotient(n, res.rank, tuple(tables))
+    tables = tuple(tuple(linear_table(words[base : base + 8])) for base in range(0, n, 8))
+    return _Quotient(n, res.rank, tables)
 
 
 def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
@@ -524,6 +495,8 @@ class MinimaxTable:
 
     def _fiber(self, bits: int) -> tuple[int, int]:
         """(quotient state, stabilizer from its tree lift to ``bits``)."""
+        if not 0 <= bits < 1 << self.n_dim:
+            raise IndexOutOfRange(f"state {bits:#x} outside [0, 2^{self.n_dim})")
         state, coords = self.quotient.split(bits)
         if self.lifts is not None:
             coords ^= self.lifts[state]
@@ -546,10 +519,10 @@ class MinimaxTable:
             if (used >> j) & 1:
                 flips += tree(u) + [q] + tree(v)[::-1]
         flips += tree(state)
-        seq = _walk(self.moves[q] for q in flips)
-        if seq[-1] != bits:
-            raise WitnessError(f"table walk ends at {seq[-1]:#x}, not at {bits:#x}")
-        return _path_from_bits(seq, self.n_dim, self.energy.bits_energy)
+        record = _walk((self.moves[q] for q in flips), self.n_dim, self.energy.bits_energy)
+        if record.states[-1].bits != bits:
+            raise WitnessError(f"table walk ends at {record.states[-1].bits:#x}, not at {bits:#x}")
+        return record
 
 
 class _Inputs(NamedTuple):
@@ -601,8 +574,8 @@ def _target_search(rows, stab_rows, n: int, target_pred, cap: int) -> BarrierRes
     state, best, pred, _, explored = _syndrome_search(
         inputs.quotient.dim, inputs.images, inputs.deltas, len(rows), target_pred, cap
     )
-    seq = _walk(inputs.moves[mi] for mi in _tree_moves(state, pred, inputs.images))
-    record = _path_from_bits(seq, n, inputs.energy.bits_energy)
+    masks = (inputs.moves[mi] for mi in _tree_moves(state, pred, inputs.images))
+    record = _walk(masks, n, inputs.energy.bits_energy)
     return BarrierResult(best[state], record, record.states[-1], explored)
 
 
@@ -796,31 +769,20 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     n = code.n_qubits
     if s.n != n:
         raise DimensionMismatch(f"Pauli on {s.n} qubits, code has {n}")
-    seq = [0]
-    for g in generator_combo.support():
-        flips = gens[g]
-        while flips:
-            seq.append(seq[-1] ^ (flips & -flips))
-            flips &= flips - 1
-    if seq[-1] != s.x.bits | s.z.bits << n:
+    flips = (1 << q for g in generator_combo.support() for q in BitVec(2 * n, gens[g]).support())
+    walk = _walk(flips, 2 * n, SyndromeEnergy(_pauli_inputs(code)[0], 2 * n).bits_energy)
+    if walk.states[-1].bits != s.x.bits | s.z.bits << n:
         raise NotAStabilizer("selected generators do not multiply to the given Pauli")
-    states = tuple(_pauli_state(b, n) for b in seq)
-    energies = tuple(energy_quantum(code, p) for p in states)
-    return PathRecord(states, energies, max(energies))
+    states = tuple(_pauli_state(b.bits, n) for b in walk.states)
+    return PathRecord(states, walk.energies, walk.max_energy)
 
 
 def validate_path(record: PathRecord, energy: Callable) -> bool:
     """Recheck a witness: single-coordinate steps and stored energies."""
-    prev = None
-    for state, e in zip(record.states, record.energies):
-        if energy(state) != e:
-            return False
-        if prev is not None:
-            if isinstance(state, PauliVec):
-                diff = (prev.x.bits ^ state.x.bits) | (prev.z.bits ^ state.z.bits)
-            else:
-                diff = prev.bits ^ state.bits
-            if diff.bit_count() != 1:
-                return False
-        prev = state
+    try:
+        record.steps_json()
+    except WitnessError:
+        return False
+    if any(energy(s) != e for s, e in zip(record.states, record.energies)):
+        return False
     return record.max_energy == max(record.energies, default=0)

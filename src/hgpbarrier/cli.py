@@ -24,7 +24,7 @@ from .codes import ClassicalCode, emit_dense, parse_alist, parse_auto, parse_den
 from .errors import CapExceeded, HgpBarrierError, NoLogicals, ParseError
 from .hgp import build_hgp, css_check, hgp_parameters
 from .logicals import canonical_x_basis, canonical_z_basis
-from .verify import CLAIMS, run_all, run_claim, summarize
+from .verify import CLAIMS, _json_value, run_all, run_claim, summarize
 
 EXIT_OK = 0
 EXIT_CLAIM_FAIL = 1
@@ -58,10 +58,6 @@ def _load_code(path: str, fmt: str | None) -> ClassicalCode:
     return parse_auto(text)
 
 
-def _finite(v):
-    return None if v == math.inf else v
-
-
 def _text_lines(obj, indent: str = "") -> list[str]:
     lines = []
     if isinstance(obj, dict):
@@ -91,16 +87,19 @@ def _print_report(report: dict, fmt: str) -> None:
         print("\n".join(_text_lines(report)))
 
 
-def _witness_dict(result) -> dict:
+def _print_result(report: dict, result, fmt: str) -> None:
+    """Print ``report`` with the value, explored count and witness of a
+    search result appended, in that order."""
     w = result.witness
-    endpoint = w.states[-1]
-    support = list(endpoint.support())
-    return {
+    report["value"] = result.value
+    report["explored"] = result.explored
+    report["witness"] = {
         "max_energy": w.max_energy,
         "steps": w.steps(),
-        "endpoint_support": support,
+        "endpoint_support": list(w.states[-1].support()),
         "path": w.steps_json(),
     }
+    _print_report(report, fmt)
 
 
 def cmd_info(args) -> int:
@@ -110,7 +109,7 @@ def cmd_info(args) -> int:
         "n": c.n,
         "r": c.r,
         "k": p.k,
-        "d": _finite(p.d),
+        "d": _json_value(p.d),
         "w_c": c.w_c,
         "w_q": c.w_q,
     }
@@ -130,7 +129,7 @@ def cmd_hgp(args) -> int:
     params = {
         "n": code.n_qubits,
         "k": k,
-        "d": _finite(d),
+        "d": _json_value(d),
         "w_c": code.w_c,
         "w_q": code.w_q,
         "css": css_check(code),
@@ -153,14 +152,7 @@ def cmd_barrier(args) -> int:
             _emit_error("usage", "barrier classical takes exactly one matrix file")
             return EXIT_USAGE
         c = _load_code(args.paths[0], args.fmt)
-        result = classical_barrier(c, args.cap)
-        report = {
-            "kind": "classical",
-            "value": result.value,
-            "explored": result.explored,
-            "witness": _witness_dict(result),
-        }
-        _print_report(report, args.format)
+        _print_result({"kind": "classical"}, classical_barrier(c, args.cap), args.format)
         return EXIT_OK
     if len(args.paths) != 2:
         _emit_error("usage", f"barrier {args.kind} takes exactly two matrix files")
@@ -170,14 +162,7 @@ def cmd_barrier(args) -> int:
     code = build_hgp(c1, c2)
     if args.kind == "quantum":
         result = quantum_barrier(code, args.sector, args.cap)
-        report = {
-            "kind": "quantum",
-            "sector": args.sector,
-            "value": result.value,
-            "explored": result.explored,
-            "witness": _witness_dict(result),
-        }
-        _print_report(report, args.format)
+        _print_result({"kind": "quantum", "sector": args.sector}, result, args.format)
         return EXIT_OK
     # canonical: cheapest canonical operator per requested sector
     report = {"kind": "canonical", "sector": args.sector}

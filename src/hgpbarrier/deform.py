@@ -33,11 +33,12 @@ from .f2core import (
     mat_mul,
     mat_vec,
     reshape,
+    tensor_vec,
     vec_split,
     weight,
 )
 from .hgp import HgpCode
-from .logicals import CanonicalOp, PauliVec, _ingredients
+from .logicals import CanonicalOp, PauliVec, _fitted_ingredients
 from .barrier import PathRecord, energy_quantum
 
 __all__ = [
@@ -95,21 +96,13 @@ def deform_pauli(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
     _check_spec(code, spec)
     vv, cc = vec_split(p.z, code.vv_count)
     if spec.block == "vv":
-        z1 = reshape(vv, code.n1, code.n2)
-        collapsed = mat_vec(z1, spec.l_c)
-        bits = 0
-        cb = collapsed.bits
-        while cb:
-            i = (cb & -cb).bit_length() - 1
-            bits |= 1 << (i * code.n2 + spec.alpha)
-            cb &= cb - 1
-        return PauliVec.z_type(BitVec(code.n_qubits, bits))
-    z2 = reshape(cc, code.r1, code.r2)
-    row = 0
-    for a in spec.col_set:
-        row ^= z2.row_bits[a]
-    bits = row << (code.vv_count + spec.alpha * code.r2)
-    return PauliVec.z_type(BitVec(code.n_qubits, bits))
+        grid, shift = reshape(vv, code.n1, code.n2), 0
+    else:
+        grid, shift = reshape(cc, code.r1, code.r2).transpose(), code.vv_count
+    line = mat_vec(grid, spec.l_c)  # XOR of the grid lines that l_c selects
+    unit = BitVec.unit(grid.cols, spec.alpha)
+    placed = tensor_vec(line, unit) if spec.block == "vv" else tensor_vec(unit, line)
+    return PauliVec.z_type(BitVec(code.n_qubits, placed.bits << shift))
 
 
 def deform_path(code: HgpCode, r: PathRecord, spec: DeformSpec) -> PathRecord:
@@ -174,13 +167,14 @@ def find_activating_codeword(code: HgpCode, op: CanonicalOp) -> DeformSpec:
     treatment via H1^T: u_m sums the a_l over column m of kappa.
 
     Only Z-kind operators can be collapsed; any other kind raises
-    DimensionMismatch.
+    DimensionMismatch, and coefficients shaped for another code raise
+    ShapeMismatch.
     """
     if op.kind != "z":
         raise DimensionMismatch(f"cannot collapse a {op.kind!r}-kind operator, need 'z'")
+    _, ys, als, _ = _fitted_ingredients(code, "z", op.lam, op.kappa)
     if not any(op.lam.row_bits) and not any(op.kappa.row_bits):
         raise TrivialOperator("all coefficients are zero")
-    _, ys, als, _ = _ingredients(code, "z")
     if any(op.lam.row_bits):
         block, units, coeffs, check = "vv", ys, op.lam, code.h2.h
     else:

@@ -22,6 +22,8 @@ __all__ = [
     "weight",
     "combine",
     "span",
+    "linear_table",
+    "unit_matrices",
     "mat_mul",
     "mat_vec",
     "mat_add",
@@ -243,6 +245,24 @@ def span(basis: Sequence[int]) -> Iterator[int]:
     for t in range(1, 1 << len(basis)):
         acc ^= basis[(t & -t).bit_length() - 1]
         yield acc
+
+
+def linear_table(images: Sequence[int]) -> list[int]:
+    """The linear map sending bit j to the packed ``images[j]``, tabulated in
+    index order: entry i is ``combine(images, i)``. Spanned by doubling, so
+    each entry costs one XOR."""
+    table = [0]
+    for w in images:
+        table += [t ^ w for t in table]
+    return table
+
+
+def unit_matrices(rows: int, cols: int) -> Iterator[BitMatrix]:
+    """The rows * cols one-hot rows x cols matrices, in row-major order of
+    their one entry."""
+    for i in range(rows):
+        for j in range(cols):
+            yield BitMatrix(rows, cols, tuple((1 << j) if r == i else 0 for r in range(rows)))
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

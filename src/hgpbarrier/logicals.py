@@ -24,13 +24,14 @@ from .errors import CapExceeded, DimensionMismatch, NoLogicals, NotElementary, S
 from .f2core import (
     BitMatrix,
     BitVec,
+    combine,
     kernel_basis,
     mat_vec,
     row_reducer,
     rref,
     span,
     tensor_vec,
-    vec_concat,
+    unit_matrices,
 )
 from .hgp import HgpCode
 
@@ -161,25 +162,28 @@ def _ingredients(code: HgpCode, kind: str):
     return units(h1), kernel_basis(h2), kernel_basis(h1t), units(h2t)
 
 
-def _compose(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
-    left, right, aside, bside = _ingredients(code, kind)
+def _fitted_ingredients(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix):
+    """``_ingredients(code, kind)``, once lam and kappa are shown to have the
+    shapes they weight; an operator of another code raises ShapeMismatch."""
+    left, right, aside, bside = ingredients = _ingredients(code, kind)
     if (lam.rows, lam.cols) != (len(left), len(right)):
         raise ShapeMismatch(f"lam is {lam.rows}x{lam.cols}, need {len(left)}x{len(right)}")
     if (kappa.rows, kappa.cols) != (len(aside), len(bside)):
         raise ShapeMismatch(
             f"kappa is {kappa.rows}x{kappa.cols}, need {len(aside)}x{len(bside)}"
         )
-    vv = BitVec(code.n1 * code.n2)
-    for k in range(lam.rows):
-        for j in range(lam.cols):
-            if lam.entry(k, j):
-                vv ^= tensor_vec(left[k], right[j])
-    cc = BitVec(code.r1 * code.r2)
-    for l in range(kappa.rows):
-        for m in range(kappa.cols):
-            if kappa.entry(l, m):
-                cc ^= tensor_vec(aside[l], bside[m])
-    return CanonicalOp(kind, lam, kappa, PauliVec.of_kind(kind, vec_concat(vv, cc)))
+    return ingredients
+
+
+def _compose(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
+    left, right, aside, bside = _fitted_ingredients(code, kind, lam, kappa)
+    vv = cc = 0  # block k of each sum: left[k] (x) the right vectors row k selects
+    for vec, sel in zip(left, lam.row_bits):
+        vv ^= tensor_vec(vec, BitVec(code.n2, combine([r.bits for r in right], sel))).bits
+    for vec, sel in zip(aside, kappa.row_bits):
+        cc ^= tensor_vec(vec, BitVec(code.r2, combine([b.bits for b in bside], sel))).bits
+    realized = PauliVec.of_kind(kind, BitVec(code.n_qubits, vv | cc << code.vv_count))
+    return CanonicalOp(kind, lam, kappa, realized)
 
 
 def compose_canonical(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
@@ -194,30 +198,15 @@ def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> Cano
     return _compose(code, "x", lam, kappa)
 
 
-def _elementary_coeffs(rows1: int, cols1: int, rows2: int, cols2: int):
-    for k in range(rows1):
-        for j in range(cols1):
-            lam = BitMatrix(
-                rows1, cols1, tuple((1 << j) if i == k else 0 for i in range(rows1))
-            )
-            yield lam, BitMatrix.zeros(rows2, cols2)
-    for l in range(rows2):
-        for m in range(cols2):
-            kap = BitMatrix(
-                rows2, cols2, tuple((1 << m) if i == l else 0 for i in range(rows2))
-            )
-            yield BitMatrix.zeros(rows1, cols1), kap
-
-
 def _basis(code: HgpCode, kind: str) -> list[CanonicalOp]:
     """The elementary operators of one kind, bit-bit block first."""
     left, right, aside, bside = _ingredients(code, kind)
     if len(left) * len(right) + len(aside) * len(bside) == 0:
         raise NoLogicals("code has no logical qubits")
-    return [
-        _compose(code, kind, lam, kap)
-        for lam, kap in _elementary_coeffs(len(left), len(right), len(aside), len(bside))
-    ]
+    lam_shape, kappa_shape = (len(left), len(right)), (len(aside), len(bside))
+    no_lam, no_kappa = BitMatrix.zeros(*lam_shape), BitMatrix.zeros(*kappa_shape)
+    vv = [_compose(code, kind, lam, no_kappa) for lam in unit_matrices(*lam_shape)]
+    return vv + [_compose(code, kind, no_lam, kap) for kap in unit_matrices(*kappa_shape)]
 
 
 def canonical_z_basis(code: HgpCode) -> list[CanonicalOp]:
@@ -235,8 +224,8 @@ def elementary_leg(code: HgpCode, op: CanonicalOp):
     along one line of its block's grid, and ``placement`` maps any parent
     vector onto that line. A Z operator's codeword is a word of H1 (bit-bit)
     or H2^T (check-check), an X operator's a word of H2 or H1^T."""
+    vv_left, vv_right, cc_left, cc_right = _fitted_ingredients(code, op.kind, op.lam, op.kappa)
     block, i, j = op.coefficient()
-    vv_left, vv_right, cc_left, cc_right = _ingredients(code, op.kind)
     left, right = (vv_left[i], vv_right[j]) if block == "vv" else (cc_left[i], cc_right[j])
     n, shift = code.n_qubits, 0 if block == "vv" else code.vv_count
     if (op.kind == "z") == (block == "vv"):  # the codeword is the left factor

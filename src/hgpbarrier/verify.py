@@ -44,7 +44,7 @@ from .codes import (
     ring_repetition,
 )
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, combine, mat_mul, rref, span
+from .f2core import BitMatrix, BitVec, combine, linear_table, mat_mul, rref, span, unit_matrices
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -404,6 +404,15 @@ def _canonical_z_values(code: HgpCode, cap: int) -> dict[int, int]:
     return {sel: tz.value(combine(zs, sel)) for sel in range(1, 1 << len(zs))}
 
 
+def _first_below(values: dict[int, int], floor, name: str) -> dict | None:
+    """Counterexample for the first selection whose value is below ``floor``,
+    which it reports under ``name``; None if there is none."""
+    for sel, val in values.items():
+        if val < floor:
+            return {"selection": sel, "barrier": val, name: floor}
+    return None
+
+
 def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Composite canonical operators cost at least the cheapest elementary one."""
     start = time.perf_counter()
@@ -411,11 +420,7 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     values = _canonical_z_values(code, cap)
     n_elem = len(canonical_z_basis(code))
     elementary_min = min(values[1 << i] for i in range(n_elem))
-    counter = None
-    for sel, val in values.items():
-        if val < elementary_min:
-            counter = {"selection": sel, "barrier": val, "elementary_min": elementary_min}
-            break
+    counter = _first_below(values, elementary_min, "elementary_min")
     details = {"elementary_min": elementary_min, "composite_min": min(values.values())}
     return _report("lemma3", instance, start, len(values), details, counter)
 
@@ -428,14 +433,7 @@ def _pack(rows, cols: int) -> int:
 def _packed_span(rows: int, cols: int, image) -> list[int]:
     """Entry _pack(M) is _pack(image(M)) for every rows x cols matrix M. image
     is linear, so the table is the XOR span of the images of the unit matrices."""
-    table = [0]
-    for j in range(rows * cols):
-        unit = [0] * rows
-        unit[j // cols] = 1 << (j % cols)
-        m = image(BitMatrix(rows, cols, tuple(unit)))
-        u = _pack(m.row_bits, m.cols)
-        table += [t ^ u for t in table]  # bit j of the index selects unit j
-    return table
+    return linear_table([_pack(m.row_bits, m.cols) for m in map(image, unit_matrices(rows, cols))])
 
 
 def _lemma4_pair(h1: ClassicalCode, h2: ClassicalCode, words: list[BitVec]):
@@ -516,11 +514,7 @@ def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: st
     d2t = _parent_barrier(code.h2.transpose(), cap)
     floor = min(d1, d2t)
     values = _canonical_z_values(code, cap)
-    counter = None
-    for sel, val in values.items():
-        if val < floor:
-            counter = {"selection": sel, "barrier": val, "floor": floor}
-            break
+    counter = _first_below(values, floor, "floor")
     details = {
         "delta_h1": _json_value(d1),
         "delta_h2t": _json_value(d2t),

@@ -11,6 +11,7 @@ from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import (
     CapExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     NoLogicals,
     NotAStabilizer,
     NotElementary,
@@ -523,3 +524,46 @@ class TestPathRecord:
         res = pauli_barrier_general(code, p)
         labels = {s["pauli_change"] for s in res.witness.steps_json()[1:]}
         assert labels <= {"X", "Z"}
+
+    @pytest.mark.parametrize("kind", ["bitvec", "pauli"])
+    def test_bad_steps_fail_export_and_validation(self, kind):
+        if kind == "bitvec":
+            state, energy = (lambda b: BitVec(3, b)), (lambda v: v.bits.bit_count())
+        else:
+            state, energy = (lambda b: PauliVec.z_type(BitVec(3, b))), PauliVec.weight
+        good = PathRecord((state(0), state(0b001), state(0b011)), (0, 1, 2), 2)
+        assert validate_path(good, energy)
+        assert [s["flipped_qubit"] for s in good.steps_json()] == [None, 0, 1]
+        repeated = PathRecord((state(0), state(0b001), state(0b001)), (0, 1, 1), 1)
+        two_qubits = PathRecord((state(0), state(0b011)), (0, 2), 2)
+        for bad in (repeated, two_qubits):
+            with pytest.raises(WitnessError):
+                bad.steps_json()
+            assert not validate_path(bad, energy)
+        wrong_energy = PathRecord(good.states, (0, 2, 2), 2)
+        assert not validate_path(wrong_energy, energy)
+
+    def test_y_step_is_one_qubit(self):
+        y = PauliVec(2, BitVec(2, 0b10), BitVec(2, 0b10))
+        record = PathRecord((PauliVec.identity(2), y), (0, 0), 0)
+        assert record.steps_json()[1]["flipped_qubit"] == 1
+        assert record.steps_json()[1]["pauli_change"] == "Y"
+        assert validate_path(record, lambda p: 0)
+
+
+class TestTableStateRange:
+    @pytest.mark.parametrize("which", ["classical", "sector", "pauli"])
+    def test_states_outside_the_table_raise(self, which):
+        table = {
+            "classical": lambda: classical_table(ring_repetition(8)),
+            "sector": lambda: sector_table(surface(), "z"),
+            "pauli": lambda: barrier_module._pauli_table(tiny_hgp()),
+        }[which]()
+        n = table.n_dim
+        for bits in (-1, 1 << n, (1 << n) + 1, 1 << (n + 8)):
+            with pytest.raises(IndexOutOfRange):
+                table.value(bits)
+            with pytest.raises(IndexOutOfRange):
+                table.path(bits)
+        top = (1 << n) - 1  # the last state in range still answers
+        assert table.path(top).max_energy == table.value(top)

@@ -305,6 +305,24 @@ def test_verify_all_stdout_is_pinned_for_more_seeds_and_formats(capsys, seed, fm
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "kind, fmt, digest",
+    [
+        ("classical", "json", "c9c3760416fbcb0e455484cf7aed0336c99e2837c1c28616955efddc23275e6e"),
+        ("classical", "text", "cd71582360fe5ce78d50d33cb13a1d3fa9cb8fcc5c28e4eea75689e40f88164d"),
+        ("quantum", "json", "84c7fbbf3ff81cbd34affa51fd4b3413f4a015a80f18554a593b82567cc3092e"),
+        ("quantum", "text", "edcf340d523f3ee8baebcd328050df4aed5bec10e643b31aab30e652f6810198"),
+    ],
+)
+def test_barrier_stdout_is_pinned(files, capsys, kind, fmt, digest):
+    # pins the value, explored count, witness steps and key order of both
+    # search reports, which verify all does not print
+    paths = [files / "ring3.alist"] + ([files / "open3.txt"] if kind == "quantum" else [])
+    code, out, _ = run(capsys, "barrier", kind, *paths, "--sector", "both", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_lemma4_rejects_paths(files, capsys):
     code, _, err = run(
         capsys, "verify", "lemma4", files / "open3.txt", files / "open3.txt"

@@ -15,6 +15,7 @@ from hgpbarrier.f2core import (
     in_row_space,
     kernel_basis,
     kron,
+    linear_table,
     mat_add,
     mat_mul,
     mat_vec,
@@ -24,6 +25,7 @@ from hgpbarrier.f2core import (
     rref,
     span,
     tensor_vec,
+    unit_matrices,
     vec_concat,
     vec_split,
     weight,
@@ -247,3 +249,19 @@ def test_span_yields_each_combination_once_in_gray_order(basis):
     # as a multiset, one entry per selection of basis vectors
     assert sorted(seq) == sorted(combine(basis, sel) for sel in range(1 << len(basis)))
     assert all(a ^ b in basis for a, b in zip(seq, seq[1:]))
+
+
+@given(packed_rows)
+def test_linear_table_entry_i_combines_the_images_bit_i_selects(images):
+    table = linear_table(images)
+    assert len(table) == 1 << len(images)
+    assert all(table[i] == combine(images, i) for i in range(len(table)))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 2), (0, 4), (4, 0)])
+def test_unit_matrices_are_one_hot_in_row_major_order(rows, cols):
+    mats = list(unit_matrices(rows, cols))
+    assert len(mats) == rows * cols
+    assert all((m.rows, m.cols) == (rows, cols) and weight(m) == 1 for m in mats)
+    # the one entry of matrix t sits at (t // cols, t % cols)
+    assert [flatten(m).bits for m in mats] == [1 << t for t in range(rows * cols)]

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgpbarrier.barrier import sweep_path_for_canonical
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
+from hgpbarrier.deform import find_activating_codeword
 from hgpbarrier.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -200,6 +202,19 @@ class TestElementaryLeg:
             op.coefficient()
         with pytest.raises(NotElementary):
             elementary_leg(code, op)
+
+    def test_operator_of_another_code_raises_shape_mismatch(self):
+        # toric operators carry 1x1 lam and kappa; tiny_2 has no check-check
+        # logicals, so every kappa of it is 0x0
+        tiny = build_hgp(open_repetition(2), open_repetition(2))
+        for op in canonical_z_basis(toric()) + canonical_x_basis(toric()):
+            with pytest.raises(ShapeMismatch):
+                elementary_leg(tiny, op)
+            with pytest.raises(ShapeMismatch):
+                sweep_path_for_canonical(tiny, op)
+            if op.kind == "z":
+                with pytest.raises(ShapeMismatch):
+                    find_activating_codeword(tiny, op)
 
 
 class TestClassify:

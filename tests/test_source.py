@@ -62,3 +62,24 @@ def test_perfbench_trace_targets_resolve():
         if obj is None:
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_all_lists_exactly_the_public_definitions():
+    # every name in a module's __all__ must exist, and every public function
+    # or class the module defines must be listed, so a new helper is either
+    # exported or named with a leading underscore
+    unresolved, unlisted = [], []
+    for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"hgpbarrier.{path.stem}")
+        if path.stem == "__init__" or not hasattr(module, "__all__"):
+            continue
+        unresolved += [f"{path.stem}.{name}" for name in module.__all__ if not hasattr(module, name)]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unlisted += [
+            f"{path.stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in module.__all__
+        ]
+    assert unresolved == [] and unlisted == []
