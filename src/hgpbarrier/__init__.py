@@ -39,7 +39,7 @@ from .codes import (
     random_ldpc,
     ring_repetition,
 )
-from .hgp import HgpCode, QuantumParams, build_hgp, css_check, hgp_parameters, qubit_index
+from .hgp import HgpCode, build_hgp, css_check, hgp_parameters, qubit_index
 from .logicals import (
     CanonicalOp,
     PauliClass,

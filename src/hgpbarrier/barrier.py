@@ -54,7 +54,7 @@ from .errors import (
 )
 from .f2core import BitMatrix, BitVec, linear_table, mat_vec, rref, weight
 from .hgp import HgpCode
-from .logicals import CanonicalOp, PauliVec, elementary_leg
+from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -111,8 +111,11 @@ class PathRecord:
 
 def _flip(prev, state) -> tuple[int, str]:
     """(qubit, "X", "Z" or "Y") of a step between two BitVec or two PauliVec
-    states; a BitVec step is an X flip. Raises WitnessError unless exactly
-    one qubit changes."""
+    states of one length; a BitVec step is an X flip. Raises WitnessError
+    unless both states have the same type and length and exactly one qubit
+    changes."""
+    if type(prev) is not type(state) or prev.n != state.n:
+        raise WitnessError(f"step from {prev!r} to {state!r} changes state type or length")
     if isinstance(state, PauliVec):
         dx, dz = prev.x.bits ^ state.x.bits, prev.z.bits ^ state.z.bits
     else:
@@ -133,7 +136,7 @@ class BarrierResult:
 
 
 class SyndromeEnergy:
-    """Energy of a state as weight(M x), with per-flip syndrome deltas."""
+    """Energy of a state as weight(M x)."""
 
     def __init__(self, rows: Sequence[int], n_dim: int):
         self.rows = tuple(rows)
@@ -147,14 +150,6 @@ class SyndromeEnergy:
         for r in self.rows:
             e += (r & bits).bit_count() & 1
         return e
-
-    def delta(self, move_mask: int) -> int:
-        """Syndrome XOR caused by flipping the coordinates in move_mask."""
-        d = 0
-        for i, r in enumerate(self.rows):
-            if (r & move_mask).bit_count() & 1:
-                d |= 1 << i
-        return d
 
 
 def energy_classical(c: ClassicalCode, x: BitVec) -> int:
@@ -194,16 +189,13 @@ def _lift_store(n_states: int, n_bits: int):
 def _energy_table(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
     """Syndrome weight of every n_dim-bit state, indexed by state.
 
-    The syndrome is linear in the state. The moves, each with its syndrome
-    above bit n_dim, span the whole state space, so their reduced row-echelon
-    form has a pivot in every column below n_dim, and its row i is unit
-    vector i with that vector's syndrome. The table is then spanned out, one
-    block of 2^lo states per value of the high bits, so no list of 2^n_dim
-    ints exists.
+    The syndrome is linear in the state, and every unit vector is a move (see
+    ``_syndrome_search``), so the move's delta is that vector's syndrome. The
+    table is then spanned out, one block of 2^lo states per value of the high
+    bits, so no list of 2^n_dim ints exists.
     """
-    rows = tuple(m | d << n_dim for m, d in zip(moves, deltas))
-    reduced = rref(BitMatrix(len(rows), n_dim + max_energy, rows)).rref.row_bits
-    unit = [r >> n_dim for r in reduced[:n_dim]]
+    syndrome = dict(zip(moves, deltas))
+    unit = [syndrome[1 << i] for i in range(n_dim)]
     lo = n_dim // 2
     low_syns, high_syns = linear_table(unit[:lo]), linear_table(unit[lo:])
     table = bytearray() if max_energy < 0xFF else array("H")
@@ -241,7 +233,9 @@ def _syndrome_search(
     lift_moves: Sequence[int] | None = None,
 ):
     """Core engine over the n_dim-bit states: move i XORs moves[i] into the
-    state and deltas[i] into the syndrome. target_pred(state, energy) or
+    state and deltas[i] into the syndrome, which must be linear in the
+    state. Every unit vector 1 << i must be among the moves, as the quotient
+    image of a free column's flip always is. target_pred(state, energy) or
     None to exhaust all states. With lift_moves, an exhaustive search also
     sets lifts[s] to the XOR of lift_moves along the search-tree path to
     each state s.
@@ -342,8 +336,7 @@ def _normalize_targets(targets, n_dim: int):
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
     if isinstance(targets, (BitVec, int)):
-        goal = targets.bits if isinstance(targets, BitVec) else targets
-        return lambda s, e: s == goal
+        targets = (targets,)
     goals = {t.bits if isinstance(t, BitVec) else int(t) for t in targets}
     return lambda s, e: s in goals
 
@@ -475,10 +468,10 @@ class MinimaxTable:
 
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
     leaves the energy unchanged (the empty group for classical tables, where
-    quotient states are the vectors themselves), along the full-space masks
-    ``moves``. ``best``, ``pred`` and ``explored`` count quotient states;
-    ``lifts``, ``basis`` and ``edges`` hold the voltage bookkeeping that
-    recovers each vector's exact value.
+    quotient states are the vectors themselves), under unit flips: move q
+    flips coordinate q. ``best``, ``pred`` and ``explored`` count quotient
+    states; ``lifts``, ``basis`` and ``edges`` hold the voltage bookkeeping
+    that recovers each vector's exact value.
     """
 
     n_dim: int
@@ -487,7 +480,6 @@ class MinimaxTable:
     pred: object = field(repr=False)
     explored: int
     quotient: _Quotient = field(repr=False)
-    moves: tuple[int, ...] = field(repr=False)
     images: tuple[int, ...] = field(repr=False)  # quotient image of each move
     lifts: object = field(default=None, repr=False)
     basis: tuple = field(default=(), repr=False)
@@ -519,50 +511,45 @@ class MinimaxTable:
             if (used >> j) & 1:
                 flips += tree(u) + [q] + tree(v)[::-1]
         flips += tree(state)
-        record = _walk((self.moves[q] for q in flips), self.n_dim, self.energy.bits_energy)
+        record = _walk((1 << q for q in flips), self.n_dim, self.energy.bits_energy)
         if record.states[-1].bits != bits:
             raise WitnessError(f"table walk ends at {record.states[-1].bits:#x}, not at {bits:#x}")
         return record
 
 
 class _Inputs(NamedTuple):
-    """What a search over F2^n / rowspace(S) along full-space move masks needs."""
+    """What a search over F2^n / rowspace(S) under unit flips needs; move q
+    flips coordinate q."""
 
     quotient: _Quotient
     energy: SyndromeEnergy
-    moves: tuple[int, ...]
     images: tuple[int, ...]  # quotient image of each move
     lift_moves: tuple[int, ...] | None  # lift coordinates of each move; None if S = 0
-    deltas: tuple[int, ...]  # syndrome change of each move
+    deltas: tuple[int, ...]  # syndrome change of each move: a column of the check matrix
 
 
 @lru_cache(maxsize=256)
-def _search_inputs(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None) -> _Inputs:
-    """Search inputs over F2^n / rowspace(stab_rows) along the full-space
-    move masks ``moves`` (unit vectors when None), cached per argument tuple."""
-    moves = moves or tuple(1 << q for q in range(n))
+def _search_inputs(rows: tuple, stab_rows: tuple, n: int) -> _Inputs:
+    """Search inputs over F2^n / rowspace(stab_rows), cached per argument tuple."""
     quotient = _quotient(stab_rows, n)
-    energy = SyndromeEnergy(rows, n)
-    splits = [quotient.split(m) for m in moves]
+    splits = [quotient.split(1 << q) for q in range(n)]
     lift_moves = tuple(lift for _, lift in splits) if quotient.rank else None
-    deltas = tuple(energy.delta(m) for m in moves)
-    return _Inputs(quotient, energy, moves, tuple(s for s, _ in splits), lift_moves, deltas)
+    deltas = BitMatrix(len(rows), n, rows).transpose().row_bits
+    images = tuple(s for s, _ in splits)
+    return _Inputs(quotient, SyndromeEnergy(rows, n), images, lift_moves, deltas)
 
 
 @lru_cache(maxsize=64)
-def _table(rows: tuple, stab_rows: tuple, n: int, moves: tuple | None = None) -> MinimaxTable:
-    """Exhaustive table over F2^n / rowspace(stab_rows) along the full-space
-    move masks ``moves`` (unit vectors by default); callers check the cap."""
-    quotient, energy, moves, images, lift_moves, deltas = _search_inputs(rows, stab_rows, n, moves)
+def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
+    """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
+    quotient, energy, images, lift_moves, deltas = _search_inputs(rows, stab_rows, n)
     _, best, pred, lifts, explored = _syndrome_search(
         quotient.dim, images, deltas, len(rows), None, 1 << quotient.dim, lift_moves
     )
     basis = edges = ()
     if lifts is not None:
         basis, edges = _voltage_basis(best, lifts, images, lift_moves, quotient.rank)
-    return MinimaxTable(
-        n, energy, best, pred, explored, quotient, moves, images, lifts, basis, edges
-    )
+    return MinimaxTable(n, energy, best, pred, explored, quotient, images, lifts, basis, edges)
 
 
 def _target_search(rows, stab_rows, n: int, target_pred, cap: int) -> BarrierResult:
@@ -570,11 +557,11 @@ def _target_search(rows, stab_rows, n: int, target_pred, cap: int) -> BarrierRes
     with target_pred(state, energy). The witness is the lifted tree path, so
     it ends at one n-bit vector of that state; with no stabilizers the
     quotient states are the vectors themselves."""
-    inputs = _search_inputs(rows, stab_rows, n, None)
+    inputs = _search_inputs(rows, stab_rows, n)
     state, best, pred, _, explored = _syndrome_search(
         inputs.quotient.dim, inputs.images, inputs.deltas, len(rows), target_pred, cap
     )
-    masks = (inputs.moves[mi] for mi in _tree_moves(state, pred, inputs.images))
+    masks = (1 << mi for mi in _tree_moves(state, pred, inputs.images))
     record = _walk(masks, n, inputs.energy.bits_energy)
     return BarrierResult(best[state], record, record.states[-1], explored)
 
@@ -591,12 +578,7 @@ def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTa
 def _sector_matrices(code: HgpCode, sector: str) -> tuple[BitMatrix, BitMatrix]:
     """(check matrix, stabilizer matrix) of a CSS sector: z-space is checked
     by HX and taken modulo the rows of HZ, x-space the other way round."""
-    s = sector.lower()
-    if s == "z":
-        return code.hx, code.hz
-    if s == "x":
-        return code.hz, code.hx
-    raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z' or 'x'")
+    return (code.hx, code.hz) if _is_z(sector.lower()) else (code.hz, code.hx)
 
 
 def sector_table(code: HgpCode, sector: str, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
@@ -649,13 +631,12 @@ def quantum_barrier(
 
 @lru_cache(maxsize=64)
 def _pauli_inputs(code: HgpCode) -> tuple:
-    """``_table`` arguments for states x | z << n under the 2n X and Z flips,
-    modulo HX on x and HZ on z. Cached per code; the table itself lives
-    only in ``_table``'s cache."""
+    """``_table`` arguments for states x | z << n, modulo HX on x and HZ on z:
+    move q < n is an X flip of qubit q, move n + q a Z flip. Cached per code;
+    the table itself lives only in ``_table``'s cache."""
     n = code.n_qubits
     rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
-    moves = tuple(m for q in range(n) for m in (1 << q, 1 << (n + q)))
-    return rows, _generators(code), 2 * n, moves
+    return rows, _generators(code), 2 * n
 
 
 def _generators(code: HgpCode) -> tuple[int, ...]:

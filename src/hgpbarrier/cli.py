@@ -59,24 +59,19 @@ def _load_code(path: str, fmt: str | None) -> ClassicalCode:
 
 
 def _text_lines(obj, indent: str = "") -> list[str]:
+    """A dict or list as indented lines: "key: value" per dict entry, "- value"
+    per list item, a nested dict or list under its bare label."""
     lines = []
     if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.extend(_text_lines(val, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {val}")
-    elif isinstance(obj, list):
-        for val in obj:
-            if isinstance(val, (dict, list)):
-                lines.append(f"{indent}-")
-                lines.extend(_text_lines(val, indent + "  "))
-            else:
-                lines.append(f"{indent}- {val}")
+        labelled = ((f"{key}:", val) for key, val in obj.items())
     else:
-        lines.append(f"{indent}{obj}")
+        labelled = (("-", val) for val in obj)
+    for label, val in labelled:
+        if isinstance(val, (dict, list)):
+            lines.append(indent + label)
+            lines.extend(_text_lines(val, indent + "  "))
+        else:
+            lines.append(f"{indent}{label} {val}")
     return lines
 
 
@@ -151,6 +146,9 @@ def cmd_barrier(args) -> int:
         if len(args.paths) != 1:
             _emit_error("usage", "barrier classical takes exactly one matrix file")
             return EXIT_USAGE
+        if args.sector != "both":
+            _emit_error("usage", f"barrier classical has no {args.sector} sector")
+            return EXIT_USAGE
         c = _load_code(args.paths[0], args.fmt)
         _print_result({"kind": "classical"}, classical_barrier(c, args.cap), args.format)
         return EXIT_OK
@@ -210,12 +208,11 @@ def cmd_verify(args) -> int:
         _emit_error("usage", "verify takes zero or two matrix files")
         return EXIT_USAGE
     if args.claim == "all":
-        reports, _ = run_all(seed=args.seed, cap=args.cap, pauli_cap=args.cap)
+        reports, _ = run_all(seed=args.seed, cap=args.cap)
     else:
         pair = tuple(_load_code(p, args.fmt) for p in args.paths) or None
         reports = run_claim(
-            args.claim, seed=args.seed, cap=args.cap, pauli_cap=args.cap,
-            pair=pair, instance=" x ".join(args.paths),
+            args.claim, seed=args.seed, cap=args.cap, pair=pair, instance=" x ".join(args.paths)
         )
     summary = summarize(reports)
     if args.format == "json":

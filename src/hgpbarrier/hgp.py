@@ -16,26 +16,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .codes import DEFAULT_ENUM_CAP, ClassicalCode
+from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
 from .errors import IndexOutOfRange, NoLogicals
 from .f2core import BitMatrix, hstack, kron, mat_mul, weight
 
 __all__ = [
     "HgpCode",
-    "QuantumParams",
     "build_hgp",
     "css_check",
     "hgp_parameters",
     "qubit_index",
     "index_to_block",
 ]
-
-
-@dataclass(frozen=True)
-class QuantumParams:
-    n: int
-    k: int
-    d: int | float
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ def css_check(code: HgpCode) -> bool:
     return mat_mul(code.hx, code.hz.transpose()).is_zero()
 
 
-def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> QuantumParams:
+def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
     """[[n, k, d]] from the parent code parameters.
 
     k = k1*k2 + k1T*k2T. The distance is the minimum over the four parent
@@ -117,7 +109,7 @@ def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> QuantumParams:
     d = min(p.parameters(cap).d for p in parents)
     if d == math.inf:
         raise NoLogicals("all four parent codes are trivial")
-    return QuantumParams(code.n_qubits, code.k, d)
+    return CodeParams(code.n_qubits, code.k, d)
 
 
 def qubit_index(code: HgpCode, block: str, a: int, b: int) -> int:

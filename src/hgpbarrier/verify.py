@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, product
 
 from .barrier import (
@@ -103,20 +103,26 @@ class VerifyReport:
     def to_json_dict(self) -> dict:
         # elapsed is intentionally dropped: report streams must be identical
         # across repeated runs with the same seed
-        out = {
-            "claim": self.claim,
-            "instance": self.instance,
-            "status": self.status,
-            "checked": self.checked,
-            "details": self.details,
-            "counterexample": self.counterexample,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = asdict(self)
+        del out["elapsed"]
+        if self.seed is None:
+            del out["seed"]
         return out
 
 
 # -- instance registries -------------------------------------------------------
+
+# parent pairs of the registry products; rect_4_3 (18 qubits) is main's alone
+_PARENTS = {
+    "toric_3": (ring_repetition(3), ring_repetition(3)),
+    "surface_3": (open_repetition(3), open_repetition(3)),
+    "tiny_2": (open_repetition(2), open_repetition(2)),
+    "ring_2": (ring_repetition(2), ring_repetition(2)),
+    "rect_2_3": (open_repetition(2), open_repetition(3)),
+    "rect_3_2": (open_repetition(3), open_repetition(2)),
+    "rect_4_3": (open_repetition(4), open_repetition(3)),
+}
+
 
 def classical_instances(seed: int = 0) -> dict[str, ClassicalCode]:
     out: dict[str, ClassicalCode] = {}
@@ -135,14 +141,7 @@ def quantum_instances() -> dict[str, HgpCode]:
     ring_2 has transposed-side logicals (check-check block); the chain
     products have none; the mixed rectangles vary n1/n2 asymmetry.
     """
-    return {
-        "toric_3": build_hgp(ring_repetition(3), ring_repetition(3)),
-        "surface_3": build_hgp(open_repetition(3), open_repetition(3)),
-        "tiny_2": build_hgp(open_repetition(2), open_repetition(2)),
-        "ring_2": build_hgp(ring_repetition(2), ring_repetition(2)),
-        "rect_2_3": build_hgp(open_repetition(2), open_repetition(3)),
-        "rect_3_2": build_hgp(open_repetition(3), open_repetition(2)),
-    }
+    return {name: build_hgp(*pair) for name, pair in _PARENTS.items() if name != "rect_4_3"}
 
 
 def lemma4_default_family() -> list[tuple[ClassicalCode, ClassicalCode]]:
@@ -626,6 +625,7 @@ _CLAIM_INSTANCES = {
     "lemma3": ("surface_3", "toric_3", "ring_2", "rect_2_3"),
     "prop1": ("tiny_2", "rect_2_3", "ring_2", "surface_3", "toric_3"),
     "css-restriction": ("tiny_2", "rect_2_3", "rect_3_2", "ring_2"),
+    "main": ("toric_3", "surface_3", "rect_2_3", "ring_2", "rect_4_3"),
 }
 
 
@@ -633,7 +633,6 @@ def run_claim(
     claim: str,
     seed: int = 0,
     cap: int = DEFAULT_STATE_CAP,
-    pauli_cap: int = DEFAULT_PAULI_CAP,
     pair: tuple[ClassicalCode, ClassicalCode] | None = None,
     instance: str = "",
 ) -> list[VerifyReport]:
@@ -646,18 +645,12 @@ def run_claim(
         if pair is not None:
             raise ValueError("lemma4 runs on its built-in family only")
         return [check_lemma4(cap=cap)]
+    if pair is not None:
+        pairs = {instance: pair}
+    else:
+        pairs = {name: _PARENTS[name] for name in _CLAIM_INSTANCES[claim]}
     if claim == "main":
-        pairs = {instance: pair} if pair is not None else {
-            "toric_3": (ring_repetition(3), ring_repetition(3)),
-            "surface_3": (open_repetition(3), open_repetition(3)),
-            "rect_2_3": (open_repetition(2), open_repetition(3)),
-            "ring_2": (ring_repetition(2), ring_repetition(2)),
-            "rect_4_3": (open_repetition(4), open_repetition(3)),
-        }
-        return [
-            check_main_equality(h1, h2, cap, instance=name)
-            for name, (h1, h2) in pairs.items()
-        ]
+        return [check_main_equality(*pair, cap, instance=name) for name, pair in pairs.items()]
     check = {
         "lemma1": lambda code, name: check_lemma1(code, cap, instance=name),
         "thm1": lambda code, name: check_theorem1(
@@ -666,14 +659,9 @@ def run_claim(
         "lemma2": lambda code, name: check_lemma2(code, cap, instance=name),
         "lemma3": lambda code, name: check_lemma3(code, cap, instance=name),
         "prop1": lambda code, name: check_proposition1(code, cap, instance=name),
-        "css-restriction": lambda code, name: check_css_restriction(
-            code, pauli_cap, instance=name
-        ),
+        "css-restriction": lambda code, name: check_css_restriction(code, cap, instance=name),
     }[claim]
-    if pair is not None:
-        return [check(build_hgp(*pair), instance)]
-    inst = quantum_instances()
-    return [check(inst[name], name) for name in _CLAIM_INSTANCES[claim]]
+    return [check(build_hgp(*pair), name) for name, pair in pairs.items()]
 
 
 def summarize(reports: list[VerifyReport]) -> dict:
@@ -685,12 +673,8 @@ def summarize(reports: list[VerifyReport]) -> dict:
     }
 
 
-def run_all(
-    seed: int = 0,
-    cap: int = DEFAULT_STATE_CAP,
-    pauli_cap: int = DEFAULT_PAULI_CAP,
-) -> tuple[list[VerifyReport], dict]:
+def run_all(seed: int = 0, cap: int = DEFAULT_STATE_CAP) -> tuple[list[VerifyReport], dict]:
     reports = []
     for claim in CLAIMS:
-        reports.extend(run_claim(claim, seed=seed, cap=cap, pauli_cap=pauli_cap))
+        reports.extend(run_claim(claim, seed=seed, cap=cap))
     return reports, summarize(reports)

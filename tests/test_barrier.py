@@ -29,6 +29,7 @@ from hgpbarrier.logicals import (
     canonical_x_basis,
     canonical_z_basis,
     classify,
+    enumerate_x_logicals,
     enumerate_z_logicals,
 )
 from hgpbarrier.verify import quantum_instances
@@ -271,6 +272,18 @@ class TestPauliGeneral:
             full = pauli_barrier_general(code, p)
             assert full.value == table.value(p.z.bits)
             assert validate_path(full.witness, lambda q: energy_quantum(code, q))
+
+    @pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
+    def test_every_pure_logical_matches_its_sector_with_a_valid_witness(self, name):
+        code = quantum_instances()[name]
+        energy = lambda q: energy_quantum(code, q)
+        for kind, logicals in (("z", enumerate_z_logicals), ("x", enumerate_x_logicals)):
+            table = sector_table(code, kind)
+            for p in logicals(code):
+                full = pauli_barrier_general(code, p)
+                assert full.value == table.value(p.part(kind).bits)
+                assert validate_path(full.witness, energy)
+                assert full.witness.states[-1] == p
 
     def test_matches_exhaustive_bfs_oracle(self):
         code = tiny_hgp()
@@ -542,6 +555,19 @@ class TestPathRecord:
             assert not validate_path(bad, energy)
         wrong_energy = PathRecord(good.states, (0, 2, 2), 2)
         assert not validate_path(wrong_energy, energy)
+
+    def test_steps_between_states_of_different_types_or_lengths_fail(self):
+        one_x = PauliVec.x_type(BitVec(2, 1))
+        for states in [
+            (BitVec(2), BitVec(3, 1)),
+            (PauliVec.identity(2), PauliVec.x_type(BitVec(3, 1))),
+            (BitVec(2), one_x),
+            (PauliVec.identity(2), BitVec(2, 1)),
+        ]:
+            record = PathRecord(states, (0, 0), 0)
+            with pytest.raises(WitnessError):
+                record.steps_json()
+            assert not validate_path(record, lambda s: 0)
 
     def test_y_step_is_one_qubit(self):
         y = PauliVec(2, BitVec(2, 0b10), BitVec(2, 0b10))

@@ -33,6 +33,10 @@ def files(tmp_path_factory):
     return d
 
 
+INFO_TEXT_DIGEST = "5108ed520954c741e621044dc2afadb8e9131866ccc5a5f3ea57d0f3a3e199f1"
+HGP_TEXT_DIGEST = "cb76f06b88995559370f91be4553d2ff2c9ee05b5349b22611644c14b228c819"
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -51,6 +55,12 @@ def test_info_text(files, capsys):
     code, out, _ = run(capsys, "info", files / "ring5.alist", "--format", "text")
     assert code == 0
     assert "n: 5" in out and "d: 5" in out
+
+
+def test_info_text_is_pinned(files, capsys):
+    code, out, _ = run(capsys, "info", files / "ring5.alist", "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INFO_TEXT_DIGEST
 
 
 def test_info_trivial_code_null_distance(files, capsys):
@@ -123,6 +133,15 @@ def test_barrier_canonical_mixed(files, capsys):
     assert rep == {"kind": "canonical", "sector": "both", "value": 1, "z": 2, "x": 1}
 
 
+@pytest.mark.parametrize("sector", ["z", "x"])
+def test_barrier_classical_rejects_a_sector(files, capsys, sector):
+    code, out, err = run(
+        capsys, "barrier", "classical", files / "ring3.alist", "--sector", sector
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_barrier_wrong_path_count(files, capsys):
     code, _, err = run(
         capsys, "barrier", "classical", files / "ring3.alist", files / "open3.txt"
@@ -176,6 +195,18 @@ def test_hgp_trivial_product(files, capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["params"]["k"] == 0 and rep["params"]["d"] is None
+
+
+def test_hgp_text_is_pinned(files, capsys, tmp_path, monkeypatch):
+    # the text form of a report with a nested dict; a relative prefix keeps
+    # the printed file names fixed
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        capsys, "hgp", files / "ring3.alist", files / "open3.txt", "--out", "prod",
+        "--format", "text",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HGP_TEXT_DIGEST
 
 
 # -- logicals -------------------------------------------------------------------

@@ -83,3 +83,44 @@ def test_all_lists_exactly_the_public_definitions():
             and node.name not in module.__all__
         ]
     assert unresolved == [] and unlisted == []
+
+
+def _private_definitions(stmt) -> list[str]:
+    """Private, non-dunder names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced_names(node) -> set[str]:
+    """Names read anywhere under node, as bare names or as attributes."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_private_definition_is_used():
+    # a helper that a merge left behind is referenced nowhere in the package
+    # outside its own definition (a recursive call inside it does not count)
+    statements = [
+        (path.name, stmt)
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    uses = [_referenced_names(stmt) for _, stmt in statements]
+    unused = [
+        f"{module}:{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _private_definitions(stmt)
+        if not any(name in names for j, names in enumerate(uses) if j != i)
+    ]
+    assert unused == []
