@@ -38,8 +38,9 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache, reduce
+from operator import xor
+from typing import Callable, Iterable, Sequence
 
 from .codes import ClassicalCode
 from .errors import (
@@ -151,6 +152,15 @@ class SyndromeEnergy:
             e += (r & bits).bit_count() & 1
         return e
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Syndrome change of each unit flip: the check matrix's columns."""
+        return BitMatrix(len(self.rows), self.n_dim, self.rows).transpose().row_bits
+
+
+# one SyndromeEnergy per (rows, n_dim), so each keeps its columns across searches
+_energy = lru_cache(maxsize=256)(SyndromeEnergy)
+
 
 def energy_classical(c: ClassicalCode, x: BitVec) -> int:
     if x.n != c.n:
@@ -164,17 +174,10 @@ def energy_quantum(code: HgpCode, p: PauliVec) -> int:
     return weight(mat_vec(code.hx, p.z)) + weight(mat_vec(code.hz, p.x))
 
 
-def _make_tables(n_states: int, n_moves: int, max_energy: int):
-    # byte maps when values fit, 16-bit arrays otherwise; 0xFF/0xFFFF = unseen
-    if max_energy < 0xFF:
-        best = bytearray(b"\xff" * n_states)
-    else:
-        best = array("H", [0xFFFF] * n_states)
-    if n_moves < 0xFF:
-        pred = bytearray(b"\xff" * n_states)
-    else:
-        pred = array("H", [0xFFFF] * n_states)
-    return best, pred
+def _unseen(n_states: int, top: int):
+    """Per-state map for values up to ``top``, every entry unseen: a byte
+    map of 0xFF when they fit, a 16-bit array of 0xFFFF otherwise."""
+    return bytearray(b"\xff" * n_states) if top < 0xFF else array("H", [0xFFFF] * n_states)
 
 
 def _lift_store(n_states: int, n_bits: int):
@@ -255,7 +258,7 @@ def _syndrome_search(
     """
     if (1 << n_dim) > cap:
         raise CapExceeded(f"2^{n_dim} states exceed cap {cap}")
-    best, pred = _make_tables(1 << n_dim, len(moves), max_energy)
+    best, pred = _unseen(1 << n_dim, max_energy), _unseen(1 << n_dim, len(moves))
     best[0] = 0
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
     indexed = tuple(enumerate(moves))
@@ -322,22 +325,33 @@ def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
     return seq
 
 
-def _walk(masks: Iterable[int], n_dim: int, energy_bits) -> PathRecord:
-    """The walk from zero that XORs in each mask in turn, with the energy
-    ``energy_bits`` gives each n_dim-bit state."""
+def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecord:
+    """The walk from zero that flips each coordinate in turn, with the
+    energy of each packed state; ``state`` makes the recorded state from the
+    packed bits, an ``energy.n_dim``-bit BitVec by default."""
     seq = [0]
-    for m in masks:
-        seq.append(seq[-1] ^ m)
-    energies = tuple(energy_bits(b) for b in seq)
-    return PathRecord(tuple(BitVec(n_dim, b) for b in seq), energies, max(energies))
+    for q in flips:
+        seq.append(seq[-1] ^ (1 << q))
+    energies = tuple(map(energy.bits_energy, seq))
+    state = state or (lambda b: BitVec(energy.n_dim, b))
+    return PathRecord(tuple(map(state, seq)), energies, max(energies))
 
 
 def _normalize_targets(targets, n_dim: int):
+    """A target predicate over packed states; a BitVec of another length or
+    an int outside [0, 2^n_dim) is rejected before any search."""
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
     if isinstance(targets, (BitVec, int)):
         targets = (targets,)
-    goals = {t.bits if isinstance(t, BitVec) else int(t) for t in targets}
+    goals = set()
+    for t in targets:
+        if isinstance(t, BitVec) and t.n != n_dim:
+            raise DimensionMismatch(f"target of length {t.n}, search over {n_dim} dims")
+        bits = t.bits if isinstance(t, BitVec) else int(t)
+        if not 0 <= bits < 1 << n_dim:
+            raise IndexOutOfRange(f"target {bits:#x} outside [0, 2^{n_dim})")
+        goals.add(bits)
     return lambda s, e: s in goals
 
 
@@ -356,7 +370,7 @@ def bottleneck_search(
         raise TypeError(f"energy must be a SyndromeEnergy, got {type(energy).__name__}")
     if energy.n_dim != n_dim:
         raise DimensionMismatch(f"energy over {energy.n_dim} dims, search over {n_dim}")
-    return _target_search(energy.rows, (), n_dim, _normalize_targets(targets, n_dim), cap)
+    return _target_search(energy, (), _normalize_targets(targets, n_dim), cap)
 
 
 @dataclass(frozen=True)
@@ -368,15 +382,15 @@ class _Quotient:
     on the pivots. The quotient state of z packs f's free columns, low to
     high; its lift coordinates are z's pivot bits, bit i standing for R_i.
     Both maps are linear, so ``split`` reads them off per-byte tables.
+    ``images`` and ``lift_moves`` hold both maps of each unit flip; with
+    no stabilizers there are no lift coordinates, and ``lift_moves`` is None.
     """
 
-    n: int
+    dim: int  # n - rank S
     rank: int
     byte_tables: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.n - self.rank
+    images: tuple[int, ...] = field(repr=False)
+    lift_moves: tuple[int, ...] | None = field(repr=False)
 
     def split(self, bits: int) -> tuple[int, int]:
         """(quotient state, lift coordinates) of an n-bit vector."""
@@ -390,22 +404,23 @@ class _Quotient:
 @lru_cache(maxsize=256)
 def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
     res = rref(BitMatrix(len(stab_rows), n, stab_rows))
-    pivots = res.pivot_cols
-    free = [q for q in range(n) if q not in set(pivots)]
-    packed = {q: 1 << i for i, q in enumerate(free)}
+    dim = n - res.rank
+    packed = {q: 1 << i for i, q in enumerate(res.free_cols)}
     words = [packed.get(q, 0) for q in range(n)]  # e_q: image | lift << dim
-    for i, p in enumerate(pivots):
+    for i, p in enumerate(res.pivot_cols):
         row = res.rref.row_bits[i]
-        words[p] = sum(b for q, b in packed.items() if (row >> q) & 1) | (1 << (len(free) + i))
+        words[p] = sum(b for q, b in packed.items() if (row >> q) & 1) | (1 << (dim + i))
     tables = tuple(tuple(linear_table(words[base : base + 8])) for base in range(0, n, 8))
-    return _Quotient(n, res.rank, tables)
+    images = tuple(w & ((1 << dim) - 1) for w in words)
+    lift_moves = tuple(w >> dim for w in words) if res.rank else None
+    return _Quotient(dim, res.rank, tables, images, lift_moves)
 
 
-def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
-    quotient = _quotient(stab_rows, n)
-    if (1 << quotient.dim) > cap:
-        raise CapExceeded(f"2^{quotient.dim} quotient states exceed cap {cap}")
-    return quotient
+def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> None:
+    """Raise CapExceeded unless F2^n / rowspace(stab_rows) has at most cap states."""
+    dim = _quotient(stab_rows, n).dim
+    if (1 << dim) > cap:
+        raise CapExceeded(f"2^{dim} quotient states exceed cap {cap}")
 
 
 def _reduce(basis, x: int) -> tuple[int, int, int]:
@@ -430,7 +445,7 @@ def _states_at(best, level: int):
         return
 
 
-def _voltage_basis(best, lifts, moves, lift_moves, rank: int):
+def _voltage_basis(best, lifts, quotient: _Quotient):
     """Tagged echelon basis of the voltages, edges taken in level order.
 
     An edge (u, q, v) lies at level max(best u, best v) and carries the
@@ -442,6 +457,7 @@ def _voltage_basis(best, lifts, moves, lift_moves, rank: int):
     by leading bit, highest first; ``edges`` lists the (u, q, v) behind each
     accepted voltage, and "edges used" is a bitmask over that list.
     """
+    moves, lift_moves = quotient.images, quotient.lift_moves
     basis, edges = [], []
     for t in range(max(best) + 1):
         for u in _states_at(best, t):
@@ -457,7 +473,7 @@ def _voltage_basis(best, lifts, moves, lift_moves, rank: int):
                     basis.append((g, t, used ^ (1 << len(edges))))
                     basis.sort(reverse=True)
                     edges.append((u, q, v))
-                    if len(edges) == rank:
+                    if len(edges) == quotient.rank:
                         return tuple(basis), tuple(edges)
     return tuple(basis), tuple(edges)
 
@@ -470,8 +486,8 @@ class MinimaxTable:
     leaves the energy unchanged (the empty group for classical tables, where
     quotient states are the vectors themselves), under unit flips: move q
     flips coordinate q. ``best``, ``pred`` and ``explored`` count quotient
-    states; ``lifts``, ``basis`` and ``edges`` hold the voltage bookkeeping
-    that recovers each vector's exact value.
+    states. ``value`` reads ``best``, the tree ``lifts`` and the voltage
+    ``basis``; the witness flips (``_flips``) also walk ``pred`` and ``edges``.
     """
 
     n_dim: int
@@ -480,7 +496,6 @@ class MinimaxTable:
     pred: object = field(repr=False)
     explored: int
     quotient: _Quotient = field(repr=False)
-    images: tuple[int, ...] = field(repr=False)  # quotient image of each move
     lifts: object = field(default=None, repr=False)
     basis: tuple = field(default=(), repr=False)
     edges: tuple = field(default=(), repr=False)
@@ -500,70 +515,54 @@ class MinimaxTable:
         return max(self.best[state], level)
 
     def path(self, bits: int) -> PathRecord:
-        """Peak-optimal walk to ``bits``: a loop around the fundamental cycle
-        of each voltage used, then the lifted tree path. Every loop state is
-        a stabilizer translate of a state at or below the loop's level."""
+        """Peak-optimal walk to ``bits``, through the flips of ``_flips``."""
+        return _walk(self._flips(bits), self.energy)
+
+    def _flips(self, bits: int) -> list[int]:
+        """Coordinates flipped, in order, by a peak-optimal walk to ``bits``:
+        a loop around the fundamental cycle of each voltage used, then the
+        lifted tree path. Every loop state is a stabilizer translate of a
+        state at or below the loop's level."""
         state, stab = self._fiber(bits)
         _, _, used = _reduce(self.basis, stab)
-        tree = lambda s: _tree_moves(s, self.pred, self.images)
+        tree = lambda s: _tree_moves(s, self.pred, self.quotient.images)
         flips = []
         for j, (u, q, v) in enumerate(self.edges):
             if (used >> j) & 1:
                 flips += tree(u) + [q] + tree(v)[::-1]
         flips += tree(state)
-        record = _walk((1 << q for q in flips), self.n_dim, self.energy.bits_energy)
-        if record.states[-1].bits != bits:
-            raise WitnessError(f"table walk ends at {record.states[-1].bits:#x}, not at {bits:#x}")
-        return record
-
-
-class _Inputs(NamedTuple):
-    """What a search over F2^n / rowspace(S) under unit flips needs; move q
-    flips coordinate q."""
-
-    quotient: _Quotient
-    energy: SyndromeEnergy
-    images: tuple[int, ...]  # quotient image of each move
-    lift_moves: tuple[int, ...] | None  # lift coordinates of each move; None if S = 0
-    deltas: tuple[int, ...]  # syndrome change of each move: a column of the check matrix
-
-
-@lru_cache(maxsize=256)
-def _search_inputs(rows: tuple, stab_rows: tuple, n: int) -> _Inputs:
-    """Search inputs over F2^n / rowspace(stab_rows), cached per argument tuple."""
-    quotient = _quotient(stab_rows, n)
-    splits = [quotient.split(1 << q) for q in range(n)]
-    lift_moves = tuple(lift for _, lift in splits) if quotient.rank else None
-    deltas = BitMatrix(len(rows), n, rows).transpose().row_bits
-    images = tuple(s for s, _ in splits)
-    return _Inputs(quotient, SyndromeEnergy(rows, n), images, lift_moves, deltas)
+        end = reduce(xor, (1 << q for q in flips), 0)
+        if end != bits:
+            raise WitnessError(f"table walk ends at {end:#x}, not at {bits:#x}")
+        return flips
 
 
 @lru_cache(maxsize=64)
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
-    quotient, energy, images, lift_moves, deltas = _search_inputs(rows, stab_rows, n)
+    quotient, energy = _quotient(stab_rows, n), _energy(rows, n)
+    states = 1 << quotient.dim
     _, best, pred, lifts, explored = _syndrome_search(
-        quotient.dim, images, deltas, len(rows), None, 1 << quotient.dim, lift_moves
+        quotient.dim, quotient.images, energy.columns, len(rows), None, states, quotient.lift_moves
     )
-    basis = edges = ()
-    if lifts is not None:
-        basis, edges = _voltage_basis(best, lifts, images, lift_moves, quotient.rank)
-    return MinimaxTable(n, energy, best, pred, explored, quotient, images, lifts, basis, edges)
+    basis, edges = _voltage_basis(best, lifts, quotient) if lifts is not None else ((), ())
+    return MinimaxTable(n, energy, best, pred, explored, quotient, lifts, basis, edges)
 
 
-def _target_search(rows, stab_rows, n: int, target_pred, cap: int) -> BarrierResult:
+def _target_search(
+    energy: SyndromeEnergy, stab_rows: tuple, target_pred, cap: int, state=None
+) -> BarrierResult:
     """Nearest quotient state of F2^n / rowspace(stab_rows) under unit flips
     with target_pred(state, energy). The witness is the lifted tree path, so
-    it ends at one n-bit vector of that state; with no stabilizers the
-    quotient states are the vectors themselves."""
-    inputs = _search_inputs(rows, stab_rows, n)
-    state, best, pred, _, explored = _syndrome_search(
-        inputs.quotient.dim, inputs.images, inputs.deltas, len(rows), target_pred, cap
+    it ends at one n-bit vector of that state (recorded through ``state``,
+    as in ``_walk``); with no stabilizers the quotient states are the
+    vectors themselves."""
+    quotient = _quotient(stab_rows, energy.n_dim)
+    end, best, pred, _, explored = _syndrome_search(
+        quotient.dim, quotient.images, energy.columns, len(energy.rows), target_pred, cap
     )
-    masks = (1 << mi for mi in _tree_moves(state, pred, inputs.images))
-    record = _walk(masks, n, inputs.energy.bits_energy)
-    return BarrierResult(best[state], record, record.states[-1], explored)
+    record = _walk(_tree_moves(end, pred, quotient.images), energy, state)
+    return BarrierResult(best[end], record, record.states[-1], explored)
 
 
 def _nonzero_codeword(state: int, energy: int) -> bool:
@@ -593,7 +592,7 @@ def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> Barrier
     """Minimax barrier from zero to the nearest nonzero codeword."""
     if c.k == 0:
         raise NoLogicals("code has no nonzero codewords")
-    return _target_search(c.h.row_bits, (), c.n, _nonzero_codeword, cap)
+    return _target_search(_energy(c.h.row_bits, c.n), (), _nonzero_codeword, cap)
 
 
 def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
@@ -601,10 +600,9 @@ def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
     a nonzero quotient state without syndrome is a nontrivial logical coset,
     and the lifted tree path reaches one of its vectors at the coset's value."""
     checks, stab = _sector_matrices(code, sector)
-    res = _target_search(checks.row_bits, stab.row_bits, code.n_qubits, _nonzero_codeword, cap)
-    states = tuple(PauliVec.of_kind(sector, s) for s in res.witness.states)
-    record = PathRecord(states, res.witness.energies, res.witness.max_energy)
-    return BarrierResult(res.value, record, states[-1], res.explored)
+    n = code.n_qubits
+    state = lambda b: PauliVec.of_kind(sector, BitVec(n, b))
+    return _target_search(_energy(checks.row_bits, n), stab.row_bits, _nonzero_codeword, cap, state)
 
 
 def quantum_barrier(
@@ -649,6 +647,12 @@ def _pauli_state(bits: int, n: int) -> PauliVec:
     return PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
 
 
+def _pauli_walk(code: HgpCode, flips: Iterable[int]) -> PathRecord:
+    """The walk over x | z << n that flips each coordinate in turn."""
+    rows, _, n2 = _pauli_inputs(code)
+    return _walk(flips, SyndromeEnergy(rows, n2), lambda b: _pauli_state(b, code.n_qubits))
+
+
 def _pauli_table(code: HgpCode) -> MinimaxTable:
     return _table(*_pauli_inputs(code))
 
@@ -670,14 +674,11 @@ def pauli_barrier_general(
     n = code.n_qubits
     if target.n != n:
         raise DimensionMismatch(f"target on {target.n} qubits, code has {n}")
-    if (1 << (n + code.k)) > cap:
-        raise CapExceeded(f"2^(n + k) = 2^{n + code.k} Pauli quotient states exceed cap {cap}")
+    _quotient_within(*_pauli_inputs(code)[1:], cap)
     table = _pauli_table(code)
     goal = target.x.bits | (target.z.bits << n)
-    walk = table.path(goal)
-    states = tuple(_pauli_state(s.bits, n) for s in walk.states)
-    record = PathRecord(states, walk.energies, walk.max_energy)
-    return BarrierResult(table.value(goal), record, states[-1], table.explored)
+    record = _pauli_walk(code, table._flips(goal))
+    return BarrierResult(table.value(goal), record, record.states[-1], table.explored)
 
 
 def normalizer_barrier(
@@ -699,19 +700,8 @@ def normalizer_barrier(
     tx = sector_table(code, "x", cap)
     tz = sector_table(code, "z", cap)
     value = max(tx.value(p.x.bits), tz.value(p.z.bits))
-    xleg = tx.path(p.x.bits)
-    zleg = tz.path(p.z.bits)
-    states = [PauliVec.x_type(s) for s in xleg.states]
-    energies = list(xleg.energies)
-    for s, e in zip(zleg.states[1:], zleg.energies[1:]):
-        states.append(PauliVec(n, p.x, s))
-        energies.append(e)
-    record = PathRecord(tuple(states), tuple(energies), max(energies, default=0))
-    return BarrierResult(value, record, states[-1], tx.explored + tz.explored)
-
-
-def _classical_path_to(h: BitMatrix, word: BitVec, cap: int) -> PathRecord:
-    return _target_search(h.row_bits, (), h.cols, lambda s, e: s == word.bits, cap).witness
+    record = _pauli_walk(code, tx._flips(p.x.bits) + [n + q for q in tz._flips(p.z.bits)])
+    return BarrierResult(value, record, record.states[-1], tx.explored + tz.explored)
 
 
 def sweep_path_for_canonical(
@@ -726,17 +716,17 @@ def sweep_path_for_canonical(
     step, so the sweep attains the parent-code barrier of that codeword.
     """
     parent, word, placement = elementary_leg(code, op)
-    leg = _classical_path_to(parent, word, cap)
+    place = lambda b: PauliVec.of_kind(op.kind, placement(BitVec(parent.cols, b)))
+    goal = lambda s, e: s == word.bits
+    sweep = _target_search(_energy(parent.row_bits, parent.cols), (), goal, cap, place).witness
     checks, _ = _sector_matrices(code, op.kind)
     energy = SyndromeEnergy(checks.row_bits, code.n_qubits)
-    states = tuple(PauliVec.of_kind(op.kind, placement(w)) for w in leg.states)
-    energies = tuple(energy.bits_energy(s.x.bits | s.z.bits) for s in states)
     # the quantum energy along the sweep reduces exactly to the classical one
-    if energies != leg.energies:
+    if tuple(energy(s.part(op.kind)) for s in sweep.states) != sweep.energies:
         raise WitnessError("sweep energies differ from its classical leg's")
-    if states[-1] != op.realized:
+    if sweep.states[-1] != op.realized:
         raise WitnessError("sweep does not end at the canonical operator")
-    return PathRecord(states, energies, max(energies, default=0))
+    return sweep
 
 
 def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> PathRecord:
@@ -750,12 +740,11 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     n = code.n_qubits
     if s.n != n:
         raise DimensionMismatch(f"Pauli on {s.n} qubits, code has {n}")
-    flips = (1 << q for g in generator_combo.support() for q in BitVec(2 * n, gens[g]).support())
-    walk = _walk(flips, 2 * n, SyndromeEnergy(_pauli_inputs(code)[0], 2 * n).bits_energy)
-    if walk.states[-1].bits != s.x.bits | s.z.bits << n:
+    flips = [q for g in generator_combo.support() for q in BitVec(2 * n, gens[g]).support()]
+    walk = _pauli_walk(code, flips)
+    if walk.states[-1] != s:
         raise NotAStabilizer("selected generators do not multiply to the given Pauli")
-    states = tuple(_pauli_state(b.bits, n) for b in walk.states)
-    return PathRecord(states, walk.energies, walk.max_energy)
+    return walk
 
 
 def validate_path(record: PathRecord, energy: Callable) -> bool:

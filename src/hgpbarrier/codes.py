@@ -335,8 +335,8 @@ def random_ldpc(rng: random.Random, n: int = 8, r: int = 6, row_weight: int = 3)
     Columns left untouched get attached to one random check afterwards so no
     bit is free of every check.
     """
-    if row_weight > n:
-        raise DimensionMismatch(f"row weight {row_weight} exceeds {n} bits")
+    if r < 1 or not 0 <= row_weight <= n:
+        raise DimensionMismatch(f"need r >= 1 and row weight in [0, {n}], got {r}, {row_weight}")
     rows = []
     for _ in range(r):
         bits = 0

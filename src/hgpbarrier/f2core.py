@@ -217,6 +217,12 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
     rank: int
 
+    @property
+    def free_cols(self) -> tuple[int, ...]:
+        """The non-pivot columns, ascending."""
+        pivots = set(self.pivot_cols)
+        return tuple(c for c in range(self.rref.cols) if c not in pivots)
+
 
 def weight(v) -> int:
     """Number of ones in a BitVec or BitMatrix."""
@@ -409,19 +415,11 @@ def kernel_basis(a: BitMatrix) -> tuple[BitVec, ...]:
     entry of rref row i in column c. Ordered by ascending free column.
     """
     res = rref(a)
-    piv = res.pivot_cols
-    pivset = set(piv)
-    rr = res.rref.row_bits
-    basis = []
-    for c in range(a.cols):
-        if c in pivset:
-            continue
-        bits = 1 << c
-        for i, p in enumerate(piv):
-            if (rr[i] >> c) & 1:
-                bits |= 1 << p
-        basis.append(BitVec(a.cols, bits))
-    return tuple(basis)
+    pivots = tuple(zip(res.rref.row_bits, res.pivot_cols))
+    return tuple(
+        BitVec(a.cols, sum((1 << p for row, p in pivots if (row >> c) & 1), 1 << c))
+        for c in res.free_cols
+    )
 
 
 def row_reducer(a: BitMatrix) -> Callable[[int], int]:

@@ -143,11 +143,6 @@ class CanonicalOp:
         return ones[0]
 
 
-def _free_columns(m: BitMatrix) -> tuple[int, ...]:
-    piv = set(rref(m).pivot_cols)
-    return tuple(c for c in range(m.cols) if c not in piv)
-
-
 @lru_cache(maxsize=256)
 def _ingredients(code: HgpCode, kind: str):
     """(vv left, vv right, cc left, cc right): the vectors whose tensor
@@ -156,7 +151,7 @@ def _ingredients(code: HgpCode, kind: str):
     and H2^T."""
     h1, h2 = code.h1.h, code.h2.h
     h1t, h2t = h1.transpose(), h2.transpose()
-    units = lambda m: tuple(BitVec.unit(m.cols, c) for c in _free_columns(m))
+    units = lambda m: tuple(BitVec.unit(m.cols, c) for c in rref(m).free_cols)
     if kind == "z":
         return kernel_basis(h1), units(h2), units(h1t), kernel_basis(h2t)
     return units(h1), kernel_basis(h2), kernel_basis(h1t), units(h2t)

@@ -173,6 +173,27 @@ class TestBottleneckSearch:
         with pytest.raises(NoTarget):
             bottleneck_search(SyndromeEnergy(c.h.row_bits, 3), 3, lambda v: False)
 
+    @pytest.mark.parametrize(
+        "target, error",
+        [
+            (BitVec(5, 3), DimensionMismatch),
+            ([BitVec(4, 1), BitVec(3, 1)], DimensionMismatch),
+            (1 << 10, IndexOutOfRange),
+            (1 << 4, IndexOutOfRange),
+            (-1, IndexOutOfRange),
+            ([0b11, -1], IndexOutOfRange),
+        ],
+    )
+    def test_bad_targets_fail_before_any_search(self, monkeypatch, target, error):
+        syn = SyndromeEnergy(ring_repetition(4).h.row_bits, 4)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on a bad target")
+
+        monkeypatch.setattr(barrier_module, "_syndrome_search", no_search)
+        with pytest.raises(error):
+            bottleneck_search(syn, 4, target)
+
     def test_deterministic_witness(self):
         c = ring_repetition(6)
         syn = SyndromeEnergy(c.h.row_bits, 6)
@@ -251,11 +272,13 @@ class TestQuantumBarrier:
     def test_warm_call_builds_no_search_inputs(self):
         code = quantum_instances()["rect_2_3"]
         quantum_barrier(code, "z")
-        inputs = barrier_module._search_inputs.cache_info()
+        caches = (barrier_module._quotient, barrier_module._energy)
+        before = [cache.cache_info() for cache in caches]
         quantum_barrier(code, "z")
         # no quotient images, lifts or syndrome deltas rebuilt
-        assert barrier_module._search_inputs.cache_info().misses == inputs.misses
-        assert barrier_module._search_inputs.cache_info().hits == inputs.hits + 1
+        for cache, info in zip(caches, before):
+            assert cache.cache_info().misses == info.misses
+            assert cache.cache_info().hits == info.hits + 1
 
 
 class TestPauliGeneral:
@@ -326,9 +349,9 @@ class TestPauliGeneral:
         tables = barrier_module._table.cache_info()
         target = PauliVec(n, BitVec(n, 0b101), BitVec(n, 0b11))
         pauli_barrier_general(code, target)
-        # no rows, stabilizer rows or move masks rebuilt, no table built
+        # no rows or stabilizer rows rebuilt, no table built
         assert barrier_module._pauli_inputs.cache_info().misses == inputs.misses
-        assert barrier_module._pauli_inputs.cache_info().hits == inputs.hits + 1
+        assert barrier_module._pauli_inputs.cache_info().hits > inputs.hits
         assert barrier_module._table.cache_info().misses == tables.misses
 
     def test_cached_inputs_keep_no_table_alive(self):
@@ -428,22 +451,26 @@ class TestSweepPath:
     def test_wrong_leg_endpoint_raises_typed_error(self, monkeypatch):
         code = toric()
         op = canonical_z_basis(code)[0]
-        stuck = lambda h, word, cap: PathRecord((BitVec(h.cols, 0),), (0,), 0)
-        monkeypatch.setattr(barrier_module, "_classical_path_to", stuck)
+        # the classical leg's search stops at once, at the zero vector
+        stuck = lambda energy, stab, goal, cap, state: BarrierResult(
+            0, PathRecord((state(0),), (0,), 0), state(0), 1
+        )
+        monkeypatch.setattr(barrier_module, "_target_search", stuck)
         with pytest.raises(WitnessError):
             sweep_path_for_canonical(code, op)
 
     def test_wrong_leg_energies_raise_typed_error(self, monkeypatch):
         code = toric()
         op = canonical_z_basis(code)[0]
-        real = barrier_module._classical_path_to
+        real = barrier_module._target_search
 
-        def inflated(h, word, cap):
-            leg = real(h, word, cap)
-            energies = tuple(e + 1 for e in leg.energies)
-            return PathRecord(leg.states, energies, max(energies))
+        def inflated(*args):
+            res = real(*args)
+            energies = tuple(e + 1 for e in res.witness.energies)
+            leg = PathRecord(res.witness.states, energies, max(energies))
+            return BarrierResult(res.value, leg, res.target, res.explored)
 
-        monkeypatch.setattr(barrier_module, "_classical_path_to", inflated)
+        monkeypatch.setattr(barrier_module, "_target_search", inflated)
         with pytest.raises(WitnessError):
             sweep_path_for_canonical(code, op)
 

@@ -260,6 +260,14 @@ class TestBuilders:
         b = random_ldpc(random.Random(7))
         assert a.h == b.h
 
+    @pytest.mark.parametrize("kwargs", [{"r": 0}, {"r": -2}, {"row_weight": -1}, {"row_weight": 9}])
+    def test_random_ldpc_rejects_bad_sizes_before_any_draw(self, kwargs):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(DimensionMismatch):
+            random_ldpc(rng, **kwargs)
+        assert rng.getstate() == state
+
     def test_random_ldpc_row_weight_and_coverage(self):
         c = random_ldpc(random.Random(3), n=10, r=6, row_weight=4)
         assert all(r.bit_count() >= 4 for r in c.h.row_bits)

@@ -106,7 +106,7 @@ def test_random_products_match_oracle(h1, h2):
 def test_zero_and_parallel_moves_are_exercised():
     # the explicit examples above really produce both kinds of degenerate move
     code = build_hgp(_code((0b011, 0b011, 0), 3), _code((0b01, 0b10), 2))
-    masks = barrier._search_inputs(code.hx.row_bits, code.hz.row_bits, code.n_qubits).images
+    masks = barrier._quotient(code.hz.row_bits, code.n_qubits).images
     assert 0 in masks
     nonzero = [m for m in masks if m]
     assert len(set(nonzero)) < len(nonzero)
