@@ -232,7 +232,6 @@ def _syndrome_search(
     deltas: Sequence[int],
     max_energy: int,
     target_pred,
-    cap: int,
     lift_moves: Sequence[int] | None = None,
 ):
     """Core engine over the n_dim-bit states: move i XORs moves[i] into the
@@ -256,8 +255,6 @@ def _syndrome_search(
     Returns (final_state, best, pred, lifts, explored); final_state is None
     in exhaust mode, and lifts is None in target mode or without lift_moves.
     """
-    if (1 << n_dim) > cap:
-        raise CapExceeded(f"2^{n_dim} states exceed cap {cap}")
     best, pred = _unseen(1 << n_dim, max_energy), _unseen(1 << n_dim, len(moves))
     best[0] = 0
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
@@ -338,8 +335,9 @@ def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecor
 
 
 def _normalize_targets(targets, n_dim: int):
-    """A target predicate over packed states; a BitVec of another length or
-    an int outside [0, 2^n_dim) is rejected before any search."""
+    """A target predicate over packed states; a BitVec of another length,
+    an int outside [0, 2^n_dim) or an empty collection is rejected before
+    any search."""
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
     if isinstance(targets, (BitVec, int)):
@@ -352,6 +350,8 @@ def _normalize_targets(targets, n_dim: int):
         if not 0 <= bits < 1 << n_dim:
             raise IndexOutOfRange(f"target {bits:#x} outside [0, 2^{n_dim})")
         goals.add(bits)
+    if not goals:
+        raise NoTarget("no target states given")
     return lambda s, e: s in goals
 
 
@@ -416,11 +416,12 @@ def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
     return _Quotient(dim, res.rank, tables, images, lift_moves)
 
 
-def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> None:
-    """Raise CapExceeded unless F2^n / rowspace(stab_rows) has at most cap states."""
-    dim = _quotient(stab_rows, n).dim
-    if (1 << dim) > cap:
-        raise CapExceeded(f"2^{dim} quotient states exceed cap {cap}")
+def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
+    """F2^n / rowspace(stab_rows); CapExceeded if it has more than cap states."""
+    quotient = _quotient(stab_rows, n)
+    if (1 << quotient.dim) > cap:
+        raise CapExceeded(f"2^{quotient.dim} quotient states exceed cap {cap}")
+    return quotient
 
 
 def _reduce(basis, x: int) -> tuple[int, int, int]:
@@ -541,9 +542,8 @@ class MinimaxTable:
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
     quotient, energy = _quotient(stab_rows, n), _energy(rows, n)
-    states = 1 << quotient.dim
     _, best, pred, lifts, explored = _syndrome_search(
-        quotient.dim, quotient.images, energy.columns, len(rows), None, states, quotient.lift_moves
+        quotient.dim, quotient.images, energy.columns, len(rows), None, quotient.lift_moves
     )
     basis, edges = _voltage_basis(best, lifts, quotient) if lifts is not None else ((), ())
     return MinimaxTable(n, energy, best, pred, explored, quotient, lifts, basis, edges)
@@ -557,9 +557,9 @@ def _target_search(
     it ends at one n-bit vector of that state (recorded through ``state``,
     as in ``_walk``); with no stabilizers the quotient states are the
     vectors themselves."""
-    quotient = _quotient(stab_rows, energy.n_dim)
+    quotient = _quotient_within(stab_rows, energy.n_dim, cap)
     end, best, pred, _, explored = _syndrome_search(
-        quotient.dim, quotient.images, energy.columns, len(energy.rows), target_pred, cap
+        quotient.dim, quotient.images, energy.columns, len(energy.rows), target_pred
     )
     record = _walk(_tree_moves(end, pred, quotient.images), energy, state)
     return BarrierResult(best[end], record, record.states[-1], explored)

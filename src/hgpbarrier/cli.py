@@ -22,7 +22,7 @@ from pathlib import Path
 from .barrier import classical_barrier, quantum_barrier, sector_table
 from .codes import ClassicalCode, emit_dense, parse_alist, parse_auto, parse_dense
 from .errors import CapExceeded, HgpBarrierError, NoLogicals, ParseError
-from .hgp import build_hgp, css_check, hgp_parameters
+from .hgp import HgpCode, build_hgp, css_check, hgp_parameters
 from .logicals import canonical_x_basis, canonical_z_basis
 from .verify import CLAIMS, _json_value, run_all, run_claim, summarize
 
@@ -56,6 +56,11 @@ def _load_code(path: str, fmt: str | None) -> ClassicalCode:
     if fmt == "dense":
         return parse_dense(text)
     return parse_auto(text)
+
+
+def _load_product(paths, fmt: str | None) -> HgpCode:
+    """The product of the two codes in ``paths``, loaded in order."""
+    return build_hgp(*(_load_code(path, fmt) for path in paths))
 
 
 def _text_lines(obj, indent: str = "") -> list[str]:
@@ -113,9 +118,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_hgp(args) -> int:
-    c1 = _load_code(args.path1, args.fmt)
-    c2 = _load_code(args.path2, args.fmt)
-    code = build_hgp(c1, c2)
+    code = _load_product((args.path1, args.path2), args.fmt)
     try:
         p = hgp_parameters(code, args.cap)
         k, d = p.k, p.d
@@ -155,9 +158,7 @@ def cmd_barrier(args) -> int:
     if len(args.paths) != 2:
         _emit_error("usage", f"barrier {args.kind} takes exactly two matrix files")
         return EXIT_USAGE
-    c1 = _load_code(args.paths[0], args.fmt)
-    c2 = _load_code(args.paths[1], args.fmt)
-    code = build_hgp(c1, c2)
+    code = _load_product(args.paths, args.fmt)
     if args.kind == "quantum":
         result = quantum_barrier(code, args.sector, args.cap)
         _print_result({"kind": "quantum", "sector": args.sector}, result, args.format)
@@ -182,9 +183,7 @@ def _requested_bases(sector: str):
 
 
 def cmd_logicals(args) -> int:
-    c1 = _load_code(args.path1, args.fmt)
-    c2 = _load_code(args.path2, args.fmt)
-    code = build_hgp(c1, c2)
+    code = _load_product((args.path1, args.path2), args.fmt)
     records = [_op_record(op) for _, basis in _requested_bases(args.sector) for op in basis(code)]
     _print_report({"count": len(records), "operators": records}, args.format)
     return EXIT_OK

@@ -195,9 +195,9 @@ def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> Cano
 
 def _basis(code: HgpCode, kind: str) -> list[CanonicalOp]:
     """The elementary operators of one kind, bit-bit block first."""
-    left, right, aside, bside = _ingredients(code, kind)
-    if len(left) * len(right) + len(aside) * len(bside) == 0:
+    if code.k == 0:
         raise NoLogicals("code has no logical qubits")
+    left, right, aside, bside = _ingredients(code, kind)
     lam_shape, kappa_shape = (len(left), len(right)), (len(aside), len(bside))
     no_lam, no_kappa = BitMatrix.zeros(*lam_shape), BitMatrix.zeros(*kappa_shape)
     vv = [_compose(code, kind, lam, no_kappa) for lam in unit_matrices(*lam_shape)]

@@ -218,7 +218,7 @@ def minimax_values(rows: list[int], n: int, moves: list[int] | None = None) -> l
         value = new
 
 
-def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, cap, lift_moves=None):
+def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_moves=None):
     """The binary-heap minimax engine that ``barrier._syndrome_search``
     replaced, kept as the reference for its pop order.
 
@@ -227,8 +227,6 @@ def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, cap, lif
     return value as the package engine: (final_state, best, pred, lifts,
     explored), with the same table types.
     """
-    if (1 << n_dim) > cap:
-        raise ValueError(f"2^{n_dim} states exceed cap {cap}")
     n_states = 1 << n_dim
     best = bytearray(b"\xff" * n_states) if max_energy < 0xFF else array("H", [0xFFFF] * n_states)
     pred = bytearray(b"\xff" * n_states) if len(moves) < 0xFF else array("H", [0xFFFF] * n_states)

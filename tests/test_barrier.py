@@ -182,6 +182,9 @@ class TestBottleneckSearch:
             (1 << 4, IndexOutOfRange),
             (-1, IndexOutOfRange),
             ([0b11, -1], IndexOutOfRange),
+            ([], NoTarget),
+            (set(), NoTarget),
+            ((), NoTarget),
         ],
     )
     def test_bad_targets_fail_before_any_search(self, monkeypatch, target, error):

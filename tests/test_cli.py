@@ -159,6 +159,26 @@ def test_barrier_cap_exceeded(files, capsys):
     assert json.loads(err)["error"] == "cap-exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("classical", "ring5.alist", "--max-dim", "4"), "2^5 quotient states exceed cap 16"),
+        (
+            ("quantum", "ring5.alist", "ring5.alist", "--max-dim", "20"),
+            "2^26 quotient states exceed cap 1048576",
+        ),
+    ],
+    ids=["classical", "quantum"],
+)
+def test_capped_search_reports_quotient_states(files, capsys, argv, detail):
+    # a search checks its cap on the quotient it runs on, as every table does
+    kind, *rest = argv
+    rest = [files / a if a.endswith(".alist") else a for a in rest]
+    code, out, err = run(capsys, "barrier", kind, *rest)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "cap-exceeded", "detail": detail}
+
+
 def test_barrier_no_logicals(files, capsys):
     code, _, err = run(
         capsys, "barrier", "quantum", files / "id2.txt", files / "ring3.alist"

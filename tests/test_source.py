@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import hgpbarrier
+from hgpbarrier import verify
 
 
 def test_no_bare_assert_in_package():
@@ -62,6 +63,19 @@ def test_perfbench_trace_targets_resolve():
         if obj is None:
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_readme_claims_table_matches_the_claim_list():
+    # the README's claims table is the one hand-kept copy of the claim list;
+    # it is read as text, first column of each row, in order
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    _, table = readme.read_text().split("\n| claim | what is checked |\n|---|---|\n", 1)
+    names = []
+    for row in table.splitlines():
+        if not row.startswith("|"):
+            break
+        names.append(row.split("`")[1])
+    assert names == [*verify.CLAIMS, "all"]
 
 
 def test_all_lists_exactly_the_public_definitions():

@@ -71,6 +71,25 @@ def test_lemma1_forced_failure_has_recheckable_counterexample(instances):
     assert ce["barrier"] > ce["bound"]
 
 
+@pytest.mark.parametrize(
+    "name, mode, counter",
+    [
+        ("surface_3", "paired", {"x_bits": 0, "z_bits": 1541, "barrier": 1, "bound": 0}),
+        ("toric_3", "factored", {"x_bits": 163905, "z_bits": 133125, "barrier": 2, "bound": 0}),
+    ],
+    ids=["paired", "factored"],
+)
+def test_lemma1_forced_failure_reports_the_first_worst_stabilizer(name, mode, counter):
+    # paired mode reports the first worst (x, z) pair of the x-major scan of
+    # all pairs, factored mode the first worst vector of each sector rowspace
+    code = build_hgp(*V._PARENTS[name])
+    object.__setattr__(code, "w_c", 0)
+    object.__setattr__(code, "w_q", 0)
+    r = V.check_lemma1(code, instance=name)
+    assert r.details["mode"] == mode
+    assert r.counterexample == counter
+
+
 # -- thm1 checker ----------------------------------------------------------------
 
 def test_theorem1_surface_and_toric(instances):
@@ -105,6 +124,55 @@ def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
         r = V.check_theorem1(instances["surface_3"], samples=samples, seed=2)
         assert r.checked == samples
         assert calls == {"z": 1, "x": 1}
+
+
+class _PlantedTable:
+    """A sector table whose vectors in ``planted`` read the planted value."""
+
+    def __init__(self, table, planted):
+        self.table, self.planted = table, planted
+
+    def value(self, bits):
+        return self.planted.get(bits, self.table.value(bits))
+
+
+@pytest.mark.parametrize(
+    "name, planted, sweep, counter",
+    [
+        # toric_3 only samples: sample 0's stabilizer product L s has x part
+        # 160414, planted at 99
+        (
+            "toric_3",
+            {160414: 99},
+            "sampled",
+            {"l_x": 249512, "l_z": 151140, "s_x": 113718, "s_z": 100062,
+             "delta_l": 2, "delta_ls": 99, "bound": 16},
+        ),
+        # surface_3 also sweeps every stabilizer: sample 0's own L s reads its
+        # true value, and the sweep finds L times HX's first rref row 2625,
+        # whose x part 3500 is planted at 99
+        (
+            "surface_3",
+            {3500: 99},
+            "exhaustive",
+            {"l_x": 2029, "l_z": 1103, "s_x": 2625, "s_z": 0,
+             "delta_l": 1, "delta_ls": 99, "bound": 16},
+        ),
+    ],
+    ids=["sampled", "sweep"],
+)
+def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, sweep, counter):
+    real = V.sector_table
+
+    def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
+        table = real(code, sector, cap)
+        return _PlantedTable(table, planted) if sector == "x" else table
+
+    monkeypatch.setattr(V, "sector_table", planted_table)
+    r = V.check_theorem1(instances[name], samples=100, seed=0, instance=name)
+    assert r.details["stabilizer_sweep"] == sweep
+    assert not r.passed
+    assert r.counterexample == counter
 
 
 def test_theorem1_requires_logicals():
