@@ -204,6 +204,18 @@ def _coset_max(pairs):
     return max(pairs, key=itemgetter(0))
 
 
+def _swept_max(table, basis: tuple[int, ...], maxima: dict, base: int) -> int:
+    """The greatest value on base + span(basis), read once per coset: ``maxima``
+    keeps it by the coset's representative with every pivot bit clear. The
+    basis is rref rows, so each row's pivot is its lowest set bit."""
+    for row in basis:
+        if base & row & -row:
+            base ^= row
+    if base not in maxima:
+        maxima[base] = _coset_max(_coset_values(table, basis, base))[0]
+    return maxima[base]
+
+
 # -- single-claim checkers -----------------------------------------------------
 
 def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
@@ -211,16 +223,23 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     start = time.perf_counter()
     tx, tz, bx, bz, bound = _stabilizer_setup(code, cap)
     xs, zs = _coset_values(tx, bx), _coset_values(tz, bz)
+    # max over pairs of max(a, b) factors into the two sector maxima, so
+    # scanning each rowspace once is still exhaustive
+    (vx, x_bits), (vz, z_bits) = _coset_max(xs), _coset_max(zs)
+    worst = max(vx, vz)
     if len(bx) + len(bz) <= 12:
         mode, checked = "paired", len(xs) * len(zs)
-        # the first worst pair, as the x-major, z-minor scan of all pairs meets it
-        (vx, x_bits), (vz, z_bits) = max(product(xs, zs), key=lambda p: max(p[0][0], p[1][0]))
+        # the first worst pair of the x-major, z-minor scan of all pairs:
+        # (xs[0], zs[0]) if xs[0] is worst, else xs[0] with the first worst z
+        # if a z is worst, else the first worst x with zs[0]
+        if xs[0][0] == worst:
+            x_bits, z_bits = xs[0][1], zs[0][1]
+        elif vz == worst:
+            x_bits = xs[0][1]
+        else:
+            z_bits = zs[0][1]
     else:
-        # max over pairs of max(a, b) factors into the two sector maxima,
-        # so scanning each rowspace once is still exhaustive
         mode, checked = "factored", len(xs) + len(zs)
-        (vx, x_bits), (vz, z_bits) = _coset_max(xs), _coset_max(zs)
-    worst = max(vx, vz)
     counter = None
     if worst > bound:
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
@@ -288,9 +307,13 @@ def check_theorem1(
 
     When the stabilizer rowspace has at most 2^12 elements, each sampled L is
     additionally checked against every stabilizer: the worst shift factorizes
-    into per-sector coset maxima, so the sweep costs 2^rank_x + 2^rank_z
-    lookups per operator instead of the full product.
+    into per-sector coset maxima, and a coset's maximum depends only on the
+    coset L + rowspace, so the sweep reads each coset's 2^rank values once per
+    call, however many samples land in it. Only a coset whose maximum breaks
+    the bound is rescanned from L for its first worst stabilizer.
     """
+    if samples < 1:
+        raise ValueError(f"thm1 needs at least one sample, got {samples}")
     start = time.perf_counter()
     _require_logicals(code)
     tx, tz, bx, bz, bound = _stabilizer_setup(code, cap)
@@ -298,6 +321,7 @@ def check_theorem1(
     zs = [op.realized.z.bits for op in canonical_z_basis(code)]
     xs = [op.realized.x.bits for op in canonical_x_basis(code)]
     rng = random.Random(seed)
+    maxima = ({}, {})  # the sweep's x and z coset maxima, by representative
     counter = None
     largest_gap = None
     for _ in range(samples):
@@ -312,11 +336,12 @@ def check_theorem1(
         if counter is not None:
             continue
         if d_ls <= rhs and sweep_all:
-            # the sampled stabilizer holds; take the worst one of each sector
-            (wx, x_bits), (wz, z_bits) = (
-                _coset_max(_coset_values(t, b, l)) for t, b, l in ((tx, bx, lx), (tz, bz, lz))
-            )
-            sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
+            # the sampled stabilizer holds; if some other one breaks the
+            # bound, rescan for the worst one of each sector
+            sectors = ((tx, bx, lx), (tz, bz, lz))
+            if max(_swept_max(t, b, m, l) for (t, b, l), m in zip(sectors, maxima)) > rhs:
+                (wx, x_bits), (wz, z_bits) = (_coset_max(_coset_values(*sector)) for sector in sectors)
+                sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
         if d_ls > rhs:
             counter = {
                 "l_x": lx,
@@ -414,22 +439,27 @@ def _packed_span(rows: int, cols: int, image) -> list[int]:
     return linear_table([_pack(m.row_bits, m.cols) for m in map(image, unit_matrices(rows, cols))])
 
 
-def _lemma4_pair(h1: ClassicalCode, h2: ClassicalCode, words: list[BitVec]):
-    """Both sides of the collapse inequality for one pair, one Z1 at a time.
+def _lemma4_tables(h1: ClassicalCode, h2: ClassicalCode, spans: dict) -> tuple[list[int], list[int]]:
+    """(H1 Z1 per Z1, Z2 H2 per Z2) for one pair, packed row-major: the first
+    list is indexed by _pack(Z1), the second is in ``product`` order over the
+    rows of Z2. ``spans`` keeps each list by its linear map, so pairs that
+    share a matrix build its table once."""
+    r1, r2 = h1.r, h2.r
+    left, right = (h1.h, h2.n), (r1, h2.h)
+    if left not in spans:
+        spans[left] = _packed_span(h1.n, h2.n, lambda z1: mat_mul(h1.h, z1))
+    if right not in spans:
+        b = _packed_span(r1, r2, lambda z2: mat_mul(z2, h2.h))
+        spans[right] = [b[_pack(z2, r2)] for z2 in product(range(1 << r2), repeat=r1)]
+    return spans[left], spans[right]
 
-    H1 Z1 + Z2 H2 is linear in (Z1, Z2), so it is the XOR of two span-table
-    entries, and H1 (Z1 L) = (H1 Z1) L reads off the rows of the H1 Z1 entry.
-    Yields (Z1 rows, wt(H1 Z1 L) per codeword L, wt(H1 Z1 + Z2 H2) per Z2),
-    with Z1 and Z2 in ``product`` order over their rows.
-    """
-    n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
-    a = _packed_span(n1, n2, lambda z1: mat_mul(h1.h, z1))
-    b = _packed_span(r1, r2, lambda z2: mat_mul(z2, h2.h))
-    z2_terms = [b[_pack(z2, r2)] for z2 in product(range(1 << r2), repeat=r1)]
-    for z1 in product(range(1 << n2), repeat=n1):
-        h1z1 = a[_pack(z1, n2)]
-        lhs = [sum(((h1z1 >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
-        yield z1, lhs, [(h1z1 ^ t).bit_count() for t in z2_terms]
+
+def _lemma4_sides(h: int, r1: int, n2: int, words: list[BitVec], terms: list[int]):
+    """Both sides of the collapse inequality for one packed H1 Z1 entry ``h``:
+    (wt(h L) per codeword L, wt(h + t) per Z2 H2 term t). Row i of h L is the
+    parity of row i of h against L."""
+    lhs = [sum(((h >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
+    return lhs, [(h ^ t).bit_count() for t in terms]
 
 
 def check_lemma4(
@@ -440,16 +470,20 @@ def check_lemma4(
     """Column collapse never gains weight: wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2),
     exhaustively over all Z1, Z2 and nonzero codewords of H2.
 
-    For each Z1 the inequality holds on every triple exactly when the largest
-    left side is at most the smallest right side; only a Z1 that fails is
-    rescanned in (Z2, L) order, for the first counterexample. ``cap`` bounds
-    the 2^(n1 n2) + 2^(r1 r2) span-table entries of each pair.
+    Both sides depend on Z1 only through the span-table entry H1 Z1, and the
+    inequality holds on every triple of an entry exactly when its largest
+    left side is at most its smallest right side. So each distinct entry is
+    evaluated once; only if one fails are the Z1 scanned in ``product`` order
+    to the first whose entry fails, and its (Z2, L) rescanned, for the first
+    counterexample of the plain (Z1, Z2, L) scan. ``cap`` bounds the
+    2^(n1 n2) + 2^(r1 r2) span-table entries of each pair.
     """
     start = time.perf_counter()
     if family is None:
         family = lemma4_default_family()
     checked = 0
     counter = None
+    spans: dict = {}
     for h1, h2 in family:
         words = [w for w in h2.iter_codewords() if w.bits]
         if not words:
@@ -458,21 +492,27 @@ def check_lemma4(
         if (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
             raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 table entries exceed cap {cap}")
         checked += (1 << (n1 * n2 + r1 * r2)) * len(words)
-        for z1, lhs, rhs in _lemma4_pair(h1, h2, words):
-            if counter is not None or max(lhs) <= min(rhs):
-                continue
-            z2_all = product(range(1 << r2), repeat=r1)
-            z2, r = next((z2, r) for z2, r in zip(z2_all, rhs) if r < max(lhs))
-            j = next(j for j, l in enumerate(lhs) if l > r)
-            counter = {
-                "h1": h1.h.to01_rows(),
-                "h2": h2.h.to01_rows(),
-                "z1": BitMatrix(n1, n2, z1).to01_rows(),
-                "z2": BitMatrix(r1, r2, z2).to01_rows(),
-                "codeword": words[j].to01(),
-                "lhs": lhs[j],
-                "rhs": r,
-            }
+        if counter is not None:
+            continue
+        a, terms = _lemma4_tables(h1, h2, spans)
+        sides = {h: _lemma4_sides(h, r1, n2, words, terms) for h in set(a)}
+        failing = {h for h, (lhs, rhs) in sides.items() if max(lhs) > min(rhs)}
+        if not failing:
+            continue
+        z1 = next(z1 for z1 in product(range(1 << n2), repeat=n1) if a[_pack(z1, n2)] in failing)
+        lhs, rhs = sides[a[_pack(z1, n2)]]
+        z2_all = product(range(1 << r2), repeat=r1)
+        z2, r = next((z2, r) for z2, r in zip(z2_all, rhs) if r < max(lhs))
+        j = next(j for j, l in enumerate(lhs) if l > r)
+        counter = {
+            "h1": h1.h.to01_rows(),
+            "h2": h2.h.to01_rows(),
+            "z1": BitMatrix(n1, n2, z1).to01_rows(),
+            "z2": BitMatrix(r1, r2, z2).to01_rows(),
+            "codeword": words[j].to01(),
+            "lhs": lhs[j],
+            "rhs": r,
+        }
     return _report("lemma4", instance, start, checked, {"pairs": len(family)}, counter)
 
 

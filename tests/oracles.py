@@ -258,3 +258,37 @@ def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_mov
     if target_pred is not None:
         raise LookupError("no state satisfying the target predicate is reachable")
     return None, best, pred, lifts, explored
+
+
+def _all_matrices(rows: int, cols: int) -> np.ndarray:
+    """Every rows x cols 0/1 matrix, shape (2^(rows cols), rows, cols), in
+    ``itertools.product`` order over the rows: matrix i is i written in base
+    2^cols with row 0 as its leading digit, and bit c of a row is column c."""
+    index = np.arange(1 << (rows * cols), dtype=np.int64)[:, None, None]
+    shift = cols * (rows - 1 - np.arange(rows))[:, None] + np.arange(cols)[None, :]
+    return ((index >> shift) & 1).astype(np.int64)
+
+
+def collapse_sides(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2) for every triple.
+
+    Returns (lhs, rhs) with lhs[i, k] = wt(H1 Z1_i L_k) and
+    rhs[i, j] = wt(H1 Z1_i + Z2_j H2), where Z1_i and Z2_j run over every
+    matrix in ``_all_matrices`` order and L_k over the nonzero codewords of H2
+    in ascending integer order (bit c is entry c).
+    """
+    (r1, n1), (r2, n2) = h1.shape, h2.shape
+    words = [v for v in range(1, 1 << n2) if not (h2 @ [(v >> c) & 1 for c in range(n2)] % 2).any()]
+    ell = np.array([[(v >> c) & 1 for c in range(n2)] for v in words], dtype=np.int64).reshape(-1, n2)
+    h1z1 = np.einsum("ab,ibc->iac", h1, _all_matrices(n1, n2)) % 2
+    z2h2 = np.einsum("jab,bc->jac", _all_matrices(r1, r2), h2) % 2
+    lhs = (np.einsum("iac,kc->iak", h1z1, ell) % 2).sum(axis=1)
+    rhs = ((h1z1[:, None] + z2h2[None]) % 2).sum(axis=(2, 3))
+    return lhs, rhs
+
+
+def collapse_scan(h1: np.ndarray, h2: np.ndarray) -> tuple[str, int]:
+    """(status, triples checked) of the plain (Z1, Z2, L) scan of one pair."""
+    lhs, rhs = collapse_sides(h1, h2)
+    fails = lhs[:, None, :] > rhs[:, :, None]
+    return ("fail" if fails.any() else "pass"), fails.size

@@ -374,6 +374,30 @@ def test_barrier_stdout_is_pinned(files, capsys, kind, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "claim, seed, fmt, digest",
+    [
+        ("thm1", "0", "json", "a5a6b0140231a538e8bda2fc004ef3d064f6bffa9d761ce3cb0f636190618dd0"),
+        ("thm1", "0", "text", "94fc9f6ffb93f169c2e3d06fe86e193fe70a7ba30757eae813abb347cbb0d28b"),
+        ("thm1", "3", "json", "3c334e6535f5f6a1140aa408c838f231c3a0f5cdeb924be7cda6c16809c3bec9"),
+        ("thm1", "3", "text", "94fc9f6ffb93f169c2e3d06fe86e193fe70a7ba30757eae813abb347cbb0d28b"),
+        ("lemma1", "0", "json", "d2179e99a456d2852a28364b7a9a4b8f5a96c99b946ce00181c606a9cf43c975"),
+        ("lemma1", "0", "text", "c4e8ec8d459009d25d4203a18fbcfec406ad7dd8fa247cba4310e3c11755007d"),
+        ("lemma1", "3", "json", "d2179e99a456d2852a28364b7a9a4b8f5a96c99b946ce00181c606a9cf43c975"),
+        ("lemma1", "3", "text", "c4e8ec8d459009d25d4203a18fbcfec406ad7dd8fa247cba4310e3c11755007d"),
+    ],
+)
+def test_verify_on_a_file_pair_is_pinned(files, capsys, monkeypatch, claim, seed, fmt, digest):
+    # verify all runs only the registry; these pin a claim on a file pair,
+    # named by relative paths so the printed instance is fixed
+    monkeypatch.chdir(files)
+    code, out, _ = run(
+        capsys, "verify", claim, "ring3.alist", "open3.txt", "--seed", seed, "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_lemma4_rejects_paths(files, capsys):
     code, _, err = run(
         capsys, "verify", "lemma4", files / "open3.txt", files / "open3.txt"

@@ -1,12 +1,17 @@
 """Checker behavior: honest passes, forced failures, determinism."""
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from hgpbarrier.barrier import MinimaxTable, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals
-from hgpbarrier.f2core import BitMatrix
+from hgpbarrier.f2core import BitMatrix, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier import verify as V
 
@@ -31,6 +36,16 @@ def test_classical_registry_deterministic():
 
 
 # -- lemma1 ---------------------------------------------------------------------
+
+class _PlantedTable:
+    """A sector table whose vectors in ``planted`` read the planted value."""
+
+    def __init__(self, table, planted):
+        self.table, self.planted = table, planted
+
+    def value(self, bits):
+        return self.planted.get(bits, self.table.value(bits))
+
 
 def test_lemma1_surface_exhaustive_pairs(instances):
     r = V.check_lemma1(instances["surface_3"], instance="surface_3")
@@ -90,6 +105,62 @@ def test_lemma1_forced_failure_reports_the_first_worst_stabilizer(name, mode, co
     assert r.counterexample == counter
 
 
+@pytest.mark.parametrize(
+    "planted",
+    [{"x": 10}, {"z": 10}, {"x": 10, "z": 20}, {"x": 0, "z": 20}],
+    ids=["x", "z", "xz", "x0z"],
+)
+def test_lemma1_paired_mode_reports_the_first_worst_pair_of_a_plain_scan(
+    instances, monkeypatch, planted
+):
+    # plant 99 on the planted-th vector of a sector's rowspace (in span
+    # order), so only x, only z, or both reach the worst barrier
+    code = instances["surface_3"]
+    _, _, bx, bz, _ = V._stabilizer_setup(code, V.DEFAULT_STATE_CAP)
+    rowspaces = {"x": list(span(bx)), "z": list(span(bz))}
+    real = V.sector_table
+
+    def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
+        table = real(code, sector, cap)
+        if sector not in planted:
+            return table
+        return _PlantedTable(table, {rowspaces[sector][planted[sector]]: 99})
+
+    monkeypatch.setattr(V, "sector_table", planted_table)
+    tx, tz = V.sector_table(code, "x"), V.sector_table(code, "z")
+    pairs = product(rowspaces["x"], rowspaces["z"])
+    x_bits, z_bits = max(pairs, key=lambda p: max(tx.value(p[0]), tz.value(p[1])))
+    r = V.check_lemma1(code, instance="surface_3")
+    assert r.details["mode"] == "paired"
+    assert r.counterexample == {"x_bits": x_bits, "z_bits": z_bits, "barrier": 99, "bound": 16}
+
+
+def test_lemma1_paired_mode_compares_no_pairs(instances, monkeypatch):
+    # the first worst pair follows from the two sector scans, so no (x, z)
+    # pair is formed, while checked still counts them all
+    formed = []
+
+    def counted(*iterables, **kwargs):
+        for item in product(*iterables, **kwargs):
+            formed.append(item)
+            yield item
+
+    monkeypatch.setattr(V, "product", counted)
+    r = V.check_lemma1(instances["surface_3"], instance="surface_3")
+    assert (r.details["mode"], r.checked) == ("paired", 4096)
+    assert formed == []
+
+
+@pytest.mark.parametrize("name", sorted(V._PARENTS))
+def test_lemma1_worst_barrier_is_the_top_voltage_tag(name):
+    # a third route to the worst stabilizer barrier: the highest level tag
+    # in the two sector tables' voltage bases
+    code = build_hgp(*V._PARENTS[name])
+    r = V.check_lemma1(code, instance=name)
+    tags = [tag for sector in ("x", "z") for _, tag, _ in sector_table(code, sector).basis]
+    assert r.details["worst_barrier"] == max(tags)
+
+
 # -- thm1 checker ----------------------------------------------------------------
 
 def test_theorem1_surface_and_toric(instances):
@@ -124,16 +195,6 @@ def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
         r = V.check_theorem1(instances["surface_3"], samples=samples, seed=2)
         assert r.checked == samples
         assert calls == {"z": 1, "x": 1}
-
-
-class _PlantedTable:
-    """A sector table whose vectors in ``planted`` read the planted value."""
-
-    def __init__(self, table, planted):
-        self.table, self.planted = table, planted
-
-    def value(self, bits):
-        return self.planted.get(bits, self.table.value(bits))
 
 
 @pytest.mark.parametrize(
@@ -173,6 +234,32 @@ def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, s
     assert r.details["stabilizer_sweep"] == sweep
     assert not r.passed
     assert r.counterexample == counter
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the sample count was checked")
+
+    monkeypatch.setattr(V, "sector_table", no_table)
+    with pytest.raises(ValueError, match="at least one sample"):
+        V.check_theorem1(instances["surface_3"], samples=samples)
+
+
+def test_theorem1_sweeps_each_coset_once(instances, monkeypatch):
+    # 100 samples read 4 values each; the sweep reads each of surface_3's
+    # two x and two z cosets (2^6 vectors each) once, not once per sample
+    calls = []
+    real = MinimaxTable.value
+
+    def counted(self, bits):
+        calls.append(bits)
+        return real(self, bits)
+
+    monkeypatch.setattr(MinimaxTable, "value", counted)
+    r = V.check_theorem1(instances["surface_3"], samples=100, seed=0, instance="surface_3")
+    assert r.passed and r.details["stabilizer_sweep"] == "exhaustive"
+    assert len(calls) <= 700
 
 
 def test_theorem1_requires_logicals():
@@ -240,15 +327,13 @@ def test_lemma4_default_family_shape():
 
 
 def test_lemma4_counterexample_fields(monkeypatch):
-    # force the per-pair kernel to trip so the counterexample payload is exercised
-    import hgpbarrier.verify as mod
+    # force the per-entry kernel to trip so the counterexample payload is exercised
+    def rigged(h, r1, n2, words, terms):
+        return [5] * len(words), [1] * len(terms)
 
-    def rigged(h1, h2, words):
-        yield (0, 0, 0), [5] * len(words), [1] * 16
-
-    monkeypatch.setattr(mod, "_lemma4_pair", rigged)
+    monkeypatch.setattr(V, "_lemma4_sides", rigged)
     h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
-    r = mod.check_lemma4(family=[(h, h)])
+    r = V.check_lemma4(family=[(h, h)])
     assert not r.passed
     ce = r.counterexample
     assert ce["lhs"] == 5 and ce["rhs"] == 1
@@ -258,8 +343,6 @@ def test_lemma4_counterexample_fields(monkeypatch):
 
 def test_lemma4_kernel_matches_weight_reduction_gap():
     # every triple of a two-pair family against the per-triple public API
-    from itertools import product
-
     from hgpbarrier.deform import weight_reduction_gap
 
     fam = V.lemma4_default_family()
@@ -268,7 +351,9 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
         code = build_hgp(h1, h2)
         words = [w for w in h2.iter_codewords() if w.bits]
         z2_all = list(product(range(1 << h2.r), repeat=h1.r))
-        for z1, lhs, rhs in V._lemma4_pair(h1, h2, words):
+        a, terms = V._lemma4_tables(h1, h2, {})
+        for z1 in product(range(1 << h2.n), repeat=h1.n):
+            lhs, rhs = V._lemma4_sides(a[V._pack(z1, h2.n)], h1.r, h2.n, words, terms)
             assert len(rhs) == len(z2_all)
             for z2, r in zip(z2_all, rhs):
                 for w, l in zip(words, lhs):
@@ -281,9 +366,10 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
 def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
     # planted sides where Z1 number 100 fails first at Z2 number 2 with the
     # second codeword, while a codeword-first scan would stop at Z2 number 3
-    # with the first; the span-table scan must pick the (Z1, Z2, L) loop's triple
+    # with the first; the span-table scan must pick the (Z1, Z2, L) loop's triple.
+    # Each Z1 gets its own entry, its number in product order, which differs
+    # from its index in the span table
     import random
-    from itertools import product
 
     rng = random.Random(4)
     sides = [
@@ -292,7 +378,11 @@ def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
     ]
     sides[100] = (sides[100][0], [2, 4, 3], [5, 5, 3, 1] + [0] * 12)
     sides[200] = (sides[200][0], [5, 5, 5], [0] * 16)
-    monkeypatch.setattr(V, "_lemma4_pair", lambda h1, h2, words: iter(sides))
+    entries = [0] * 512
+    for i, (z1, _, _) in enumerate(sides):
+        entries[V._pack(z1, 3)] = i
+    monkeypatch.setattr(V, "_lemma4_tables", lambda h1, h2, spans: (entries, [0] * 16))
+    monkeypatch.setattr(V, "_lemma4_sides", lambda h, r1, n2, words, terms: sides[h][1:])
     h = ClassicalCode(BitMatrix.from_rows(["111", "111"]))  # three nonzero codewords
     r = V.check_lemma4(family=[(h, h)])
     words = [w for w in h.iter_codewords() if w.bits]
@@ -314,6 +404,62 @@ def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
         "rhs": rr,
     }
     assert r.checked == 512 * 16 * 3
+
+
+def test_lemma4_evaluates_each_distinct_entry_once(monkeypatch):
+    # the sides of a pair depend on Z1 only through its entry H1 Z1: at most
+    # 2^6 distinct entries per 2x3 pair, against 2^9 matrices Z1
+    entries, evaluated = [], []
+    real_tables, real_sides = V._lemma4_tables, V._lemma4_sides
+
+    def tables(h1, h2, spans):
+        a, terms = real_tables(h1, h2, spans)
+        entries.append(set(a))
+        evaluated.append([])
+        return a, terms
+
+    def sides(h, *args):
+        evaluated[-1].append(h)
+        return real_sides(h, *args)
+
+    monkeypatch.setattr(V, "_lemma4_tables", tables)
+    monkeypatch.setattr(V, "_lemma4_sides", sides)
+    r = V.check_lemma4()
+    assert r.passed and r.checked == 368640
+    assert len(entries) == 25
+    for distinct, hs in zip(entries, evaluated):
+        assert len(hs) == len(set(hs)) and set(hs) <= distinct
+        assert len(distinct) <= 64
+
+
+@st.composite
+def _check_matrix(draw):
+    r, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    return ClassicalCode(BitMatrix(r, n, tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(r))))
+
+
+def _code(*rows):
+    return ClassicalCode(BitMatrix.from_rows(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_check_matrix(), _check_matrix())
+@example(_code("110", "000"), _code("011", "000"))  # zero rows
+@example(_code("101", "101"), _code("110", "110"))  # duplicate rows
+@example(_code("011", "010"), _code("01", "11"))  # a zero column
+@example(_code("111"), _code("000", "000"))  # every word a codeword
+def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2):
+    m1, m2 = oracles.np_from_bitmatrix(h1.h), oracles.np_from_bitmatrix(h2.h)
+    status, checked = oracles.collapse_scan(m1, m2)
+    r = V.check_lemma4(family=[(h1, h2)])
+    assert (r.status, r.checked) == (status, checked)
+    # every Z1's sides are the sides of its span-table entry
+    lhs, rhs = oracles.collapse_sides(m1, m2)
+    words = sorted((w for w in h2.iter_codewords() if w.bits), key=lambda w: w.bits)
+    a, terms = V._lemma4_tables(h1, h2, {})
+    for i, z1 in enumerate(product(range(1 << h2.n), repeat=h1.n)):
+        got = V._lemma4_sides(a[V._pack(z1, h2.n)], h1.r, h2.n, words, terms)
+        assert got == (lhs[i].tolist(), rhs[i].tolist())
 
 
 def test_lemma4_cap_bounds_span_tables():
