@@ -10,12 +10,14 @@ integer states with a Dijkstra-style frontier popped in the order
 so results and witness paths are deterministic. Energies of the form
 weight(M x) are small integers, so the frontier is a bucket queue (Dial's
 algorithm): one bucket per peak level, split by path length, each layer
-sorted by state when its turn comes. A state enters the queue only when its
-peak strictly improves, so it sits in at most one entry per level, and its
-first pop is final. Exhaustive tables read each neighbour's energy off a
-per-state table spanned out from the syndromes of the moves; target
-searches, which stop early, update a running syndrome instead (flipping
-coordinate q XORs column q of M into it).
+sorted by state when its turn comes. Levels never fall, so the first time a
+state is reached fixes its peak: every push is final, no queued entry ever
+goes stale, and each state is popped once. A neighbour is tested only for
+being unseen; its energy, search-tree parent and lift are read or set when
+it is pushed. Exhaustive tables read energies off a per-state table spanned
+out from the syndromes of the moves and stop once every state has been
+seen; target searches, which stop early, update a running syndrome instead
+(flipping coordinate q XORs column q of M into it), as witness walks do.
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
@@ -245,69 +247,69 @@ def _syndrome_search(
     A bucket queue (Dial's algorithm): energies are integers in
     [0, max_energy], so the frontier is one bucket per peak level, each
     mapping path length to a list of states, and pops come in the order
-    (peak, path length, state). A state enters the queue only when its
-    peak strictly improves, at its own level or above, so the first pop of
-    a state is final and a popped state whose best is lower is stale.
-    Exhaustive searches read neighbour energies off a per-state table
-    (``_energy_table``), dropped on return; target searches stop early, so
-    they carry each state's syndrome instead.
+    (peak, path length, state). Levels never fall, so a state first reached
+    from a pop at level L has best max(L, its energy), and no later pop can
+    improve on that: every push is final. A neighbour needs one test, unseen
+    or not, and only an unseen one has its energy read; its best, pred and
+    lift (or, in target mode, its syndrome) are set when it is pushed, and
+    each state is popped exactly once. Exhaustive searches read energies
+    off a per-state table (``_energy_table``), dropped on return, and stop
+    as soon as every state has been seen, since all 2^n_dim are reachable
+    through the unit moves; target searches stop early, so they carry each
+    state's syndrome instead.
 
     Returns (final_state, best, pred, lifts, explored); final_state is None
     in exhaust mode, and lifts is None in target mode or without lift_moves.
     """
     best, pred = _unseen(1 << n_dim, max_energy), _unseen(1 << n_dim, len(moves))
-    best[0] = 0
+    unseen, best[0] = best[0], 0
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
     indexed = tuple(enumerate(moves))
-    explored = 0
     if target_pred is None:
         lifts = None
         if lift_moves is not None:
             lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
         energy = _energy_table(n_dim, moves, deltas, max_energy)
+        left = (1 << n_dim) - 1  # states not yet pushed
         buckets[0][0].append(0)
         for level, plen, layer, same in _bucket_layers(buckets):
             for state in layer:
-                if best[state] != level:
-                    continue
-                explored += 1
-                if lifts is not None and state:  # the tree parent was popped first
-                    mi = pred[state]
-                    lifts[state] = lifts[state ^ moves[mi]] ^ lift_moves[mi]
+                if not left:
+                    return None, best, pred, lifts, 1 << n_dim
                 for mi, m in indexed:
                     ns = state ^ m
-                    e = energy[ns]
-                    if e <= level:
-                        if level < best[ns]:
-                            best[ns] = level
-                            pred[ns] = mi
-                            same.append(ns)
-                    elif e < best[ns]:
-                        best[ns] = e
+                    if best[ns] == unseen:
+                        left -= 1
                         pred[ns] = mi
-                        buckets[e][plen].append(ns)
-        return None, best, pred, lifts, explored
+                        if lifts is not None:
+                            lifts[ns] = lifts[state] ^ lift_moves[mi]
+                        e = energy[ns]
+                        if e <= level:
+                            best[ns] = level
+                            same.append(ns)
+                        else:
+                            best[ns] = e
+                            buckets[e][plen].append(ns)
+        return None, best, pred, lifts, 1 << n_dim
+    explored = 0
     buckets[0][0].append((0, 0))  # (state, syndrome)
     for level, plen, layer, same in _bucket_layers(buckets):
         for state, syn in layer:
-            if best[state] != level:
-                continue
             explored += 1
             if target_pred(state, syn.bit_count()):
                 return state, best, pred, None, explored
             for mi, m in indexed:
                 ns = state ^ m
-                nsyn = syn ^ deltas[mi]
-                e = nsyn.bit_count()
-                if e <= level:
-                    if level < best[ns]:
-                        best[ns] = level
-                        pred[ns] = mi
-                        same.append((ns, nsyn))
-                elif e < best[ns]:
-                    best[ns] = e
+                if best[ns] == unseen:
                     pred[ns] = mi
-                    buckets[e][plen].append((ns, nsyn))
+                    nsyn = syn ^ deltas[mi]
+                    e = nsyn.bit_count()
+                    if e <= level:
+                        best[ns] = level
+                        same.append((ns, nsyn))
+                    else:
+                        best[ns] = e
+                        buckets[e][plen].append((ns, nsyn))
     raise NoTarget("no state satisfying the target predicate is reachable")
 
 
@@ -324,14 +326,16 @@ def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
 
 def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecord:
     """The walk from zero that flips each coordinate in turn, with the
-    energy of each packed state; ``state`` makes the recorded state from the
-    packed bits, an ``energy.n_dim``-bit BitVec by default."""
-    seq = [0]
+    energy of each packed state, read off a running syndrome: flipping q
+    XORs column q of the check matrix into it. ``state`` makes the recorded
+    state from the packed bits, an ``energy.n_dim``-bit BitVec by default."""
+    columns, syn, seq, energies = energy.columns, 0, [0], [0]
     for q in flips:
         seq.append(seq[-1] ^ (1 << q))
-    energies = tuple(map(energy.bits_energy, seq))
+        syn ^= columns[q]
+        energies.append(syn.bit_count())
     state = state or (lambda b: BitVec(energy.n_dim, b))
-    return PathRecord(tuple(map(state, seq)), energies, max(energies))
+    return PathRecord(tuple(map(state, seq)), tuple(energies), max(energies))
 
 
 def _normalize_targets(targets, n_dim: int):
@@ -650,7 +654,7 @@ def _pauli_state(bits: int, n: int) -> PauliVec:
 def _pauli_walk(code: HgpCode, flips: Iterable[int]) -> PathRecord:
     """The walk over x | z << n that flips each coordinate in turn."""
     rows, _, n2 = _pauli_inputs(code)
-    return _walk(flips, SyndromeEnergy(rows, n2), lambda b: _pauli_state(b, code.n_qubits))
+    return _walk(flips, _energy(rows, n2), lambda b: _pauli_state(b, code.n_qubits))
 
 
 def _pauli_table(code: HgpCode) -> MinimaxTable:
@@ -720,7 +724,7 @@ def sweep_path_for_canonical(
     goal = lambda s, e: s == word.bits
     sweep = _target_search(_energy(parent.row_bits, parent.cols), (), goal, cap, place).witness
     checks, _ = _sector_matrices(code, op.kind)
-    energy = SyndromeEnergy(checks.row_bits, code.n_qubits)
+    energy = _energy(checks.row_bits, code.n_qubits)
     # the quantum energy along the sweep reduces exactly to the classical one
     if tuple(energy(s.part(op.kind)) for s in sweep.states) != sweep.energies:
         raise WitnessError("sweep energies differ from its classical leg's")

@@ -218,14 +218,16 @@ def minimax_values(rows: list[int], n: int, moves: list[int] | None = None) -> l
         value = new
 
 
-def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_moves=None):
+def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_moves=None, counts=None):
     """The binary-heap minimax engine that ``barrier._syndrome_search``
     replaced, kept as the reference for its pop order.
 
     Frontier entries are (max energy, path length, state, syndrome); a state
     is pushed only when its peak strictly improves. Same arguments and
     return value as the package engine: (final_state, best, pred, lifts,
-    explored), with the same table types.
+    explored), with the same table types. A ``counts`` dict receives
+    "stale_pops", the popped entries whose state has since improved, and
+    "repeat_pushes", the pushes of a state already queued once.
     """
     n_states = 1 << n_dim
     best = bytearray(b"\xff" * n_states) if max_energy < 0xFF else array("H", [0xFFFF] * n_states)
@@ -235,12 +237,16 @@ def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_mov
         bits = max(lift_moves).bit_length()
         code = next((c for c in "BHILQ" if 8 * array(c).itemsize >= bits), None)
         lifts = array(code, bytes(array(code).itemsize * n_states)) if code else [0] * n_states
+    unseen = best[0]
     best[0] = 0
+    counts = {} if counts is None else counts
+    counts.update(stale_pops=0, repeat_pushes=0)
     heap = [(0, 0, 0, 0)]
     explored = 0
     while heap:
         maxe, plen, state, syn = heapq.heappop(heap)
         if maxe != best[state]:
+            counts["stale_pops"] += 1
             continue
         explored += 1
         if target_pred is not None and target_pred(state, syn.bit_count()):
@@ -250,6 +256,8 @@ def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_mov
             nsyn = syn ^ deltas[mi]
             nmax = max(maxe, nsyn.bit_count())
             if nmax < best[ns]:
+                if best[ns] != unseen:
+                    counts["repeat_pushes"] += 1
                 best[ns] = nmax
                 pred[ns] = mi
                 if lifts is not None:

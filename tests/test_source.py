@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import hgpbarrier
-from hgpbarrier import verify
+from hgpbarrier import barrier, verify
 
 
 def test_no_bare_assert_in_package():
@@ -138,3 +138,18 @@ def test_every_private_definition_is_used():
         if not any(name in names for j, names in enumerate(uses) if j != i)
     ]
     assert unused == []
+
+
+def test_syndrome_energies_come_from_the_energy_cache():
+    # a SyndromeEnergy builds its check-matrix columns once, on first use;
+    # one made afresh per walk or search pays for them again, so the package
+    # makes them only through barrier._energy, which keeps one per matrix
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "SyndromeEnergy" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+    assert barrier._energy((0b11,), 2) is barrier._energy((0b11,), 2)

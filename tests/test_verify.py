@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hgpbarrier.barrier import MinimaxTable, sector_table
+from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals
-from hgpbarrier.f2core import BitMatrix, span
+from hgpbarrier.f2core import BitMatrix, BitVec, span
 from hgpbarrier.hgp import build_hgp
+from hgpbarrier.logicals import PauliVec
 from hgpbarrier import verify as V
 
 
@@ -524,13 +525,48 @@ def test_css_restriction_counts(instances):
 
 def test_css_restriction_cap_bounds_sector_tables(instances, monkeypatch):
     # tiny_2 has 2^3 quotient states per sector: a cap of 4 must stop the
-    # sector tables before any full-Pauli search starts
+    # sector tables before the full-Pauli table is built
     def no_pauli(*args, **kwargs):
-        raise AssertionError("full-Pauli search ran despite the cap")
+        raise AssertionError("full-Pauli table built despite the cap")
 
-    monkeypatch.setattr(V, "pauli_barrier_general", no_pauli)
+    monkeypatch.setattr(V, "_pauli_table", no_pauli)
     with pytest.raises(CapExceeded):
         V.check_css_restriction(instances["tiny_2"], cap=4, instance="tiny_2")
+
+
+def test_css_restriction_cap_bounds_the_full_pauli_table(instances, monkeypatch):
+    # tiny_2's sector tables have 2^3 states, its full-Pauli table 2^(5 + 1):
+    # a cap of 16 passes the sector tables and must stop the full-Pauli one
+    def no_pauli(*args, **kwargs):
+        raise AssertionError("full-Pauli table built despite the cap")
+
+    monkeypatch.setattr(V, "_pauli_table", no_pauli)
+    with pytest.raises(CapExceeded):
+        V.check_css_restriction(instances["tiny_2"], cap=16, instance="tiny_2")
+
+
+@pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
+def test_css_restriction_full_values_match_pauli_barrier_general(instances, monkeypatch, name):
+    # every full value the checker compares is the one pauli_barrier_general
+    # reports for that logical, witness walk and all
+    code, n = instances[name], instances[name].n_qubits
+    read = []
+
+    class Recording:
+        def __init__(self, table):
+            self.table = table
+
+        def value(self, bits):
+            read.append((bits, self.table.value(bits)))
+            return read[-1][1]
+
+    real = V._pauli_table
+    monkeypatch.setattr(V, "_pauli_table", lambda c: Recording(real(c)))
+    r = V.check_css_restriction(code, instance=name)
+    assert r.passed and len(read) == r.checked > 0
+    for bits, full in read:
+        p = PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
+        assert full == pauli_barrier_general(code, p).value
 
 
 # -- report plumbing ------------------------------------------------------------
