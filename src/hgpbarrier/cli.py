@@ -47,10 +47,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_code(path: str, fmt: str | None) -> ClassicalCode:
+    """The code in the file at ``path``. The file is read on every call; its
+    text is parsed once per process, so an edited file is parsed again."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot decode {path}: {e.reason} at byte {e.start}") from e
+    return _parse(text, fmt)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(text: str, fmt: str | None) -> ClassicalCode:
+    # a parse error propagates and is not cached
     if fmt == "alist":
         return parse_alist(text)
     if fmt == "dense":

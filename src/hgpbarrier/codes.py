@@ -125,8 +125,10 @@ def _nonempty_lines(text: str) -> list[tuple[int, str]]:
 
 def _is_count(token: str) -> bool:
     """ASCII decimal digits only: str.isdigit also accepts digits such as
-    "²" that int() rejects."""
-    return token.isascii() and token.isdigit()
+    "²" that int() rejects. At most 640 of them: int() converts a string
+    that long under any sys.set_int_max_str_digits limit, and raises a bare
+    ValueError on a longer one under the default limit."""
+    return token.isascii() and token.isdigit() and len(token) <= 640
 
 
 def parse_dense(text: str) -> ClassicalCode:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
 from .errors import IndexOutOfRange, NoLogicals
@@ -80,7 +80,10 @@ class HgpCode:
         )
 
 
+@lru_cache(maxsize=256)
 def build_hgp(h1: ClassicalCode, h2: ClassicalCode) -> HgpCode:
+    """The product of ``h1`` and ``h2``, built once per pair of parents; a
+    repeated pair returns the same code, with its cached properties."""
     hx = hstack(
         kron(h1.h, BitMatrix.identity(h2.n)),
         kron(BitMatrix.identity(h1.r), h2.h.transpose()),

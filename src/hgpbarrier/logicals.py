@@ -193,24 +193,27 @@ def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> Cano
     return _compose(code, "x", lam, kappa)
 
 
-def _basis(code: HgpCode, kind: str) -> list[CanonicalOp]:
-    """The elementary operators of one kind, bit-bit block first."""
+@lru_cache(maxsize=256)
+def _basis(code: HgpCode, kind: str) -> tuple[CanonicalOp, ...]:
+    """The elementary operators of one kind, bit-bit block first, composed
+    once per code; NoLogicals propagates and is not cached."""
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
     left, right, aside, bside = _ingredients(code, kind)
     lam_shape, kappa_shape = (len(left), len(right)), (len(aside), len(bside))
     no_lam, no_kappa = BitMatrix.zeros(*lam_shape), BitMatrix.zeros(*kappa_shape)
     vv = [_compose(code, kind, lam, no_kappa) for lam in unit_matrices(*lam_shape)]
-    return vv + [_compose(code, kind, no_lam, kap) for kap in unit_matrices(*kappa_shape)]
+    return tuple(vv + [_compose(code, kind, no_lam, kap) for kap in unit_matrices(*kappa_shape)])
 
 
 def canonical_z_basis(code: HgpCode) -> list[CanonicalOp]:
-    """The k1*k2 + k1T*k2T elementary Z operators, bit-bit block first."""
-    return _basis(code, "z")
+    """The k1*k2 + k1T*k2T elementary Z operators, bit-bit block first, as a
+    new list on every call."""
+    return list(_basis(code, "z"))
 
 
 def canonical_x_basis(code: HgpCode) -> list[CanonicalOp]:
-    return _basis(code, "x")
+    return list(_basis(code, "x"))
 
 
 def elementary_leg(code: HgpCode, op: CanonicalOp):

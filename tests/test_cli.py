@@ -1,7 +1,9 @@
 """CLI surface: outputs, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hgpbarrier
+from hgpbarrier import cli, hgp, logicals
 from hgpbarrier.cli import _build_parser, main
 from hgpbarrier.codes import (
     emit_alist,
@@ -504,3 +509,115 @@ def test_second_call_builds_no_parser(files, capsys, monkeypatch):
     built.clear()
     assert run(capsys, "info", files / "ring5.alist")[0] == 0
     assert built == []
+
+
+# -- one parse, product and basis per distinct input --------------------------------
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("command", [("barrier", "canonical"), ("logicals",)], ids=["canonical", "logicals"])
+def test_repeated_request_reuses_parse_product_and_basis(files, capsys, monkeypatch, command):
+    argv = [*command, files / "ring3.alist", files / "open3.txt"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    calls = []
+    for name in ("parse_alist", "parse_dense", "parse_auto"):
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.setattr(logicals, "_compose", _counting(calls, "_compose", logicals._compose))
+    misses = hgp.build_hgp.cache_info().misses
+    assert run(capsys, *argv) == first
+    assert calls == []
+    assert hgp.build_hgp.cache_info().misses == misses
+
+
+def test_rewritten_file_gives_the_new_answer(tmp_path, capsys):
+    # the file is read on every call, so the cache key is what it holds now
+    path, ring5 = tmp_path / "code.txt", tmp_path / "ring5.txt"
+    path.write_text(emit_dense(ring_repetition(3)))
+    ring5.write_text(emit_dense(ring_repetition(5)))
+    assert json.loads(run(capsys, "info", path)[1])["n"] == 3
+    before = run(capsys, "logicals", path, path)
+    path.write_text(emit_dense(ring_repetition(5)))
+    assert json.loads(run(capsys, "info", path)[1])["n"] == 5
+    after = run(capsys, "logicals", path, path)
+    assert after == run(capsys, "logicals", ring5, ring5) != before
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("info", "2 3\n110\n01x\n"), ("logicals", "2 3\n110\n01x\n"), ("logicals", "2 2\n10\n01\n")],
+    ids=["info-malformed", "logicals-malformed", "logicals-no-logicals"],
+)
+def test_errors_are_not_cached(tmp_path, capsys, command, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    argv = [command, path] + ([path] if command == "logicals" else [])
+    first = run(capsys, *argv)
+    assert first[0] == 2 and first[1] == "" and json.loads(first[2])["error"]
+    assert run(capsys, *argv) == first
+    path.write_text(emit_dense(ring_repetition(3)))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+_VALID_FILES = [
+    emit_dense(open_repetition(3)).encode(),
+    emit_alist(ring_repetition(3)).encode(),
+    b"2 2\n10\n01\n",
+]
+_NASTY_BYTES = [b"\x00", b"\r", b"\r\n", b"\n", b"\xff", b"\xc3", b"\xe2\x80\xa8", b" ", b"0", b"1"]
+
+
+def _spliced(base: bytes, at: int, chunk: bytes) -> bytes:
+    at %= len(base) + 1
+    return base[:at] + chunk + base[at:]
+
+
+raw_file_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        _spliced,
+        st.sampled_from(_VALID_FILES),
+        st.integers(0, 200),
+        st.one_of(st.sampled_from(_NASTY_BYTES), st.binary(min_size=1, max_size=3)),
+    ),
+    st.sampled_from(_VALID_FILES).map(lambda b: b.replace(b"\n", b"\r")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_file_bytes)
+@example(b"2 3\r110\r011\r")  # CR-only line ends
+@example(b"2 3\n1\x000\n011\n")  # a NUL in a row
+@example(b"2 3\n1\xff0\n011\n")  # not UTF-8
+@example(b"9" * 5000 + b" 1\n1\n")  # a count int() will not convert
+def test_cli_on_raw_file_bytes(files, data):
+    # every request on any file exits 0 or 2 with at most one JSON line on
+    # stderr, and the cold call and the cached call agree
+    path = files / "fuzz.bin"
+    path.write_bytes(data)
+    for argv in (["info", path], ["logicals", path, path]):
+        cli._parse.cache_clear()
+        hgp.build_hgp.cache_clear()
+        logicals._basis.cache_clear()
+        cold = _main_captured(argv)
+        assert _main_captured(argv) == cold
+        code, out, err = cold
+        if code == 0:
+            assert err == "" and out
+        else:
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert set(json.loads(err)) == {"error", "detail"}

@@ -241,6 +241,15 @@ class TestParserFuzz:
             except HgpBarrierError:
                 pass
 
+    @pytest.mark.parametrize("count", ["9" * 641, "0" * 5000 + "1"], ids=["641-digits", "5001-digits"])
+    def test_overlong_counts_are_parse_errors(self, count):
+        # int() raises a bare ValueError past 4300 digits, so a count that
+        # long must be turned away before it reaches int()
+        for text in (f"{count} 1\n1\n", f"1 {count}\n1\n", f"{count} 1\n1 1\n1\n1\n1\n1\n"):
+            for parse in (parse_dense, parse_alist, parse_auto):
+                with pytest.raises(ParseError):
+                    parse(text)
+
     @given(small_code())
     def test_emit_then_parse_round_trips(self, c):
         assert parse_dense(emit_dense(c)).h == c.h

@@ -111,6 +111,19 @@ class TestBases:
             for op in canonical_x_basis(code):
                 assert mat_vec(code.hz, op.realized.x).bits == 0
 
+    @pytest.mark.parametrize("basis", [canonical_z_basis, canonical_x_basis])
+    def test_each_call_returns_a_new_list(self, basis):
+        # the operators are composed once per code and kept; a caller that
+        # edits the list it got changes no later result
+        code = toric()
+        first = basis(code)
+        want = list(first)
+        second = basis(code)
+        assert second is not first and second == want
+        first.clear()
+        second.append(want[0])
+        assert basis(code) == want
+
     def test_completeness_of_z_basis(self):
         # canonical ops plus the Z stabilizer rows must span ker(HX)
         code = toric()

@@ -153,3 +153,33 @@ def test_syndrome_energies_come_from_the_energy_cache():
     ]
     assert found == []
     assert barrier._energy((0b11,), 2) is barrier._energy((0b11,), 2)
+
+
+def _cache_name(node) -> str | None:
+    """The name "lru_cache" or "cache" when node names that functools
+    decorator, bare or as an attribute, else None."""
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def test_every_cache_is_bounded():
+    # a process that serves many requests must not grow without limit, so
+    # every cache in the package holds a bounded number of entries: no
+    # lru_cache(maxsize=None), and functools.cache only on functions of no
+    # arguments, which hold one entry
+    found = []
+    for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and _cache_name(node.func) == "lru_cache":
+                sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+                if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                    found.append(where)
+            elif isinstance(node, ast.Call) and _cache_name(node.func) == "cache":
+                found.append(where)  # cache(fn) wraps a function of any arguments
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                takes_args = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+                if takes_args and any(_cache_name(d) == "cache" for d in node.decorator_list):
+                    found.append(where)
+    assert found == []

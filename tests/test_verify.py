@@ -1,5 +1,6 @@
 """Checker behavior: honest passes, forced failures, determinism."""
 
+import dataclasses
 import json
 from itertools import product
 
@@ -68,12 +69,19 @@ def test_lemma1_toric_factored_still_exhaustive(instances):
     assert r.details["worst_barrier"] == 2
 
 
-def test_lemma1_forced_failure_has_recheckable_counterexample(instances):
-    code = build_hgp(open_repetition(3), open_repetition(3))
-    # cached_property stores in the instance dict, so a planted value
-    # simulates a wrong sparsity bound without touching the matrices
+def _tampered(h1, h2):
+    """A product whose sparsity bound w_c * w_q reads 0. cached_property
+    stores in the instance dict, so planted values simulate a wrong bound
+    without touching the matrices. They go on a copy: build_hgp returns one
+    shared code per parent pair, which the planted values must not reach."""
+    code = dataclasses.replace(build_hgp(h1, h2))
     object.__setattr__(code, "w_c", 0)
     object.__setattr__(code, "w_q", 0)
+    return code
+
+
+def test_lemma1_forced_failure_has_recheckable_counterexample(instances):
+    code = _tampered(open_repetition(3), open_repetition(3))
     r = V.check_lemma1(code, instance="tampered")
     assert not r.passed
     ce = r.counterexample
@@ -98,9 +106,7 @@ def test_lemma1_forced_failure_has_recheckable_counterexample(instances):
 def test_lemma1_forced_failure_reports_the_first_worst_stabilizer(name, mode, counter):
     # paired mode reports the first worst (x, z) pair of the x-major scan of
     # all pairs, factored mode the first worst vector of each sector rowspace
-    code = build_hgp(*V._PARENTS[name])
-    object.__setattr__(code, "w_c", 0)
-    object.__setattr__(code, "w_q", 0)
+    code = _tampered(*V._PARENTS[name])
     r = V.check_lemma1(code, instance=name)
     assert r.details["mode"] == mode
     assert r.counterexample == counter
