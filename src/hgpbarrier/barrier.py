@@ -16,8 +16,9 @@ goes stale, and each state is popped once. A neighbour is tested only for
 being unseen; its energy, search-tree parent and lift are read or set when
 it is pushed. Exhaustive tables read energies off a per-state table spanned
 out from the syndromes of the moves and stop once every state has been
-seen; target searches, which stop early, update a running syndrome instead
-(flipping coordinate q XORs column q of M into it), as witness walks do.
+seen (``_fill``); target searches, which stop early, update a running
+syndrome instead (flipping coordinate q XORs column q of M into it), as
+witness walks do, and store only the search-tree parents (``_nearest``).
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
@@ -179,15 +180,14 @@ def energy_quantum(code: HgpCode, p: PauliVec) -> int:
 def _unseen(n_states: int, top: int):
     """Per-state map for values up to ``top``, every entry unseen: a byte
     map of 0xFF when they fit, a 16-bit array of 0xFFFF otherwise."""
-    return bytearray(b"\xff" * n_states) if top < 0xFF else array("H", [0xFFFF] * n_states)
+    return bytearray(b"\xff") * n_states if top < 0xFF else array("H", [0xFFFF]) * n_states
 
 
 def _lift_store(n_states: int, n_bits: int):
     """Zeroed per-state store for n_bits-wide lifts, in the narrowest array."""
     for code in "BHILQ":
-        size = array(code).itemsize
-        if 8 * size >= n_bits:
-            return array(code, bytes(size * n_states))
+        if 8 * array(code).itemsize >= n_bits:
+            return array(code, [0]) * n_states
     return [0] * n_states
 
 
@@ -195,7 +195,7 @@ def _energy_table(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_e
     """Syndrome weight of every n_dim-bit state, indexed by state.
 
     The syndrome is linear in the state, and every unit vector is a move (see
-    ``_syndrome_search``), so the move's delta is that vector's syndrome. The
+    ``_fill``), so the move's delta is that vector's syndrome. The
     table is then spanned out, one block of 2^lo states per value of the high
     bits, so no list of 2^n_dim ints exists.
     """
@@ -228,87 +228,70 @@ def _bucket_layers(buckets):
                 del layers[plen]
 
 
-def _syndrome_search(
-    n_dim: int,
-    moves: Sequence[int],
-    deltas: Sequence[int],
-    max_energy: int,
-    target_pred,
-    lift_moves: Sequence[int] | None = None,
-):
-    """Core engine over the n_dim-bit states: move i XORs moves[i] into the
-    state and deltas[i] into the syndrome, which must be linear in the
-    state. Every unit vector 1 << i must be among the moves, as the quotient
-    image of a free column's flip always is. target_pred(state, energy) or
-    None to exhaust all states. With lift_moves, an exhaustive search also
-    sets lifts[s] to the XOR of lift_moves along the search-tree path to
-    each state s.
-
-    A bucket queue (Dial's algorithm): energies are integers in
-    [0, max_energy], so the frontier is one bucket per peak level, each
-    mapping path length to a list of states, and pops come in the order
-    (peak, path length, state). Levels never fall, so a state first reached
-    from a pop at level L has best max(L, its energy), and no later pop can
-    improve on that: every push is final. A neighbour needs one test, unseen
-    or not, and only an unseen one has its energy read; its best, pred and
-    lift (or, in target mode, its syndrome) are set when it is pushed, and
-    each state is popped exactly once. Exhaustive searches read energies
-    off a per-state table (``_energy_table``), dropped on return, and stop
-    as soon as every state has been seen, since all 2^n_dim are reachable
-    through the unit moves; target searches stop early, so they carry each
-    state's syndrome instead.
-
-    Returns (final_state, best, pred, lifts, explored); final_state is None
-    in exhaust mode, and lifts is None in target mode or without lift_moves.
+def _fill(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int, lift_moves):
+    """Exhaustive minimax table over the n_dim-bit states: move i XORs
+    moves[i] into the state and deltas[i] into its syndrome, which must be
+    linear in the state. Every unit vector 1 << i must be among the moves,
+    as the quotient image of a free column's flip always is, so every state
+    is reached. Returns (best, pred, lifts): per state its value, the index
+    of the move that first reached it, and the XOR of lift_moves along that
+    search-tree path (lifts is None when lift_moves is).
     """
     best, pred = _unseen(1 << n_dim, max_energy), _unseen(1 << n_dim, len(moves))
     unseen, best[0] = best[0], 0
+    lifts = None if lift_moves is None else _lift_store(1 << n_dim, max(lift_moves).bit_length())
+    energy = _energy_table(n_dim, moves, deltas, max_energy)
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
+    buckets[0][0].append(0)
+    left = (1 << n_dim) - 1  # states not yet pushed
     indexed = tuple(enumerate(moves))
-    if target_pred is None:
-        lifts = None
-        if lift_moves is not None:
-            lifts = _lift_store(1 << n_dim, max(lift_moves).bit_length())
-        energy = _energy_table(n_dim, moves, deltas, max_energy)
-        left = (1 << n_dim) - 1  # states not yet pushed
-        buckets[0][0].append(0)
-        for level, plen, layer, same in _bucket_layers(buckets):
-            for state in layer:
-                if not left:
-                    return None, best, pred, lifts, 1 << n_dim
-                for mi, m in indexed:
-                    ns = state ^ m
-                    if best[ns] == unseen:
-                        left -= 1
-                        pred[ns] = mi
-                        if lifts is not None:
-                            lifts[ns] = lifts[state] ^ lift_moves[mi]
-                        e = energy[ns]
-                        if e <= level:
-                            best[ns] = level
-                            same.append(ns)
-                        else:
-                            best[ns] = e
-                            buckets[e][plen].append(ns)
-        return None, best, pred, lifts, 1 << n_dim
-    explored = 0
+    for level, plen, layer, same in _bucket_layers(buckets):
+        for state in layer:
+            if not left:
+                return best, pred, lifts
+            for mi, m in indexed:
+                ns = state ^ m
+                if best[ns] == unseen:
+                    left -= 1
+                    pred[ns] = mi
+                    if lifts is not None:
+                        lifts[ns] = lifts[state] ^ lift_moves[mi]
+                    e = energy[ns]
+                    if e <= level:
+                        best[ns] = level
+                        same.append(ns)
+                    else:
+                        best[ns] = e
+                        buckets[e][plen].append(ns)
+    return best, pred, lifts
+
+
+def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int, target_pred):
+    """First state popped with target_pred(state, energy), over the moves
+    of ``_fill`` and in its pop order. A state is popped at its value, so
+    only pred is kept, its root entry marked seen. Returns (state, value,
+    pred, explored), explored counting pops.
+    """
+    pred = _unseen(1 << n_dim, len(moves))
+    unseen, pred[0] = pred[0], 0
+    buckets = [defaultdict(list) for _ in range(max_energy + 1)]
     buckets[0][0].append((0, 0))  # (state, syndrome)
+    explored = 0
+    indexed = tuple(enumerate(moves))
     for level, plen, layer, same in _bucket_layers(buckets):
         for state, syn in layer:
             explored += 1
             if target_pred(state, syn.bit_count()):
-                return state, best, pred, None, explored
+                return state, level, pred, explored
             for mi, m in indexed:
                 ns = state ^ m
-                if best[ns] == unseen:
+                if pred[ns] == unseen:
                     pred[ns] = mi
                     nsyn = syn ^ deltas[mi]
                     e = nsyn.bit_count()
                     if e <= level:
-                        best[ns] = level
                         same.append((ns, nsyn))
                     else:
-                        best[ns] = e
                         buckets[e][plen].append((ns, nsyn))
     raise NoTarget("no state satisfying the target predicate is reachable")
 
@@ -339,9 +322,9 @@ def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecor
 
 
 def _normalize_targets(targets, n_dim: int):
-    """A target predicate over packed states; a BitVec of another length,
-    an int outside [0, 2^n_dim) or an empty collection is rejected before
-    any search."""
+    """A target predicate over packed states; a target that is neither a
+    BitVec nor an int, a BitVec of another length, an int outside
+    [0, 2^n_dim) or an empty collection is rejected before any search."""
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
     if isinstance(targets, (BitVec, int)):
@@ -350,7 +333,9 @@ def _normalize_targets(targets, n_dim: int):
     for t in targets:
         if isinstance(t, BitVec) and t.n != n_dim:
             raise DimensionMismatch(f"target of length {t.n}, search over {n_dim} dims")
-        bits = t.bits if isinstance(t, BitVec) else int(t)
+        if not isinstance(t, (BitVec, int)):
+            raise TypeError(f"target must be a BitVec or an int, got {type(t).__name__}")
+        bits = t.bits if isinstance(t, BitVec) else t
         if not 0 <= bits < 1 << n_dim:
             raise IndexOutOfRange(f"target {bits:#x} outside [0, 2^{n_dim})")
         goals.add(bits)
@@ -546,11 +531,11 @@ class MinimaxTable:
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
     quotient, energy = _quotient(stab_rows, n), _energy(rows, n)
-    _, best, pred, lifts, explored = _syndrome_search(
-        quotient.dim, quotient.images, energy.columns, len(rows), None, quotient.lift_moves
+    best, pred, lifts = _fill(
+        quotient.dim, quotient.images, energy.columns, len(rows), quotient.lift_moves
     )
     basis, edges = _voltage_basis(best, lifts, quotient) if lifts is not None else ((), ())
-    return MinimaxTable(n, energy, best, pred, explored, quotient, lifts, basis, edges)
+    return MinimaxTable(n, energy, best, pred, 1 << quotient.dim, quotient, lifts, basis, edges)
 
 
 def _target_search(
@@ -562,11 +547,11 @@ def _target_search(
     as in ``_walk``); with no stabilizers the quotient states are the
     vectors themselves."""
     quotient = _quotient_within(stab_rows, energy.n_dim, cap)
-    end, best, pred, _, explored = _syndrome_search(
+    end, value, pred, explored = _nearest(
         quotient.dim, quotient.images, energy.columns, len(energy.rows), target_pred
     )
     record = _walk(_tree_moves(end, pred, quotient.images), energy, state)
-    return BarrierResult(best[end], record, record.states[-1], explored)
+    return BarrierResult(value, record, record.states[-1], explored)
 
 
 def _nonzero_codeword(state: int, energy: int) -> bool:

@@ -182,7 +182,8 @@ def _int_line(entries, idx: int, what: str, expect: int | None = None) -> tuple[
     vals = []
     for pos, t in enumerate(toks, start=1):
         if not (_is_count(t) or (t.startswith("-") and _is_count(t[1:]))):
-            raise ParseError(f"non-integer token {t!r} in {what}", line=lineno, column=pos)
+            shown = repr(t) if len(t) <= 20 else f"{t[:20]!r}... ({len(t)} characters)"
+            raise ParseError(f"non-integer token {shown} in {what}", line=lineno, column=pos)
         vals.append(int(t))
     if expect is not None and len(vals) != expect:
         raise ParseError(f"expected {expect} values in {what}, found {len(vals)}", line=lineno)

@@ -12,7 +12,6 @@ the check-check block (coordinates (a, b) with a < r1, b < r2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -109,10 +108,7 @@ def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
     if code.k == 0:
         raise NoLogicals("code has no logical qubits, distance undefined")
     parents = (code.h1, code.h2, code.h1.transpose(), code.h2.transpose())
-    d = min(p.parameters(cap).d for p in parents)
-    if d == math.inf:
-        raise NoLogicals("all four parent codes are trivial")
-    return CodeParams(code.n_qubits, code.k, d)
+    return CodeParams(code.n_qubits, code.k, min(p.parameters(cap).d for p in parents))
 
 
 def qubit_index(code: HgpCode, block: str, a: int, b: int) -> int:

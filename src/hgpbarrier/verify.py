@@ -631,7 +631,7 @@ def check_css_restriction(
     checked = 0
     counter = None
     for kind, logicals in (("z", enumerate_z_logicals), ("x", enumerate_x_logicals)):
-        for p in logicals(code):
+        for p in logicals(code, cap):
             full = full_table.value(p.x.bits | p.z.bits << n)
             sector = tables[kind].value(p.part(kind).bits)
             checked += 1

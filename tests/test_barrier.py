@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -185,6 +186,9 @@ class TestBottleneckSearch:
             ([], NoTarget),
             (set(), NoTarget),
             ((), NoTarget),
+            ("12", TypeError),  # not the states 1 and 2
+            ([2.7], TypeError),  # not state 2
+            (2.7, TypeError),
         ],
     )
     def test_bad_targets_fail_before_any_search(self, monkeypatch, target, error):
@@ -193,7 +197,7 @@ class TestBottleneckSearch:
         def no_search(*args, **kwargs):
             raise AssertionError("search ran on a bad target")
 
-        monkeypatch.setattr(barrier_module, "_syndrome_search", no_search)
+        monkeypatch.setattr(barrier_module, "_nearest", no_search)
         with pytest.raises(error):
             bottleneck_search(syn, 4, target)
 
@@ -225,6 +229,19 @@ class TestClassicalBarrier:
         assert end.bits != 0
         assert c.syndrome(end).bits == 0
         assert validate_path(res.witness, lambda v: energy_classical(c, v))
+
+    def test_target_search_keeps_about_one_byte_per_state(self):
+        # a target search stores only pred, one byte per state, built without
+        # a temporary of its size; the search itself pops 40 states
+        c = open_repetition(20)
+        classical_barrier(c)  # warm the energy and quotient caches
+        tracemalloc.start()
+        try:
+            classical_barrier(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 20)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(40)
@@ -337,7 +354,7 @@ class TestPauliGeneral:
             raise AssertionError("search ran despite the cap")
 
         # the cap is checked before the table cache and before any search
-        monkeypatch.setattr(barrier_module, "_syndrome_search", no_search)
+        monkeypatch.setattr(barrier_module, "_fill", no_search)
         with pytest.raises(CapExceeded):
             pauli_barrier_general(code, target, cap=states - 1)
         barrier_module._table.cache_clear()

@@ -91,6 +91,17 @@ def test_bad_input_bytes_exit_2(tmp_path, capsys, content):
     assert json.loads(err)["error"] == "parse"
 
 
+def test_overlong_count_gives_a_short_error(tmp_path, capsys):
+    # the offending token is echoed as a short prefix, not whole
+    path = tmp_path / "big.alist"
+    path.write_text("9" * 5000 + " 1\n1 1\n1\n1\n1\n1\n")
+    code, out, err = run(capsys, "info", path, "--fmt", "alist")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+    assert "(5000 characters)" in err
+    assert len(err.encode()) < 300
+
+
 def test_fmt_override_mismatch(files, capsys):
     code, _, err = run(capsys, "info", files / "open3.txt", "--fmt", "alist")
     assert code == 2

@@ -1,9 +1,12 @@
 """The bucket-queue minimax engine, pinned to the binary-heap engine it replaced.
 
-Every call that the package makes to ``barrier._syndrome_search`` is
-recorded and replayed through ``oracles.heap_syndrome_search``; the tables
-(``best``, ``pred``, ``lifts``), the ``explored`` count and the final state
-must be identical, table types included, so no value, witness or count moves.
+Every call that the package makes to ``barrier._fill`` (exhaustive tables)
+or ``barrier._nearest`` (target searches) is recorded and replayed through
+``oracles.heap_syndrome_search``. A fill's ``best``, ``pred`` and ``lifts``
+must be identical to the oracle's, table types included, and the oracle
+must pop every state. A target search's end state, value, ``explored``
+count and ``pred`` must be the oracle's; only ``pred``'s root entry, which
+the package marks seen, may differ. So no value, witness or count moves.
 """
 
 from contextlib import contextmanager
@@ -35,24 +38,41 @@ def _same_table(a, b):
     )
 
 
+ENGINES = ("_fill", "_nearest")
+
+
 @contextmanager
 def _recorded_engine_calls():
-    """Record (args, result) of every engine call, tables built afresh."""
+    """Record (engine name, args, result) of every engine call, tables built
+    afresh."""
     calls = []
-    real = barrier._syndrome_search
+    real = {name: getattr(barrier, name) for name in ENGINES}
 
-    def spy(*args):
-        result = real(*args)
-        calls.append((args, result))
-        return result
+    def spy(name):
+        def call(*args):
+            result = real[name](*args)
+            calls.append((name, args, result))
+            return result
+        return call
 
-    barrier._syndrome_search = spy
+    for name in ENGINES:
+        setattr(barrier, name, spy(name))
     barrier._table.cache_clear()
     try:
         yield calls
     finally:
-        barrier._syndrome_search = real
+        for name in ENGINES:
+            setattr(barrier, name, real[name])
         barrier._table.cache_clear()
+
+
+def heap_replay(name, args, **kwargs):
+    """The oracle run of one recorded engine call: a fill exhausts every
+    state, a target search stops at its predicate."""
+    if name == "_fill":
+        n_dim, moves, deltas, max_energy, lift_moves = args
+        return oracles.heap_syndrome_search(n_dim, moves, deltas, max_energy, None, lift_moves, **kwargs)
+    return oracles.heap_syndrome_search(*args, **kwargs)
 
 
 @pytest.fixture
@@ -63,13 +83,18 @@ def engine_calls():
 
 def _check_against_heap(calls, n_calls):
     assert len(calls) == n_calls
-    for args, (state, best, pred, lifts, explored) in calls:
-        ref_state, ref_best, ref_pred, ref_lifts, ref_explored = oracles.heap_syndrome_search(*args)
-        assert state == ref_state
-        assert explored == ref_explored
-        assert _same_table(best, ref_best)
-        assert _same_table(pred, ref_pred)
-        assert _same_table(lifts, ref_lifts)
+    for name, args, result in calls:
+        ref_state, ref_best, ref_pred, ref_lifts, ref_explored = heap_replay(name, args)
+        if name == "_fill":
+            best, pred, lifts = result
+            assert ref_explored == 1 << args[0]
+            assert _same_table(best, ref_best)
+            assert _same_table(pred, ref_pred)
+            assert _same_table(lifts, ref_lifts)
+        else:
+            state, value, pred, explored = result
+            assert (state, value, explored) == (ref_state, ref_best[ref_state], ref_explored)
+            assert _same_table(pred[1:], ref_pred[1:])
 
 
 def _parents(code):
@@ -149,7 +174,7 @@ def test_energies_of_255_and_above_use_16_bit_tables(engine_calls):
     assert max(want) >= 255
     assert [table.value(s) for s in range(64)] == want
     assert table.best.typecode == "H"
-    (args, _), = engine_calls
+    (_, args, _), = engine_calls
     energy = barrier._energy_table(*args[:4])
     assert energy.typecode == "H"
     assert list(energy) == [barrier.SyndromeEnergy(rows, 6).bits_energy(s) for s in range(64)]

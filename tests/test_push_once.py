@@ -2,10 +2,10 @@
 
 Peaks popped from the frontier never fall, so the first time a state is
 reached fixes its value: no state is queued twice and no popped entry is
-stale. ``barrier._syndrome_search`` relies on this and tests a neighbour
-only for being unseen. Each engine call the package makes is replayed
-through ``oracles.heap_syndrome_search``, which counts stale pops and
-repeat pushes independently of the package engine.
+stale. ``barrier._fill`` and ``barrier._nearest`` rely on this and test a
+neighbour only for being unseen. Each call the package makes to either is
+replayed through ``oracles.heap_syndrome_search``, which counts stale pops
+and repeat pushes independently of the package engines.
 """
 
 import pytest
@@ -17,15 +17,15 @@ from hgpbarrier.barrier import classical_barrier, classical_table, quantum_barri
 from hgpbarrier.errors import NoLogicals
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.verify import quantum_instances
-from test_engine import _parents, _recorded_engine_calls
+from test_engine import _parents, _recorded_engine_calls, heap_replay
 from test_quotient import _parent
 
 
 def _check_push_once(calls, n_calls):
     assert len(calls) == n_calls
-    for args, _ in calls:
+    for name, args, _ in calls:
         counts = {}
-        oracles.heap_syndrome_search(*args, counts=counts)
+        heap_replay(name, args, counts=counts)
         assert counts == {"stale_pops": 0, "repeat_pushes": 0}
 
 

@@ -15,6 +15,7 @@ from hgpbarrier.errors import CapExceeded, NoLogicals
 from hgpbarrier.f2core import BitMatrix, BitVec, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec
+from hgpbarrier import logicals
 from hgpbarrier import verify as V
 
 
@@ -549,6 +550,22 @@ def test_css_restriction_cap_bounds_the_full_pauli_table(instances, monkeypatch)
     monkeypatch.setattr(V, "_pauli_table", no_pauli)
     with pytest.raises(CapExceeded):
         V.check_css_restriction(instances["tiny_2"], cap=16, instance="tiny_2")
+
+
+def test_css_restriction_enumerates_logicals_under_its_cap(instances, monkeypatch):
+    # the full-Pauli quotient has at least as many states as either kernel,
+    # so under the claim's cap the enumerations never fail first; at their
+    # own 2^20 default they failed on kernels the tables could take
+    caps = []
+    real = logicals._enumerate_coset
+
+    def recording(check, stab_rows, cap):
+        caps.append(cap)
+        return real(check, stab_rows, cap)
+
+    monkeypatch.setattr(logicals, "_enumerate_coset", recording)
+    r = V.check_css_restriction(instances["tiny_2"], cap=1 << 22, instance="tiny_2")
+    assert r.passed and caps == [1 << 22, 1 << 22]
 
 
 @pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
