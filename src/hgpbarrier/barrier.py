@@ -12,13 +12,19 @@ weight(M x) are small integers, so the frontier is a bucket queue (Dial's
 algorithm): one bucket per peak level, split by path length, each layer
 sorted by state when its turn comes. Levels never fall, so the first time a
 state is reached fixes its peak: every push is final, no queued entry ever
-goes stale, and each state is popped once. A neighbour is tested only for
-being unseen; its energy, search-tree parent and lift are read or set when
-it is pushed. Exhaustive tables read energies off a per-state table spanned
-out from the syndromes of the moves and stop once every state has been
-seen (``_fill``); target searches, which stop early, update a running
-syndrome instead (flipping coordinate q XORs column q of M into it), as
-witness walks do, and store only the search-tree parents (``_nearest``).
+goes stale, and each state is popped once.
+
+Target searches, which stop early, pop state by state (``_nearest``): a
+neighbour is tested only for being unseen, its energy is read off a running
+syndrome (flipping coordinate q XORs column q of M into it), as witness
+walks do, and only the search-tree parents are stored. Exhaustive tables
+run the same order a whole layer at a time (``_flood``): a layer is a bitset
+over all states in one Python int, its neighbours are its XOR-translates
+by the moves (one butterfly swap per bit of a move), and bit-sliced
+syndrome counts give the states of each energy, so no Python loop runs per
+state. A table keeps per state only its value and its layer's index. The
+search tree is derived from those when asked for: the parent of a state is
+its neighbour of least (layer, state), the one the queue pops first.
 
 Sector tables search the quotient of F2^n by the stabilizer group S that
 leaves the sector energy unchanged (HZ for the z-sector, HX for the
@@ -38,6 +44,7 @@ This is the covering-space picture of voltage graphs (Gross & Tucker,
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -177,36 +184,135 @@ def energy_quantum(code: HgpCode, p: PauliVec) -> int:
     return weight(mat_vec(code.hx, p.z)) + weight(mat_vec(code.hz, p.x))
 
 
-def _unseen(n_states: int, top: int):
-    """Per-state map for values up to ``top``, every entry unseen: a byte
-    map of 0xFF when they fit, a 16-bit array of 0xFFFF otherwise."""
-    return bytearray(b"\xff") * n_states if top < 0xFF else array("H", [0xFFFF]) * n_states
+@lru_cache(maxsize=8)
+def _butterflies(n_dim: int) -> tuple[int, ...]:
+    """Per bit b < n_dim, the bitset of the 2^n_dim states with bit b clear."""
+    n_states = 1 << n_dim
+    masks = []
+    for b in range(n_dim):
+        if b < 3:
+            block = (b"\x55", b"\x33", b"\x0f")[b]
+        else:
+            block = b"\xff" * (1 << (b - 3)) + bytes(1 << (b - 3))
+        reps = -(-n_states // (8 * len(block)))
+        masks.append(int.from_bytes(block * reps, "little") & ((1 << n_states) - 1))
+    return tuple(masks)
 
 
-def _lift_store(n_states: int, n_bits: int):
-    """Zeroed per-state store for n_bits-wide lifts, in the narrowest array."""
-    for code in "BHILQ":
-        if 8 * array(code).itemsize >= n_bits:
-            return array(code, [0]) * n_states
-    return [0] * n_states
+# per bit j of a value, the table that turns a "0"/"1" string into bytes 0 / 2^(j % 8)
+_SPREAD = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
 
 
-def _energy_table(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
-    """Syndrome weight of every n_dim-bit state, indexed by state.
+def _per_state(planes: Sequence[int], n_states: int, wide: bool):
+    """The per-state values whose bit j is the bitset planes[j]: a byte map,
+    or when ``wide`` or past 8 planes the narrowest array of at least 16
+    bits. Each plane is spread to one byte per state through its binary
+    string, so no Python loop runs per state."""
+    words = [0] * max(-(-len(planes) // 8), 1 + wide)  # one int per byte of a value
+    for j, plane in enumerate(planes):
+        words[j >> 3] |= int.from_bytes(
+            format(plane, "b").encode().translate(_SPREAD[j & 7]), "big"
+        )
+    if len(words) == 1:
+        return bytearray(words[0].to_bytes(n_states, "little"))
+    code = next(c for c in "HLQ" if array(c).itemsize >= len(words))
+    size = array(code).itemsize
+    buf = bytearray(size * n_states)
+    for k, word in enumerate(words):
+        buf[k::size] = word.to_bytes(n_states, "little")
+    table = array(code, buf)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
 
-    The syndrome is linear in the state, and every unit vector is a move (see
-    ``_fill``), so the move's delta is that vector's syndrome. The
-    table is then spanned out, one block of 2^lo states per value of the high
-    bits, so no list of 2^n_dim ints exists.
-    """
+
+def _level_sets(n_dim: int, moves: Sequence[int], deltas: Sequence[int]) -> list[int]:
+    """Bit-sliced syndrome weights: bit j of every state's energy, as one
+    bitset per j. The syndrome is linear in the state, and every unit vector
+    is a move, so check r is violated on the XOR of the bit-i sets over the
+    i whose unit move's delta has bit r; the bit-i set is the complement of
+    butterfly mask i."""
     syndrome = dict(zip(moves, deltas))
     unit = [syndrome[1 << i] for i in range(n_dim)]
-    lo = n_dim // 2
-    low_syns, high_syns = linear_table(unit[:lo]), linear_table(unit[lo:])
-    table = bytearray() if max_energy < 0xFF else array("H")
-    for high in high_syns:
-        table.extend([(high ^ s).bit_count() for s in low_syns])
-    return table
+    full, masks = (1 << (1 << n_dim)) - 1, _butterflies(n_dim)
+    counter = []
+    for r in range(max(unit, default=0).bit_length()):
+        touching = [masks[i] for i in range(n_dim) if (unit[i] >> r) & 1]
+        carry = reduce(xor, touching, full if len(touching) & 1 else 0)
+        for j, plane in enumerate(counter):
+            counter[j], carry = plane ^ carry, plane & carry
+        if carry:
+            counter.append(carry)
+    return counter
+
+
+def _layers(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
+    """Dial's pop order over (level, path length), one whole layer at a
+    time: yields (level, layer), each layer a bitset over the 2^n_dim
+    states. A layer's neighbours are its XOR-translates by the distinct
+    nonzero moves, one butterfly swap (shift, mask) per set bit of a move.
+    A new state of energy at most the level joins the next path length at
+    that level; any other waits, at that path length, for its own energy's
+    level."""
+    full, masks = (1 << (1 << n_dim)) - 1, _butterflies(n_dim)
+    swaps = [[(1 << b, masks[b]) for b in range(n_dim) if (m >> b) & 1] for m in set(moves) if m]
+    counter = _level_sets(n_dim, moves, deltas)
+    unseen, waiting = full ^ 1, {0: 1}  # waiting: path length -> states pushed below their energy
+    at_most = 0  # states of energy <= level
+    for level in range(max_energy + 1):
+        equal = full
+        for j, plane in enumerate(counter):
+            equal &= plane if (level >> j) & 1 else full ^ plane
+        at_most |= equal
+        same = 0  # states joining this level at path length plen
+        while True:
+            if not same:
+                ready = [p for p, w in waiting.items() if w & equal]
+                if not ready:
+                    break
+                plen = min(ready)
+            joining = waiting.pop(plen, 0)
+            got = joining & equal
+            if joining ^ got:
+                waiting[plen] = joining ^ got
+            layer = same | got
+            yield level, layer
+            plen += 1
+            same = 0
+            if unseen:
+                near = 0
+                for move in swaps:
+                    x = layer
+                    for shift, mask in move:
+                        x = ((x & mask) << shift) | ((x >> shift) & mask)
+                    near |= x
+                new = near & unseen
+                unseen ^= new
+                same = new & at_most
+                if new ^ same:
+                    waiting[plen] = waiting.get(plen, 0) | (new ^ same)
+        if not (unseen or waiting):
+            return
+
+
+def _flood(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int):
+    """Exhaustive minimax table over the n_dim-bit states: move i XORs
+    moves[i] into the state and deltas[i] into its syndrome, which must be
+    linear in the state, with every unit vector 1 << i among the moves (as
+    the quotient image of a free column's flip always is). Returns (best,
+    order): per state its value, and the index of its layer in the pop
+    order of ``_layers``, in which the bucket queue pops the states when
+    each layer is sorted by state. Both are written as bit planes, one
+    bitset per bit of the value, so no Python loop runs per state."""
+    best_planes, order_planes = [], []
+    for index, (level, layer) in enumerate(_layers(n_dim, moves, deltas, max_energy)):
+        for planes, value in ((best_planes, level), (order_planes, index)):
+            planes += [0] * (value.bit_length() - len(planes))
+            for j in range(value.bit_length()):
+                if (value >> j) & 1:
+                    planes[j] |= layer
+    best = _per_state(best_planes, 1 << n_dim, max_energy >= 0xFF)
+    return best, _per_state(order_planes, 1 << n_dim, False)
 
 
 def _bucket_layers(buckets):
@@ -228,51 +334,14 @@ def _bucket_layers(buckets):
                 del layers[plen]
 
 
-def _fill(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int, lift_moves):
-    """Exhaustive minimax table over the n_dim-bit states: move i XORs
-    moves[i] into the state and deltas[i] into its syndrome, which must be
-    linear in the state. Every unit vector 1 << i must be among the moves,
-    as the quotient image of a free column's flip always is, so every state
-    is reached. Returns (best, pred, lifts): per state its value, the index
-    of the move that first reached it, and the XOR of lift_moves along that
-    search-tree path (lifts is None when lift_moves is).
-    """
-    best, pred = _unseen(1 << n_dim, max_energy), _unseen(1 << n_dim, len(moves))
-    unseen, best[0] = best[0], 0
-    lifts = None if lift_moves is None else _lift_store(1 << n_dim, max(lift_moves).bit_length())
-    energy = _energy_table(n_dim, moves, deltas, max_energy)
-    buckets = [defaultdict(list) for _ in range(max_energy + 1)]
-    buckets[0][0].append(0)
-    left = (1 << n_dim) - 1  # states not yet pushed
-    indexed = tuple(enumerate(moves))
-    for level, plen, layer, same in _bucket_layers(buckets):
-        for state in layer:
-            if not left:
-                return best, pred, lifts
-            for mi, m in indexed:
-                ns = state ^ m
-                if best[ns] == unseen:
-                    left -= 1
-                    pred[ns] = mi
-                    if lifts is not None:
-                        lifts[ns] = lifts[state] ^ lift_moves[mi]
-                    e = energy[ns]
-                    if e <= level:
-                        best[ns] = level
-                        same.append(ns)
-                    else:
-                        best[ns] = e
-                        buckets[e][plen].append(ns)
-    return best, pred, lifts
-
-
 def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int, target_pred):
     """First state popped with target_pred(state, energy), over the moves
-    of ``_fill`` and in its pop order. A state is popped at its value, so
-    only pred is kept, its root entry marked seen. Returns (state, value,
-    pred, explored), explored counting pops.
+    of ``_flood`` and in its pop order, each layer sorted by state. A state
+    is popped at its value, so only pred is kept, its root entry marked
+    seen. Returns (state, value, pred, explored), explored counting pops.
     """
-    pred = _unseen(1 << n_dim, len(moves))
+    n_states = 1 << n_dim  # pred entries start unseen: 0xFF, or 0xFFFF past 254 moves
+    pred = bytearray(b"\xff") * n_states if len(moves) < 0xFF else array("H", [0xFFFF]) * n_states
     unseen, pred[0] = pred[0], 0
     buckets = [defaultdict(list) for _ in range(max_energy + 1)]
     buckets[0][0].append((0, 0))  # (state, syndrome)
@@ -294,6 +363,48 @@ def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy
                     else:
                         buckets[e][plen].append((ns, nsyn))
     raise NoTarget("no state satisfying the target predicate is reachable")
+
+
+class _TreeParents(dict):
+    """``pred[s]``: the move by which the bucket queue first reaches state
+    s != 0, derived from a table's layer order when first asked for and
+    kept per state. The first state popped next to s pushes it, so its
+    parent is the neighbour of least (layer, state), reached by the lowest
+    move index with that image; zero images never reach a new state."""
+
+    def __init__(self, order, moves: Sequence[int], n_dim: int):
+        super().__init__()
+        self.order, self.n_dim, self.first = order, n_dim, {}
+        for i, m in enumerate(moves):
+            if m:
+                self.first.setdefault(m, i)
+
+    def __missing__(self, state: int) -> int:
+        order, n_dim = self.order, self.n_dim
+        key = min((order[u] << n_dim) | u for u in map(state.__xor__, self.first))
+        self[state] = mi = self.first[state ^ (key & ((1 << n_dim) - 1))]
+        return mi
+
+
+class _TreeLifts(dict):
+    """``lifts[s]``: the XOR of lift_moves along the search tree from 0 to
+    s, computed when first asked for and kept per state."""
+
+    def __init__(self, pred: _TreeParents, moves: Sequence[int], lift_moves: Sequence[int]):
+        super().__init__({0: 0})
+        self.pred, self.moves, self.lift_moves = pred, moves, lift_moves
+
+    def __missing__(self, state: int) -> int:
+        path = []
+        while state not in self:
+            mi = self.pred[state]
+            path.append((state, mi))
+            state ^= self.moves[mi]
+        lift = self[state]
+        for state, mi in reversed(path):
+            lift ^= self.lift_moves[mi]
+            self[state] = lift
+        return lift
 
 
 def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
@@ -323,8 +434,9 @@ def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecor
 
 def _normalize_targets(targets, n_dim: int):
     """A target predicate over packed states; a target that is neither a
-    BitVec nor an int, a BitVec of another length, an int outside
-    [0, 2^n_dim) or an empty collection is rejected before any search."""
+    BitVec nor an int (a bool is neither), a BitVec of another length, an
+    int outside [0, 2^n_dim) or an empty collection is rejected before any
+    search."""
     if callable(targets):
         return lambda s, e: bool(targets(BitVec(n_dim, s)))
     if isinstance(targets, (BitVec, int)):
@@ -333,7 +445,7 @@ def _normalize_targets(targets, n_dim: int):
     for t in targets:
         if isinstance(t, BitVec) and t.n != n_dim:
             raise DimensionMismatch(f"target of length {t.n}, search over {n_dim} dims")
-        if not isinstance(t, (BitVec, int)):
+        if isinstance(t, bool) or not isinstance(t, (BitVec, int)):
             raise TypeError(f"target must be a BitVec or an int, got {type(t).__name__}")
         bits = t.bits if isinstance(t, BitVec) else t
         if not 0 <= bits < 1 << n_dim:
@@ -475,18 +587,22 @@ class MinimaxTable:
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
     leaves the energy unchanged (the empty group for classical tables, where
     quotient states are the vectors themselves), under unit flips: move q
-    flips coordinate q. ``best``, ``pred`` and ``explored`` count quotient
-    states. ``value`` reads ``best``, the tree ``lifts`` and the voltage
-    ``basis``; the witness flips (``_flips``) also walk ``pred`` and ``edges``.
+    flips coordinate q. ``best``, ``order`` and ``explored`` count quotient
+    states; ``order`` is each state's layer in the fill's pop order. The
+    search tree is derived from it on demand: ``pred`` gives a state's
+    parent move, ``lifts`` (None without stabilizers) its tree lift.
+    ``value`` reads ``best``, ``lifts`` and the voltage ``basis``; the
+    witness flips (``_flips``) also walk ``pred`` and ``edges``.
     """
 
     n_dim: int
     energy: SyndromeEnergy
     best: object = field(repr=False)
-    pred: object = field(repr=False)
+    order: object = field(repr=False)
+    pred: _TreeParents = field(repr=False)
     explored: int
     quotient: _Quotient = field(repr=False)
-    lifts: object = field(default=None, repr=False)
+    lifts: _TreeLifts | None = field(default=None, repr=False)
     basis: tuple = field(default=(), repr=False)
     edges: tuple = field(default=(), repr=False)
 
@@ -531,11 +647,14 @@ class MinimaxTable:
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
     quotient, energy = _quotient(stab_rows, n), _energy(rows, n)
-    best, pred, lifts = _fill(
-        quotient.dim, quotient.images, energy.columns, len(rows), quotient.lift_moves
-    )
-    basis, edges = _voltage_basis(best, lifts, quotient) if lifts is not None else ((), ())
-    return MinimaxTable(n, energy, best, pred, 1 << quotient.dim, quotient, lifts, basis, edges)
+    best, order = _flood(quotient.dim, quotient.images, energy.columns, len(rows))
+    pred = _TreeParents(order, quotient.images, quotient.dim)
+    lifts, basis, edges = None, (), ()
+    if quotient.lift_moves is not None:
+        lifts = _TreeLifts(pred, quotient.images, quotient.lift_moves)
+        basis, edges = _voltage_basis(best, lifts, quotient)
+    explored = 1 << quotient.dim
+    return MinimaxTable(n, energy, best, order, pred, explored, quotient, lifts, basis, edges)
 
 
 def _target_search(

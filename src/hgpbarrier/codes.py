@@ -131,6 +131,13 @@ def _is_count(token: str) -> bool:
     return token.isascii() and token.isdigit() and len(token) <= 640
 
 
+def _clip(value, show=str) -> str:
+    """A token or declared count as a parse error echoes it: whole up to 20
+    characters, else its first 20 and its length."""
+    text = str(value)
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def parse_dense(text: str) -> ClassicalCode:
     """Read the dense format: a "rows cols" header, then 0/1 rows.
 
@@ -149,7 +156,7 @@ def parse_dense(text: str) -> ClassicalCode:
     body = entries[1:]
     if len(body) != rows:
         raise ParseError(
-            f"expected {rows} matrix rows, found {len(body)}",
+            f"expected {_clip(rows)} matrix rows, found {len(body)}",
             line=body[-1][0] if body else header_line,
         )
     row_bits = []
@@ -165,7 +172,7 @@ def parse_dense(text: str) -> ClassicalCode:
                 raise ParseError(f"invalid character {ch!r}", line=lineno, column=col)
             count += 1
         if count != cols:
-            raise ParseError(f"expected {cols} entries, found {count}", line=lineno)
+            raise ParseError(f"expected {_clip(cols)} entries, found {count}", line=lineno)
         row_bits.append(bits)
     return ClassicalCode(BitMatrix(rows, cols, tuple(row_bits)))
 
@@ -182,11 +189,14 @@ def _int_line(entries, idx: int, what: str, expect: int | None = None) -> tuple[
     vals = []
     for pos, t in enumerate(toks, start=1):
         if not (_is_count(t) or (t.startswith("-") and _is_count(t[1:]))):
-            shown = repr(t) if len(t) <= 20 else f"{t[:20]!r}... ({len(t)} characters)"
-            raise ParseError(f"non-integer token {shown} in {what}", line=lineno, column=pos)
+            raise ParseError(
+                f"non-integer token {_clip(t, repr)} in {what}", line=lineno, column=pos
+            )
         vals.append(int(t))
     if expect is not None and len(vals) != expect:
-        raise ParseError(f"expected {expect} values in {what}, found {len(vals)}", line=lineno)
+        raise ParseError(
+            f"expected {_clip(expect)} values in {what}, found {len(vals)}", line=lineno
+        )
     return lineno, vals
 
 
@@ -208,17 +218,18 @@ def parse_alist(text: str) -> ClassicalCode:
     row_deg_line, row_degs = _int_line(entries, 3, "row-degree line", expect=m)
     if col_degs and max(col_degs) != max_col_deg:
         raise InconsistentDegrees(
-            f"declared max column degree {max_col_deg}, actual {max(col_degs)}",
+            f"declared max column degree {_clip(max_col_deg)}, actual {_clip(max(col_degs))}",
             line=col_deg_line,
         )
     if row_degs and max(row_degs) != max_row_deg:
         raise InconsistentDegrees(
-            f"declared max row degree {max_row_deg}, actual {max(row_degs)}",
+            f"declared max row degree {_clip(max_row_deg)}, actual {_clip(max(row_degs))}",
             line=row_deg_line,
         )
     if len(entries) != 4 + n + m:
         raise ParseError(
-            f"expected {4 + n + m} lines for n={n}, m={m}, found {len(entries)}",
+            f"expected {_clip(4 + n + m)} lines for n={_clip(n)}, m={_clip(m)},"
+            f" found {len(entries)}",
             line=entries[-1][0],
         )
 
@@ -229,13 +240,15 @@ def parse_alist(text: str) -> ClassicalCode:
             if v == 0:
                 continue
             if not 1 <= v <= limit:
-                raise ParseError(f"neighbor {v} outside [1, {limit}]", line=lineno, column=pos)
+                raise ParseError(
+                    f"neighbor {_clip(v)} outside [1, {_clip(limit)}]", line=lineno, column=pos
+                )
             out.append(v - 1)
         if len(set(out)) != len(out):
             raise InconsistentDegrees("duplicate neighbor", line=lineno)
         if len(out) != declared:
             raise InconsistentDegrees(
-                f"{what} lists {len(out)} neighbors but degree line declares {declared}",
+                f"{what} lists {len(out)} neighbors but degree line declares {_clip(declared)}",
                 line=lineno,
             )
         return lineno, out
@@ -301,7 +314,8 @@ def parse_auto(text: str) -> ClassicalCode:
     if len(entries) == 4 + a + b:
         return parse_alist(text)
     raise ParseError(
-        f"line count {len(entries)} matches neither dense ({a + 1}) nor alist ({4 + a + b})",
+        f"line count {len(entries)} matches neither dense ({_clip(a + 1)})"
+        f" nor alist ({_clip(4 + a + b)})",
         line=entries[0][0],
     )
 

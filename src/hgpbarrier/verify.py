@@ -314,6 +314,8 @@ def check_theorem1(
     call, however many samples land in it. Only a coset whose maximum breaks
     the bound is rescanned from L for its first worst stabilizer.
     """
+    if isinstance(samples, bool):
+        raise TypeError(f"thm1 needs a sample count, got the bool {samples}")
     if samples < 1:
         raise ValueError(f"thm1 needs at least one sample, got {samples}")
     start = time.perf_counter()

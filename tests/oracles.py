@@ -219,13 +219,14 @@ def minimax_values(rows: list[int], n: int, moves: list[int] | None = None) -> l
 
 
 def heap_syndrome_search(n_dim, moves, deltas, max_energy, target_pred, lift_moves=None, counts=None):
-    """The binary-heap minimax engine that the package's bucket engines
-    replaced, kept as the reference for their pop order.
+    """The binary-heap minimax engine that the package's engines replaced,
+    kept as the reference for their pop order.
 
     Frontier entries are (max energy, path length, state, syndrome); a state
     is pushed only when its peak strictly improves. target_pred is None to
-    exhaust every state, as ``barrier._fill`` does (its lift_moves go
-    last), or the predicate of a ``barrier._nearest`` search. Returns
+    exhaust every state, as ``barrier._flood`` does (lift_moves, the tree
+    lifts its tables derive, go last), or the predicate of a
+    ``barrier._nearest`` search. Returns
     (final_state, best, pred, lifts, explored) with the package's table
     types; final_state is None when exhausting. A ``counts`` dict receives
     "stale_pops", the popped entries whose state has since improved, and

@@ -189,6 +189,8 @@ class TestBottleneckSearch:
             ("12", TypeError),  # not the states 1 and 2
             ([2.7], TypeError),  # not state 2
             (2.7, TypeError),
+            (True, TypeError),  # not state 1
+            ([False, True], TypeError),  # not state 0 at cost 0
         ],
     )
     def test_bad_targets_fail_before_any_search(self, monkeypatch, target, error):
@@ -354,7 +356,7 @@ class TestPauliGeneral:
             raise AssertionError("search ran despite the cap")
 
         # the cap is checked before the table cache and before any search
-        monkeypatch.setattr(barrier_module, "_fill", no_search)
+        monkeypatch.setattr(barrier_module, "_flood", no_search)
         with pytest.raises(CapExceeded):
             pauli_barrier_general(code, target, cap=states - 1)
         barrier_module._table.cache_clear()

@@ -102,6 +102,30 @@ def test_overlong_count_gives_a_short_error(tmp_path, capsys):
     assert len(err.encode()) < 300
 
 
+BIG = "9" * 640  # the longest count a parser converts
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ((), f"{BIG} {BIG}\n1 1\n1\n1\n"),  # line count fits neither format
+        (("--fmt", "alist"), f"{BIG} {BIG}\n1 1\n1\n1\n"),  # n values on a degree line
+        (("--fmt", "dense"), f"{BIG} 3\n101\n"),  # matrix rows
+        (("--fmt", "dense"), f"1 {BIG}\n101\n"),  # entries per row
+    ],
+    ids=("sniffed-line-count", "alist-degree-line", "dense-rows", "dense-entries"),
+)
+def test_huge_declared_sizes_give_a_short_error(tmp_path, capsys, fmt, text):
+    # a declared size is echoed as a short prefix, not whole
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "info", path, *fmt)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+    assert " characters)" in err
+    assert len(err.encode()) < 300
+
+
 def test_fmt_override_mismatch(files, capsys):
     code, _, err = run(capsys, "info", files / "open3.txt", "--fmt", "alist")
     assert code == 2

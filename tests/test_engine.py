@@ -1,12 +1,15 @@
-"""The bucket-queue minimax engine, pinned to the binary-heap engine it replaced.
+"""The minimax engines, pinned to the binary-heap engine they replaced.
 
-Every call that the package makes to ``barrier._fill`` (exhaustive tables)
+Every call that the package makes to ``barrier._flood`` (exhaustive tables)
 or ``barrier._nearest`` (target searches) is recorded and replayed through
-``oracles.heap_syndrome_search``. A fill's ``best``, ``pred`` and ``lifts``
-must be identical to the oracle's, table types included, and the oracle
-must pop every state. A target search's end state, value, ``explored``
-count and ``pred`` must be the oracle's; only ``pred``'s root entry, which
-the package marks seen, may differ. So no value, witness or count moves.
+``oracles.heap_syndrome_search``. A fill's ``best`` must be identical to
+the oracle's, table type included, and the oracle must pop every state; the
+table built from it must give the oracle's ``pred`` for every state but the
+root and the oracle's ``lifts`` for every state, both derived on demand
+from the fill's layer order. A target search's end state, value,
+``explored`` count and ``pred`` must be the oracle's; only ``pred``'s root
+entry, which the package marks seen, may differ. So no value, witness or
+count moves.
 """
 
 from contextlib import contextmanager
@@ -22,7 +25,7 @@ from hgpbarrier.barrier import (
     quantum_barrier,
     sector_table,
 )
-from hgpbarrier.codes import ClassicalCode
+from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import NoLogicals
 from hgpbarrier.f2core import BitMatrix
 from hgpbarrier.hgp import build_hgp
@@ -38,40 +41,42 @@ def _same_table(a, b):
     )
 
 
-ENGINES = ("_fill", "_nearest")
+ENGINES = ("_flood", "_nearest")
 
 
 @contextmanager
 def _recorded_engine_calls():
     """Record (engine name, args, result) of every engine call, tables built
-    afresh."""
+    afresh. A fill's result is recorded as the MinimaxTable built from it."""
     calls = []
-    real = {name: getattr(barrier, name) for name in ENGINES}
+    real = {name: getattr(barrier, name) for name in (*ENGINES, "MinimaxTable")}
 
     def spy(name):
         def call(*args):
             result = real[name](*args)
-            calls.append((name, args, result))
+            if name == "MinimaxTable":  # _table builds it from the fill just recorded
+                calls[-1] = (*calls[-1][:2], result)
+            else:
+                calls.append((name, args, result))
             return result
         return call
 
-    for name in ENGINES:
+    for name in real:
         setattr(barrier, name, spy(name))
     barrier._table.cache_clear()
     try:
         yield calls
     finally:
-        for name in ENGINES:
+        for name in real:
             setattr(barrier, name, real[name])
         barrier._table.cache_clear()
 
 
-def heap_replay(name, args, **kwargs):
+def heap_replay(name, args, lift_moves=None, **kwargs):
     """The oracle run of one recorded engine call: a fill exhausts every
-    state, a target search stops at its predicate."""
-    if name == "_fill":
-        n_dim, moves, deltas, max_energy, lift_moves = args
-        return oracles.heap_syndrome_search(n_dim, moves, deltas, max_energy, None, lift_moves, **kwargs)
+    state, carrying ``lift_moves``; a target search stops at its predicate."""
+    if name == "_flood":
+        return oracles.heap_syndrome_search(*args, None, lift_moves, **kwargs)
     return oracles.heap_syndrome_search(*args, **kwargs)
 
 
@@ -84,14 +89,21 @@ def engine_calls():
 def _check_against_heap(calls, n_calls):
     assert len(calls) == n_calls
     for name, args, result in calls:
-        ref_state, ref_best, ref_pred, ref_lifts, ref_explored = heap_replay(name, args)
-        if name == "_fill":
-            best, pred, lifts = result
-            assert ref_explored == 1 << args[0]
-            assert _same_table(best, ref_best)
-            assert _same_table(pred, ref_pred)
-            assert _same_table(lifts, ref_lifts)
+        if name == "_flood":
+            table = result
+            ref_state, ref_best, ref_pred, ref_lifts, ref_explored = heap_replay(
+                name, args, table.quotient.lift_moves
+            )
+            n_states = 1 << args[0]
+            assert ref_explored == table.explored == n_states
+            assert _same_table(table.best, ref_best)
+            assert [table.pred[s] for s in range(1, n_states)] == list(ref_pred[1:])
+            if ref_lifts is None:
+                assert table.lifts is None
+            else:
+                assert [table.lifts[s] for s in range(n_states)] == list(ref_lifts)
         else:
+            ref_state, ref_best, ref_pred, ref_lifts, ref_explored = heap_replay(name, args)
             state, value, pred, explored = result
             assert (state, value, explored) == (ref_state, ref_best[ref_state], ref_explored)
             assert _same_table(pred[1:], ref_pred[1:])
@@ -174,8 +186,27 @@ def test_energies_of_255_and_above_use_16_bit_tables(engine_calls):
     assert max(want) >= 255
     assert [table.value(s) for s in range(64)] == want
     assert table.best.typecode == "H"
-    (_, args, _), = engine_calls
-    energy = barrier._energy_table(*args[:4])
-    assert energy.typecode == "H"
-    assert list(energy) == [barrier.SyndromeEnergy(rows, 6).bits_energy(s) for s in range(64)]
+    # bit i checked by 2^i weight-one rows: a state's energy is its value,
+    # so each of the 512 states is a layer of its own, past a byte's range
+    rows = tuple(1 << i for i in range(9) for _ in range(1 << i))
+    table = classical_table(ClassicalCode(BitMatrix(len(rows), 9, rows)))
+    assert max(table.order) == 511
+    assert table.best.typecode == table.order.typecode == "H"
+    assert [table.value(s) for s in range(512)] == oracles.minimax_values(list(rows), 9)
+    _check_against_heap(engine_calls, 2)
+
+
+def test_quotient_of_dimension_zero_matches_heap_engine(engine_calls):
+    # stabilizers spanning F2^2: one quotient state, every flip a zero move
+    table = barrier._table((0,), (0b01, 0b10), 2)
+    assert table.quotient.dim == 0 and table.explored == 1
+    assert [table.value(s) for s in range(4)] == [0, 0, 0, 0]
+    assert table.path(0b11).states[-1].bits == 0b11
+    _check_against_heap(engine_calls, 1)
+
+
+def test_dim12_ring4_chain3_z_table_matches_heap_engine(engine_calls):
+    code = build_hgp(ring_repetition(4), open_repetition(3))
+    table = sector_table(code, "z")
+    assert table.quotient.dim == 12
     _check_against_heap(engine_calls, 1)

@@ -2,10 +2,11 @@
 
 Peaks popped from the frontier never fall, so the first time a state is
 reached fixes its value: no state is queued twice and no popped entry is
-stale. ``barrier._fill`` and ``barrier._nearest`` rely on this and test a
-neighbour only for being unseen. Each call the package makes to either is
-replayed through ``oracles.heap_syndrome_search``, which counts stale pops
-and repeat pushes independently of the package engines.
+stale. ``barrier._flood`` relies on this to assign each state its layer
+once, and ``barrier._nearest`` to test a neighbour only for being unseen.
+Each call the package makes to either is replayed through
+``oracles.heap_syndrome_search``, which counts stale pops and repeat pushes
+independently of the package engines.
 """
 
 import pytest

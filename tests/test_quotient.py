@@ -9,6 +9,9 @@ no quotient, and witness walks are re-validated step by step.
 
 import dataclasses
 import random
+import tracemalloc
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -123,11 +126,20 @@ def test_classical_table_is_the_plain_unit_move_table():
     assert len(path.states) == 4
 
 
+def _check_lifts(table, states):
+    """Each tree lift is the lift coordinates of the vector that the state's
+    search-tree path reaches, and the path ends at the state."""
+    for s in states:
+        flips = barrier._tree_moves(s, table.pred, table.quotient.images)
+        reached = reduce(xor, (1 << q for q in flips), 0)
+        assert table.quotient.split(reached) == (s, table.lifts[s])
+
+
 def test_cap_counts_quotient_states():
     toric = quantum_instances()["toric_3"]  # rank HZ = 8: 2^10 quotient states
     table = sector_table(toric, "z", cap=1 << 10)
     assert len(table.best) == 1 << 10
-    assert table.lifts.typecode == "B"  # 8 lift bits per state
+    _check_lifts(table, range(1 << 10))
     # the cap is checked before the table cache, so a cached table is no way round it
     with pytest.raises(CapExceeded):
         sector_table(toric, "z", cap=1 << 9)
@@ -138,7 +150,7 @@ def test_toric4_z_table_within_default_cap():
     code = build_hgp(c, c)  # 32 qubits, 2^17 quotient states
     table = sector_table(code, "z")
     assert len(table.best) == 1 << 17
-    assert table.lifts.typecode == "H"  # rank HZ = 15 lift bits per state
+    _check_lifts(table, random.Random(0).sample(range(1 << 17), 512))
     values = [table.value(op.realized.z.bits) for op in canonical_z_basis(code)]
     expected = min(classical_barrier(c).value, classical_barrier(c.transpose()).value)
     assert values == [expected, expected] == [2, 2]
@@ -147,6 +159,25 @@ def test_toric4_z_table_within_default_cap():
         path = table.path(op.realized.z.bits)
         assert validate_path(path, energy) and path.max_energy == 2
         assert path.states[-1].bits == op.realized.z.bits
+
+
+def test_toric4_z_table_build_peaks_below_13_bytes_per_state():
+    # best and order keep a byte per state each; the flood's bitsets, its
+    # butterfly masks (cleared here) and the per-state spread add the rest
+    c = ring_repetition(4)
+    code = build_hgp(c, c)
+    barrier._quotient(code.hz.row_bits, code.n_qubits)
+    barrier._energy(code.hx.row_bits, code.n_qubits).columns
+    barrier._table.cache_clear()
+    barrier._butterflies.cache_clear()
+    tracemalloc.start()
+    try:
+        table = sector_table(code, "z")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.explored == 1 << 17
+    assert peak <= 13 * (1 << 17)
 
 
 def test_table_walk_missing_its_target_raises():

@@ -244,13 +244,17 @@ def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, s
     assert r.counterexample == counter
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, True, False])
 def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built before the sample count was checked")
 
     monkeypatch.setattr(V, "sector_table", no_table)
-    with pytest.raises(ValueError, match="at least one sample"):
+    # a bool is no sample count, though True == 1
+    error, match = ValueError, "at least one sample"
+    if isinstance(samples, bool):
+        error, match = TypeError, "bool"
+    with pytest.raises(error, match=match):
         V.check_theorem1(instances["surface_3"], samples=samples)
 
 
