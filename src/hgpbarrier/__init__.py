@@ -48,7 +48,6 @@ from .logicals import (
     canonical_z_basis,
     classify,
     compose_canonical,
-    compose_canonical_x,
     elementary_leg,
     enumerate_x_logicals,
     enumerate_z_logicals,
@@ -62,6 +61,7 @@ from .barrier import (
     classical_table,
     normalizer_barrier,
     pauli_barrier_general,
+    pauli_table,
     quantum_barrier,
     sector_table,
     stabilizer_path,
@@ -72,7 +72,6 @@ from .deform import (
     DeformSpec,
     deform_path,
     deform_pauli,
-    deformation_trace,
     find_activating_codeword,
     weight_reduction_gap,
 )

@@ -63,7 +63,7 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, linear_table, mat_vec, rref, weight
+from .f2core import BitMatrix, BitVec, linear_table, mat_vec, rank, rref, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
@@ -83,6 +83,7 @@ __all__ = [
     "normalizer_barrier",
     "sector_table",
     "classical_table",
+    "pauli_table",
     "sweep_path_for_canonical",
     "stabilizer_path",
     "validate_path",
@@ -178,9 +179,15 @@ def energy_classical(c: ClassicalCode, x: BitVec) -> int:
     return weight(mat_vec(c.h, x))
 
 
+def _check_pauli(p: PauliVec, n: int) -> None:
+    if not isinstance(p, PauliVec):
+        raise TypeError(f"expected a PauliVec, got {type(p).__name__}")
+    if p.n != n:
+        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {n}")
+
+
 def energy_quantum(code: HgpCode, p: PauliVec) -> int:
-    if p.n != code.n_qubits:
-        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
+    _check_pauli(p, code.n_qubits)
     return weight(mat_vec(code.hx, p.z)) + weight(mat_vec(code.hz, p.x))
 
 
@@ -315,30 +322,12 @@ def _flood(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: 
     return best, _per_state(order_planes, 1 << n_dim, False)
 
 
-def _bucket_layers(buckets):
-    """Pop order of the bucket queue: levels ascending, then path lengths
-    ascending, each layer sorted by state. Yields (level, next path length,
-    layer, list for pushes at this level); pushes at a higher level e go to
-    buckets[e][next path length]."""
-    for level, layers in enumerate(buckets):
-        plen = 0
-        while layers:
-            if plen not in layers:
-                plen = min(layers)
-            layer = layers.pop(plen)
-            layer.sort()
-            plen += 1
-            same = layers.setdefault(plen, [])
-            yield level, plen, layer, same
-            if not same:
-                del layers[plen]
-
-
 def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy: int, target_pred):
     """First state popped with target_pred(state, energy), over the moves
-    of ``_flood`` and in its pop order, each layer sorted by state. A state
-    is popped at its value, so only pred is kept, its root entry marked
-    seen. Returns (state, value, pred, explored), explored counting pops.
+    of ``_flood`` and in its pop order: buckets[level][path length] holds
+    (state, syndrome) pairs, each layer popped sorted by state. A state is
+    popped at its value, so only pred is kept, its root entry marked seen.
+    Returns (state, value, pred, explored), explored counting pops.
     """
     n_states = 1 << n_dim  # pred entries start unseen: 0xFF, or 0xFFFF past 254 moves
     pred = bytearray(b"\xff") * n_states if len(moves) < 0xFF else array("H", [0xFFFF]) * n_states
@@ -347,21 +336,28 @@ def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy
     buckets[0][0].append((0, 0))  # (state, syndrome)
     explored = 0
     indexed = tuple(enumerate(moves))
-    for level, plen, layer, same in _bucket_layers(buckets):
-        for state, syn in layer:
-            explored += 1
-            if target_pred(state, syn.bit_count()):
-                return state, level, pred, explored
-            for mi, m in indexed:
-                ns = state ^ m
-                if pred[ns] == unseen:
-                    pred[ns] = mi
-                    nsyn = syn ^ deltas[mi]
-                    e = nsyn.bit_count()
-                    if e <= level:
-                        same.append((ns, nsyn))
-                    else:
-                        buckets[e][plen].append((ns, nsyn))
+    for level, layers in enumerate(buckets):
+        while layers:
+            plen = min(layers)  # every key left exceeds the last layer popped
+            layer = sorted(layers.pop(plen))
+            plen += 1
+            same = layers[plen]  # pushes at this level, on the next layer
+            for state, syn in layer:
+                explored += 1
+                if target_pred(state, syn.bit_count()):
+                    return state, level, pred, explored
+                for mi, m in indexed:
+                    ns = state ^ m
+                    if pred[ns] == unseen:
+                        pred[ns] = mi
+                        nsyn = syn ^ deltas[mi]
+                        e = nsyn.bit_count()
+                        if e <= level:
+                            same.append((ns, nsyn))
+                        else:
+                            buckets[e][plen].append((ns, nsyn))
+            if not same:
+                del layers[plen]
     raise NoTarget("no state satisfying the target predicate is reachable")
 
 
@@ -517,12 +513,18 @@ def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
     return _Quotient(dim, res.rank, tables, images, lift_moves)
 
 
+@lru_cache(maxsize=256)
+def _quotient_dim(stab_rows: tuple[int, ...], n: int) -> int:
+    return n - rank(BitMatrix(len(stab_rows), n, stab_rows))
+
+
 def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
-    """F2^n / rowspace(stab_rows); CapExceeded if it has more than cap states."""
-    quotient = _quotient(stab_rows, n)
-    if (1 << quotient.dim) > cap:
-        raise CapExceeded(f"2^{quotient.dim} quotient states exceed cap {cap}")
-    return quotient
+    """F2^n / rowspace(stab_rows); CapExceeded if it has more than cap
+    states, before the quotient's per-byte tables are built."""
+    dim = _quotient_dim(stab_rows, n)
+    if (1 << dim) > cap:
+        raise CapExceeded(f"2^{dim} quotient states exceed cap {cap}")
+    return _quotient(stab_rows, n)
 
 
 def _reduce(basis, x: int) -> tuple[int, int, int]:
@@ -608,6 +610,8 @@ class MinimaxTable:
 
     def _fiber(self, bits: int) -> tuple[int, int]:
         """(quotient state, stabilizer from its tree lift to ``bits``)."""
+        if isinstance(bits, bool) or not isinstance(bits, int):
+            raise TypeError(f"state must be an int, got {type(bits).__name__}")
         if not 0 <= bits < 1 << self.n_dim:
             raise IndexOutOfRange(f"state {bits:#x} outside [0, 2^{self.n_dim})")
         state, coords = self.quotient.split(bits)
@@ -682,10 +686,16 @@ def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTa
     return _table(c.h.row_bits, (), c.n)
 
 
+def _sector_name(sector: str) -> str:
+    if not isinstance(sector, str):
+        raise TypeError(f"sector must be a str, got {type(sector).__name__}")
+    return sector.lower()
+
+
 def _sector_matrices(code: HgpCode, sector: str) -> tuple[BitMatrix, BitMatrix]:
     """(check matrix, stabilizer matrix) of a CSS sector: z-space is checked
     by HX and taken modulo the rows of HZ, x-space the other way round."""
-    return (code.hx, code.hz) if _is_z(sector.lower()) else (code.hz, code.hx)
+    return (code.hx, code.hz) if _is_z(_sector_name(sector)) else (code.hz, code.hx)
 
 
 def sector_table(code: HgpCode, sector: str, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
@@ -725,14 +735,11 @@ def quantum_barrier(
     """
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
-    s = sector.lower()
-    if s in ("z", "x"):
-        return _sector_result(code, s, cap)
-    if s != "both":
+    s = _sector_name(sector)
+    if s not in ("z", "x", "both"):
         raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z', 'x', or 'both'")
-    rz = _sector_result(code, "z", cap)
-    rx = _sector_result(code, "x", cap)
-    return rz if rz.value <= rx.value else rx
+    results = [_sector_result(code, kind, cap) for kind in ("z", "x") if s in (kind, "both")]
+    return min(results, key=lambda r: r.value)  # the z result on a tie
 
 
 @lru_cache(maxsize=64)
@@ -761,8 +768,13 @@ def _pauli_walk(code: HgpCode, flips: Iterable[int]) -> PathRecord:
     return _walk(flips, _energy(rows, n2), lambda b: _pauli_state(b, code.n_qubits))
 
 
-def _pauli_table(code: HgpCode) -> MinimaxTable:
-    return _table(*_pauli_inputs(code))
+def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
+    """Exhaustive minimax table over the full Pauli group, states x | z << n
+    modulo HX on x and HZ on z: 2^(n + k) quotient states, which ``cap``
+    bounds. One cached table per code answers every target."""
+    rows, stab_rows, n2 = _pauli_inputs(code)
+    _quotient_within(stab_rows, n2, cap)
+    return _table(rows, stab_rows, n2)
 
 
 def pauli_barrier_general(
@@ -776,14 +788,12 @@ def pauli_barrier_general(
 
     The energy wt(HZ x) + wt(HX z) is unchanged when x gains a row of HX or z
     a row of HZ, so the search runs modulo both stabilizer groups: 2^(n + k)
-    quotient states, which ``cap`` bounds, in one cached table per code that
-    answers every target. Used to cross-check the sector decomposition.
+    quotient states, which ``cap`` bounds: one cached ``pauli_table`` per
+    code answers every target. Used to cross-check the sector decomposition.
     """
     n = code.n_qubits
-    if target.n != n:
-        raise DimensionMismatch(f"target on {target.n} qubits, code has {n}")
-    _quotient_within(*_pauli_inputs(code)[1:], cap)
-    table = _pauli_table(code)
+    _check_pauli(target, n)
+    table = pauli_table(code, cap)
     goal = target.x.bits | (target.z.bits << n)
     record = _pauli_walk(code, table._flips(goal))
     return BarrierResult(table.value(goal), record, record.states[-1], table.explored)
@@ -801,8 +811,7 @@ def normalizer_barrier(
     sector values. Hence the barrier is exactly max(x-sector, z-sector).
     """
     n = code.n_qubits
-    if p.n != n:
-        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {n}")
+    _check_pauli(p, n)
     if mat_vec(code.hz, p.x).bits or mat_vec(code.hx, p.z).bits:
         raise OutsideNormalizer("Pauli anticommutes with a check; barrier is sector-mixed")
     tx = sector_table(code, "x", cap)
@@ -846,8 +855,7 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     if generator_combo.n != len(gens):
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
     n = code.n_qubits
-    if s.n != n:
-        raise DimensionMismatch(f"Pauli on {s.n} qubits, code has {n}")
+    _check_pauli(s, n)
     flips = [q for g in generator_combo.support() for q in BitVec(2 * n, gens[g]).support()]
     walk = _pauli_walk(code, flips)
     if walk.states[-1] != s:

@@ -7,7 +7,7 @@ and no timestamps, so identical inputs, flags, and seed give byte-identical
 bytes; the text format is for reading, not for scripting against.
 
 Exit codes: 0 success or all claims pass, 1 at least one claim failed,
-2 usage or input error, 3 state cap exceeded.
+2 usage or input error, 3 state cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as e:
         _emit_error("cap-exceeded", str(e))
+        return EXIT_CAP
+    except MemoryError:
+        _emit_error("memory", "out of memory")
         return EXIT_CAP
     except ParseError as e:
         _emit_error("parse", str(e))

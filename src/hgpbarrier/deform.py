@@ -45,7 +45,6 @@ __all__ = [
     "DeformSpec",
     "deform_pauli",
     "deform_path",
-    "deformation_trace",
     "weight_reduction_gap",
     "find_activating_codeword",
 ]
@@ -114,21 +113,6 @@ def deform_path(code: HgpCode, r: PathRecord, spec: DeformSpec) -> PathRecord:
             states.append(d)
     energies = tuple(energy_quantum(code, s) for s in states)
     return PathRecord(tuple(states), energies, max(energies, default=0))
-
-
-def deformation_trace(code: HgpCode, r: PathRecord, spec: DeformSpec) -> list[dict]:
-    """Per original step: energy before and after deformation."""
-    out = []
-    for i, s in enumerate(r.states):
-        d = deform_pauli(code, s, spec)
-        out.append(
-            {
-                "step": i,
-                "original_energy": r.energies[i],
-                "deformed_energy": energy_quantum(code, d),
-            }
-        )
-    return out
 
 
 def weight_reduction_gap(

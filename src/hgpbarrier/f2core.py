@@ -30,7 +30,6 @@ __all__ = [
     "hstack",
     "kron",
     "tensor_vec",
-    "vec_concat",
     "vec_split",
     "reshape",
     "flatten",
@@ -341,10 +340,6 @@ def tensor_vec(a: BitVec, b: BitVec) -> BitVec:
         bits |= b.bits << (i * b.n)
         aa &= aa - 1
     return BitVec(a.n * b.n, bits)
-
-
-def vec_concat(a: BitVec, b: BitVec) -> BitVec:
-    return BitVec(a.n + b.n, a.bits | (b.bits << a.n))
 
 
 def vec_split(v: BitVec, n_low: int) -> tuple[BitVec, BitVec]:

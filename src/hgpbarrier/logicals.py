@@ -42,7 +42,6 @@ __all__ = [
     "canonical_z_basis",
     "canonical_x_basis",
     "compose_canonical",
-    "compose_canonical_x",
     "elementary_leg",
     "classify",
     "enumerate_z_logicals",
@@ -123,11 +122,6 @@ class CanonicalOp:
     kappa: BitMatrix
     realized: PauliVec
 
-    def is_elementary(self) -> bool:
-        ones = sum(r.bit_count() for r in self.lam.row_bits)
-        ones += sum(r.bit_count() for r in self.kappa.row_bits)
-        return ones == 1
-
     def coefficient(self) -> tuple[str, int, int]:
         """(block, row, column) of the one nonzero coefficient, block "vv"
         for lam and "cc" for kappa."""
@@ -187,10 +181,6 @@ def compose_canonical(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> Canoni
     All-zero coefficients give the identity Pauli.
     """
     return _compose(code, "z", lam, kappa)
-
-
-def compose_canonical_x(code: HgpCode, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
-    return _compose(code, "x", lam, kappa)
 
 
 @lru_cache(maxsize=256)

@@ -28,24 +28,16 @@ from .barrier import (
     DEFAULT_PAULI_CAP,
     DEFAULT_STATE_CAP,
     _generators,
-    _pauli_inputs,
     _pauli_state,
-    _pauli_table,
-    _quotient_within,
     classical_barrier,
     classical_table,
+    pauli_table,
     quantum_barrier,
     sector_table,
     stabilizer_path,
     sweep_path_for_canonical,
 )
-from .codes import (
-    ClassicalCode,
-    hamming_7_4,
-    open_repetition,
-    random_ldpc,
-    ring_repetition,
-)
+from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
 from .f2core import BitMatrix, BitVec, combine, linear_table, mat_mul, rref, span, unit_matrices
 from .hgp import HgpCode, build_hgp
@@ -60,7 +52,6 @@ from .logicals import (
 __all__ = [
     "VerifyReport",
     "CLAIMS",
-    "classical_instances",
     "quantum_instances",
     "lemma4_default_family",
     "check_lemma1",
@@ -129,17 +120,6 @@ _PARENTS = {
     "rect_3_2": (open_repetition(3), open_repetition(2)),
     "rect_4_3": (open_repetition(4), open_repetition(3)),
 }
-
-
-def classical_instances(seed: int = 0) -> dict[str, ClassicalCode]:
-    out: dict[str, ClassicalCode] = {}
-    for n in range(3, 7):
-        out[f"ring_{n}"] = ring_repetition(n)
-    for n in range(3, 7):
-        out[f"chain_{n}"] = open_repetition(n)
-    out["hamming_7_4"] = hamming_7_4()
-    out["ldpc_8_6"] = random_ldpc(random.Random(seed), n=8, r=6, row_weight=4)
-    return out
 
 
 def quantum_instances() -> dict[str, HgpCode]:
@@ -623,13 +603,12 @@ def check_css_restriction(
 ) -> VerifyReport:
     """Pure-sector logicals need no mixed-Pauli detours: the full Pauli-group
     barrier of a pure-Z (pure-X) logical equals its sector barrier. Full
-    values are read off the code's full-Pauli table, as
+    values are read off the code's ``pauli_table``, as
     ``pauli_barrier_general`` reads them, without building its witness walks."""
     start = time.perf_counter()
     _require_logicals(code)
     tables = {"z": sector_table(code, "z", cap), "x": sector_table(code, "x", cap)}
-    _quotient_within(*_pauli_inputs(code)[1:], cap)
-    full_table, n = _pauli_table(code), code.n_qubits
+    full_table, n = pauli_table(code, cap), code.n_qubits
     checked = 0
     counter = None
     for kind, logicals in (("z", enumerate_z_logicals), ("x", enumerate_x_logicals)):

@@ -45,6 +45,7 @@ from hgpbarrier.barrier import (
     energy_quantum,
     normalizer_barrier,
     pauli_barrier_general,
+    pauli_table,
     quantum_barrier,
     sector_table,
     stabilizer_path,
@@ -378,7 +379,7 @@ class TestPauliGeneral:
 
     def test_cached_inputs_keep_no_table_alive(self):
         code = tiny_hgp()
-        table = barrier_module._pauli_table(code)
+        table = pauli_table(code)
         ref = weakref.ref(table)
         del table
         barrier_module._table.cache_clear()
@@ -632,7 +633,7 @@ class TestTableStateRange:
         table = {
             "classical": lambda: classical_table(ring_repetition(8)),
             "sector": lambda: sector_table(surface(), "z"),
-            "pauli": lambda: barrier_module._pauli_table(tiny_hgp()),
+            "pauli": lambda: pauli_table(tiny_hgp()),
         }[which]()
         n = table.n_dim
         for bits in (-1, 1 << n, (1 << n) + 1, 1 << (n + 8)):
@@ -642,3 +643,29 @@ class TestTableStateRange:
                 table.path(bits)
         top = (1 << n) - 1  # the last state in range still answers
         assert table.path(top).max_energy == table.value(top)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda table: table.value(True),
+        lambda table: table.path(True),
+        lambda table: quantum_barrier(tiny_hgp(), None),
+        lambda table: sector_table(tiny_hgp(), None),
+        lambda table: pauli_barrier_general(tiny_hgp(), "x"),
+        lambda table: normalizer_barrier(tiny_hgp(), BitVec(5)),
+    ],
+    ids=["value-bool", "path-bool", "quantum-sector-none", "sector-none", "pauli-str", "normalizer-bitvec"],
+)
+def test_wrong_typed_arguments_raise_type_error_before_any_search(monkeypatch, call):
+    # a bool is not a state, and a missing sector or a bare BitVec for a
+    # Pauli used to fail with AttributeError, or not at all
+    table = sector_table(tiny_hgp(), "z")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran before the argument type was checked")
+
+    monkeypatch.setattr(barrier_module, "_flood", no_search)
+    monkeypatch.setattr(barrier_module, "_nearest", no_search)
+    with pytest.raises(TypeError):
+        call(table)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hgpbarrier
-from hgpbarrier import cli, hgp, logicals
+from hgpbarrier import barrier, cli, hgp, logicals
 from hgpbarrier.cli import _build_parser, main
 from hgpbarrier.codes import (
     emit_alist,
@@ -217,6 +217,42 @@ def test_capped_search_reports_quotient_states(files, capsys, argv, detail):
     code, out, err = run(capsys, "barrier", kind, *rest)
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "cap-exceeded", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "kind, cols, detail",
+    [
+        ("classical", 20_000, "2^20000 quotient states exceed cap 16777216"),
+        ("canonical", 100, "2^9901 quotient states exceed cap 16777216"),
+    ],
+)
+def test_wide_input_exits_3_before_its_quotient_is_built(tmp_path, capsys, monkeypatch, kind, cols, detail):
+    # one check over every column: a quotient of 2^cols (or, for the product,
+    # 2^9901) states, refused before its per-byte tables are built
+    def no_quotient(*args):
+        raise AssertionError("quotient built before its cap was checked")
+
+    monkeypatch.setattr(barrier, "_quotient", no_quotient)
+    wide = tmp_path / "wide.txt"
+    wide.write_text(f"1 {cols}\n{'1' * cols}\n")
+    paths = [wide] * (1 if kind == "classical" else 2)
+    code, out, err = run(capsys, "barrier", kind, *paths)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "cap-exceeded", "detail": detail}
+
+
+def test_memory_error_exits_3_with_one_json_line(files, capsys, monkeypatch):
+    # a search the host cannot hold is a resource bound, not a failed claim
+    # (exit 1); the engine is patched to raise, so nothing is allocated
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(barrier, "_nearest", out_of_memory)
+    code, out, err = run(capsys, "barrier", "classical", files / "ring5.alist")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "memory", "detail": "out of memory"}
 
 
 def test_barrier_no_logicals(files, capsys):

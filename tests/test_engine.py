@@ -126,7 +126,7 @@ def test_registry_tables_match_heap_engine(engine_calls, name):
 
 @pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
 def test_pauli_tables_match_heap_engine(engine_calls, name):
-    barrier._pauli_table(quantum_instances()[name])
+    barrier.pauli_table(quantum_instances()[name])
     _check_against_heap(engine_calls, 1)
 
 

@@ -26,7 +26,6 @@ from hgpbarrier.logicals import (
     canonical_z_basis,
     classify,
     compose_canonical,
-    compose_canonical_x,
     elementary_leg,
     enumerate_x_logicals,
     enumerate_z_logicals,
@@ -75,7 +74,7 @@ class TestBases:
     def test_toric_has_two_z_ops(self):
         ops = canonical_z_basis(toric())
         assert len(ops) == 2
-        assert all(op.is_elementary() for op in ops)
+        assert all(op.coefficient() for op in ops)  # NotElementary unless one coefficient
 
     def test_toric_vv_op_is_single_column(self):
         code = toric()
@@ -157,7 +156,8 @@ class TestCompose:
         with pytest.raises(ShapeMismatch):
             compose_canonical(code, BitMatrix.zeros(1, 1), BitMatrix.zeros(1, 2))
         with pytest.raises(ShapeMismatch):
-            compose_canonical_x(code, BitMatrix.zeros(3, 3), BitMatrix.zeros(1, 1))
+            lam, kappa = BitMatrix.zeros(3, 3), BitMatrix.zeros(1, 1)
+            elementary_leg(code, CanonicalOp("x", lam, kappa, PauliVec.identity(code.n_qubits)))
 
     def test_nonzero_compositions_are_nontrivial_logicals(self):
         rng = random.Random(23)
@@ -210,7 +210,7 @@ class TestElementaryLeg:
     def test_composite_operator_has_no_single_coefficient(self):
         code = toric()
         op = compose_canonical(code, BitMatrix.from_rows(["1"]), BitMatrix.from_rows(["1"]))
-        assert isinstance(op, CanonicalOp) and not op.is_elementary()
+        assert isinstance(op, CanonicalOp)
         with pytest.raises(NotElementary):
             op.coefficient()
         with pytest.raises(NotElementary):

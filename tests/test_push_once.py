@@ -45,7 +45,7 @@ def test_registry_tables_push_each_state_once(name):
 @pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
 def test_pauli_tables_push_each_state_once(name):
     with _recorded_engine_calls() as calls:
-        barrier._pauli_table(quantum_instances()[name])
+        barrier.pauli_table(quantum_instances()[name])
     _check_push_once(calls, 1)
 
 

@@ -145,6 +145,37 @@ def test_cap_counts_quotient_states():
         sector_table(toric, "z", cap=1 << 9)
 
 
+def _one_check(cols):
+    return ClassicalCode(BitMatrix(1, cols, ((1 << cols) - 1,)))
+
+
+@pytest.mark.parametrize("which", ["classical", "sector", "quantum", "pauli"])
+def test_cap_is_checked_before_the_quotient_is_built(monkeypatch, which):
+    # a quotient's per-byte tables take about n^2 / 8 bytes of ints (0.9 GB
+    # at n = 20 000), so the cap must stop a wide input first. _quotient is
+    # patched to fail, so a regression fails here instead of allocating
+    wide, product = _one_check(100_000), build_hgp(_one_check(40), _one_check(40))
+    run = {
+        "classical": lambda: classical_barrier(wide),
+        "sector": lambda: sector_table(product, "z"),  # 1 601 qubits, 2^1561 states
+        "quantum": lambda: quantum_barrier(product, "x"),
+        "pauli": lambda: barrier.pauli_table(product),
+    }[which]
+
+    def no_quotient(*args):
+        raise AssertionError("quotient built before its cap was checked")
+
+    monkeypatch.setattr(barrier, "_quotient", no_quotient)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_toric4_z_table_within_default_cap():
     c = ring_repetition(4)
     code = build_hgp(c, c)  # 32 qubits, 2^17 quotient states
@@ -235,7 +266,7 @@ def test_pauli_barrier_matches_oracle_on_every_target(name):
 def test_pauli_table_matches_oracle_on_every_state(name):
     code = quantum_instances()[name]
     n = code.n_qubits
-    table = barrier._pauli_table(code)
+    table = barrier.pauli_table(code)
     assert table.explored == len(table.best) == 1 << (n + code.k)
     want = _pauli_oracle(code)
     assert [table.value(t) for t in range(1 << 2 * n)] == want
@@ -248,7 +279,7 @@ def test_random_products_pauli_barriers_match_oracle(h1, h2):
     code = build_hgp(h1, h2)
     assume(code.n_qubits <= 5)
     want = _pauli_oracle(code)
-    table = barrier._pauli_table(code)
+    table = barrier.pauli_table(code)
     assert table.explored == 1 << (code.n_qubits + code.k)
     assert [table.value(t) for t in range(1 << 2 * code.n_qubits)] == want
     _check_pauli_witnesses(code, want, n_paths=8)

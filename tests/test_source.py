@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -43,11 +44,14 @@ def test_package_imports_only_stdlib():
     assert found == []
 
 
-def test_perfbench_trace_targets_resolve():
-    # a traced name the package no longer has is only reported as "not
-    # traced" by a benchmark run, so check every one here; the file is read,
-    # not imported, so the benchmark harness stays out of the test run
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _trace_targets() -> list[tuple]:
+    """perfbench's (module, attribute, group, keep span) trace targets; the
+    file is read, not imported, so the benchmark harness stays out of the
+    test run."""
+    tracing = REPO / "perfbench" / "tracing.py"
     tree = ast.parse(tracing.read_text(), filename=str(tracing))
     (targets,) = [
         node.value
@@ -55,8 +59,14 @@ def test_perfbench_trace_targets_resolve():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
     ]
+    return ast.literal_eval(targets)
+
+
+def test_perfbench_trace_targets_resolve():
+    # a traced name the package no longer has is only reported as "not
+    # traced" by a benchmark run, so check every one here
     missing = []
-    for mod_name, attr, _, _ in ast.literal_eval(targets):
+    for mod_name, attr, _, _ in _trace_targets():
         obj = importlib.import_module(f"hgpbarrier.{mod_name}")
         for part in attr.split("."):
             obj = getattr(obj, part, None)
@@ -68,8 +78,7 @@ def test_perfbench_trace_targets_resolve():
 def test_readme_claims_table_matches_the_claim_list():
     # the README's claims table is the one hand-kept copy of the claim list;
     # it is read as text, first column of each row, in order
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    _, table = readme.read_text().split("\n| claim | what is checked |\n|---|---|\n", 1)
+    _, table = (REPO / "README.md").read_text().split("\n| claim | what is checked |\n|---|---|\n", 1)
     names = []
     for row in table.splitlines():
         if not row.startswith("|"):
@@ -99,16 +108,19 @@ def test_all_lists_exactly_the_public_definitions():
     assert unresolved == [] and unlisted == []
 
 
+def _definitions(stmt) -> list[str]:
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _private_definitions(stmt) -> list[str]:
     """Private, non-dunder names a top-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _definitions(stmt) if n.startswith("_") and not n.startswith("__")]
 
 
 def _referenced_names(node) -> set[str]:
@@ -137,6 +149,37 @@ def test_every_private_definition_is_used():
         for name in _private_definitions(stmt)
         if not any(name in names for j, names in enumerate(uses) if j != i)
     ]
+    assert unused == []
+
+
+def test_every_public_name_has_a_user():
+    # a name in a module's __all__ stays only while something uses it: another
+    # package module reads it, its own module reads it outside its definition,
+    # the acceptance tests use it, perfbench traces it, or the README names it
+    # in backticks. A name only unit tests use is documented in the README
+    # with what it is for; re-exports in __init__ are imports, not uses
+    modules = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+    }
+    acceptance = REPO / "tests" / "test_acceptance.py"
+    used = _referenced_names(ast.parse(acceptance.read_text(), filename=str(acceptance)))
+    used |= {attr.split(".")[0] for _, attr, _, _ in _trace_targets()}
+    used |= {
+        word
+        for span in re.findall(r"```.*?```|`[^`]+`", (REPO / "README.md").read_text(), re.S)
+        for word in re.findall(r"\w+", span)
+    }
+    unused = []
+    for stem, tree in modules.items():
+        names = getattr(importlib.import_module(f"hgpbarrier.{stem}"), "__all__", ())
+        elsewhere = set().union(*(_referenced_names(t) for s, t in modules.items() if s != stem))
+        for name in names:
+            at_home = any(
+                name in _referenced_names(stmt) for stmt in tree.body if name not in _definitions(stmt)
+            )
+            if not (at_home or name in elsewhere or name in used):
+                unused.append(f"{stem}.{name}")
     assert unused == []
 
 

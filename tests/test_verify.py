@@ -15,7 +15,7 @@ from hgpbarrier.errors import CapExceeded, NoLogicals
 from hgpbarrier.f2core import BitMatrix, BitVec, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec
-from hgpbarrier import logicals
+from hgpbarrier import barrier, logicals
 from hgpbarrier import verify as V
 
 
@@ -28,14 +28,6 @@ def test_registry_names(instances):
     assert set(instances) == {
         "toric_3", "surface_3", "tiny_2", "ring_2", "rect_2_3", "rect_3_2",
     }
-    classical = V.classical_instances()
-    assert {"ring_3", "ring_6", "chain_3", "chain_6", "hamming_7_4", "ldpc_8_6"} <= set(classical)
-
-
-def test_classical_registry_deterministic():
-    a = V.classical_instances(seed=7)["ldpc_8_6"]
-    b = V.classical_instances(seed=7)["ldpc_8_6"]
-    assert a.h.row_bits == b.h.row_bits
 
 
 # -- lemma1 ---------------------------------------------------------------------
@@ -534,13 +526,23 @@ def test_css_restriction_counts(instances):
         assert r.checked == count
 
 
+def _no_full_pauli_table(monkeypatch, code):
+    """Spy on barrier._table: fail on the full-Pauli build, over 2n
+    coordinates, and pass sector tables (n coordinates) through."""
+    real = barrier._table
+
+    def spy(rows, stab_rows, n):
+        if n == 2 * code.n_qubits:
+            raise AssertionError("full-Pauli table built despite the cap")
+        return real(rows, stab_rows, n)
+
+    monkeypatch.setattr(barrier, "_table", spy)
+
+
 def test_css_restriction_cap_bounds_sector_tables(instances, monkeypatch):
     # tiny_2 has 2^3 quotient states per sector: a cap of 4 must stop the
     # sector tables before the full-Pauli table is built
-    def no_pauli(*args, **kwargs):
-        raise AssertionError("full-Pauli table built despite the cap")
-
-    monkeypatch.setattr(V, "_pauli_table", no_pauli)
+    _no_full_pauli_table(monkeypatch, instances["tiny_2"])
     with pytest.raises(CapExceeded):
         V.check_css_restriction(instances["tiny_2"], cap=4, instance="tiny_2")
 
@@ -548,10 +550,7 @@ def test_css_restriction_cap_bounds_sector_tables(instances, monkeypatch):
 def test_css_restriction_cap_bounds_the_full_pauli_table(instances, monkeypatch):
     # tiny_2's sector tables have 2^3 states, its full-Pauli table 2^(5 + 1):
     # a cap of 16 passes the sector tables and must stop the full-Pauli one
-    def no_pauli(*args, **kwargs):
-        raise AssertionError("full-Pauli table built despite the cap")
-
-    monkeypatch.setattr(V, "_pauli_table", no_pauli)
+    _no_full_pauli_table(monkeypatch, instances["tiny_2"])
     with pytest.raises(CapExceeded):
         V.check_css_restriction(instances["tiny_2"], cap=16, instance="tiny_2")
 
@@ -587,8 +586,8 @@ def test_css_restriction_full_values_match_pauli_barrier_general(instances, monk
             read.append((bits, self.table.value(bits)))
             return read[-1][1]
 
-    real = V._pauli_table
-    monkeypatch.setattr(V, "_pauli_table", lambda c: Recording(real(c)))
+    real = V.pauli_table
+    monkeypatch.setattr(V, "pauli_table", lambda c, cap: Recording(real(c, cap)))
     r = V.check_css_restriction(code, instance=name)
     assert r.passed and len(read) == r.checked > 0
     for bits, full in read:
