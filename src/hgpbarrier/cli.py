@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 
 from .barrier import classical_barrier, quantum_barrier, sector_table
 from .codes import ClassicalCode, emit_dense, parse_alist, parse_auto, parse_dense
@@ -50,7 +49,8 @@ def _load_code(path: str, fmt: str | None) -> ClassicalCode:
     """The code in the file at ``path``. The file is read on every call; its
     text is parsed once per process, so an edited file is parsed again."""
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot decode {path}: {e.reason} at byte {e.start}") from e
     return _parse(text, fmt)
@@ -145,9 +145,10 @@ def cmd_hgp(args) -> int:
         "hz": f"{args.out}_hz.txt",
         "params": f"{args.out}_params.json",
     }
-    Path(files["hx"]).write_text(emit_dense(ClassicalCode(code.hx)))
-    Path(files["hz"]).write_text(emit_dense(ClassicalCode(code.hz)))
-    Path(files["params"]).write_text(json.dumps(params, sort_keys=True) + "\n")
+    hx, hz = (emit_dense(ClassicalCode(m)) for m in (code.hx, code.hz))
+    for path, text in zip(files.values(), (hx, hz, json.dumps(params, sort_keys=True) + "\n")):
+        with open(path, "w") as f:
+            f.write(text)
     _print_report({"params": params, "files": files}, args.format)
     return EXIT_OK
 
@@ -239,7 +240,8 @@ def cmd_verify(args) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and shared by every later
-    ``main`` call; ``parse_args`` leaves it unchanged."""
+    ``main`` call; ``parse_args`` leaves it unchanged. Its ``commands`` maps
+    each subcommand name to that subcommand's parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
@@ -290,11 +292,21 @@ def _build_parser() -> _Parser:
     p.add_argument("paths", nargs="*")
     p.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
+    # the top-level parser hands every token after a command name to that
+    # command's parser, so going there directly is one pass with the same result
+    command = argv[0] if argv and isinstance(argv[0], str) else None
+    if command in parser.commands:
+        args = parser.commands[command].parse_args(argv[1:])
+        args.command = command
+    else:
+        args = parser.parse_args(argv)
     if args.max_dim < 1:
         _emit_error("usage", "--max-dim must be positive")
         return EXIT_USAGE

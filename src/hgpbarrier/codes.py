@@ -110,7 +110,7 @@ class ClassicalCode:
             return CodeParams(self.n, 0, math.inf)
         if (1 << k) > cap:
             raise CapExceeded(f"2^{k} codewords exceed the enumeration cap {cap}")
-        d = min(w.bits.bit_count() for w in self.iter_codewords() if w.bits)
+        d = min(b.bit_count() for b in span([v.bits for v in self.kernel]) if b)
         return CodeParams(self.n, k, d)
 
     def transpose(self) -> "ClassicalCode":

@@ -9,6 +9,7 @@ reshape. All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -112,10 +113,11 @@ class BitVec:
         return self.bits != 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        return tuple(m.start() for m in re.finditer("1", self.to01()))
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        # the marker bit at n keeps the leading zeros; "" when n is 0
+        return bin(self.bits | 1 << self.n)[3:][::-1]
 
     def __repr__(self) -> str:
         return f"BitVec({self.to01()!r})"
@@ -379,23 +381,28 @@ def rref(a: BitMatrix) -> RrefResult:
     """
     rows = list(a.row_bits)
     pivots = []
+    free = 0  # OR of the rows not yet used as pivots
+    for row in rows:
+        free |= row
     r = 0
-    for c in range(a.cols):
-        sel = None
-        for i in range(r, a.rows):
-            if (rows[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
+    while free:
+        # unused rows are zero in every column before the next pivot column,
+        # so that column is the lowest bit any of them holds
+        bit = free & -free
+        sel = r
+        while not rows[sel] & bit:
+            sel += 1
         rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(a.rows):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
+        pivot = rows[r]
+        free = 0
+        for i, row in enumerate(rows):
+            if row & bit and i != r:
+                row ^= pivot
+                rows[i] = row
+            if i > r:
+                free |= row
+        pivots.append(bit.bit_length() - 1)
         r += 1
-        if r == a.rows:
-            break
     return RrefResult(BitMatrix(a.rows, a.cols, tuple(rows)), tuple(pivots), r)
 
 

@@ -582,6 +582,124 @@ def test_second_call_builds_no_parser(files, capsys, monkeypatch):
     assert built == []
 
 
+def test_a_request_is_parsed_in_one_pass(files, capsys, monkeypatch):
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    argv = ["barrier", "canonical", files / "ring3.alist", files / "open3.txt", "--sector", "z"]
+    assert run(capsys, *argv)[0] == 0
+    assert passes == ["hgpbarrier barrier"]
+
+
+_COMMANDS = ("info", "hgp", "barrier", "logicals", "verify")
+_ARGV_TOKENS = (
+    "a.txt", "b.txt", "classical", "quantum", "canonical", "lemma1", "lemma99", "all",
+    "--format", "--format=text", "--form", "--fo=json", "--format=xml", "json", "text",
+    "--fmt", "--fmt=dense", "--fm", "alist", "--max-dim", "--max-dim=8", "--m=0", "--max-dim=99",
+    "--seed", "--se=3", "--s", "--sector", "--sec=x", "z", "both", "w", "--out", "--out=o",
+    "-5", "0x10", "8", "--", "-h", "--help", "--he", "-x", "--bogus", "-", "",
+)
+_POSITIONALS = {
+    "info": ["a.txt"],
+    "hgp": ["a.txt", "b.txt", "--out", "o"],
+    "barrier": ["quantum", "a.txt", "b.txt"],
+    "logicals": ["a.txt", "b.txt"],
+    "verify": ["lemma1"],
+}
+_OPTIONS = (
+    ["--format", "text"], ["--format=json"], ["--form", "text"], ["--fmt", "dense"],
+    ["--fm=alist"], ["--max-dim", "8"], ["--max-dim=0"], ["--m", "99"], ["--seed", "-5"],
+    ["--se=3"], ["--seed", "0x10"], ["--sector", "x"], ["--sec=z"],
+)
+_options = st.lists(st.sampled_from(_OPTIONS), max_size=3).map(lambda groups: sum(groups, []))
+cli_argv = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8),
+    st.tuples(
+        st.sampled_from(_COMMANDS), st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8)
+    ).map(lambda t: [t[0], *t[1]]),
+    st.tuples(st.sampled_from(_COMMANDS), _options, _options).map(
+        lambda t: [t[0], *t[1], *_POSITIONALS[t[0]], *t[2]]
+    ),
+)
+
+
+def _outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = call(argv)
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue(), err.getvalue()
+    return "ok", result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv)
+@example(["info", "a.txt", "--format", "text", "--format=json"])
+@example(["barrier", "--s", "x", "classical", "a.txt"])  # ambiguous abbreviation
+@example(["barrier", "quantum", "a.txt", "--sector", "x", "b.txt"])  # intermixed positionals
+@example(["verify", "--", "-5", "0x10"])
+@example(["hgp", "a.txt", "b.txt"])  # --out is required
+def test_main_parses_as_the_top_level_parser_does(argv):
+    # main's namespace, or its exit code, stdout and stderr, are those of
+    # _build_parser().parse_args; the commands' functions are replaced by a
+    # recorder, so nothing runs
+    parser = _build_parser()
+    funcs = {name: p.get_default("func") for name, p in parser.commands.items()}
+    seen = []
+
+    def record(args):
+        seen.append(dict(vars(args)))
+        return 0
+
+    for p in parser.commands.values():
+        p.set_defaults(func=record)
+    try:
+        want = _outcome(parser.parse_args, argv)
+        got = _outcome(main, argv)
+    finally:
+        for name, p in parser.commands.items():
+            p.set_defaults(func=funcs[name])
+    if want[0] == "exit":
+        assert got == want and seen == []
+        return
+    parsed = vars(want[1])
+    if 1 <= parsed["max_dim"] <= 64:
+        assert got == ("ok", 0, "", "")
+        assert seen == [dict(parsed, cap=1 << parsed["max_dim"])]
+    else:
+        assert got[:2] == ("ok", 2 if parsed["max_dim"] < 1 else 3) and seen == []
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse help layout differs by Python version"
+)
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ((), "260e5c6d416c18492a65c317353623d88e2d64c9d4a35a28ea5b87de35a13544"),
+        (("info",), "d7ab040b094de9af98614b83c59b1744e86ec176d5dda4676d8347aa52adf58f"),
+        (("hgp",), "61afd538e5e463fdd11f3b6588eb2e966bf4a52126c60e7a282cfda227b9a151"),
+        (("barrier",), "c864bc2f7589dd2e11c656fa8a28debc15dd97fb93a3fe1551fdf4a04a10d661"),
+        (("logicals",), "63cba4f90282624e158f10432a8d5ce646d165ea045750dec9485f4785c04460"),
+        (("verify",), "cd89a13ba02993bda8e7c0b5c796d4c77c5917cd1fe4c6b379fc18468f924ad9"),
+    ],
+    ids=["top", *_COMMANDS],
+)
+def test_help_is_pinned(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as ei:
+        main([*command, "-h"])
+    assert ei.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # -- one parse, product and basis per distinct input --------------------------------
 
 def _counting(calls, name, fn):

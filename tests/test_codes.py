@@ -125,6 +125,15 @@ def test_distance_matches_exhaustive_oracle(c):
     assert ours == ref
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_of_wider_codes_matches_exhaustive_oracle(seed):
+    # k from 8 to 12: more codewords than small_code reaches
+    rng = random.Random(seed)
+    h = BitMatrix(3, 12 + seed, tuple(rng.getrandbits(12 + seed) for _ in range(3)))
+    c = ClassicalCode(h)
+    assert c.parameters().d == oracles.min_distance(oracles.np_from_bitmatrix(h))
+
+
 @given(small_code())
 def test_codeword_enumeration_is_complete_and_distinct(c):
     words = list(c.iter_codewords())

@@ -1,5 +1,7 @@
 """Unit and property tests for the packed GF(2) core."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,14 @@ class TestConstruction:
         assert v.n == 4
         assert v.to01() == "1011"
         assert v.support() == (0, 2, 3)
+
+    def test_to01_and_support_match_per_bit_definitions(self):
+        rng = random.Random(0)
+        for n in range(71):
+            for bits in {0, (1 << n) - 1, 1 << n >> 1, rng.getrandbits(n), rng.getrandbits(n)}:
+                v = BitVec(n, bits)
+                assert v.to01() == "".join(str((bits >> i) & 1) for i in range(n))
+                assert v.support() == tuple(i for i in range(n) if (bits >> i) & 1)
 
     def test_from01_leftmost_is_coordinate_zero(self):
         assert BitVec.from01("10").bits == 1
@@ -123,7 +133,20 @@ class TestShapeErrors:
             hstack(BitMatrix.identity(2), BitMatrix.identity(3))
 
 
-@given(bitmatrix())
+def wide_bitmatrix():
+    """At least 200 columns, the first ``z`` of them all zero."""
+    return st.tuples(st.integers(1, 8), st.integers(200, 260)).flatmap(
+        lambda rc: st.integers(0, rc[1] - 1).flatmap(
+            lambda z: st.lists(
+                st.integers(0, (1 << (rc[1] - z)) - 1).map(lambda b: b << z),
+                min_size=rc[0],
+                max_size=rc[0],
+            ).map(lambda rws: BitMatrix(rc[0], rc[1], tuple(rws)))
+        )
+    )
+
+
+@given(st.one_of(bitmatrix(), wide_bitmatrix()))
 def test_rref_matches_numpy(m):
     ours = rref(m)
     ref, pivots = oracles.np_rref(oracles.np_from_bitmatrix(m))
