@@ -48,7 +48,7 @@ import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import xor
 from typing import Callable, Iterable, Sequence
 
@@ -63,7 +63,7 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, linear_table, mat_vec, rank, rref, weight
+from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_vec, rank, rref, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
@@ -527,15 +527,14 @@ def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
     return _quotient(stab_rows, n)
 
 
-def _reduce(basis, x: int) -> tuple[int, int, int]:
-    """Reduce x by a tagged echelon basis: (residue, highest tag used, edges used)."""
-    level = edges = 0
-    for vec, tag, vec_edges in basis:
+def _reduce(basis, x: int) -> tuple[int, int]:
+    """Reduce x by a tagged echelon basis: (residue, edges used)."""
+    edges = 0
+    for vec, _, vec_edges in basis:
         if x ^ vec < x:  # x has vec's leading bit
             x ^= vec
-            level = max(level, tag)
             edges ^= vec_edges
-    return x, level, edges
+    return x, edges
 
 
 def _states_at(best, level: int):
@@ -572,7 +571,7 @@ def _voltage_basis(best, lifts, quotient: _Quotient):
                 g = lifts[u] ^ lift_moves[q] ^ lifts[v]
                 if not g:
                     continue
-                g, _, used = _reduce(basis, g)
+                g, used = _reduce(basis, g)
                 if g:
                     basis.append((g, t, used ^ (1 << len(edges))))
                     basis.sort(reverse=True)
@@ -593,8 +592,8 @@ class MinimaxTable:
     states; ``order`` is each state's layer in the fill's pop order. The
     search tree is derived from it on demand: ``pred`` gives a state's
     parent move, ``lifts`` (None without stabilizers) its tree lift.
-    ``value`` reads ``best``, ``lifts`` and the voltage ``basis``; the
-    witness flips (``_flips``) also walk ``pred`` and ``edges``.
+    ``value`` reads ``best``, ``lifts`` and the voltage ``basis``'s edge
+    map (``_edge_map``); the witness flips (``_flips``) also walk ``pred``.
     """
 
     n_dim: int
@@ -608,8 +607,17 @@ class MinimaxTable:
     basis: tuple = field(default=(), repr=False)
     edges: tuple = field(default=(), repr=False)
 
+    @cached_property
+    def _edge_map(self) -> tuple[tuple, tuple[int, ...]]:
+        """(byte tables, tags): reduction by ``basis`` is linear, so the edges
+        it uses for x XOR tables[i] at byte i of x; vector j uses edge j and
+        earlier ones, so the highest tag used is tags[edges.bit_length()]."""
+        used = [_reduce(self.basis, 1 << j)[1] for j in range(self.quotient.rank)]
+        tables = tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8))
+        return tables, (0, *(t for _, t, e in sorted(self.basis, key=lambda v: v[2].bit_length())))
+
     def _fiber(self, bits: int) -> tuple[int, int]:
-        """(quotient state, stabilizer from its tree lift to ``bits``)."""
+        """(quotient state, ``edges`` used from its tree lift to ``bits``)."""
         if isinstance(bits, bool) or not isinstance(bits, int):
             raise TypeError(f"state must be an int, got {type(bits).__name__}")
         if not 0 <= bits < 1 << self.n_dim:
@@ -617,12 +625,15 @@ class MinimaxTable:
         state, coords = self.quotient.split(bits)
         if self.lifts is not None:
             coords ^= self.lifts[state]
-        return state, coords
+        used = 0
+        for table in self._edge_map[0]:
+            used ^= table[coords & 0xFF]
+            coords >>= 8
+        return state, used
 
     def value(self, bits: int) -> int:
-        state, stab = self._fiber(bits)
-        _, level, _ = _reduce(self.basis, stab)
-        return max(self.best[state], level)
+        state, used = self._fiber(bits)
+        return max(self.best[state], self._edge_map[1][used.bit_length()])
 
     def path(self, bits: int) -> PathRecord:
         """Peak-optimal walk to ``bits``, through the flips of ``_flips``."""
@@ -633,8 +644,7 @@ class MinimaxTable:
         a loop around the fundamental cycle of each voltage used, then the
         lifted tree path. Every loop state is a stabilizer translate of a
         state at or below the loop's level."""
-        state, stab = self._fiber(bits)
-        _, _, used = _reduce(self.basis, stab)
+        state, used = self._fiber(bits)
         tree = lambda s: _tree_moves(s, self.pred, self.quotient.images)
         flips = []
         for j, (u, q, v) in enumerate(self.edges):
@@ -762,10 +772,19 @@ def _pauli_state(bits: int, n: int) -> PauliVec:
     return PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
 
 
-def _pauli_walk(code: HgpCode, flips: Iterable[int]) -> PathRecord:
-    """The walk over x | z << n that flips each coordinate in turn."""
+def _pauli_walk(code: HgpCode, flips: Iterable[int], state=None) -> PathRecord:
+    """``_walk`` over x | z << n, its states PauliVecs by default."""
     rows, _, n2 = _pauli_inputs(code)
-    return _walk(flips, _energy(rows, n2), lambda b: _pauli_state(b, code.n_qubits))
+    return _walk(flips, _energy(rows, n2), state or partial(_pauli_state, n=code.n_qubits))
+
+
+def _stabilizer_flips(code: HgpCode, combo_bits: int, end: int) -> list[int]:
+    """Coordinates of x | z << n flipped by each selected generator in turn;
+    NotAStabilizer unless the generators multiply to the packed ``end``."""
+    gens = _pauli_inputs(code)[1]
+    if combine(gens, combo_bits) != end:
+        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
+    return [q for g in _ones(combo_bits) for q in _ones(gens[g])]
 
 
 def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
@@ -856,11 +875,7 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
     n = code.n_qubits
     _check_pauli(s, n)
-    flips = [q for g in generator_combo.support() for q in BitVec(2 * n, gens[g]).support()]
-    walk = _pauli_walk(code, flips)
-    if walk.states[-1] != s:
-        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
-    return walk
+    return _pauli_walk(code, _stabilizer_flips(code, generator_combo.bits, s.x.bits | s.z.bits << n))
 
 
 def validate_path(record: PathRecord, energy: Callable) -> bool:

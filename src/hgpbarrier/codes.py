@@ -21,7 +21,7 @@ from .errors import (
     InconsistentDegrees,
     ParseError,
 )
-from .f2core import BitMatrix, BitVec, kernel_basis, mat_vec, rref, span, weight
+from .f2core import BitMatrix, BitVec, _ones, kernel_basis, mat_vec, rref, span
 
 __all__ = [
     "ClassicalCode",
@@ -91,7 +91,7 @@ class ClassicalCode:
     @cached_property
     def w_q(self) -> int:
         """Largest bit degree (max ones in a column)."""
-        return max(weight(self.h.column(j)) for j in range((self.n)))
+        return max(c.bit_count() for c in self.h.transpose().row_bits)
 
     def syndrome(self, x: BitVec) -> BitVec:
         if x.n != self.n:
@@ -278,8 +278,8 @@ def parse_alist(text: str) -> ClassicalCode:
 def emit_alist(code: ClassicalCode) -> str:
     h = code.h
     n, m = h.cols, h.rows
-    cols = [h.column(j).support() for j in range(n)]
-    rows = [h.row(i).support() for i in range(m)]
+    cols = [tuple(_ones(c)) for c in h.transpose().row_bits]
+    rows = [tuple(_ones(r)) for r in h.row_bits]
     col_degs = [len(c) for c in cols]
     row_degs = [len(r) for r in rows]
     lines = [

@@ -9,7 +9,6 @@ reshape. All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,6 +39,13 @@ __all__ = [
     "in_row_space",
     "row_reducer",
 ]
+
+
+def _ones(bits: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while bits:
+        yield (bits & -bits).bit_length() - 1
+        bits &= bits - 1
 
 
 @dataclass(frozen=True, repr=False)
@@ -113,7 +119,7 @@ class BitVec:
         return self.bits != 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(m.start() for m in re.finditer("1", self.to01()))
+        return tuple(_ones(self.bits))
 
     def to01(self) -> str:
         # the marker bit at n keeps the leading zeros; "" when n is 0
@@ -189,19 +195,20 @@ class BitMatrix:
         return self.row(i)[j]
 
     def transpose(self) -> "BitMatrix":
-        out = []
-        for j in range(self.cols):
-            bits = 0
-            for i, r in enumerate(self.row_bits):
-                bits |= ((r >> j) & 1) << i
-            out.append(bits)
+        out = [0] * self.cols
+        for i, r in enumerate(self.row_bits):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
         return BitMatrix(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
 
     def to01_rows(self) -> list[str]:
-        return [self.row(i).to01() for i in range(self.rows)]
+        return [bin(r | 1 << self.cols)[3:][::-1] for r in self.row_bits]  # as BitVec.to01
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
 from .errors import IndexOutOfRange, NoLogicals
-from .f2core import BitMatrix, hstack, kron, mat_mul, weight
+from .f2core import BitMatrix, hstack, kron, mat_mul
 
 __all__ = [
     "HgpCode",
@@ -56,7 +56,7 @@ class HgpCode:
     def vv_count(self) -> int:
         return self.n1 * self.n2
 
-    @property
+    @cached_property
     def n_qubits(self) -> int:
         return self.n1 * self.n2 + self.r1 * self.r2
 
@@ -73,10 +73,8 @@ class HgpCode:
     @cached_property
     def w_q(self) -> int:
         """Largest number of stabilizers touching one qubit."""
-        return max(
-            weight(self.hx.column(q)) + weight(self.hz.column(q))
-            for q in range(self.n_qubits)
-        )
+        columns = zip(self.hx.transpose().row_bits, self.hz.transpose().row_bits)
+        return max(x.bit_count() + z.bit_count() for x, z in columns)
 
 
 @lru_cache(maxsize=256)

@@ -28,18 +28,18 @@ from .barrier import (
     DEFAULT_PAULI_CAP,
     DEFAULT_STATE_CAP,
     _generators,
-    _pauli_state,
+    _pauli_walk,
+    _stabilizer_flips,
     classical_barrier,
     classical_table,
     pauli_table,
     quantum_barrier,
     sector_table,
-    stabilizer_path,
     sweep_path_for_canonical,
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, combine, linear_table, mat_mul, rref, span, unit_matrices
+from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, rref, span, unit_matrices
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -225,20 +225,18 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     counter = None
     if worst > bound:
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
-    # constructive side: generator-by-generator paths stay under the bound;
-    # the running energy after each full generator is recorded, not asserted
+    # constructive side: stabilizer_path's walks, on packed states, stay under
+    # the bound; the energy after each full generator is recorded, not asserted
     gens = _generators(code)
     baselines = []
     rng = random.Random(0)
     for _ in range(8):
         combo_bits = rng.randrange(1 << len(gens))
-        combo = BitVec(len(gens), combo_bits)
-        s = _pauli_state(combine(gens, combo_bits), code.n_qubits)
-        path = stabilizer_path(code, s, combo)
+        path = _pauli_walk(code, _stabilizer_flips(code, combo_bits, combine(gens, combo_bits)), int)
         if path.max_energy > bound and counter is None:
             counter = {"combo_bits": combo_bits, "path_max": path.max_energy, "bound": bound}
         # path indices where each selected generator has just been fully applied
-        marks = accumulate(gens[g].bit_count() for g in combo.support())
+        marks = accumulate(gens[g].bit_count() for g in _ones(combo_bits))
         baselines.append(max((path.energies[i] for i in marks), default=0))
     details = {
         "bound": bound,

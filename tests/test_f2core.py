@@ -225,6 +225,35 @@ def test_transpose_involution(m):
     assert m.transpose().transpose() == m
 
 
+def _shapes():
+    """Random matrices of 0 to 9 rows and 0 to 260 columns, wide ones included."""
+    rng = random.Random(0)
+    for rows in (0, 1, 2, 5, 9):
+        for cols in (0, 1, 7, 8, 9, 64, 201, 260):
+            for _ in range(2):
+                yield BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+
+
+def test_transpose_and_column_match_per_bit_definitions():
+    for m in _shapes():
+        bit = lambda i, j: (m.row_bits[i] >> j) & 1
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert t.row_bits == tuple(
+            sum(bit(i, j) << i for i in range(m.rows)) for j in range(m.cols)
+        )
+        for j in range(m.cols):
+            assert m.column(j) == BitVec(m.rows, t.row_bits[j])
+
+
+def test_to01_rows_match_per_row_bitvecs():
+    rng = random.Random(0)
+    for cols in range(71):
+        rows = (0, (1 << cols) - 1, *(rng.getrandbits(cols) for _ in range(3)))
+        m = BitMatrix(len(rows), cols, rows)
+        assert m.to01_rows() == [BitVec(cols, r).to01() for r in rows]
+
+
 @given(bitvec(), bitvec())
 def test_concat_split_round_trip(a, b):
     joined = BitVec(a.n + b.n, a.bits | b.bits << a.n)

@@ -44,6 +44,20 @@ class TestConstruction:
     def test_surface_size(self):
         assert surface().n_qubits == 13
 
+    def test_n_qubits_and_w_q_match_their_definitions(self):
+        rng = random.Random(0)
+        for _ in range(30):
+            h1, h2 = random_code(rng), random_code(rng)
+            code = build_hgp(h1, h2)
+            assert code.n_qubits == h1.n * h2.n + h1.r * h2.r
+            # a repeated pair returns the cached code with the same value
+            assert build_hgp(h1, h2) is code and code.n_qubits == h1.n * h2.n + h1.r * h2.r
+            touching = [
+                sum((r >> q) & 1 for r in code.hx.row_bits + code.hz.row_bits)
+                for q in range(code.n_qubits)
+            ]
+            assert code.w_q == max(touching)
+
     def test_identity_second_factor_collapses(self):
         # with H2 = I_1 the two blocks are just H1 and the identity
         h1 = open_repetition(4)

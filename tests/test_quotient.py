@@ -37,6 +37,41 @@ from hgpbarrier.logicals import PauliVec, canonical_z_basis
 from hgpbarrier.verify import quantum_instances
 
 
+def _reference_reduce(basis, x):
+    """Reduction by a tagged echelon basis, written out: (residue, highest
+    tag used, edges used)."""
+    level = edges = 0
+    for vec, tag, vec_edges in basis:
+        if x ^ vec < x:
+            x ^= vec
+            level = max(level, tag)
+            edges ^= vec_edges
+    return x, level, edges
+
+
+def _check_edge_map(table):
+    """When the table has at most 2^12 lift-coordinate vectors, its edge
+    map gives, for each of them, the edges and level of a reduction by its
+    voltage basis, and that basis is the one ``_voltage_basis`` builds."""
+    rank = table.quotient.rank
+    if rank > 12:
+        return
+    if table.lifts is not None:
+        assert barrier._voltage_basis(table.best, table.lifts, table.quotient) == (
+            table.basis,
+            table.edges,
+        )
+    tables, tags = table._edge_map
+    for x in range(1 << rank):
+        used, coords = 0, x
+        for t in tables:
+            used ^= t[coords & 0xFF]
+            coords >>= 8
+        _, level, edges = _reference_reduce(table.basis, x)
+        assert used == edges == barrier._reduce(table.basis, x)[1]
+        assert tags[used.bit_length()] == level
+
+
 def _check_sector(code, sector, n_paths, seed=0):
     """Compare every table entry and the sector barrier with the oracle, and
     validate the barrier witness and n_paths sampled table walks."""
@@ -45,6 +80,7 @@ def _check_sector(code, sector, n_paths, seed=0):
     n = code.n_qubits
     table = sector_table(code, sector)
     assert table.explored == len(table.best) == 1 << (n - rank(stab))
+    _check_edge_map(table)
     want = oracles.minimax_values(checks.row_bits, n)
     got = [table.value(s) for s in range(1 << n)]
     assert got == want
@@ -119,6 +155,7 @@ def test_classical_table_is_the_plain_unit_move_table():
     c = ring_repetition(5)
     table = classical_table(c)
     assert table.lifts is None and table.basis == ()
+    _check_edge_map(table)
     assert table.explored == len(table.best) == 32
     assert [table.value(s) for s in range(32)] == oracles.minimax_values(c.h.row_bits, 5)
     # with no stabilizers the walk is the plain search-tree path
@@ -139,6 +176,7 @@ def test_cap_counts_quotient_states():
     toric = quantum_instances()["toric_3"]  # rank HZ = 8: 2^10 quotient states
     table = sector_table(toric, "z", cap=1 << 10)
     assert len(table.best) == 1 << 10
+    _check_edge_map(table)
     _check_lifts(table, range(1 << 10))
     # the cap is checked before the table cache, so a cached table is no way round it
     with pytest.raises(CapExceeded):
@@ -211,6 +249,23 @@ def test_toric4_z_table_build_peaks_below_13_bytes_per_state():
     assert peak <= 13 * (1 << 17)
 
 
+@pytest.mark.parametrize("kind", ("sector", "pauli"))
+def test_table_reads_reduce_nothing(monkeypatch, kind):
+    # a warm table reads values and witness flips off its edge map; the
+    # basis reduction runs only while the basis and that map are built
+    code = quantum_instances()["toric_3" if kind == "sector" else "ring_2"]
+    table = sector_table(code, "z") if kind == "sector" else barrier.pauli_table(code)
+    table.value(0)
+    calls = []
+    real = barrier._reduce
+    monkeypatch.setattr(barrier, "_reduce", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(0)
+    for bits in [rng.randrange(1 << table.n_dim) for _ in range(200)]:
+        table.value(bits)
+        table._flips(bits)
+    assert calls == []
+
+
 def test_table_walk_missing_its_target_raises():
     toric = quantum_instances()["toric_3"]
     table = sector_table(toric, "z")
@@ -259,6 +314,7 @@ def test_pauli_barrier_matches_oracle_on_every_target(name):
     want = _pauli_oracle(code)
     got = [pauli_barrier_general(code, _pauli(n, t)).value for t in range(1 << 2 * n)]
     assert got == want
+    _check_edge_map(barrier.pauli_table(code))
     _check_pauli_witnesses(code, want, n_paths=30)
 
 
@@ -268,6 +324,7 @@ def test_pauli_table_matches_oracle_on_every_state(name):
     n = code.n_qubits
     table = barrier.pauli_table(code)
     assert table.explored == len(table.best) == 1 << (n + code.k)
+    _check_edge_map(table)
     want = _pauli_oracle(code)
     assert [table.value(t) for t in range(1 << 2 * n)] == want
     _check_pauli_witnesses(code, want, n_paths=30)
@@ -281,5 +338,6 @@ def test_random_products_pauli_barriers_match_oracle(h1, h2):
     want = _pauli_oracle(code)
     table = barrier.pauli_table(code)
     assert table.explored == 1 << (code.n_qubits + code.k)
+    _check_edge_map(table)
     assert [table.value(t) for t in range(1 << 2 * code.n_qubits)] == want
     _check_pauli_witnesses(code, want, n_paths=8)

@@ -226,3 +226,17 @@ def test_every_cache_is_bounded():
                 if takes_args and any(_cache_name(d) == "cache" for d in node.decorator_list):
                     found.append(where)
     assert found == []
+
+
+def test_basis_reduction_runs_only_where_the_read_map_is_built():
+    # a table read is a lookup in the edge map that MinimaxTable._edge_map
+    # derives from the voltage basis once per table; a read that reduces by
+    # the basis again pays a Python loop over it per call, so _reduce is
+    # referenced only where that basis and that map are built
+    found = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and "_reduce" in _referenced_names(node)
+    )
+    assert found == ["barrier.py:_edge_map", "barrier.py:_voltage_basis"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from itertools import product
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
-from hgpbarrier.errors import CapExceeded, NoLogicals
-from hgpbarrier.f2core import BitMatrix, BitVec, span
+from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
+from hgpbarrier.f2core import BitMatrix, BitVec, combine, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec
 from hgpbarrier import barrier, logicals
@@ -159,6 +160,26 @@ def test_lemma1_worst_barrier_is_the_top_voltage_tag(name):
     r = V.check_lemma1(code, instance=name)
     tags = [tag for sector in ("x", "z") for _, tag, _ in sector_table(code, sector).basis]
     assert r.details["worst_barrier"] == max(tags)
+
+
+@pytest.mark.parametrize("name", ("surface_3", "toric_3"))
+def test_lemma1_packed_walks_match_stabilizer_path(instances, name):
+    # lemma1 walks over packed x | z << n states; their energies are those
+    # of the public stabilizer_path, and a wrong end is still refused
+    code = instances[name]
+    n, gens = code.n_qubits, barrier._generators(code)
+    rng = random.Random(0)
+    for _ in range(50):
+        combo = rng.randrange(1 << len(gens))
+        end = combine(gens, combo)
+        packed = barrier._pauli_walk(code, barrier._stabilizer_flips(code, combo, end), int)
+        s = PauliVec(n, BitVec(n, end & ((1 << n) - 1)), BitVec(n, end >> n))
+        path = barrier.stabilizer_path(code, s, BitVec(len(gens), combo))
+        assert packed.energies == path.energies
+        assert path.energies == tuple(barrier.energy_quantum(code, p) for p in path.states)
+        assert packed.states == tuple(p.x.bits | p.z.bits << n for p in path.states)
+        with pytest.raises(NotAStabilizer):
+            barrier._stabilizer_flips(code, combo, end ^ 1)
 
 
 # -- thm1 checker ----------------------------------------------------------------
