@@ -63,7 +63,7 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_vec, rank, rref, weight
+from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_vec, rank, rref, span, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
@@ -634,6 +634,18 @@ class MinimaxTable:
     def value(self, bits: int) -> int:
         state, used = self._fiber(bits)
         return max(self.best[state], self._edge_map[1][used.bit_length()])
+
+    def coset_values(self, base: int, basis: Sequence[int]) -> list[tuple[int, int]]:
+        """(value, vector) of each vector of base + span(basis), in ``span`` order:
+        one quotient state, and edges used linear in the vector, so each Gray step
+        XORs in one basis vector's edges. NotAStabilizer unless each is a stabilizer."""
+        state, used = self._fiber(base)
+        steps = [self._fiber(g) for g in basis]
+        if any(image for image, _ in steps):
+            raise NotAStabilizer("a coset basis vector is not a stabilizer")
+        levels = [max(self.best[state], tag) for tag in self._edge_map[1]]
+        edges = span([step for _, step in steps])
+        return [(levels[(used ^ u).bit_length()], base ^ s) for s, u in zip(span(basis), edges)]
 
     def path(self, bits: int) -> PathRecord:
         """Peak-optimal walk to ``bits``, through the flips of ``_flips``."""

@@ -36,6 +36,12 @@ class HgpCode:
     hx: BitMatrix
     hz: BitMatrix
 
+    # caches key on codes, and the fields' hash walks four matrices: take it once
+    _hash = cached_property(lambda self: hash((self.h1, self.h2, self.hx, self.hz)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def n1(self) -> int:
         return self.h1.n

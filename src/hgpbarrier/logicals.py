@@ -167,10 +167,13 @@ def _fitted_ingredients(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatr
 def _compose(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix) -> CanonicalOp:
     left, right, aside, bside = _fitted_ingredients(code, kind, lam, kappa)
     vv = cc = 0  # block k of each sum: left[k] (x) the right vectors row k selects
+    rights, bsides = [r.bits for r in right], [b.bits for b in bside]
     for vec, sel in zip(left, lam.row_bits):
-        vv ^= tensor_vec(vec, BitVec(code.n2, combine([r.bits for r in right], sel))).bits
+        if sel:
+            vv ^= tensor_vec(vec, BitVec(code.n2, combine(rights, sel))).bits
     for vec, sel in zip(aside, kappa.row_bits):
-        cc ^= tensor_vec(vec, BitVec(code.r2, combine([b.bits for b in bside], sel))).bits
+        if sel:
+            cc ^= tensor_vec(vec, BitVec(code.r2, combine(bsides, sel))).bits
     realized = PauliVec.of_kind(kind, BitVec(code.n_qubits, vv | cc << code.vv_count))
     return CanonicalOp(kind, lam, kappa, realized)
 

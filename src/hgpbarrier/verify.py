@@ -39,7 +39,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, rref, span, unit_matrices
+from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, rref, unit_matrices
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -176,16 +176,6 @@ def _stabilizer_setup(code: HgpCode, cap: int):
     return *tables, *bases, code.w_c * code.w_q
 
 
-def _coset_values(table, basis: tuple[int, ...], base: int = 0) -> list[tuple[int, int]]:
-    """(table value, vector) of each vector of base + span(basis), in span order."""
-    return [(table.value(base ^ s), base ^ s) for s in span(basis)]
-
-
-def _coset_max(pairs):
-    """The first (value, vector) pair of greatest value."""
-    return max(pairs, key=itemgetter(0))
-
-
 def _swept_max(table, basis: tuple[int, ...], maxima: dict, base: int) -> int:
     """The greatest value on base + span(basis), read once per coset: ``maxima``
     keeps it by the coset's representative with every pivot bit clear. The
@@ -194,7 +184,7 @@ def _swept_max(table, basis: tuple[int, ...], maxima: dict, base: int) -> int:
         if base & row & -row:
             base ^= row
     if base not in maxima:
-        maxima[base] = _coset_max(_coset_values(table, basis, base))[0]
+        maxima[base] = max(table.coset_values(base, basis))[0]
     return maxima[base]
 
 
@@ -204,10 +194,10 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     """Every stabilizer clears at most w_c * w_q energy: Delta(s) <= w_c w_q."""
     start = time.perf_counter()
     tx, tz, bx, bz, bound = _stabilizer_setup(code, cap)
-    xs, zs = _coset_values(tx, bx), _coset_values(tz, bz)
+    xs, zs = tx.coset_values(0, bx), tz.coset_values(0, bz)
     # max over pairs of max(a, b) factors into the two sector maxima, so
     # scanning each rowspace once is still exhaustive
-    (vx, x_bits), (vz, z_bits) = _coset_max(xs), _coset_max(zs)
+    (vx, x_bits), (vz, z_bits) = max(xs, key=itemgetter(0)), max(zs, key=itemgetter(0))
     worst = max(vx, vz)
     if len(bx) + len(bz) <= 12:
         mode, checked = "paired", len(xs) * len(zs)
@@ -322,7 +312,8 @@ def check_theorem1(
             # bound, rescan for the worst one of each sector
             sectors = ((tx, bx, lx), (tz, bz, lz))
             if max(_swept_max(t, b, m, l) for (t, b, l), m in zip(sectors, maxima)) > rhs:
-                (wx, x_bits), (wz, z_bits) = (_coset_max(_coset_values(*sector)) for sector in sectors)
+                worst = (max(t.coset_values(l, b), key=itemgetter(0)) for t, b, l in sectors)
+                (wx, x_bits), (wz, z_bits) = worst
                 sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
         if d_ls > rhs:
             counter = {
@@ -454,11 +445,13 @@ def check_lemma4(
 
     Both sides depend on Z1 only through the span-table entry H1 Z1, and the
     inequality holds on every triple of an entry exactly when its largest
-    left side is at most its smallest right side. So each distinct entry is
-    evaluated once; only if one fails are the Z1 scanned in ``product`` order
-    to the first whose entry fails, and its (Z2, L) rescanned, for the first
-    counterexample of the plain (Z1, Z2, L) scan. ``cap`` bounds the
-    2^(n1 n2) + 2^(r1 r2) span-table entries of each pair.
+    left side is at most its smallest right side, which given the entry
+    depends only on the map Z2 -> Z2 H2. So each distinct entry is evaluated
+    once per such map, shared by the pairs that have it; only if one fails
+    are the Z1 scanned in ``product`` order to the first whose entry fails,
+    and its (Z2, L) rescanned, for the first counterexample of the plain
+    (Z1, Z2, L) scan. ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) span-table
+    entries of each pair.
     """
     start = time.perf_counter()
     if family is None:
@@ -466,6 +459,8 @@ def check_lemma4(
     checked = 0
     counter = None
     spans: dict = {}
+    entries: dict = {}  # (H1, n2) -> the distinct entries H1 Z1
+    verdicts: dict = {}  # (r1, H2) -> whether each entry evaluated so far passes
     for h1, h2 in family:
         words = [w for w in h2.iter_codewords() if w.bits]
         if not words:
@@ -477,12 +472,16 @@ def check_lemma4(
         if counter is not None:
             continue
         a, terms = _lemma4_tables(h1, h2, spans)
-        sides = {h: _lemma4_sides(h, r1, n2, words, terms) for h in set(a)}
-        failing = {h for h, (lhs, rhs) in sides.items() if max(lhs) > min(rhs)}
-        if not failing:
+        if (h1.h, n2) not in entries:
+            entries[h1.h, n2] = frozenset(a)
+        passes, distinct = verdicts.setdefault((r1, h2.h), {}), set(terms)
+        for h in entries[h1.h, n2] - passes.keys():
+            lhs, rhs = _lemma4_sides(h, r1, n2, words, distinct)
+            passes[h] = max(lhs) <= min(rhs)
+        if all(passes[h] for h in entries[h1.h, n2]):
             continue
-        z1 = next(z1 for z1 in product(range(1 << n2), repeat=n1) if a[_pack(z1, n2)] in failing)
-        lhs, rhs = sides[a[_pack(z1, n2)]]
+        z1 = next(z1 for z1 in product(range(1 << n2), repeat=n1) if not passes[a[_pack(z1, n2)]])
+        lhs, rhs = _lemma4_sides(a[_pack(z1, n2)], r1, n2, words, terms)
         z2_all = product(range(1 << r2), repeat=r1)
         z2, r = next((z2, r) for z2, r in zip(z2_all, rhs) if r < max(lhs))
         j = next(j for j, l in enumerate(lhs) if l > r)

@@ -35,6 +35,7 @@ def files(tmp_path_factory):
     (d / "open3.txt").write_text(emit_dense(open_repetition(3)))
     (d / "id2.txt").write_text("2 2\n10\n01\n")
     (d / "bad.txt").write_text("garbage\n")
+    (d / "ones12.txt").write_text("1 12\n" + "1" * 12 + "\n")
     return d
 
 
@@ -366,6 +367,21 @@ def test_canonical_and_logicals_text_are_pinned(files, capsys):
     code, out, _ = run(capsys, "logicals", *pair, *flags)
     assert code == 0
     assert out == LOGICALS_RING3_OPEN3_TEXT
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "b2e428287f23a93aa9d57e2dc58af363f8590b385eadddcac9d22f64b3a75391"),
+        ("text", "f656272eaa4808275de6fdd7b259d77f3983d4dc80818f6bb07f112a4e5f20ac"),
+    ],
+)
+def test_logicals_of_all_ones_checks_are_pinned(files, capsys, fmt, digest):
+    # 242 elementary operators: every coefficient row but one selects nothing
+    pair = (files / "ones12.txt", files / "ones12.txt")
+    code, out, _ = run(capsys, "logicals", *pair, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- verify ---------------------------------------------------------------------

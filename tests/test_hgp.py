@@ -9,6 +9,7 @@ from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import IndexOutOfRange, NoLogicals
 from hgpbarrier.f2core import BitMatrix, hstack, kron, mat_mul
 from hgpbarrier.hgp import (
+    HgpCode,
     build_hgp,
     css_check,
     hgp_parameters,
@@ -189,3 +190,19 @@ class TestSparsity:
         code = surface()
         assert code.w_c == 4
         assert code.w_q <= 4
+
+
+def test_code_hash_is_taken_once(monkeypatch):
+    # caches keyed on a code hash it on every hit; the field hash walks four
+    # matrices, so it is taken once per code and kept
+    from hgpbarrier.barrier import _pauli_inputs
+
+    code = build_hgp(ring_repetition(3), ring_repetition(3))
+    calls = []
+    real = BitMatrix.__hash__
+    monkeypatch.setattr(BitMatrix, "__hash__", lambda m: calls.append(m) or real(m))
+    for _ in range(100):
+        _pauli_inputs(code)
+    assert len(calls) <= 4
+    twin = HgpCode(code.h1, code.h2, code.hx, code.hz)
+    assert twin is not code and hash(twin) == hash(code) and twin == code

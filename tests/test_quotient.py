@@ -30,11 +30,11 @@ from hgpbarrier.barrier import (
     validate_path,
 )
 from hgpbarrier.codes import ClassicalCode, ring_repetition
-from hgpbarrier.errors import CapExceeded, WitnessError
-from hgpbarrier.f2core import BitMatrix, BitVec, rank
+from hgpbarrier.errors import CapExceeded, NotAStabilizer, WitnessError
+from hgpbarrier.f2core import BitMatrix, BitVec, rank, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec, canonical_z_basis
-from hgpbarrier.verify import quantum_instances
+from hgpbarrier.verify import _PARENTS, quantum_instances
 
 
 def _reference_reduce(basis, x):
@@ -276,6 +276,39 @@ def test_table_walk_missing_its_target_raises():
     broken = dataclasses.replace(table, edges=())
     with pytest.raises(WitnessError):
         broken.path(target)
+
+
+# -- coset reads ------------------------------------------------------------------
+
+_COSET_CASES = [(name, sector) for name in sorted(_PARENTS) for sector in ("z", "x")] + [
+    (name, "pauli") for name in ("tiny_2", "rect_2_3", "rect_3_2", "ring_2")
+]
+
+
+@pytest.mark.parametrize("name, kind", _COSET_CASES)
+def test_coset_values_match_per_vector_reads(name, kind):
+    # sector tables over the rows of their stabilizer matrix, full-Pauli
+    # tables over the stabilizer generators; an empty basis reads base alone
+    code = build_hgp(*_PARENTS[name])
+    if kind == "pauli":
+        table, basis = barrier.pauli_table(code), barrier._generators(code)
+    else:
+        table, basis = sector_table(code, kind), barrier._sector_matrices(code, kind)[1].row_bits
+    rng = random.Random(7)
+    for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
+        want = [(table.value(base ^ s), base ^ s) for s in span(basis)]
+        assert table.coset_values(base, basis) == want
+        assert table.coset_values(base, ()) == [(table.value(base), base)]
+
+
+def test_coset_values_refuse_a_basis_vector_outside_the_stabilizers():
+    code = quantum_instances()["toric_3"]
+    table = sector_table(code, "z")
+    stabilizer = code.hz.row_bits[0]
+    with pytest.raises(NotAStabilizer):
+        table.coset_values(0, (stabilizer, 1))
+    with pytest.raises(NotAStabilizer):
+        barrier.pauli_table(quantum_instances()["ring_2"]).coset_values(0, (1,))
 
 
 # -- full-Pauli barriers --------------------------------------------------------

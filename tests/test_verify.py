@@ -42,6 +42,9 @@ class _PlantedTable:
     def value(self, bits):
         return self.planted.get(bits, self.table.value(bits))
 
+    def coset_values(self, base, basis):
+        return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base, basis)]
+
 
 def test_lemma1_surface_exhaustive_pairs(instances):
     r = V.check_lemma1(instances["surface_3"], instance="surface_3")
@@ -287,6 +290,24 @@ def test_theorem1_sweeps_each_coset_once(instances, monkeypatch):
     assert len(calls) <= 700
 
 
+def test_coset_scans_make_no_per_vector_reads(instances, monkeypatch):
+    # lemma1 and thm1's sweep read whole cosets through coset_values; only
+    # thm1's four sampled reads per sample go through value
+    calls = []
+    real = MinimaxTable.value
+
+    def counted(self, bits):
+        calls.append(bits)
+        return real(self, bits)
+
+    monkeypatch.setattr(MinimaxTable, "value", counted)
+    assert V.check_lemma1(instances["surface_3"], instance="surface_3").passed
+    assert calls == []
+    r = V.check_theorem1(instances["surface_3"], samples=100, seed=0, instance="surface_3")
+    assert r.passed and r.details["stabilizer_sweep"] == "exhaustive"
+    assert len(calls) == 4 * 100
+
+
 def test_theorem1_requires_logicals():
     trivial = ClassicalCode(BitMatrix.identity(2))
     with pytest.raises(NoLogicals):
@@ -455,6 +476,44 @@ def test_lemma4_evaluates_each_distinct_entry_once(monkeypatch):
     for distinct, hs in zip(entries, evaluated):
         assert len(hs) == len(set(hs)) and set(hs) <= distinct
         assert len(distinct) <= 64
+
+
+def test_lemma4_shares_entry_verdicts_across_pairs_with_one_h2_map(monkeypatch):
+    # the sides depend on the pair only through the H2 side's map (r1, H2):
+    # 5 maps times at most 64 entries, against one evaluation per distinct
+    # entry of each of the 25 pairs (1 040) when nothing is shared
+    evaluated = []
+    real = V._lemma4_sides
+    monkeypatch.setattr(V, "_lemma4_sides", lambda *a: evaluated.append(a[0]) or real(*a))
+    r = V.check_lemma4()
+    assert r.passed and r.checked == 368640
+    assert len(evaluated) <= 5 * 64
+
+
+def test_lemma4_verdicts_are_kept_per_h2_map_over_every_term(monkeypatch):
+    # two pairs share their H1 map but not their H2 map; planted sides fail
+    # only on the second map's largest Z2 H2 term, so a verdict shared across
+    # H2 maps, or taken over fewer than all distinct terms, misses it
+    h, g = _code("110", "011"), _code("111", "111")
+    _, terms = V._lemma4_tables(h, g, {})
+    bad = max(terms)
+    words = [w for w in g.iter_codewords() if w.bits]
+
+    def planted(e, r1, n2, ws, ts):
+        return [1] * len(ws), [0 if len(ws) == len(words) and t == bad else 5 for t in ts]
+
+    monkeypatch.setattr(V, "_lemma4_sides", planted)
+    r = V.check_lemma4(family=[(h, h), (h, g)])
+    z2 = next(z2 for z2, t in zip(product(range(4), repeat=2), terms) if t == bad)
+    assert r.counterexample == {
+        "h1": ["110", "011"],
+        "h2": ["111", "111"],
+        "z1": BitMatrix(3, 3, (0, 0, 0)).to01_rows(),
+        "z2": BitMatrix(2, 2, z2).to01_rows(),
+        "codeword": words[0].to01(),
+        "lhs": 1,
+        "rhs": 0,
+    }
 
 
 @st.composite
