@@ -63,7 +63,7 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_vec, rank, rref, span, weight
+from .f2core import BitMatrix, BitVec, Quotient, _ones, combine, linear_table, mat_vec, quotient, span, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
@@ -470,61 +470,13 @@ def bottleneck_search(
     return _target_search(energy, (), _normalize_targets(targets, n_dim), cap)
 
 
-@dataclass(frozen=True)
-class _Quotient:
-    """F2^n modulo the row space of a stabilizer matrix S.
-
-    With rref(S) rows R_i and pivot columns p_i, every vector splits uniquely
-    as z = f ^ (XOR of the R_i whose pivot bit is set in z), where f is zero
-    on the pivots. The quotient state of z packs f's free columns, low to
-    high; its lift coordinates are z's pivot bits, bit i standing for R_i.
-    Both maps are linear, so ``split`` reads them off per-byte tables.
-    ``images`` and ``lift_moves`` hold both maps of each unit flip; with
-    no stabilizers there are no lift coordinates, and ``lift_moves`` is None.
-    """
-
-    dim: int  # n - rank S
-    rank: int
-    byte_tables: tuple[tuple[int, ...], ...] = field(repr=False)
-    images: tuple[int, ...] = field(repr=False)
-    lift_moves: tuple[int, ...] | None = field(repr=False)
-
-    def split(self, bits: int) -> tuple[int, int]:
-        """(quotient state, lift coordinates) of an n-bit vector."""
-        w = 0
-        for table in self.byte_tables:
-            w ^= table[bits & 0xFF]
-            bits >>= 8
-        return w & ((1 << self.dim) - 1), w >> self.dim
-
-
-@lru_cache(maxsize=256)
-def _quotient(stab_rows: tuple[int, ...], n: int) -> _Quotient:
-    res = rref(BitMatrix(len(stab_rows), n, stab_rows))
-    dim = n - res.rank
-    packed = {q: 1 << i for i, q in enumerate(res.free_cols)}
-    words = [packed.get(q, 0) for q in range(n)]  # e_q: image | lift << dim
-    for i, p in enumerate(res.pivot_cols):
-        row = res.rref.row_bits[i]
-        words[p] = sum(b for q, b in packed.items() if (row >> q) & 1) | (1 << (dim + i))
-    tables = tuple(tuple(linear_table(words[base : base + 8])) for base in range(0, n, 8))
-    images = tuple(w & ((1 << dim) - 1) for w in words)
-    lift_moves = tuple(w >> dim for w in words) if res.rank else None
-    return _Quotient(dim, res.rank, tables, images, lift_moves)
-
-
-@lru_cache(maxsize=256)
-def _quotient_dim(stab_rows: tuple[int, ...], n: int) -> int:
-    return n - rank(BitMatrix(len(stab_rows), n, stab_rows))
-
-
-def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> _Quotient:
+def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> Quotient:
     """F2^n / rowspace(stab_rows); CapExceeded if it has more than cap
     states, before the quotient's per-byte tables are built."""
-    dim = _quotient_dim(stab_rows, n)
-    if (1 << dim) > cap:
-        raise CapExceeded(f"2^{dim} quotient states exceed cap {cap}")
-    return _quotient(stab_rows, n)
+    q = quotient(stab_rows, n)
+    if (1 << q.dim) > cap:
+        raise CapExceeded(f"2^{q.dim} quotient states exceed cap {cap}")
+    return q
 
 
 def _reduce(basis, x: int) -> tuple[int, int]:
@@ -548,7 +500,7 @@ def _states_at(best, level: int):
         return
 
 
-def _voltage_basis(best, lifts, quotient: _Quotient):
+def _voltage_basis(best, lifts, quotient: Quotient):
     """Tagged echelon basis of the voltages, edges taken in level order.
 
     An edge (u, q, v) lies at level max(best u, best v) and carries the
@@ -602,19 +554,20 @@ class MinimaxTable:
     order: object = field(repr=False)
     pred: _TreeParents = field(repr=False)
     explored: int
-    quotient: _Quotient = field(repr=False)
+    quotient: Quotient = field(repr=False)
     lifts: _TreeLifts | None = field(default=None, repr=False)
     basis: tuple = field(default=(), repr=False)
     edges: tuple = field(default=(), repr=False)
 
     @cached_property
-    def _edge_map(self) -> tuple[tuple, tuple[int, ...]]:
-        """(byte tables, tags): reduction by ``basis`` is linear, so the edges
-        it uses for x XOR tables[i] at byte i of x; vector j uses edge j and
-        earlier ones, so the highest tag used is tags[edges.bit_length()]."""
+    def _edge_map(self) -> tuple[tuple, tuple[int, ...], list[int]]:
+        """(byte tables, tags, row edges): reduction by ``basis`` is linear, so
+        the edges it uses for x XOR tables[i] at byte i of x, and those for
+        lift coordinate 1 << j, quotient row j, are row_edges[j]; vector j uses
+        edge j and earlier ones, so the highest tag used is tags[edges.bit_length()]."""
         used = [_reduce(self.basis, 1 << j)[1] for j in range(self.quotient.rank)]
         tables = tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8))
-        return tables, (0, *(t for _, t, e in sorted(self.basis, key=lambda v: v[2].bit_length())))
+        return tables, (0, *(t for _, t, e in sorted(self.basis, key=lambda v: v[2].bit_length()))), used
 
     def _fiber(self, bits: int) -> tuple[int, int]:
         """(quotient state, ``edges`` used from its tree lift to ``bits``)."""
@@ -635,17 +588,15 @@ class MinimaxTable:
         state, used = self._fiber(bits)
         return max(self.best[state], self._edge_map[1][used.bit_length()])
 
-    def coset_values(self, base: int, basis: Sequence[int]) -> list[tuple[int, int]]:
-        """(value, vector) of each vector of base + span(basis), in ``span`` order:
-        one quotient state, and edges used linear in the vector, so each Gray step
-        XORs in one basis vector's edges. NotAStabilizer unless each is a stabilizer."""
+    def coset_values(self, base: int) -> list[tuple[int, int]]:
+        """(value, vector) of each vector of base + span(quotient.rows), in
+        ``span`` order: one quotient state, and edges used linear in the
+        vector, so each Gray step XORs in one row's edges."""
         state, used = self._fiber(base)
-        steps = [self._fiber(g) for g in basis]
-        if any(image for image, _ in steps):
-            raise NotAStabilizer("a coset basis vector is not a stabilizer")
-        levels = [max(self.best[state], tag) for tag in self._edge_map[1]]
-        edges = span([step for _, step in steps])
-        return [(levels[(used ^ u).bit_length()], base ^ s) for s, u in zip(span(basis), edges)]
+        _, tags, row_edges = self._edge_map
+        levels = [max(self.best[state], tag) for tag in tags]
+        cosets = zip(span(self.quotient.rows), span(row_edges))
+        return [(levels[(used ^ u).bit_length()], base ^ s) for s, u in cosets]
 
     def path(self, bits: int) -> PathRecord:
         """Peak-optimal walk to ``bits``, through the flips of ``_flips``."""
@@ -672,15 +623,15 @@ class MinimaxTable:
 @lru_cache(maxsize=64)
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
-    quotient, energy = _quotient(stab_rows, n), _energy(rows, n)
-    best, order = _flood(quotient.dim, quotient.images, energy.columns, len(rows))
-    pred = _TreeParents(order, quotient.images, quotient.dim)
+    q, energy = quotient(stab_rows, n), _energy(rows, n)
+    best, order = _flood(q.dim, q.images, energy.columns, len(rows))
+    pred = _TreeParents(order, q.images, q.dim)
     lifts, basis, edges = None, (), ()
-    if quotient.lift_moves is not None:
-        lifts = _TreeLifts(pred, quotient.images, quotient.lift_moves)
-        basis, edges = _voltage_basis(best, lifts, quotient)
-    explored = 1 << quotient.dim
-    return MinimaxTable(n, energy, best, order, pred, explored, quotient, lifts, basis, edges)
+    if q.lift_moves is not None:
+        lifts = _TreeLifts(pred, q.images, q.lift_moves)
+        basis, edges = _voltage_basis(best, lifts, q)
+    explored = 1 << q.dim
+    return MinimaxTable(n, energy, best, order, pred, explored, q, lifts, basis, edges)
 
 
 def _target_search(
@@ -691,11 +642,9 @@ def _target_search(
     it ends at one n-bit vector of that state (recorded through ``state``,
     as in ``_walk``); with no stabilizers the quotient states are the
     vectors themselves."""
-    quotient = _quotient_within(stab_rows, energy.n_dim, cap)
-    end, value, pred, explored = _nearest(
-        quotient.dim, quotient.images, energy.columns, len(energy.rows), target_pred
-    )
-    record = _walk(_tree_moves(end, pred, quotient.images), energy, state)
+    q = _quotient_within(stab_rows, energy.n_dim, cap)
+    end, value, pred, explored = _nearest(q.dim, q.images, energy.columns, len(energy.rows), target_pred)
+    record = _walk(_tree_moves(end, pred, q.images), energy, state)
     return BarrierResult(value, record, record.states[-1], explored)
 
 
@@ -767,16 +716,12 @@ def quantum_barrier(
 @lru_cache(maxsize=64)
 def _pauli_inputs(code: HgpCode) -> tuple:
     """``_table`` arguments for states x | z << n, modulo HX on x and HZ on z:
-    move q < n is an X flip of qubit q, move n + q a Z flip. Cached per code;
-    the table itself lives only in ``_table``'s cache."""
+    (check rows, stabilizer generators, 2n), the generators the HX rows then
+    the HZ rows; move q < n is an X flip of qubit q, move n + q a Z flip.
+    Cached per code; the table itself lives only in ``_table``'s cache."""
     n = code.n_qubits
     rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
-    return rows, _generators(code), 2 * n
-
-
-def _generators(code: HgpCode) -> tuple[int, ...]:
-    """The stabilizer generators, HX rows then HZ rows, packed x | z << n."""
-    return code.hx.row_bits + tuple(r << code.n_qubits for r in code.hz.row_bits)
+    return rows, code.hx.row_bits + tuple(r << n for r in code.hz.row_bits), 2 * n
 
 
 def _pauli_state(bits: int, n: int) -> PauliVec:
@@ -882,7 +827,7 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     order, one qubit at a time. Generators are the HX rows followed by the
     HZ rows; the peak energy is at most w_c * w_q.
     """
-    gens = _generators(code)
+    gens = _pauli_inputs(code)[1]
     if generator_combo.n != len(gens):
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
     n = code.n_qubits

@@ -10,8 +10,8 @@ reshape. All values are immutable; every operation returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange
 
@@ -36,8 +36,8 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "in_row_space",
-    "row_reducer",
+    "Quotient",
+    "quotient",
 ]
 
 
@@ -431,25 +431,80 @@ def kernel_basis(a: BitMatrix) -> tuple[BitVec, ...]:
     )
 
 
-def row_reducer(a: BitMatrix) -> Callable[[int], int]:
-    """Return a function reducing packed vectors modulo the row space of ``a``.
+@dataclass(frozen=True)
+class Quotient:
+    """F2^n modulo the row space of a matrix S, such as a stabilizer group.
 
-    The reduced value is 0 exactly when the vector lies in the row space;
-    membership tests in hot loops should use this rather than in_row_space.
+    ``rows`` are the nonzero rows R_i of rref(S); the pivot p_i of R_i is its
+    lowest set bit, and no other row has bit p_i. Every vector splits uniquely
+    as z = f ^ (XOR of the R_i whose pivot bit is set in z), where f is zero
+    on the pivots. The quotient state of z packs f's free columns, low to
+    high; its lift coordinates are z's pivot bits, bit i standing for R_i, so
+    z lies in the row space (``z in quotient``) exactly when its state is 0.
+    Both maps are linear: ``images`` and ``lift_moves`` hold both maps of
+    each unit vector (``lift_moves`` is None when S is zero), and ``split``
+    reads them off per-byte tables. All three are built on first use, so
+    ``dim`` can be checked against a cap before anything of size n is built.
     """
-    res = rref(a)
-    pairs = tuple((res.rref.row_bits[i], p) for i, p in enumerate(res.pivot_cols))
 
-    def reduce_bits(bits: int) -> int:
-        for row, p in pairs:
-            if (bits >> p) & 1:
+    n: int
+    rows: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def dim(self) -> int:
+        return self.n - len(self.rows)
+
+    @cached_property
+    def _words(self) -> list[int]:
+        """image | lift << dim of each unit vector e_q: a free column is its
+        own state, and a pivot's e_p is R_i plus R_i's free columns."""
+        pivots = sum(row & -row for row in self.rows)
+        free = {q: 1 << i for i, q in enumerate(q for q in range(self.n) if not (pivots >> q) & 1)}
+        words = [free.get(q, 0) for q in range(self.n)]
+        for i, row in enumerate(self.rows):
+            image = sum(free.get(q, 0) for q in _ones(row))
+            words[(row & -row).bit_length() - 1] = image | 1 << (self.dim + i)
+        return words
+
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        return tuple(w & ((1 << self.dim) - 1) for w in self._words)
+
+    @cached_property
+    def lift_moves(self) -> tuple[int, ...] | None:
+        return tuple(w >> self.dim for w in self._words) if self.rows else None
+
+    @cached_property
+    def _split_maps(self) -> tuple:
+        """(per-byte tables, state mask, dim): all ``split`` reads, in one lookup."""
+        words, dim = self._words, self.dim
+        tables = tuple(tuple(linear_table(words[b : b + 8])) for b in range(0, self.n, 8))
+        return tables, (1 << dim) - 1, dim
+
+    def __contains__(self, bits: int) -> bool:
+        """Whether the n-bit vector lies in the row space, by clearing each
+        row's pivot: no per-byte tables, so a wide S costs no n^2 memory."""
+        for row in self.rows:
+            if bits & row & -row:
                 bits ^= row
-        return bits
+        return bits == 0
 
-    return reduce_bits
+    def split(self, bits: int) -> tuple[int, int]:
+        """(quotient state, lift coordinates) of an n-bit vector."""
+        tables, mask, dim = self._split_maps
+        w = 0
+        for table in tables:
+            w ^= table[bits & 0xFF]
+            bits >>= 8
+        return w & mask, w >> dim
 
 
-def in_row_space(a: BitMatrix, v: BitVec) -> bool:
-    if v.n != a.cols:
-        raise DimensionMismatch(f"vector length {v.n} vs {a.cols} columns")
-    return row_reducer(a)(v.bits) == 0
+@lru_cache(maxsize=256)
+def quotient(rows: tuple[int, ...], n: int) -> Quotient:
+    """F2^n / rowspace of the packed ``rows``, one per (rows, n)."""
+    res = rref(BitMatrix(len(rows), n, rows))
+    return Quotient(n, res.rref.row_bits[: res.rank])

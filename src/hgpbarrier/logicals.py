@@ -27,7 +27,7 @@ from .f2core import (
     combine,
     kernel_basis,
     mat_vec,
-    row_reducer,
+    quotient,
     rref,
     span,
     tensor_vec,
@@ -232,9 +232,8 @@ def classify(code: HgpCode, p: PauliVec) -> PauliClass:
         raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
     if mat_vec(code.hx, p.z).bits or mat_vec(code.hz, p.x).bits:
         return PauliClass.NON_COMMUTING
-    x_stab = row_reducer(code.hx)(p.x.bits) == 0
-    z_stab = row_reducer(code.hz)(p.z.bits) == 0
-    if x_stab and z_stab:
+    n = code.n_qubits
+    if p.x.bits in quotient(code.hx.row_bits, n) and p.z.bits in quotient(code.hz.row_bits, n):
         if p.is_identity():
             return PauliClass.IDENTITY
         return PauliClass.STABILIZER
@@ -245,9 +244,9 @@ def _enumerate_coset(check: BitMatrix, stab_rows: BitMatrix, cap: int) -> Iterat
     basis = kernel_basis(check)
     if 1 << len(basis) > cap:
         raise CapExceeded(f"2^{len(basis)} kernel elements exceed cap {cap}")
-    reduce_bits = row_reducer(stab_rows)
+    split = quotient(stab_rows.row_bits, check.cols).split
     for bits in span([v.bits for v in basis]):
-        if reduce_bits(bits):
+        if split(bits)[0]:
             yield BitVec(check.cols, bits)
 
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 from .barrier import (
     DEFAULT_PAULI_CAP,
     DEFAULT_STATE_CAP,
-    _generators,
+    _pauli_inputs,
     _pauli_walk,
     _stabilizer_flips,
     classical_barrier,
@@ -39,7 +39,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, rref, unit_matrices
+from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, unit_matrices
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -166,26 +166,20 @@ def _require_logicals(code: HgpCode) -> None:
 
 
 def _stabilizer_setup(code: HgpCode, cap: int):
-    """(x table, z table, x basis, z basis, w_c w_q): both sector tables and
-    both stabilizer rowspace bases, the rref rows of HX and of HZ."""
-    tables = sector_table(code, "x", cap), sector_table(code, "z", cap)
-    bases = []
-    for m in (code.hx, code.hz):
-        res = rref(m)
-        bases.append(res.rref.row_bits[: res.rank])
-    return *tables, *bases, code.w_c * code.w_q
+    """(x table, z table, paired, w_c w_q): both sector tables, whose
+    quotients' rows span the two stabilizer rowspaces, and whether those
+    have at most 2^12 pairs, few enough to scan every pair."""
+    tx, tz = sector_table(code, "x", cap), sector_table(code, "z", cap)
+    return tx, tz, len(tx.quotient.rows) + len(tz.quotient.rows) <= 12, code.w_c * code.w_q
 
 
-def _swept_max(table, basis: tuple[int, ...], maxima: dict, base: int) -> int:
-    """The greatest value on base + span(basis), read once per coset: ``maxima``
-    keeps it by the coset's representative with every pivot bit clear. The
-    basis is rref rows, so each row's pivot is its lowest set bit."""
-    for row in basis:
-        if base & row & -row:
-            base ^= row
-    if base not in maxima:
-        maxima[base] = max(table.coset_values(base, basis))[0]
-    return maxima[base]
+def _swept_max(table, maxima: dict, base: int) -> int:
+    """The greatest value on the stabilizer coset of ``base``, read once per
+    coset: ``maxima`` keeps it by the coset's quotient state."""
+    state = table.quotient.split(base)[0]
+    if state not in maxima:
+        maxima[state] = max(table.coset_values(base))[0]
+    return maxima[state]
 
 
 # -- single-claim checkers -----------------------------------------------------
@@ -193,13 +187,13 @@ def _swept_max(table, basis: tuple[int, ...], maxima: dict, base: int) -> int:
 def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every stabilizer clears at most w_c * w_q energy: Delta(s) <= w_c w_q."""
     start = time.perf_counter()
-    tx, tz, bx, bz, bound = _stabilizer_setup(code, cap)
-    xs, zs = tx.coset_values(0, bx), tz.coset_values(0, bz)
+    tx, tz, paired, bound = _stabilizer_setup(code, cap)
+    xs, zs = tx.coset_values(0), tz.coset_values(0)
     # max over pairs of max(a, b) factors into the two sector maxima, so
     # scanning each rowspace once is still exhaustive
     (vx, x_bits), (vz, z_bits) = max(xs, key=itemgetter(0)), max(zs, key=itemgetter(0))
     worst = max(vx, vz)
-    if len(bx) + len(bz) <= 12:
+    if paired:
         mode, checked = "paired", len(xs) * len(zs)
         # the first worst pair of the x-major, z-minor scan of all pairs:
         # (xs[0], zs[0]) if xs[0] is worst, else xs[0] with the first worst z
@@ -217,7 +211,7 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
     # constructive side: stabilizer_path's walks, on packed states, stay under
     # the bound; the energy after each full generator is recorded, not asserted
-    gens = _generators(code)
+    gens = _pauli_inputs(code)[1]
     baselines = []
     rng = random.Random(0)
     for _ in range(8):
@@ -288,31 +282,30 @@ def check_theorem1(
         raise ValueError(f"thm1 needs at least one sample, got {samples}")
     start = time.perf_counter()
     _require_logicals(code)
-    tx, tz, bx, bz, bound = _stabilizer_setup(code, cap)
-    sweep_all = len(bx) + len(bz) <= 12
+    tx, tz, sweep_all, bound = _stabilizer_setup(code, cap)
     zs = [op.realized.z.bits for op in canonical_z_basis(code)]
     xs = [op.realized.x.bits for op in canonical_x_basis(code)]
     rng = random.Random(seed)
-    maxima = ({}, {})  # the sweep's x and z coset maxima, by representative
+    maxima = ({}, {})  # the sweep's x and z coset maxima, by quotient state
     counter = None
-    largest_gap = None
+    smallest_slack = None
     for _ in range(samples):
         lx, lz = _random_logical(code, rng, zs, xs)
         sx, sz = _random_stabilizer(code, rng)
         d_l = max(tx.value(lx), tz.value(lz))
         d_ls = max(tx.value(lx ^ sx), tz.value(lz ^ sz))
         rhs = max(d_l, bound)
-        gap = rhs - d_ls
-        if largest_gap is None or gap < largest_gap:
-            largest_gap = gap
+        slack = rhs - d_ls
+        if smallest_slack is None or slack < smallest_slack:
+            smallest_slack = slack
         if counter is not None:
             continue
         if d_ls <= rhs and sweep_all:
             # the sampled stabilizer holds; if some other one breaks the
             # bound, rescan for the worst one of each sector
-            sectors = ((tx, bx, lx), (tz, bz, lz))
-            if max(_swept_max(t, b, m, l) for (t, b, l), m in zip(sectors, maxima)) > rhs:
-                worst = (max(t.coset_values(l, b), key=itemgetter(0)) for t, b, l in sectors)
+            sectors = ((tx, lx), (tz, lz))
+            if max(_swept_max(t, m, l) for (t, l), m in zip(sectors, maxima)) > rhs:
+                worst = (max(t.coset_values(l), key=itemgetter(0)) for t, l in sectors)
                 (wx, x_bits), (wz, z_bits) = worst
                 sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
         if d_ls > rhs:
@@ -327,7 +320,7 @@ def check_theorem1(
             }
     details = {
         "bound": bound,
-        "smallest_slack": largest_gap,
+        "smallest_slack": smallest_slack,
         "stabilizer_sweep": "exhaustive" if sweep_all else "sampled",
     }
     return _report("thm1", instance, start, samples, details, counter, seed)
@@ -461,21 +454,27 @@ def check_lemma4(
     spans: dict = {}
     entries: dict = {}  # (H1, n2) -> the distinct entries H1 Z1
     verdicts: dict = {}  # (r1, H2) -> whether each entry evaluated so far passes
+    codewords: dict = {}  # H2 -> its nonzero codewords, once a verdict needs them
     for h1, h2 in family:
-        words = [w for w in h2.iter_codewords() if w.bits]
-        if not words:
+        n_words = (1 << h2.k) - 1
+        if not n_words:
             continue
         n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
         if (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
             raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 table entries exceed cap {cap}")
-        checked += (1 << (n1 * n2 + r1 * r2)) * len(words)
+        checked += (1 << (n1 * n2 + r1 * r2)) * n_words
         if counter is not None:
             continue
         a, terms = _lemma4_tables(h1, h2, spans)
         if (h1.h, n2) not in entries:
             entries[h1.h, n2] = frozenset(a)
-        passes, distinct = verdicts.setdefault((r1, h2.h), {}), set(terms)
-        for h in entries[h1.h, n2] - passes.keys():
+        passes = verdicts.setdefault((r1, h2.h), {})
+        new = entries[h1.h, n2] - passes.keys()
+        if new and h2.h not in codewords:
+            codewords[h2.h] = [w for w in h2.iter_codewords() if w.bits]
+        # every entry with a verdict was evaluated over H2's words
+        words, distinct = codewords[h2.h], set(terms)
+        for h in new:
             lhs, rhs = _lemma4_sides(h, r1, n2, words, distinct)
             passes[h] = max(lhs) <= min(rhs)
         if all(passes[h] for h in entries[h1.h, n2]):

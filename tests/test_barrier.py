@@ -21,6 +21,7 @@ from hgpbarrier.errors import (
     WitnessError,
 )
 from hgpbarrier import barrier as barrier_module
+from hgpbarrier import f2core
 from hgpbarrier.f2core import BitMatrix, BitVec
 from hgpbarrier.hgp import build_hgp, qubit_index
 from hgpbarrier.logicals import (
@@ -295,7 +296,7 @@ class TestQuantumBarrier:
     def test_warm_call_builds_no_search_inputs(self):
         code = quantum_instances()["rect_2_3"]
         quantum_barrier(code, "z")
-        caches = (barrier_module._quotient, barrier_module._energy)
+        caches = (f2core.quotient, barrier_module._energy)
         before = [cache.cache_info() for cache in caches]
         quantum_barrier(code, "z")
         # no quotient images, lifts or syndrome deltas rebuilt

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hgpbarrier
-from hgpbarrier import barrier, cli, hgp, logicals
+from hgpbarrier import barrier, cli, f2core, hgp, logicals
 from hgpbarrier.cli import _build_parser, main
 from hgpbarrier.codes import (
     emit_alist,
@@ -230,10 +230,10 @@ def test_capped_search_reports_quotient_states(files, capsys, argv, detail):
 def test_wide_input_exits_3_before_its_quotient_is_built(tmp_path, capsys, monkeypatch, kind, cols, detail):
     # one check over every column: a quotient of 2^cols (or, for the product,
     # 2^9901) states, refused before its per-byte tables are built
-    def no_quotient(*args):
+    def no_quotient(self):
         raise AssertionError("quotient built before its cap was checked")
 
-    monkeypatch.setattr(barrier, "_quotient", no_quotient)
+    monkeypatch.setattr(f2core.Quotient, "_words", property(no_quotient))
     wide = tmp_path / "wide.txt"
     wide.write_text(f"1 {cols}\n{'1' * cols}\n")
     paths = [wide] * (1 if kind == "classical" else 2)

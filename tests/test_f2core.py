@@ -14,16 +14,15 @@ from hgpbarrier.f2core import (
     combine,
     flatten,
     hstack,
-    in_row_space,
     kernel_basis,
     kron,
     linear_table,
     mat_add,
     mat_mul,
     mat_vec,
+    quotient,
     rank,
     reshape,
-    row_reducer,
     rref,
     span,
     tensor_vec,
@@ -179,17 +178,27 @@ def test_row_combinations_lie_in_row_space(m, sel):
     for i in range(m.rows):
         if (sel >> i) & 1:
             acc ^= m.row_bits[i]
-    v = BitVec(m.cols, acc)
-    assert in_row_space(m, v)
-    assert row_reducer(m)(v.bits) == 0
+    q = quotient(m.row_bits, m.cols)
+    assert acc in q and q.split(acc)[0] == 0
+    assert oracles.np_in_rowspace(oracles.np_from_bitmatrix(m), oracles.np_from_bitvec(BitVec(m.cols, acc)))
 
 
 @given(bitmatrix())
-def test_row_reducer_residual_outside_row_space(m):
-    reduce_bits = row_reducer(m)
+def test_quotient_state_is_zero_exactly_on_the_row_space(m):
+    # split(z) = (state, coords) with z = f ^ combine(rows, coords), f zero
+    # on the pivots and state f's free columns packed low to high
+    q = quotient(m.row_bits, m.cols)
+    res = rref(m)
+    assert q.rows == res.rref.row_bits[: res.rank] and (q.rank, q.dim) == (res.rank, m.cols - res.rank)
+    a = oracles.np_from_bitmatrix(m)
     for bits in range(min(1 << m.cols, 64)):
-        residual = reduce_bits(bits)
-        assert in_row_space(m, BitVec(m.cols, bits)) == (residual == 0)
+        state, coords = q.split(bits)
+        assert (bits in q) == (state == 0) == oracles.np_in_rowspace(a, oracles.np_from_bitvec(BitVec(m.cols, bits)))
+        f = bits ^ combine(q.rows, coords)
+        assert not any(f >> p & 1 for p in res.pivot_cols)
+        assert state == sum((f >> c & 1) << i for i, c in enumerate(res.free_cols))
+    for c in range(m.cols):
+        assert q.split(1 << c) == (q.images[c], q.lift_moves[c] if q.rows else 0)
 
 
 @settings(max_examples=40)

@@ -1,6 +1,7 @@
 """Tests for canonical operator construction and Pauli classification."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hgpbarrier.errors import (
     NotElementary,
     ShapeMismatch,
 )
+from hgpbarrier import f2core
 from hgpbarrier.f2core import BitMatrix, BitVec, mat_vec, rank
 from hgpbarrier.hgp import build_hgp, index_to_block
 from hgpbarrier.logicals import (
@@ -261,6 +263,24 @@ class TestClassify:
         op = canonical_z_basis(code)[0].realized
         s = PauliVec.z_type(code.hz.row(2))
         assert classify(code, op * s) is PauliClass.NONTRIVIAL_LOGICAL
+
+    def test_wide_code_builds_no_split_tables(self, monkeypatch):
+        # a quotient's per-byte split tables take about 4 n^2 bytes (190 MB
+        # at n = 6 401); a membership test needs none of them, so classify
+        # a stabilizer of a 6 401-qubit product with their build patched to fail
+        def no_tables(self):
+            raise AssertionError("split tables built for a membership test")
+
+        monkeypatch.setattr(f2core.Quotient, "_words", property(no_tables))
+        one_check = ClassicalCode(BitMatrix(1, 80, ((1 << 80) - 1,)))
+        code = build_hgp(one_check, one_check)
+        tracemalloc.start()
+        try:
+            assert classify(code, PauliVec.z_type(code.hz.row(0))) is PauliClass.STABILIZER
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestEnumeration:

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hgpbarrier import barrier
+from hgpbarrier import barrier, f2core, logicals
 from hgpbarrier.barrier import (
     SyndromeEnergy,
     classical_barrier,
@@ -30,7 +30,7 @@ from hgpbarrier.barrier import (
     validate_path,
 )
 from hgpbarrier.codes import ClassicalCode, ring_repetition
-from hgpbarrier.errors import CapExceeded, NotAStabilizer, WitnessError
+from hgpbarrier.errors import CapExceeded, WitnessError
 from hgpbarrier.f2core import BitMatrix, BitVec, rank, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec, canonical_z_basis
@@ -61,7 +61,8 @@ def _check_edge_map(table):
             table.basis,
             table.edges,
         )
-    tables, tags = table._edge_map
+    tables, tags, row_edges = table._edge_map
+    assert row_edges == [barrier._reduce(table.basis, 1 << j)[1] for j in range(rank)]
     for x in range(1 << rank):
         used, coords = 0, x
         for t in tables:
@@ -145,7 +146,7 @@ def test_random_products_match_oracle(h1, h2):
 def test_zero_and_parallel_moves_are_exercised():
     # the explicit examples above really produce both kinds of degenerate move
     code = build_hgp(_code((0b011, 0b011, 0), 3), _code((0b01, 0b10), 2))
-    masks = barrier._quotient(code.hz.row_bits, code.n_qubits).images
+    masks = f2core.quotient(code.hz.row_bits, code.n_qubits).images
     assert 0 in masks
     nonzero = [m for m in masks if m]
     assert len(set(nonzero)) < len(nonzero)
@@ -190,8 +191,9 @@ def _one_check(cols):
 @pytest.mark.parametrize("which", ["classical", "sector", "quantum", "pauli"])
 def test_cap_is_checked_before_the_quotient_is_built(monkeypatch, which):
     # a quotient's per-byte tables take about n^2 / 8 bytes of ints (0.9 GB
-    # at n = 20 000), so the cap must stop a wide input first. _quotient is
-    # patched to fail, so a regression fails here instead of allocating
+    # at n = 20 000), so the cap must stop a wide input first. The quotient's
+    # first-use build is patched to fail, so a regression fails here instead
+    # of allocating
     wide, product = _one_check(100_000), build_hgp(_one_check(40), _one_check(40))
     run = {
         "classical": lambda: classical_barrier(wide),
@@ -200,10 +202,10 @@ def test_cap_is_checked_before_the_quotient_is_built(monkeypatch, which):
         "pauli": lambda: barrier.pauli_table(product),
     }[which]
 
-    def no_quotient(*args):
+    def no_quotient(self):
         raise AssertionError("quotient built before its cap was checked")
 
-    monkeypatch.setattr(barrier, "_quotient", no_quotient)
+    monkeypatch.setattr(f2core.Quotient, "_words", property(no_quotient))
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
@@ -235,7 +237,9 @@ def test_toric4_z_table_build_peaks_below_13_bytes_per_state():
     # butterfly masks (cleared here) and the per-state spread add the rest
     c = ring_repetition(4)
     code = build_hgp(c, c)
-    barrier._quotient(code.hz.row_bits, code.n_qubits)
+    q = f2core.quotient(code.hz.row_bits, code.n_qubits)
+    q.images
+    q.lift_moves
     barrier._energy(code.hx.row_bits, code.n_qubits).columns
     barrier._table.cache_clear()
     barrier._butterflies.cache_clear()
@@ -282,33 +286,48 @@ def test_table_walk_missing_its_target_raises():
 
 _COSET_CASES = [(name, sector) for name in sorted(_PARENTS) for sector in ("z", "x")] + [
     (name, "pauli") for name in ("tiny_2", "rect_2_3", "rect_3_2", "ring_2")
-]
+] + [("ring_2", "classical")]
 
 
 @pytest.mark.parametrize("name, kind", _COSET_CASES)
 def test_coset_values_match_per_vector_reads(name, kind):
-    # sector tables over the rows of their stabilizer matrix, full-Pauli
-    # tables over the stabilizer generators; an empty basis reads base alone
+    # a coset is base + span(quotient.rows): for sector tables the rref rows
+    # of their stabilizer matrix, for full-Pauli tables those of the
+    # stabilizer generators, which span the same groups; a classical table
+    # has no stabilizers, so its coset is base alone
     code = build_hgp(*_PARENTS[name])
     if kind == "pauli":
-        table, basis = barrier.pauli_table(code), barrier._generators(code)
+        table, stab_rows = barrier.pauli_table(code), barrier._pauli_inputs(code)[1]
+    elif kind == "classical":
+        table, stab_rows = classical_table(code.h1), ()
     else:
-        table, basis = sector_table(code, kind), barrier._sector_matrices(code, kind)[1].row_bits
+        table, stab_rows = sector_table(code, kind), barrier._sector_matrices(code, kind)[1].row_bits
+    rows = table.quotient.rows
+    assert rank(BitMatrix(len(rows), table.n_dim, rows)) == len(rows)
+    assert set(span(rows)) == set(span(stab_rows))
     rng = random.Random(7)
     for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
-        want = [(table.value(base ^ s), base ^ s) for s in span(basis)]
-        assert table.coset_values(base, basis) == want
-        assert table.coset_values(base, ()) == [(table.value(base), base)]
+        want = [(table.value(base ^ s), base ^ s) for s in span(rows)]
+        assert table.coset_values(base) == want
 
 
-def test_coset_values_refuse_a_basis_vector_outside_the_stabilizers():
+def test_classify_enumeration_and_sector_table_share_one_quotient(monkeypatch):
+    # classify, the logical enumeration and the z-sector table all reduce
+    # modulo HZ through the one cached quotient of its rows. A table cached
+    # earlier may hold a quotient that has since left the quotient cache
+    barrier._table.cache_clear()
     code = quantum_instances()["toric_3"]
-    table = sector_table(code, "z")
-    stabilizer = code.hz.row_bits[0]
-    with pytest.raises(NotAStabilizer):
-        table.coset_values(0, (stabilizer, 1))
-    with pytest.raises(NotAStabilizer):
-        barrier.pauli_table(quantum_instances()["ring_2"]).coset_values(0, (1,))
+    q = f2core.quotient(code.hz.row_bits, code.n_qubits)
+    used = []
+    for name in ("split", "__contains__"):
+        real = getattr(f2core.Quotient, name)
+        monkeypatch.setattr(f2core.Quotient, name, lambda self, bits, real=real: used.append(self) or real(self, bits))
+    z = next(logicals.enumerate_z_logicals(code))
+    assert used and all(u is q for u in used)
+    used.clear()
+    assert logicals.classify(code, z) is logicals.PauliClass.NONTRIVIAL_LOGICAL
+    assert [u is q for u in used] == [False, True]  # the x part modulo HX, the z part modulo HZ
+    assert sector_table(code, "z").quotient is q
 
 
 # -- full-Pauli barriers --------------------------------------------------------

@@ -240,3 +240,34 @@ def test_basis_reduction_runs_only_where_the_read_map_is_built():
         if isinstance(node, ast.FunctionDef) and "_reduce" in _referenced_names(node)
     )
     assert found == ["barrier.py:_edge_map", "barrier.py:_voltage_basis"]
+
+
+def _bare_names(tree) -> set[str]:
+    """Names a module imports by name or reads as bare names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    return names
+
+
+def test_row_reduction_lives_in_f2core():
+    # reduction modulo a row space is f2core.Quotient's job, so the search
+    # and the claim checkers read their stabilizer rows, ranks and cosets
+    # from a quotient rather than row-reducing again. rref is left to
+    # f2core, to codes (rank and kernel) and logicals (free columns), and
+    # the package re-exports it with rank
+    found = {
+        name: sorted(
+            path.name
+            for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+            if name in _bare_names(ast.parse(path.read_text(), filename=str(path)))
+        )
+        for name in ("rref", "rank")
+    }
+    assert found == {
+        "rref": ["__init__.py", "codes.py", "f2core.py", "logicals.py"],
+        "rank": ["__init__.py"],
+    }

@@ -37,13 +37,13 @@ class _PlantedTable:
     """A sector table whose vectors in ``planted`` read the planted value."""
 
     def __init__(self, table, planted):
-        self.table, self.planted = table, planted
+        self.table, self.planted, self.quotient = table, planted, table.quotient
 
     def value(self, bits):
         return self.planted.get(bits, self.table.value(bits))
 
-    def coset_values(self, base, basis):
-        return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base, basis)]
+    def coset_values(self, base):
+        return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base)]
 
 
 def test_lemma1_surface_exhaustive_pairs(instances):
@@ -120,8 +120,7 @@ def test_lemma1_paired_mode_reports_the_first_worst_pair_of_a_plain_scan(
     # plant 99 on the planted-th vector of a sector's rowspace (in span
     # order), so only x, only z, or both reach the worst barrier
     code = instances["surface_3"]
-    _, _, bx, bz, _ = V._stabilizer_setup(code, V.DEFAULT_STATE_CAP)
-    rowspaces = {"x": list(span(bx)), "z": list(span(bz))}
+    rowspaces = {s: list(span(V.sector_table(code, s).quotient.rows)) for s in ("x", "z")}
     real = V.sector_table
 
     def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
@@ -170,7 +169,7 @@ def test_lemma1_packed_walks_match_stabilizer_path(instances, name):
     # lemma1 walks over packed x | z << n states; their energies are those
     # of the public stabilizer_path, and a wrong end is still refused
     code = instances[name]
-    n, gens = code.n_qubits, barrier._generators(code)
+    n, gens = code.n_qubits, barrier._pauli_inputs(code)[1]
     rng = random.Random(0)
     for _ in range(50):
         combo = rng.randrange(1 << len(gens))
@@ -243,8 +242,18 @@ def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
             {"l_x": 2029, "l_z": 1103, "s_x": 2625, "s_z": 0,
              "delta_l": 1, "delta_ls": 99, "bound": 16},
         ),
+        # a planted x stabilizer, HX's first row 521: sample 0's L is in the
+        # other x coset, so only a sweep that keeps the cosets apart finds it,
+        # at the first L whose x part 3674 is itself a stabilizer
+        (
+            "surface_3",
+            {521: 99},
+            "exhaustive",
+            {"l_x": 3674, "l_z": 6335, "s_x": 3155, "s_z": 0,
+             "delta_l": 1, "delta_ls": 99, "bound": 16},
+        ),
     ],
-    ids=["sampled", "sweep"],
+    ids=["sampled", "sweep", "sweep-later-coset"],
 )
 def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, sweep, counter):
     real = V.sector_table
@@ -277,17 +286,20 @@ def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples)
 def test_theorem1_sweeps_each_coset_once(instances, monkeypatch):
     # 100 samples read 4 values each; the sweep reads each of surface_3's
     # two x and two z cosets (2^6 vectors each) once, not once per sample
-    calls = []
-    real = MinimaxTable.value
+    calls, cosets = [], []
+    real, real_coset = MinimaxTable.value, MinimaxTable.coset_values
 
     def counted(self, bits):
         calls.append(bits)
         return real(self, bits)
 
     monkeypatch.setattr(MinimaxTable, "value", counted)
+    coset_read = lambda self, base: cosets.append(base) or real_coset(self, base)
+    monkeypatch.setattr(MinimaxTable, "coset_values", coset_read)
     r = V.check_theorem1(instances["surface_3"], samples=100, seed=0, instance="surface_3")
     assert r.passed and r.details["stabilizer_sweep"] == "exhaustive"
     assert len(calls) <= 700
+    assert len(cosets) == 4
 
 
 def test_coset_scans_make_no_per_vector_reads(instances, monkeypatch):
@@ -385,6 +397,17 @@ def test_lemma4_counterexample_fields(monkeypatch):
     assert ce["lhs"] == 5 and ce["rhs"] == 1
     assert ce["h1"] == ["110", "011"]
     assert len(ce["z1"]) == 3 and len(ce["z2"]) == 2
+
+
+def test_lemma4_lists_each_h2_maps_codewords_once(monkeypatch):
+    # the codewords depend only on H2, so the default family's five H2
+    # matrices are enumerated once each, not once per pair
+    calls = []
+    real = ClassicalCode.iter_codewords
+    monkeypatch.setattr(ClassicalCode, "iter_codewords", lambda self: calls.append(self.h) or real(self))
+    r = V.check_lemma4()
+    assert r.passed and r.checked == 368_640
+    assert len(calls) <= 5
 
 
 def test_lemma4_kernel_matches_weight_reduction_gap():
