@@ -17,7 +17,9 @@ bound. The check-check mirror collapses rows of Z2 along a codeword of H1^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +29,6 @@ from .errors import (
 from .f2core import (
     BitMatrix,
     BitVec,
-    combine,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -38,7 +39,7 @@ from .f2core import (
     weight,
 )
 from .hgp import HgpCode
-from .logicals import CanonicalOp, PauliVec, _fitted_ingredients
+from .logicals import CanonicalOp, PauliVec, compose_canonical
 from .barrier import PathRecord, energy_quantum
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeformSpec:
-    """A collapse target: codeword, chosen column, and its support.
+    """A collapse target: codeword l_c and the chosen line alpha in its support.
 
     block selects the grid being collapsed: "vv" collapses columns of the
     bit-bit block along a codeword of H2; "cc" collapses rows of the
@@ -61,23 +62,30 @@ class DeformSpec:
 
     l_c: BitVec
     alpha: int
-    col_set: frozenset[int]
     block: str = "vv"
 
     def __post_init__(self):
-        if self.col_set != frozenset(self.l_c.support()):
-            raise DimensionMismatch("col_set must be the support of the codeword")
         if self.alpha not in self.col_set:
             raise DimensionMismatch(f"alpha {self.alpha} not in the collapsed set")
         if self.block not in ("vv", "cc"):
             raise DimensionMismatch(f"unknown block {self.block!r}")
 
+    @property
+    def col_set(self) -> frozenset[int]:
+        """The collapsed lines: the support of l_c."""
+        return frozenset(self.l_c.support())
+
+
+def _check_matrix(code: HgpCode, block: str) -> tuple[BitMatrix, str, str]:
+    """(check, its name, its length's name): the matrix whose codewords
+    collapse ``block``, H2 for "vv" and H1^T for "cc"."""
+    if block == "vv":
+        return code.h2.h, "H2", "n2"
+    return code.h1.h.transpose(), "H1^T", "r1"
+
 
 def _check_spec(code: HgpCode, spec: DeformSpec) -> None:
-    if spec.block == "vv":
-        check, name, length = code.h2.h, "H2", "n2"
-    else:
-        check, name, length = code.h1.h.transpose(), "H1^T", "r1"
+    check, name, length = _check_matrix(code, spec.block)
     if spec.l_c.n != check.cols:
         raise DimensionMismatch(f"codeword length {spec.l_c.n}, need {length}={check.cols}")
     if mat_vec(check, spec.l_c).bits:
@@ -133,41 +141,37 @@ def weight_reduction_gap(
     return lhs, rhs
 
 
-def _graded_combinations(k: int):
-    for size in range(1, k + 1):
-        yield from combinations(range(k), size)
+def _collapse_codeword(code: HgpCode, p: PauliVec) -> DeformSpec:
+    """The first collapse that keeps p: nonzero codewords of H2 ("vv"), then
+    of H1^T ("cc"), in graded-lex order over each kernel basis, alpha the
+    least support bit. A Z stabilizer collapses to the identity, so a Z
+    logical collapses as its canonical part; raises TrivialOperator when no
+    collapse keeps p."""
+    for block in ("vv", "cc"):
+        basis = kernel_basis(_check_matrix(code, block)[0])
+        for size in range(1, len(basis) + 1):
+            for combo in combinations(basis, size):
+                l_c = reduce(xor, combo)
+                spec = DeformSpec(l_c, min(l_c.support()), block)
+                if not deform_pauli(code, p, spec).is_identity():
+                    return spec
+    raise TrivialOperator("no collapse codeword activates the operator")
 
 
 def find_activating_codeword(code: HgpCode, op: CanonicalOp) -> DeformSpec:
-    """Choose a collapse codeword that keeps the operator nontrivial.
-
-    Works on the coefficient matrices: the collapsed column carries
-    c_k = sum_{j in C(L)} lam[k, j], so we need a codeword whose support hits
-    an odd number of ones in some row of lam (equivalently, a codeword not
-    orthogonal to every u_k). Such a codeword always exists when lam is
-    nonzero because each u_k lives on free columns, hence outside the row
-    space of H2. Searched in graded-lex order over the kernel basis for a
-    deterministic result. A pure check-check operator gets the mirrored
-    treatment via H1^T: u_m sums the a_l over column m of kappa.
+    """Choose a collapse codeword that keeps the operator nontrivial: the
+    ``_collapse_codeword`` of the Pauli its coefficients compose. For lam
+    nonzero that is a "vv" codeword hitting an odd number of ones in some
+    row of lam, which exists as lam's units live on free columns of H2,
+    outside its row space; else the mirror via H1^T and kappa's columns.
 
     Only Z-kind operators can be collapsed; any other kind raises
-    DimensionMismatch, and coefficients shaped for another code raise
-    ShapeMismatch.
+    DimensionMismatch, coefficients shaped for another code ShapeMismatch,
+    and all-zero coefficients TrivialOperator.
     """
     if op.kind != "z":
         raise DimensionMismatch(f"cannot collapse a {op.kind!r}-kind operator, need 'z'")
-    _, ys, als, _ = _fitted_ingredients(code, "z", op.lam, op.kappa)
+    realized = compose_canonical(code, op.lam, op.kappa).realized
     if not any(op.lam.row_bits) and not any(op.kappa.row_bits):
         raise TrivialOperator("all coefficients are zero")
-    if any(op.lam.row_bits):
-        block, units, coeffs, check = "vv", ys, op.lam, code.h2.h
-    else:
-        block, units, coeffs, check = "cc", als, op.kappa.transpose(), code.h1.h.transpose()
-    us = [combine([u.bits for u in units], row) for row in coeffs.row_bits]
-    basis = [v.bits for v in kernel_basis(check)]
-    for combo in _graded_combinations(len(basis)):
-        l_c = BitVec(check.cols, combine(basis, sum(1 << i for i in combo)))
-        if any((u & l_c.bits).bit_count() & 1 for u in us):
-            alpha = min(l_c.support())
-            return DeformSpec(l_c, alpha, frozenset(l_c.support()), block)
-    raise TrivialOperator("no collapse codeword activates the operator")
+    return _collapse_codeword(code, realized)

@@ -191,23 +191,14 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     xs, zs = tx.coset_values(0), tz.coset_values(0)
     # max over pairs of max(a, b) factors into the two sector maxima, so
     # scanning each rowspace once is still exhaustive
-    (vx, x_bits), (vz, z_bits) = max(xs, key=itemgetter(0)), max(zs, key=itemgetter(0))
-    worst = max(vx, vz)
-    if paired:
-        mode, checked = "paired", len(xs) * len(zs)
-        # the first worst pair of the x-major, z-minor scan of all pairs:
-        # (xs[0], zs[0]) if xs[0] is worst, else xs[0] with the first worst z
-        # if a z is worst, else the first worst x with zs[0]
-        if xs[0][0] == worst:
-            x_bits, z_bits = xs[0][1], zs[0][1]
-        elif vz == worst:
-            x_bits = xs[0][1]
-        else:
-            z_bits = zs[0][1]
-    else:
-        mode, checked = "factored", len(xs) + len(zs)
+    worst = max(map(itemgetter(0), xs + zs))
+    mode, checked = ("paired", len(xs) * len(zs)) if paired else ("factored", len(xs) + len(zs))
     counter = None
     if worst > bound:
+        if paired:  # the first worst pair of the x-major, z-minor scan of all pairs
+            x_bits, z_bits = next((x, z) for a, x in xs for b, z in zs if max(a, b) == worst)
+        else:
+            x_bits, z_bits = max(xs, key=itemgetter(0))[1], max(zs, key=itemgetter(0))[1]
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
     # constructive side: stabilizer_path's walks, on packed states, stay under
     # the bound; the energy after each full generator is recorded, not asserted

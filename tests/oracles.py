@@ -303,3 +303,32 @@ def collapse_scan(h1: np.ndarray, h2: np.ndarray) -> tuple[str, int]:
     lhs, rhs = collapse_sides(h1, h2)
     fails = lhs[:, None, :] > rhs[:, :, None]
     return ("fail" if fails.any() else "pass"), fails.size
+
+
+def coefficient_collapse_rule(h1: np.ndarray, h2: np.ndarray, lam: np.ndarray, kappa: np.ndarray):
+    """(block, l_c, alpha) that a canonical Z operator's coefficients alone
+    choose for the column collapse, or None when they choose none.
+
+    With lam nonzero the block is "vv": row k of lam weights the units on
+    H2's free columns into u_k, and l_c is the first nonzero codeword of H2,
+    in graded-lex order over ``np_kernel(H2)``, with <u_k, l_c> odd for some
+    k. Otherwise, with kappa nonzero, "cc" mirrors it: H1^T's free-column
+    units, weighted by column m of kappa, against codewords of H1^T. alpha is
+    the least support bit of l_c.
+    """
+    if lam.any():
+        block, check, coeffs = "vv", h2, lam
+    elif kappa.any():
+        block, check, coeffs = "cc", h1.T, kappa.T
+    else:
+        return None
+    cols = check.shape[1]
+    free = [c for c in range(cols) if c not in np_rref(check)[1]]
+    us = coeffs.astype(np.int64) @ np.eye(cols, dtype=np.int64)[free] % 2
+    basis = np_kernel(check)
+    for size in range(1, len(basis) + 1):
+        for combo in combinations(basis, size):
+            l_c = np.sum(combo, axis=0, dtype=np.int64) % 2
+            if (us @ l_c % 2).any():
+                return block, l_c, int(np.flatnonzero(l_c)[0])
+    return None

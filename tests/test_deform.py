@@ -1,19 +1,24 @@
 """Tests for column collapse, path deformation, and activating codewords."""
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 import oracles
 from hgpbarrier.barrier import (
     PathRecord,
+    classical_barrier,
     energy_quantum,
+    quantum_barrier,
     sweep_path_for_canonical,
     validate_path,
 )
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.deform import (
     DeformSpec,
+    _collapse_codeword,
     deform_path,
     deform_pauli,
     find_activating_codeword,
@@ -30,6 +35,7 @@ from hgpbarrier.logicals import (
     classify,
     compose_canonical,
 )
+from hgpbarrier.verify import _PARENTS
 
 
 def toric():
@@ -81,7 +87,7 @@ class TestCollapseColumns:
 
 def spec_all_ones(code, alpha):
     l_c = BitVec(code.n2, (1 << code.n2) - 1)
-    return DeformSpec(l_c, alpha, frozenset(l_c.support()), "vv")
+    return DeformSpec(l_c, alpha, "vv")
 
 
 class TestDeformPauli:
@@ -121,7 +127,7 @@ class TestDeformPauli:
     def test_bad_codeword_rejected(self):
         code = surface()
         l_c = BitVec.from01("100")
-        spec = DeformSpec(l_c, 0, frozenset(l_c.support()), "vv")
+        spec = DeformSpec(l_c, 0, "vv")
         with pytest.raises(NotACodeword):
             deform_pauli(code, PauliVec.identity(13), spec)
 
@@ -304,3 +310,93 @@ class TestFindActivatingCodeword:
                 deformed = deform_pauli(code, op.realized, spec)
                 assert not deformed.is_identity()
                 assert classify(code, deformed) is PauliClass.NONTRIVIAL_LOGICAL
+
+
+def random_parent(rng):
+    """A random check matrix of 2 to 4 nonzero rows over 3 or 4 bits, each
+    bit read by some row: an unread bit is a codeword of energy 0."""
+    while True:
+        n = rng.choice((3, 4))
+        rows = tuple(rng.randrange(1, 1 << n) for _ in range(rng.choice((2, 3, 4))))
+        if reduce(or_, rows) == (1 << n) - 1:
+            return ClassicalCode(BitMatrix(len(rows), n, rows))
+
+
+def random_products(seed, count):
+    """``count`` seeded products of two ``random_parent``s that have logical
+    qubits, in generation order."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        code = build_hgp(random_parent(rng), random_parent(rng))
+        if code.k > 0:
+            out.append(code)
+    return out
+
+
+def collapse_instances():
+    """The registry products, rect_4_3 included, then seeded random ones."""
+    registry = [(name, build_hgp(*pair)) for name, pair in _PARENTS.items()]
+    return registry + [(f"random_{i}", c) for i, c in enumerate(random_products(5, 30))]
+
+
+@pytest.mark.parametrize("name, code", collapse_instances())
+def test_witness_collapses_onto_a_parent_walk(name, code):
+    # the paper's lower bound on the engine's own optimal walk: collapsing the
+    # z witness along its endpoint's collapse codeword gives a valid walk to a
+    # nontrivial logical on one grid line, that is a walk in the parent's
+    # code, so its peak lies between the parent's barrier and the witness's
+    witness = quantum_barrier(code, "z").witness
+    spec = _collapse_codeword(code, witness.states[-1])
+    deformed = deform_path(code, witness, spec)
+    assert validate_path(deformed, lambda p: energy_quantum(code, p))
+    end = deformed.states[-1]
+    assert classify(code, end) is PauliClass.NONTRIVIAL_LOGICAL
+    grid, line = ("VV", 2) if spec.block == "vv" else ("CC", 1)
+    assert {(index_to_block(code, q)[0], index_to_block(code, q)[line]) for q in end.support()} == {
+        (grid, spec.alpha)
+    }
+    parent = code.h1 if spec.block == "vv" else ClassicalCode(code.h2.h.transpose())
+    assert classical_barrier(parent).value <= deformed.max_energy <= witness.max_energy
+
+
+def test_collapse_instances_reach_both_blocks():
+    blocks = {
+        _collapse_codeword(code, quantum_barrier(code, "z").witness.states[-1]).block
+        for _, code in collapse_instances()
+    }
+    assert blocks == {"vv", "cc"}
+
+
+def coefficient_rule_operators(code, rng):
+    """Every canonical Z operator of the code, then 20 seeded composites."""
+    ops = canonical_z_basis(code)
+    lam, kappa = ops[0].lam, ops[0].kappa
+    for _ in range(20):
+        lam_rows = tuple(rng.randrange(1 << lam.cols) for _ in range(lam.rows))
+        kappa_rows = tuple(rng.randrange(1 << kappa.cols) for _ in range(kappa.rows))
+        ops.append(compose_canonical(
+            code, BitMatrix(lam.rows, lam.cols, lam_rows), BitMatrix(kappa.rows, kappa.cols, kappa_rows)
+        ))
+    return ops
+
+
+@pytest.mark.parametrize("name, code", collapse_instances())
+def test_activation_matches_the_coefficient_rule(name, code):
+    # find_activating_codeword collapses the composed Pauli; the rule it
+    # replaced read the choice off the coefficients alone, and both must
+    # give the same spec, or both find none
+    h1, h2 = oracles.np_from_bitmatrix(code.h1.h), oracles.np_from_bitmatrix(code.h2.h)
+    for op in coefficient_rule_operators(code, random.Random(name)):
+        expected = oracles.coefficient_collapse_rule(
+            h1, h2, oracles.np_from_bitmatrix(op.lam), oracles.np_from_bitmatrix(op.kappa)
+        )
+        if expected is None:
+            with pytest.raises(TrivialOperator, match="all coefficients are zero"):
+                find_activating_codeword(code, op)
+            continue
+        spec = find_activating_codeword(code, op)
+        block, l_c, alpha = expected
+        assert (spec.block, oracles.np_from_bitvec(spec.l_c).tolist(), spec.alpha) == (
+            block, l_c.tolist(), alpha
+        )

@@ -271,3 +271,28 @@ def test_row_reduction_lives_in_f2core():
         "rref": ["__init__.py", "codes.py", "f2core.py", "logicals.py"],
         "rank": ["__init__.py"],
     }
+
+
+def test_private_imports_between_modules_are_pinned():
+    # a private name is a module's own business; each one another package
+    # module imports ties the two together, so the set is pinned here and
+    # grows only on purpose. deform collapses Paulis through the public
+    # compose_canonical and needs no logicals internals
+    found = {
+        path.stem: sorted(
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+    }
+    assert {stem: names for stem, names in found.items() if names} == {
+        "barrier": ["f2core._ones", "logicals._is_z"],
+        "codes": ["f2core._ones"],
+        "cli": ["verify._json_value"],
+        "verify": [
+            "barrier._pauli_inputs", "barrier._pauli_walk", "barrier._stabilizer_flips", "f2core._ones",
+        ],
+    }
