@@ -17,9 +17,6 @@ bound. The check-check mirror collapses rows of Z2 along a codeword of H1^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import xor
 
 from .errors import (
     DimensionMismatch,
@@ -142,19 +139,18 @@ def weight_reduction_gap(
 
 
 def _collapse_codeword(code: HgpCode, p: PauliVec) -> DeformSpec:
-    """The first collapse that keeps p: nonzero codewords of H2 ("vv"), then
-    of H1^T ("cc"), in graded-lex order over each kernel basis, alpha the
-    least support bit. A Z stabilizer collapses to the identity, so a Z
-    logical collapses as its canonical part; raises TrivialOperator when no
-    collapse keeps p."""
+    """The first collapse that keeps p: kernel basis vectors of H2 ("vv"),
+    then of H1^T ("cc"), alpha the least support bit; raises TrivialOperator
+    when none keeps p. The collapsed line is linear in the codeword, so no
+    codeword of a block keeps p when no basis vector does, and the first
+    basis vector that does is the first codeword in graded-lex order over
+    the basis. A Z stabilizer collapses to the identity, so a Z logical
+    collapses as its canonical part."""
     for block in ("vv", "cc"):
-        basis = kernel_basis(_check_matrix(code, block)[0])
-        for size in range(1, len(basis) + 1):
-            for combo in combinations(basis, size):
-                l_c = reduce(xor, combo)
-                spec = DeformSpec(l_c, min(l_c.support()), block)
-                if not deform_pauli(code, p, spec).is_identity():
-                    return spec
+        for l_c in kernel_basis(_check_matrix(code, block)[0]):
+            spec = DeformSpec(l_c, min(l_c.support()), block)
+            if not deform_pauli(code, p, spec).is_identity():
+                return spec
     raise TrivialOperator("no collapse codeword activates the operator")
 
 

@@ -7,6 +7,7 @@ from operator import or_
 import pytest
 
 import oracles
+from hgpbarrier import deform
 from hgpbarrier.barrier import (
     PathRecord,
     classical_barrier,
@@ -366,6 +367,25 @@ def test_collapse_instances_reach_both_blocks():
         for _, code in collapse_instances()
     }
     assert blocks == {"vv", "cc"}
+
+
+def test_collapse_tries_each_basis_vector_once(monkeypatch):
+    # the collapsed line is linear in the codeword, so a block whose basis
+    # vectors all collapse p to the identity is left after one try each:
+    # ker H2 has dimension 14 here, and listing its codewords would try
+    # 16 383 before the check-check block
+    h2 = ClassicalCode(BitMatrix(2, 15, ((1 << 15) - 1,) * 2))
+    code = build_hgp(ring_repetition(3), h2)
+    (op,) = [op for op in canonical_z_basis(code) if not any(op.lam.row_bits)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return deform_pauli(*args)
+
+    monkeypatch.setattr(deform, "deform_pauli", counted)
+    assert _collapse_codeword(code, op.realized).block == "cc"
+    assert len(calls) == 14 + 1
 
 
 def coefficient_rule_operators(code, rng):
