@@ -361,57 +361,45 @@ def _nearest(n_dim: int, moves: Sequence[int], deltas: Sequence[int], max_energy
     raise NoTarget("no state satisfying the target predicate is reachable")
 
 
-class _TreeParents(dict):
-    """``pred[s]``: the move by which the bucket queue first reaches state
-    s != 0, derived from a table's layer order when first asked for and
-    kept per state. The first state popped next to s pushes it, so its
-    parent is the neighbour of least (layer, state), reached by the lowest
-    move index with that image; zero images never reach a new state."""
+class _Tree(dict):
+    """``tree[s]``: (parent move, lift) of state s in the search tree,
+    derived from a table's layer ``order`` when first asked for and kept per
+    state. The first state popped next to s pushes it, so its parent is the
+    neighbour of least (layer, state), reached by the lowest move index with
+    that image; zero images never reach a new state. The lift is the XOR of
+    lift_moves along the tree path from 0 (0 without stabilizers)."""
 
-    def __init__(self, order, moves: Sequence[int], n_dim: int):
-        super().__init__()
-        self.order, self.n_dim, self.first = order, n_dim, {}
-        for i, m in enumerate(moves):
+    def __init__(self, order, quotient: Quotient):
+        super().__init__({0: (None, 0)})
+        self.order, self.n_dim, self.images, self.first = order, quotient.dim, quotient.images, {}
+        self.lift_moves = quotient.lift_moves or (0,) * quotient.n
+        for i, m in enumerate(self.images):
             if m:
                 self.first.setdefault(m, i)
 
-    def __missing__(self, state: int) -> int:
-        order, n_dim = self.order, self.n_dim
-        key = min((order[u] << n_dim) | u for u in map(state.__xor__, self.first))
-        self[state] = mi = self.first[state ^ (key & ((1 << n_dim) - 1))]
-        return mi
-
-
-class _TreeLifts(dict):
-    """``lifts[s]``: the XOR of lift_moves along the search tree from 0 to
-    s, computed when first asked for and kept per state."""
-
-    def __init__(self, pred: _TreeParents, moves: Sequence[int], lift_moves: Sequence[int]):
-        super().__init__({0: 0})
-        self.pred, self.moves, self.lift_moves = pred, moves, lift_moves
-
-    def __missing__(self, state: int) -> int:
+    def __missing__(self, state: int) -> tuple[int, int]:
+        order, first, n_dim = self.order, self.first, self.n_dim
         path = []
         while state not in self:
-            mi = self.pred[state]
+            key = min((order[u] << n_dim) | u for u in map(state.__xor__, first))
+            mi = first[state ^ (key & ((1 << n_dim) - 1))]
             path.append((state, mi))
-            state ^= self.moves[mi]
-        lift = self[state]
+            state ^= self.images[mi]
+        lift = self[state][1]
         for state, mi in reversed(path):
             lift ^= self.lift_moves[mi]
-            self[state] = lift
-        return lift
+            self[state] = (mi, lift)
+        return mi, lift
 
-
-def _tree_moves(state: int, pred, moves: Sequence[int]) -> list[int]:
-    """Move indices along the search tree from the zero state to ``state``."""
-    seq = []
-    while state:
-        mi = pred[state]
-        seq.append(mi)
-        state ^= moves[mi]
-    seq.reverse()
-    return seq
+    def moves(self, state: int) -> list[int]:
+        """Move indices along the search tree from the zero state to ``state``."""
+        seq = []
+        while state:
+            mi = self[state][0]
+            seq.append(mi)
+            state ^= self.images[mi]
+        seq.reverse()
+        return seq
 
 
 def _walk(flips: Iterable[int], energy: SyndromeEnergy, state=None) -> PathRecord:
@@ -500,17 +488,18 @@ def _states_at(best, level: int):
         return
 
 
-def _voltage_basis(best, lifts, quotient: Quotient):
+def _voltage_basis(best, tree: _Tree, quotient: Quotient):
     """Tagged echelon basis of the voltages, edges taken in level order.
 
     An edge (u, q, v) lies at level max(best u, best v) and carries the
-    voltage lift(u) ^ lift_moves[q] ^ lift(v): zero on tree edges, the
-    stabilizer closing its fundamental cycle otherwise. The voltages up to
-    level t span H_t, the stabilizers joined to 0 below t, so tagging each
-    new basis vector with its level makes the highest tag used to reduce x
-    the level at which x joins. Entries are (vector, tag, edges used) sorted
-    by leading bit, highest first; ``edges`` lists the (u, q, v) behind each
-    accepted voltage, and "edges used" is a bitmask over that list.
+    voltage lift(u) ^ lift_moves[q] ^ lift(v), lifts read off the ``tree``:
+    zero on tree edges, the stabilizer closing its fundamental cycle
+    otherwise. The voltages up to level t span H_t, the stabilizers joined
+    to 0 below t, so tagging each new basis vector with its level makes the
+    highest tag used to reduce x the level at which x joins. Entries are
+    (vector, tag, edges used) sorted by leading bit, highest first;
+    ``edges`` lists the (u, q, v) behind each accepted voltage, and "edges
+    used" is a bitmask over that list.
     """
     moves, lift_moves = quotient.images, quotient.lift_moves
     basis, edges = [], []
@@ -520,7 +509,7 @@ def _voltage_basis(best, lifts, quotient: Quotient):
                 v = u ^ m
                 if best[v] > t:
                     continue
-                g = lifts[u] ^ lift_moves[q] ^ lifts[v]
+                g = tree[u][1] ^ lift_moves[q] ^ tree[v][1]
                 if not g:
                     continue
                 g, used = _reduce(basis, g)
@@ -540,24 +529,27 @@ class MinimaxTable:
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
     leaves the energy unchanged (the empty group for classical tables, where
     quotient states are the vectors themselves), under unit flips: move q
-    flips coordinate q. ``best``, ``order`` and ``explored`` count quotient
-    states; ``order`` is each state's layer in the fill's pop order. The
-    search tree is derived from it on demand: ``pred`` gives a state's
-    parent move, ``lifts`` (None without stabilizers) its tree lift.
-    ``value`` reads ``best``, ``lifts`` and the voltage ``basis``'s edge
-    map (``_edge_map``); the witness flips (``_flips``) also walk ``pred``.
+    flips coordinate q. ``best`` holds each quotient state's value, and
+    ``tree`` each state's (parent move, tree lift), derived on demand from
+    the fill's layer order. ``value`` reads ``best``, the tree lift and the
+    voltage ``basis``'s edge map (``_edge_map``); the witness flips
+    (``_flips``) also walk the tree's parent moves.
     """
 
-    n_dim: int
     energy: SyndromeEnergy
-    best: object = field(repr=False)
-    order: object = field(repr=False)
-    pred: _TreeParents = field(repr=False)
-    explored: int
     quotient: Quotient = field(repr=False)
-    lifts: _TreeLifts | None = field(default=None, repr=False)
-    basis: tuple = field(default=(), repr=False)
-    edges: tuple = field(default=(), repr=False)
+    best: object = field(repr=False)
+    tree: _Tree = field(repr=False)
+    basis: tuple = field(repr=False)
+    edges: tuple = field(repr=False)
+
+    @property
+    def n_dim(self) -> int:
+        return self.quotient.n
+
+    @property
+    def explored(self) -> int:
+        return 1 << self.quotient.dim
 
     @cached_property
     def _edge_map(self) -> tuple[tuple, tuple[int, ...], list[int]]:
@@ -573,11 +565,12 @@ class MinimaxTable:
         """(quotient state, ``edges`` used from its tree lift to ``bits``)."""
         if isinstance(bits, bool) or not isinstance(bits, int):
             raise TypeError(f"state must be an int, got {type(bits).__name__}")
-        if not 0 <= bits < 1 << self.n_dim:
-            raise IndexOutOfRange(f"state {bits:#x} outside [0, 2^{self.n_dim})")
-        state, coords = self.quotient.split(bits)
-        if self.lifts is not None:
-            coords ^= self.lifts[state]
+        q = self.quotient
+        if not 0 <= bits < 1 << q.n:
+            raise IndexOutOfRange(f"state {bits:#x} outside [0, 2^{q.n})")
+        state, coords = q.split(bits)
+        if self.basis:  # without stabilizers every lift is 0
+            coords ^= self.tree[state][1]
         used = 0
         for table in self._edge_map[0]:
             used ^= table[coords & 0xFF]
@@ -608,12 +601,11 @@ class MinimaxTable:
         lifted tree path. Every loop state is a stabilizer translate of a
         state at or below the loop's level."""
         state, used = self._fiber(bits)
-        tree = lambda s: _tree_moves(s, self.pred, self.quotient.images)
         flips = []
         for j, (u, q, v) in enumerate(self.edges):
             if (used >> j) & 1:
-                flips += tree(u) + [q] + tree(v)[::-1]
-        flips += tree(state)
+                flips += self.tree.moves(u) + [q] + self.tree.moves(v)[::-1]
+        flips += self.tree.moves(state)
         end = reduce(xor, (1 << q for q in flips), 0)
         if end != bits:
             raise WitnessError(f"table walk ends at {end:#x}, not at {bits:#x}")
@@ -625,13 +617,9 @@ def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
     """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
     q, energy = quotient(stab_rows, n), _energy(rows, n)
     best, order = _flood(q.dim, q.images, energy.columns, len(rows))
-    pred = _TreeParents(order, q.images, q.dim)
-    lifts, basis, edges = None, (), ()
-    if q.lift_moves is not None:
-        lifts = _TreeLifts(pred, q.images, q.lift_moves)
-        basis, edges = _voltage_basis(best, lifts, q)
-    explored = 1 << q.dim
-    return MinimaxTable(n, energy, best, order, pred, explored, q, lifts, basis, edges)
+    tree = _Tree(order, q)
+    basis, edges = _voltage_basis(best, tree, q) if q.rows else ((), ())
+    return MinimaxTable(energy, q, best, tree, basis, edges)
 
 
 def _target_search(
@@ -644,7 +632,11 @@ def _target_search(
     vectors themselves."""
     q = _quotient_within(stab_rows, energy.n_dim, cap)
     end, value, pred, explored = _nearest(q.dim, q.images, energy.columns, len(energy.rows), target_pred)
-    record = _walk(_tree_moves(end, pred, q.images), energy, state)
+    flips, s = [], end  # the tree path, walked back from the end
+    while s:
+        flips.append(pred[s])
+        s ^= q.images[flips[-1]]
+    record = _walk(reversed(flips), energy, state)
     return BarrierResult(value, record, record.states[-1], explored)
 
 

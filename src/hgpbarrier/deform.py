@@ -17,6 +17,7 @@ bound. The check-check mirror collapses rows of Z2 along a codeword of H1^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
     DimensionMismatch,
@@ -95,9 +96,13 @@ def deform_pauli(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
     The result is pure-Z and supported on one column of the bit-bit grid
     (or one row of the check-check grid for a "cc" spec).
     """
+    _check_spec(code, spec)
+    return _deform_checked(code, p, spec)
+
+
+def _deform_checked(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
     if p.n != code.n_qubits:
         raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
-    _check_spec(code, spec)
     vv, cc = vec_split(p.z, code.vv_count)
     if spec.block == "vv":
         grid, shift = reshape(vv, code.n1, code.n2), 0
@@ -111,13 +116,10 @@ def deform_pauli(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
 
 def deform_path(code: HgpCode, r: PathRecord, spec: DeformSpec) -> PathRecord:
     """Deform every state of a path and drop consecutive duplicates."""
-    states = []
-    for s in r.states:
-        d = deform_pauli(code, s, spec)
-        if not states or states[-1] != d:
-            states.append(d)
+    _check_spec(code, spec)
+    states = tuple(d for d, _ in groupby(_deform_checked(code, s, spec) for s in r.states))
     energies = tuple(energy_quantum(code, s) for s in states)
-    return PathRecord(tuple(states), energies, max(energies, default=0))
+    return PathRecord(states, energies, max(energies, default=0))
 
 
 def weight_reduction_gap(

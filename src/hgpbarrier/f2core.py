@@ -9,6 +9,7 @@ reshape. All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -503,8 +504,15 @@ class Quotient:
         return w & mask, w >> dim
 
 
+_live = weakref.WeakValueDictionary()  # (rows, n) -> its Quotient, while anything holds it
+
+
 @lru_cache(maxsize=256)
 def quotient(rows: tuple[int, ...], n: int) -> Quotient:
-    """F2^n / rowspace of the packed ``rows``, one per (rows, n)."""
-    res = rref(BitMatrix(len(rows), n, rows))
-    return Quotient(n, res.rref.row_bits[: res.rank])
+    """F2^n / rowspace of the packed ``rows``: one per (rows, n), split tables
+    and all, while this cache or anything else (a cached table, say) holds it."""
+    q = _live.get((rows, n))
+    if q is None:
+        res = rref(BitMatrix(len(rows), n, rows))
+        q = _live[rows, n] = Quotient(n, res.rref.row_bits[: res.rank])
+    return q

@@ -147,17 +147,14 @@ def lemma4_default_family() -> list[tuple[ClassicalCode, ClassicalCode]]:
 def _report(
     claim: str,
     instance: str,
-    start: float,
     checked: int,
     details: dict,
     counter: dict | None,
     seed: int | None = None,
 ) -> VerifyReport:
-    """The report of a check begun at ``start``: it passes when no
-    counterexample was found."""
+    """A check's report, which passes when no counterexample was found."""
     status = "pass" if counter is None else "fail"
-    elapsed = time.perf_counter() - start
-    return VerifyReport(claim, instance, status, checked, details, counter, seed, elapsed)
+    return VerifyReport(claim, instance, status, checked, details, counter, seed)
 
 
 def _require_logicals(code: HgpCode) -> None:
@@ -186,7 +183,6 @@ def _swept_max(table, maxima: dict, base: int) -> int:
 
 def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every stabilizer clears at most w_c * w_q energy: Delta(s) <= w_c w_q."""
-    start = time.perf_counter()
     tx, tz, paired, bound = _stabilizer_setup(code, cap)
     xs, zs = tx.coset_values(0), tz.coset_values(0)
     # max over pairs of max(a, b) factors into the two sector maxima, so
@@ -219,7 +215,7 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         "mode": mode,
         "constructive_baseline_peaks": baselines,
     }
-    return _report("lemma1", instance, start, checked, details, counter)
+    return _report("lemma1", instance, checked, details, counter)
 
 
 def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
@@ -271,7 +267,6 @@ def check_theorem1(
         raise TypeError(f"thm1 needs a sample count, got the bool {samples}")
     if samples < 1:
         raise ValueError(f"thm1 needs at least one sample, got {samples}")
-    start = time.perf_counter()
     _require_logicals(code)
     tx, tz, sweep_all, bound = _stabilizer_setup(code, cap)
     zs = [op.realized.z.bits for op in canonical_z_basis(code)]
@@ -314,13 +309,12 @@ def check_theorem1(
         "smallest_slack": smallest_slack,
         "stabilizer_sweep": "exhaustive" if sweep_all else "sampled",
     }
-    return _report("thm1", instance, start, samples, details, counter, seed)
+    return _report("thm1", instance, samples, details, counter, seed)
 
 
 def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """An elementary operator's barrier is attained inside its own grid line:
     the unrestricted exact barrier equals the single-column restricted one."""
-    start = time.perf_counter()
     _require_logicals(code)
     tz = sector_table(code, "z", cap)
     checked = 0
@@ -349,7 +343,7 @@ def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
                 "restricted": restricted,
                 "witness_max": sweep.max_energy,
             }
-    return _report("lemma2", instance, start, checked, {"per_operator": values}, counter)
+    return _report("lemma2", instance, checked, {"per_operator": values}, counter)
 
 
 def _unit_move_value(parent: BitMatrix, word: BitVec, cap: int) -> int:
@@ -375,14 +369,13 @@ def _first_below(values: dict[int, int], floor, name: str) -> dict | None:
 
 def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Composite canonical operators cost at least the cheapest elementary one."""
-    start = time.perf_counter()
     _require_logicals(code)
     values = _canonical_z_values(code, cap)
     n_elem = len(canonical_z_basis(code))
     elementary_min = min(values[1 << i] for i in range(n_elem))
     counter = _first_below(values, elementary_min, "elementary_min")
     details = {"elementary_min": elementary_min, "composite_min": min(values.values())}
-    return _report("lemma3", instance, start, len(values), details, counter)
+    return _report("lemma3", instance, len(values), details, counter)
 
 
 def _pack(rows, cols: int) -> int:
@@ -437,7 +430,6 @@ def check_lemma4(
     (Z1, Z2, L) scan. ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) span-table
     entries of each pair.
     """
-    start = time.perf_counter()
     if family is None:
         family = lemma4_default_family()
     checked = 0
@@ -484,7 +476,7 @@ def check_lemma4(
             "lhs": lhs[j],
             "rhs": r,
         }
-    return _report("lemma4", instance, start, checked, {"pairs": len(family)}, counter)
+    return _report("lemma4", instance, checked, {"pairs": len(family)}, counter)
 
 
 def _parent_barrier(c: ClassicalCode, cap: int) -> int | float:
@@ -497,7 +489,6 @@ def _parent_barrier(c: ClassicalCode, cap: int) -> int | float:
 def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every nontrivial canonical Z operator costs at least
     min(Delta(H1), Delta(H2^T))."""
-    start = time.perf_counter()
     _require_logicals(code)
     d1 = _parent_barrier(code.h1, cap)
     d2t = _parent_barrier(code.h2.transpose(), cap)
@@ -510,7 +501,7 @@ def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: st
         "floor": _json_value(floor),
         "canonical_min": min(values.values()),
     }
-    return _report("prop1", instance, start, len(values), details, counter)
+    return _report("prop1", instance, len(values), details, counter)
 
 
 def _json_value(v: int | float):
@@ -532,7 +523,6 @@ def check_main_equality(
     only when the sufficient condition min(parents) > w_c w_q holds, and
     reported informationally otherwise.
     """
-    start = time.perf_counter()
     code = build_hgp(h1, h2)
     _require_logicals(code)
     quantum = quantum_barrier(code, "both", cap).value
@@ -580,7 +570,7 @@ def check_main_equality(
         "condition_holds": condition,
         "full_equality_observed": quantum == min_parents,
     }
-    return _report("main", instance, start, checked, details, counter)
+    return _report("main", instance, checked, details, counter)
 
 
 def check_css_restriction(
@@ -592,7 +582,6 @@ def check_css_restriction(
     barrier of a pure-Z (pure-X) logical equals its sector barrier. Full
     values are read off the code's ``pauli_table``, as
     ``pauli_barrier_general`` reads them, without building its witness walks."""
-    start = time.perf_counter()
     _require_logicals(code)
     tables = {"z": sector_table(code, "z", cap), "x": sector_table(code, "x", cap)}
     full_table, n = pauli_table(code, cap), code.n_qubits
@@ -605,10 +594,18 @@ def check_css_restriction(
             checked += 1
             if full != sector and counter is None:
                 counter = {f"{kind}_bits": p.part(kind).bits, "full": full, "sector": sector}
-    return _report("css-restriction", instance, start, checked, {}, counter)
+    return _report("css-restriction", instance, checked, {}, counter)
 
 
 # -- claim runner ---------------------------------------------------------------
+
+def _timed(check, *args, **kwargs) -> VerifyReport:
+    """The report of one check call, with the call's wall time as ``elapsed``."""
+    start = time.perf_counter()
+    report = check(*args, **kwargs)
+    report.elapsed = time.perf_counter() - start
+    return report
+
 
 def run_claim(
     claim: str,
@@ -627,12 +624,12 @@ def run_claim(
     if claim == "lemma4":
         if pair is not None:
             raise ValueError("lemma4 runs on its built-in family only")
-        return [check(cap=cap)]
+        return [_timed(check, cap=cap)]
     pairs = {instance: pair} if pair is not None else {name: _PARENTS[name] for name in names}
     # main checks the two parents; every other claim their product
     subjects = pairs if claim == "main" else {name: (build_hgp(*p),) for name, p in pairs.items()}
     seeded = {"seed": seed} if claim == "thm1" else {}
-    return [check(*args, cap=cap, instance=name, **seeded) for name, args in subjects.items()]
+    return [_timed(check, *args, cap=cap, instance=name, **seeded) for name, args in subjects.items()]
 
 
 def summarize(reports: list[VerifyReport]) -> dict:

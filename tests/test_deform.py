@@ -2,6 +2,7 @@
 
 import random
 from functools import reduce
+from itertools import groupby
 from operator import or_
 
 import pytest
@@ -386,6 +387,22 @@ def test_collapse_tries_each_basis_vector_once(monkeypatch):
     monkeypatch.setattr(deform, "deform_pauli", counted)
     assert _collapse_codeword(code, op.realized).block == "cc"
     assert len(calls) == 14 + 1
+
+
+@pytest.mark.parametrize("block", ("vv", "cc"))
+def test_a_walk_checks_its_spec_once(monkeypatch, block):
+    # the spec is checked at the door, not once per state of the walk
+    c = ring_repetition(4)
+    code = build_hgp(c, c)
+    walk = quantum_barrier(code, "z").witness
+    assert len(walk.states) == 5
+    spec = DeformSpec(BitVec(4, 0b1111), 0, block)  # the ring's checks sum to zero
+    calls = []
+    real = deform._check_spec
+    monkeypatch.setattr(deform, "_check_spec", lambda *a: calls.append(a) or real(*a))
+    deformed = deform_path(code, walk, spec)
+    assert len(calls) == 1
+    assert deformed.states == tuple(k for k, _ in groupby(deform_pauli(code, s, spec) for s in walk.states))
 
 
 def coefficient_rule_operators(code, rng):

@@ -4,9 +4,10 @@ Every call that the package makes to ``barrier._flood`` (exhaustive tables)
 or ``barrier._nearest`` (target searches) is recorded and replayed through
 ``oracles.heap_syndrome_search``. A fill's ``best`` must be identical to
 the oracle's, table type included, and the oracle must pop every state; the
-table built from it must give the oracle's ``pred`` for every state but the
-root and the oracle's ``lifts`` for every state, both derived on demand
-from the fill's layer order. A target search's end state, value,
+``tree`` of the table built from it must give the oracle's ``pred`` as the
+parent move of every state but the root and the oracle's ``lifts`` (0
+without stabilizers) as every state's lift, derived on demand from the
+fill's layer order. A target search's end state, value,
 ``explored`` count and ``pred`` must be the oracle's; only ``pred``'s root
 entry, which the package marks seen, may differ. So no value, witness or
 count moves.
@@ -97,11 +98,11 @@ def _check_against_heap(calls, n_calls):
             n_states = 1 << args[0]
             assert ref_explored == table.explored == n_states
             assert _same_table(table.best, ref_best)
-            assert [table.pred[s] for s in range(1, n_states)] == list(ref_pred[1:])
+            assert [table.tree[s][0] for s in range(1, n_states)] == list(ref_pred[1:])
             if ref_lifts is None:
-                assert table.lifts is None
+                assert {table.tree[s][1] for s in range(n_states)} == {0}
             else:
-                assert [table.lifts[s] for s in range(n_states)] == list(ref_lifts)
+                assert [table.tree[s][1] for s in range(n_states)] == list(ref_lifts)
         else:
             ref_state, ref_best, ref_pred, ref_lifts, ref_explored = heap_replay(name, args)
             state, value, pred, explored = result
@@ -190,8 +191,8 @@ def test_energies_of_255_and_above_use_16_bit_tables(engine_calls):
     # so each of the 512 states is a layer of its own, past a byte's range
     rows = tuple(1 << i for i in range(9) for _ in range(1 << i))
     table = classical_table(ClassicalCode(BitMatrix(len(rows), 9, rows)))
-    assert max(table.order) == 511
-    assert table.best.typecode == table.order.typecode == "H"
+    assert max(table.tree.order) == 511
+    assert table.best.typecode == table.tree.order.typecode == "H"
     assert [table.value(s) for s in range(512)] == oracles.minimax_values(list(rows), 9)
     _check_against_heap(engine_calls, 2)
 

@@ -56,8 +56,8 @@ def _check_edge_map(table):
     rank = table.quotient.rank
     if rank > 12:
         return
-    if table.lifts is not None:
-        assert barrier._voltage_basis(table.best, table.lifts, table.quotient) == (
+    if table.quotient.rows:
+        assert barrier._voltage_basis(table.best, table.tree, table.quotient) == (
             table.basis,
             table.edges,
         )
@@ -155,7 +155,7 @@ def test_zero_and_parallel_moves_are_exercised():
 def test_classical_table_is_the_plain_unit_move_table():
     c = ring_repetition(5)
     table = classical_table(c)
-    assert table.lifts is None and table.basis == ()
+    assert table.quotient.rows == () and table.basis == ()
     _check_edge_map(table)
     assert table.explored == len(table.best) == 32
     assert [table.value(s) for s in range(32)] == oracles.minimax_values(c.h.row_bits, 5)
@@ -168,9 +168,9 @@ def _check_lifts(table, states):
     """Each tree lift is the lift coordinates of the vector that the state's
     search-tree path reaches, and the path ends at the state."""
     for s in states:
-        flips = barrier._tree_moves(s, table.pred, table.quotient.images)
+        flips = table.tree.moves(s)
         reached = reduce(xor, (1 << q for q in flips), 0)
-        assert table.quotient.split(reached) == (s, table.lifts[s])
+        assert table.quotient.split(reached) == (s, table.tree[s][1])
 
 
 def test_cap_counts_quotient_states():
@@ -313,9 +313,7 @@ def test_coset_values_match_per_vector_reads(name, kind):
 
 def test_classify_enumeration_and_sector_table_share_one_quotient(monkeypatch):
     # classify, the logical enumeration and the z-sector table all reduce
-    # modulo HZ through the one cached quotient of its rows. A table cached
-    # earlier may hold a quotient that has since left the quotient cache
-    barrier._table.cache_clear()
+    # modulo HZ through the one cached quotient of its rows
     code = quantum_instances()["toric_3"]
     q = f2core.quotient(code.hz.row_bits, code.n_qubits)
     used = []
@@ -393,3 +391,25 @@ def test_random_products_pauli_barriers_match_oracle(h1, h2):
     _check_edge_map(table)
     assert [table.value(t) for t in range(1 << 2 * code.n_qubits)] == want
     _check_pauli_witnesses(code, want, n_paths=8)
+
+
+def test_a_cached_table_keeps_sharing_its_quotient():
+    # 300 other quotients push toric_3's HZ quotient out of the quotient
+    # cache, but the cached table still holds it, so it is returned again
+    code = quantum_instances()["toric_3"]
+    sector_table(code, "z")
+    for rows in range(1, 301):
+        f2core.quotient((rows,), 9)
+    assert sector_table(code, "z").quotient is f2core.quotient(code.hz.row_bits, code.n_qubits)
+
+
+def test_a_table_stores_its_tree_and_reads_the_rest_off_its_quotient():
+    assert [f.name for f in dataclasses.fields(barrier.MinimaxTable)] == [
+        "energy", "quotient", "best", "tree", "basis", "edges"
+    ]
+    assert not hasattr(barrier, "_TreeParents") and not hasattr(barrier, "_TreeLifts")
+    code = quantum_instances()["ring_2"]
+    for table in (sector_table(code, "x"), classical_table(code.h1), barrier.pauli_table(code)):
+        assert table.n_dim == table.quotient.n
+        assert table.explored == 1 << table.quotient.dim == len(table.best)
+        assert table.tree[0] == (None, 0)

@@ -592,6 +592,20 @@ def test_prop1_surface_infinite_transpose_side(instances):
     assert r.details["floor"] == 1
 
 
+def test_prop1_floor_is_untyped():
+    # k1^T = 0, so the product has no check-check Z logical and main's typed
+    # expectation skips Delta(H2^T); prop1's floor still takes it. Pinned
+    # so that a typed floor changes these numbers on purpose
+    h1 = ClassicalCode(BitMatrix.from_rows(["1010", "0011", "1111"]))
+    h2 = ClassicalCode(BitMatrix.from_rows(["01", "01"]))
+    assert h1.transpose().k == 0
+    prop1 = V.check_proposition1(build_hgp(h1, h2))
+    assert prop1.passed
+    assert prop1.details == {"delta_h1": 2, "delta_h2t": 1, "floor": 1, "canonical_min": 2}
+    main = V.check_main_equality(h1, h2)
+    assert main.passed and main.details["canonical_z"] == 2
+
+
 # -- main equality --------------------------------------------------------------
 
 def test_main_toric():
@@ -706,6 +720,13 @@ def test_report_json_excludes_elapsed(instances):
     assert "elapsed" not in d
     assert r.elapsed >= 0.0
     json.dumps(d, sort_keys=True)
+
+
+def test_the_runner_times_each_check():
+    # run_claim times each check call; a direct check call reports 0.0
+    reports = V.run_claim("lemma3")
+    assert reports and all(r.elapsed > 0.0 for r in reports)
+    assert V.check_lemma3(V.quantum_instances()["surface_3"]).elapsed == 0.0
 
 
 def test_report_seed_key_only_when_set(instances):
