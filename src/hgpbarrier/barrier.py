@@ -47,10 +47,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache, partial, reduce
 from operator import xor
-from typing import Callable, Iterable, Sequence
 
 from .codes import ClassicalCode
 from .errors import (
@@ -63,7 +62,7 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, Quotient, _ones, combine, linear_table, mat_vec, quotient, span, weight
+from .f2core import BitMatrix, BitVec, Quotient, _ones, _Record, combine, linear_table, mat_vec, quotient, span, weight
 from .hgp import HgpCode
 from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
 
@@ -93,20 +92,20 @@ DEFAULT_STATE_CAP = 1 << 24
 DEFAULT_PAULI_CAP = 1 << 20  # 2^(n + k) full-Pauli quotient states
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(_Record):
     """A walk of states with per-state energies; steps touch one coordinate."""
 
-    states: tuple
-    energies: tuple[int, ...]
-    max_energy: int
+    _fields = ("states", "energies", "max_energy")
 
-    def __post_init__(self):
-        if len(self.states) != len(self.energies):
+    def __init__(self, states: tuple, energies: tuple[int, ...], max_energy: int):
+        if len(states) != len(energies):
             raise DimensionMismatch("one energy per state required")
-        expected = max(self.energies, default=0)
-        if self.max_energy != expected:
-            raise DimensionMismatch(f"max_energy {self.max_energy} != {expected}")
+        expected = max(energies, default=0)
+        if max_energy != expected:
+            raise DimensionMismatch(f"max_energy {max_energy} != {expected}")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "max_energy", max_energy)
 
     def steps(self) -> int:
         return max(len(self.states) - 1, 0)
@@ -138,13 +137,17 @@ def _flip(prev, state) -> tuple[int, str]:
     return q, {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(dx >> q) & 1, (dz >> q) & 1]
 
 
-@dataclass(frozen=True)
-class BarrierResult:
-    value: int
-    witness: PathRecord
-    target: object
-    explored: int
-    exact: bool = True
+class BarrierResult(_Record):
+    _fields = ("value", "witness", "target", "explored", "exact")
+
+    def __init__(
+        self, value: int, witness: PathRecord, target: object, explored: int, exact: bool = True
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "explored", explored)
+        object.__setattr__(self, "exact", exact)
 
 
 class SyndromeEnergy:
@@ -522,8 +525,7 @@ def _voltage_basis(best, tree: _Tree, quotient: Quotient):
     return tuple(basis), tuple(edges)
 
 
-@dataclass(frozen=True)
-class MinimaxTable:
+class MinimaxTable(_Record):
     """Exhaustive minimax values from the zero state.
 
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
@@ -536,12 +538,18 @@ class MinimaxTable:
     (``_flips``) also walk the tree's parent moves.
     """
 
-    energy: SyndromeEnergy
-    quotient: Quotient = field(repr=False)
-    best: object = field(repr=False)
-    tree: _Tree = field(repr=False)
-    basis: tuple = field(repr=False)
-    edges: tuple = field(repr=False)
+    _fields = ("energy", "quotient", "best", "tree", "basis", "edges")
+    _shown = ("energy",)
+
+    def __init__(
+        self, energy: SyndromeEnergy, quotient: Quotient, best, tree: _Tree, basis: tuple, edges: tuple
+    ):
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "best", best)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_dim(self) -> int:

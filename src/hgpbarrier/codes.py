@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     CapExceeded,
@@ -21,7 +20,7 @@ from .errors import (
     InconsistentDegrees,
     ParseError,
 )
-from .f2core import BitMatrix, BitVec, _ones, kernel_basis, mat_vec, rref, span
+from .f2core import BitMatrix, BitVec, _ones, _Record, kernel_basis, mat_vec, rref, span
 
 __all__ = [
     "ClassicalCode",
@@ -40,28 +39,28 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(_Record):
     """Block length, dimension, and exact distance (inf when there are no codewords)."""
 
-    n: int
-    k: int
-    d: int | float
+    _fields = ("n", "k", "d")
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise DimensionMismatch(f"dimension {self.k} outside [0, {self.n}]")
-        if self.k >= 1 and self.d < 1:
+    def __init__(self, n: int, k: int, d: int | float):
+        if not 0 <= k <= n:
+            raise DimensionMismatch(f"dimension {k} outside [0, {n}]")
+        if k >= 1 and d < 1:
             raise DimensionMismatch("nonzero codes have distance at least 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class ClassicalCode:
-    h: BitMatrix
+class ClassicalCode(_Record):
+    _fields = ("h",)
 
-    def __post_init__(self):
-        if self.h.rows < 1 or self.h.cols < 1:
+    def __init__(self, h: BitMatrix):
+        if h.rows < 1 or h.cols < 1:
             raise EmptyMatrix("parity-check matrix needs at least one row and one column")
+        object.__setattr__(self, "h", h)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,6 @@ bound. The check-check mirror collapses rows of Z2 along a codeword of H1^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 from .f2core import (
     BitMatrix,
     BitVec,
+    _Record,
     kernel_basis,
     mat_add,
     mat_mul,
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeformSpec:
+class DeformSpec(_Record):
     """A collapse target: codeword l_c and the chosen line alpha in its support.
 
     block selects the grid being collapsed: "vv" collapses columns of the
@@ -58,15 +57,16 @@ class DeformSpec:
     check-check block along a codeword of H1^T.
     """
 
-    l_c: BitVec
-    alpha: int
-    block: str = "vv"
+    _fields = ("l_c", "alpha", "block")
 
-    def __post_init__(self):
-        if self.alpha not in self.col_set:
-            raise DimensionMismatch(f"alpha {self.alpha} not in the collapsed set")
-        if self.block not in ("vv", "cc"):
-            raise DimensionMismatch(f"unknown block {self.block!r}")
+    def __init__(self, l_c: BitVec, alpha: int, block: str = "vv"):
+        object.__setattr__(self, "l_c", l_c)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "block", block)
+        if alpha not in self.col_set:
+            raise DimensionMismatch(f"alpha {alpha} not in the collapsed set")
+        if block not in ("vv", "cc"):
+            raise DimensionMismatch(f"unknown block {block!r}")
 
     @property
     def col_set(self) -> frozenset[int]:
@@ -151,7 +151,7 @@ def _collapse_codeword(code: HgpCode, p: PauliVec) -> DeformSpec:
     for block in ("vv", "cc"):
         for l_c in kernel_basis(_check_matrix(code, block)[0]):
             spec = DeformSpec(l_c, min(l_c.support()), block)
-            if not deform_pauli(code, p, spec).is_identity():
+            if not _deform_checked(code, p, spec).is_identity():
                 return spec
     raise TrivialOperator("no collapse codeword activates the operator")
 

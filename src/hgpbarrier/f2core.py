@@ -10,9 +10,9 @@ reshape. All values are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
 
 from .errors import DimensionMismatch, IndexOutOfRange
 
@@ -49,8 +49,42 @@ def _ones(bits: int) -> Iterator[int]:
         bits &= bits - 1
 
 
-@dataclass(frozen=True, repr=False)
-class BitVec:
+class _Record:
+    """A frozen value record. ``_fields`` names its fields, which the
+    subclass's ``__init__`` sets through ``object.__setattr__``; records of
+    one type compare and hash as their field tuples, and the repr shows the
+    fields in ``_shown`` (all of them unless a subclass says otherwise).
+    Instances keep a ``__dict__``, so ``cached_property`` works on them."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # equality and hash are closures over one C getter per class, not
+        # base methods that look it up: caches key on records
+        get = attrgetter(*cls._fields)
+        cls._shown = vars(cls).get("_shown", cls._fields)
+        cls.__eq__ = lambda self, other: (
+            get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+        )
+        if "__hash__" in vars(cls):
+            return
+        if len(cls._fields) > 1:
+            cls.__hash__ = lambda self: hash(get(self))
+        else:  # a getter of one name returns the bare value
+            cls.__hash__ = lambda self: hash((get(self),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class BitVec(_Record):
     """A GF(2) vector of length ``n`` packed into a single integer.
 
     Parameters
@@ -62,14 +96,15 @@ class BitVec:
         be zero.
     """
 
-    n: int
-    bits: int = 0
+    _fields = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, bits: int = 0):
+        if n < 0:
             raise DimensionMismatch("vector length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.n:
-            raise IndexOutOfRange(f"payload has bits beyond length {self.n}")
+        if bits < 0 or bits >> n:
+            raise IndexOutOfRange(f"payload has bits beyond length {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_ints(cls, entries: Iterable[int]) -> "BitVec":
@@ -133,24 +168,22 @@ class BitVec:
         return self.to01()
 
 
-@dataclass(frozen=True, repr=False)
-class BitMatrix:
+class BitMatrix(_Record):
     """A GF(2) matrix stored as one packed integer per row."""
 
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
+    _fields = ("rows", "cols", "row_bits")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
-        if len(self.row_bits) != self.rows:
-            raise DimensionMismatch(
-                f"{self.rows} rows declared but {len(self.row_bits)} provided"
-            )
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols:
-                raise IndexOutOfRange(f"row has bits beyond {self.cols} columns")
+        if len(row_bits) != rows:
+            raise DimensionMismatch(f"{rows} rows declared but {len(row_bits)} provided")
+        for r in row_bits:
+            if r < 0 or r >> cols:
+                raise IndexOutOfRange(f"row has bits beyond {cols} columns")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "row_bits", row_bits)
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> "BitMatrix":
@@ -218,13 +251,15 @@ class BitMatrix:
         return "\n".join(self.to01_rows())
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(_Record):
     """Reduced row-echelon form with its pivot columns."""
 
-    rref: BitMatrix
-    pivot_cols: tuple[int, ...]
-    rank: int
+    _fields = ("rref", "pivot_cols", "rank")
+
+    def __init__(self, rref: BitMatrix, pivot_cols: tuple[int, ...], rank: int):
+        object.__setattr__(self, "rref", rref)
+        object.__setattr__(self, "pivot_cols", pivot_cols)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def free_cols(self) -> tuple[int, ...]:
@@ -432,8 +467,7 @@ def kernel_basis(a: BitMatrix) -> tuple[BitVec, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(_Record):
     """F2^n modulo the row space of a matrix S, such as a stabilizer group.
 
     ``rows`` are the nonzero rows R_i of rref(S); the pivot p_i of R_i is its
@@ -448,8 +482,11 @@ class Quotient:
     ``dim`` can be checked against a cap before anything of size n is built.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def rank(self) -> int:

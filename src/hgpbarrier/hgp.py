@@ -12,12 +12,11 @@ the check-check block (coordinates (a, b) with a < r1, b < r2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
 from .errors import IndexOutOfRange, NoLogicals
-from .f2core import BitMatrix, hstack, kron, mat_mul
+from .f2core import BitMatrix, _Record, hstack, kron, mat_mul
 
 __all__ = [
     "HgpCode",
@@ -29,12 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HgpCode:
-    h1: ClassicalCode
-    h2: ClassicalCode
-    hx: BitMatrix
-    hz: BitMatrix
+class HgpCode(_Record):
+    _fields = ("h1", "h2", "hx", "hz")
+
+    def __init__(self, h1: ClassicalCode, h2: ClassicalCode, hx: BitMatrix, hz: BitMatrix):
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "hx", hx)
+        object.__setattr__(self, "hz", hz)
 
     # caches key on codes, and the fields' hash walks four matrices: take it once
     _hash = cached_property(lambda self: hash((self.h1, self.h2, self.hx, self.hz)))

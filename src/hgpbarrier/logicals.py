@@ -16,14 +16,14 @@ the H1 <-> H2^T symmetry of the construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import CapExceeded, DimensionMismatch, NoLogicals, NotElementary, ShapeMismatch
 from .f2core import (
     BitMatrix,
     BitVec,
+    _Record,
     combine,
     kernel_basis,
     mat_vec,
@@ -49,19 +49,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PauliVec:
+class PauliVec(_Record):
     """Binary symplectic representation: x and z flip patterns over N qubits."""
 
-    n: int
-    x: BitVec
-    z: BitVec
+    _fields = ("n", "x", "z")
 
-    def __post_init__(self):
-        if self.x.n != self.n or self.z.n != self.n:
-            raise DimensionMismatch(
-                f"parts of length {self.x.n}/{self.z.n} on {self.n} qubits"
-            )
+    def __init__(self, n: int, x: BitVec, z: BitVec):
+        if x.n != n or z.n != n:
+            raise DimensionMismatch(f"parts of length {x.n}/{z.n} on {n} qubits")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def identity(cls, n: int) -> "PauliVec":
@@ -111,16 +109,18 @@ class PauliClass(enum.Enum):
     NON_COMMUTING = "NonCommuting"
 
 
-@dataclass(frozen=True)
-class CanonicalOp:
+class CanonicalOp(_Record):
     """A canonical operator of ``kind`` "z" or "x": coefficients lam on the
     bit-bit block and kappa on the check-check block, and the Pauli they
     realize."""
 
-    kind: str
-    lam: BitMatrix
-    kappa: BitMatrix
-    realized: PauliVec
+    _fields = ("kind", "lam", "kappa", "realized")
+
+    def __init__(self, kind: str, lam: BitMatrix, kappa: BitMatrix, realized: PauliVec):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "realized", realized)
 
     def coefficient(self) -> tuple[str, int, int]:
         """(block, row, column) of the one nonzero coefficient, block "vv"

@@ -17,10 +17,10 @@ for an instance in O(1).
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import accumulate, product
 from operator import itemgetter
 
@@ -39,7 +39,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, combine, linear_table, mat_mul, unit_matrices
+from .f2core import BitMatrix, BitVec, _ones, _Record, combine, linear_table, mat_mul, unit_matrices
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -83,16 +83,34 @@ _CLAIMS = {
 CLAIMS = tuple(_CLAIMS)
 
 
-@dataclass
-class VerifyReport:
-    claim: str
-    instance: str
-    status: str
-    checked: int
-    details: dict
-    counterexample: dict | None = None
-    seed: int | None = None
-    elapsed: float = field(default=0.0, compare=False)
+class VerifyReport(_Record):
+    """One check's outcome. Unlike the other records it is mutable (the
+    runner sets ``elapsed``) and unhashable, and ``elapsed`` is shown but
+    takes no part in equality."""
+
+    _fields = ("claim", "instance", "status", "checked", "details", "counterexample", "seed")
+    _shown = (*_fields, "elapsed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self,
+        claim: str,
+        instance: str,
+        status: str,
+        checked: int,
+        details: dict,
+        counterexample: dict | None = None,
+        seed: int | None = None,
+        elapsed: float = 0.0,
+    ):
+        self.claim = claim
+        self.instance = instance
+        self.status = status
+        self.checked = checked
+        self.details = details
+        self.counterexample = counterexample
+        self.seed = seed
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:
@@ -101,8 +119,7 @@ class VerifyReport:
     def to_json_dict(self) -> dict:
         # elapsed is intentionally dropped: report streams must be identical
         # across repeated runs with the same seed
-        out = asdict(self)
-        del out["elapsed"]
+        out = copy.deepcopy({name: getattr(self, name) for name in self._fields})
         if self.seed is None:
             del out["seed"]
         return out
@@ -407,8 +424,10 @@ def _lemma4_tables(h1: ClassicalCode, h2: ClassicalCode, spans: dict) -> tuple[l
 def _lemma4_sides(h: int, r1: int, n2: int, words: list[BitVec], terms: list[int]):
     """Both sides of the collapse inequality for one packed H1 Z1 entry ``h``:
     (wt(h L) per codeword L, wt(h + t) per Z2 H2 term t). Row i of h L is the
-    parity of row i of h against L."""
-    lhs = [sum(((h >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
+    parity of row i of h against L; h is split into its rows once."""
+    mask = (1 << n2) - 1
+    rows = [(h >> s) & mask for s in range(0, r1 * n2, n2)]
+    lhs = [[(row & w.bits).bit_count() & 1 for row in rows].count(1) for w in words]
     return lhs, [(h ^ t).bit_count() for t in terms]
 
 

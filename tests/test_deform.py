@@ -379,12 +379,13 @@ def test_collapse_tries_each_basis_vector_once(monkeypatch):
     code = build_hgp(ring_repetition(3), h2)
     (op,) = [op for op in canonical_z_basis(code) if not any(op.lam.row_bits)]
     calls = []
+    deform_checked = deform._deform_checked
 
     def counted(*args):
         calls.append(args)
-        return deform_pauli(*args)
+        return deform_checked(*args)
 
-    monkeypatch.setattr(deform, "deform_pauli", counted)
+    monkeypatch.setattr(deform, "_deform_checked", counted)
     assert _collapse_codeword(code, op.realized).block == "cc"
     assert len(calls) == 14 + 1
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +43,20 @@ def test_package_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter imports the package and its CLI without dataclasses,
+    # which compiles every record's methods at import and brings inspect, or
+    # typing: both cost every process its start-up time
+    src = str(Path(hgpbarrier.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import hgpbarrier, hgpbarrier.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -258,7 +273,8 @@ def test_row_reduction_lives_in_f2core():
     # and the claim checkers read their stabilizer rows, ranks and cosets
     # from a quotient rather than row-reducing again. rref is left to
     # f2core, to codes (rank and kernel) and logicals (free columns), and
-    # the package re-exports it with rank
+    # the package re-exports it with rank; f2core reads rank only as
+    # RrefResult's field
     found = {
         name: sorted(
             path.name
@@ -269,7 +285,7 @@ def test_row_reduction_lives_in_f2core():
     }
     assert found == {
         "rref": ["__init__.py", "codes.py", "f2core.py", "logicals.py"],
-        "rank": ["__init__.py"],
+        "rank": ["__init__.py", "f2core.py"],
     }
 
 
@@ -289,10 +305,14 @@ def test_private_imports_between_modules_are_pinned():
         for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
     }
     assert {stem: names for stem, names in found.items() if names} == {
-        "barrier": ["f2core._ones", "logicals._is_z"],
-        "codes": ["f2core._ones"],
+        "barrier": ["f2core._Record", "f2core._ones", "logicals._is_z"],
+        "codes": ["f2core._Record", "f2core._ones"],
         "cli": ["verify._json_value"],
+        "deform": ["f2core._Record"],
+        "hgp": ["f2core._Record"],
+        "logicals": ["f2core._Record"],
         "verify": [
-            "barrier._pauli_inputs", "barrier._pauli_walk", "barrier._stabilizer_flips", "f2core._ones",
+            "barrier._pauli_inputs", "barrier._pauli_walk", "barrier._stabilizer_flips",
+            "f2core._Record", "f2core._ones",
         ],
     }

@@ -1,6 +1,5 @@
 """Checker behavior: honest passes, forced failures, determinism."""
 
-import dataclasses
 import json
 import random
 from itertools import product
@@ -14,7 +13,7 @@ from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
 from hgpbarrier.f2core import BitMatrix, BitVec, combine, span
-from hgpbarrier.hgp import build_hgp
+from hgpbarrier.hgp import HgpCode, build_hgp
 from hgpbarrier.logicals import PauliVec
 from hgpbarrier import barrier, logicals
 from hgpbarrier import verify as V
@@ -71,7 +70,8 @@ def _tampered(h1, h2):
     stores in the instance dict, so planted values simulate a wrong bound
     without touching the matrices. They go on a copy: build_hgp returns one
     shared code per parent pair, which the planted values must not reach."""
-    code = dataclasses.replace(build_hgp(h1, h2))
+    code = build_hgp(h1, h2)
+    code = HgpCode(code.h1, code.h2, code.hx, code.hz)
     object.__setattr__(code, "w_c", 0)
     object.__setattr__(code, "w_q", 0)
     return code
