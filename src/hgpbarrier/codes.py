@@ -62,15 +62,6 @@ class ClassicalCode(_Record):
             raise EmptyMatrix("parity-check matrix needs at least one row and one column")
         object.__setattr__(self, "h", h)
 
-    # caches key on codes: compare and hash inline, hashing the 1-tuple (h,)
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.h == other.h
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.h,))
-
     @property
     def n(self) -> int:
         return self.h.cols
