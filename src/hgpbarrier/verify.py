@@ -424,10 +424,8 @@ def _lemma4_tables(h1: ClassicalCode, h2: ClassicalCode, spans: dict) -> tuple[l
 def _lemma4_sides(h: int, r1: int, n2: int, words: list[BitVec], terms: list[int]):
     """Both sides of the collapse inequality for one packed H1 Z1 entry ``h``:
     (wt(h L) per codeword L, wt(h + t) per Z2 H2 term t). Row i of h L is the
-    parity of row i of h against L; h is split into its rows once."""
-    mask = (1 << n2) - 1
-    rows = [(h >> s) & mask for s in range(0, r1 * n2, n2)]
-    lhs = [[(row & w.bits).bit_count() & 1 for row in rows].count(1) for w in words]
+    parity of row i of h against L."""
+    lhs = [sum(((h >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
     return lhs, [(h ^ t).bit_count() for t in terms]
 
 
