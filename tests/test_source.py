@@ -258,13 +258,28 @@ def test_basis_reduction_runs_only_where_the_read_map_is_built():
 
 
 def _bare_names(tree) -> set[str]:
-    """Names a module imports by name or reads as bare names."""
+    """Names a module imports by name or reads as bare names. A function's
+    parameter shadows the module's name inside the function's body, so
+    reading it there does not count."""
     names = set()
-    for node in ast.walk(tree):
+
+    def visit(node, params):
         if isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in params:
             names.add(node.id)
+        body = ()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            own = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in body:
+                visit(child, params | own)
+        for child in ast.iter_child_nodes(node):
+            if child not in body:
+                visit(child, params)
+
+    visit(tree, frozenset())
     return names
 
 
@@ -273,8 +288,7 @@ def test_row_reduction_lives_in_f2core():
     # and the claim checkers read their stabilizer rows, ranks and cosets
     # from a quotient rather than row-reducing again. rref is left to
     # f2core, to codes (rank and kernel) and logicals (free columns), and
-    # the package re-exports it with rank; f2core reads rank only as
-    # RrefResult's field
+    # the package re-exports it with rank
     found = {
         name: sorted(
             path.name
@@ -285,7 +299,7 @@ def test_row_reduction_lives_in_f2core():
     }
     assert found == {
         "rref": ["__init__.py", "codes.py", "f2core.py", "logicals.py"],
-        "rank": ["__init__.py", "f2core.py"],
+        "rank": ["__init__.py"],
     }
 
 
