@@ -138,16 +138,13 @@ def _flip(prev, state) -> tuple[int, str]:
 
 
 class BarrierResult(_Record):
-    _fields = ("value", "witness", "target", "explored", "exact")
+    _fields = ("value", "witness", "target", "explored")
 
-    def __init__(
-        self, value: int, witness: PathRecord, target: object, explored: int, exact: bool = True
-    ):
+    def __init__(self, value: int, witness: PathRecord, target: object, explored: int):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "explored", explored)
-        object.__setattr__(self, "exact", exact)
 
 
 class SyndromeEnergy:
@@ -177,9 +174,7 @@ _energy = lru_cache(maxsize=256)(SyndromeEnergy)
 
 
 def energy_classical(c: ClassicalCode, x: BitVec) -> int:
-    if x.n != c.n:
-        raise DimensionMismatch(f"vector length {x.n} vs block length {c.n}")
-    return weight(mat_vec(c.h, x))
+    return weight(c.syndrome(x))
 
 
 def _check_pauli(p: PauliVec, n: int) -> None:

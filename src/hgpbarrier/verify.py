@@ -21,6 +21,7 @@ import copy
 import math
 import random
 import time
+from collections.abc import Iterator
 from itertools import accumulate, product
 from operator import itemgetter
 
@@ -39,7 +40,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, _Record, combine, linear_table, mat_mul, unit_matrices
+from .f2core import BitMatrix, BitVec, _ones, _Record, combine, flatten, mat_mul, quotient, span
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -237,16 +238,12 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
 
 def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
     """Random stabilizer (x bits, z bits): each row of HX, then of HZ, with
-    probability 1/2."""
-    x_bits = 0
-    for r in code.hx.row_bits:
+    probability 1/2, summed as x | z << n."""
+    n, bits = code.n_qubits, 0
+    for r in (*code.hx.row_bits, *(r << n for r in code.hz.row_bits)):
         if rng.random() < 0.5:
-            x_bits ^= r
-    z_bits = 0
-    for r in code.hz.row_bits:
-        if rng.random() < 0.5:
-            z_bits ^= r
-    return x_bits, z_bits
+            bits ^= r
+    return bits & ((1 << n) - 1), bits >> n
 
 
 def _random_logical(
@@ -395,38 +392,30 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     return _report("lemma3", instance, len(values), details, counter)
 
 
-def _pack(rows, cols: int) -> int:
-    """Matrix rows packed row-major into one integer: row a at bits a * cols."""
-    return sum(r << (a * cols) for a, r in enumerate(rows))
+def _lemma4_entries(h1: ClassicalCode, n2: int) -> Iterator[int]:
+    """Each matrix H1 Z1, over the n1 x n2 matrices Z1, once, packed row-major
+    (row a at bits a * n2): these are the r1 x n2 matrices whose columns lie
+    in H1's column space, the span of each basis column in each column place."""
+    cols = quotient(h1.h.transpose().row_bits, h1.r).rows
+    return span([sum(1 << (a * n2 + j) for a in _ones(c)) for c in cols for j in range(n2)])
 
 
-def _packed_span(rows: int, cols: int, image) -> list[int]:
-    """Entry _pack(M) is _pack(image(M)) for every rows x cols matrix M. image
-    is linear, so the table is the XOR span of the images of the unit matrices."""
-    return linear_table([_pack(m.row_bits, m.cols) for m in map(image, unit_matrices(rows, cols))])
+def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], list[int], dict]:
+    """What the entries' sides read for H2, with room for their verdicts: (its
+    nonzero codewords, each n2-bit row's distance to its row space, {})."""
+    rowspace = list(span(quotient(h2.h.row_bits, h2.n).rows))
+    dist = [min((v ^ s).bit_count() for s in rowspace) for v in range(1 << h2.n)]
+    return [w.bits for w in h2.iter_codewords() if w.bits], dist, {}
 
 
-def _lemma4_tables(h1: ClassicalCode, h2: ClassicalCode, spans: dict) -> tuple[list[int], list[int]]:
-    """(H1 Z1 per Z1, Z2 H2 per Z2) for one pair, packed row-major: the first
-    list is indexed by _pack(Z1), the second is in ``product`` order over the
-    rows of Z2. ``spans`` keeps each list by its linear map, so pairs that
-    share a matrix build its table once."""
-    r1, r2 = h1.r, h2.r
-    left, right = (h1.h, h2.n), (r1, h2.h)
-    if left not in spans:
-        spans[left] = _packed_span(h1.n, h2.n, lambda z1: mat_mul(h1.h, z1))
-    if right not in spans:
-        b = _packed_span(r1, r2, lambda z2: mat_mul(z2, h2.h))
-        spans[right] = [b[_pack(z2, r2)] for z2 in product(range(1 << r2), repeat=r1)]
-    return spans[left], spans[right]
-
-
-def _lemma4_sides(h: int, r1: int, n2: int, words: list[BitVec], terms: list[int]):
-    """Both sides of the collapse inequality for one packed H1 Z1 entry ``h``:
-    (wt(h L) per codeword L, wt(h + t) per Z2 H2 term t). Row i of h L is the
-    parity of row i of h against L."""
-    lhs = [sum(((h >> (i * n2)) & w.bits).bit_count() & 1 for i in range(r1)) for w in words]
-    return lhs, [(h ^ t).bit_count() for t in terms]
+def _lemma4_sides(h: int, n2: int, words: list[int], dist: list[int]) -> tuple[list[int], int]:
+    """Both sides of the collapse inequality for one packed entry h = H1 Z1:
+    (wt(h L) per codeword L, the least wt(h + Z2 H2) over Z2). Row i of h L is
+    the parity of row i of h against L; row i of Z2 H2 ranges over H2's row
+    space whatever the other rows are, so the least right side is the sum of
+    each row's distance to that row space."""
+    rows = [(h >> s) & ((1 << n2) - 1) for s in range(0, h.bit_length(), n2)]
+    return [sum((row & w).bit_count() & 1 for row in rows) for w in words], sum(dist[row] for row in rows)
 
 
 def check_lemma4(
@@ -437,24 +426,20 @@ def check_lemma4(
     """Column collapse never gains weight: wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2),
     exhaustively over all Z1, Z2 and nonzero codewords of H2.
 
-    Both sides depend on Z1 only through the span-table entry H1 Z1, and the
-    inequality holds on every triple of an entry exactly when its largest
-    left side is at most its smallest right side, which given the entry
-    depends only on the map Z2 -> Z2 H2. So each distinct entry is evaluated
-    once per such map, shared by the pairs that have it; only if one fails
-    are the Z1 scanned in ``product`` order to the first whose entry fails,
-    and its (Z2, L) rescanned, for the first counterexample of the plain
-    (Z1, Z2, L) scan. ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) span-table
-    entries of each pair.
+    Both sides depend on Z1 only through the entry H1 Z1, and the inequality
+    holds on every triple of an entry exactly when its largest left side is
+    at most its least right side, which given the entry depends only on H2.
+    So each distinct entry is evaluated once per H2, shared by the pairs that
+    have it; only if one fails are the Z1 scanned in ``product`` order to the
+    first whose entry fails, and its (Z2, L) rescanned, for the first
+    counterexample of the plain (Z1, Z2, L) scan. ``cap`` bounds the
+    2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
     """
     if family is None:
         family = lemma4_default_family()
     checked = 0
     counter = None
-    spans: dict = {}
-    entries: dict = {}  # (H1, n2) -> the distinct entries H1 Z1
-    verdicts: dict = {}  # (r1, H2) -> whether each entry evaluated so far passes
-    codewords: dict = {}  # H2 -> its nonzero codewords, once a verdict needs them
+    memos: dict = {}  # H2 -> _lemma4_memo(H2), once a pair with that H2 needs it
     for h1, h2 in family:
         n_words = (1 << h2.k) - 1
         if not n_words:
@@ -465,31 +450,27 @@ def check_lemma4(
         checked += (1 << (n1 * n2 + r1 * r2)) * n_words
         if counter is not None:
             continue
-        a, terms = _lemma4_tables(h1, h2, spans)
-        if (h1.h, n2) not in entries:
-            entries[h1.h, n2] = frozenset(a)
-        passes = verdicts.setdefault((r1, h2.h), {})
-        new = entries[h1.h, n2] - passes.keys()
-        if new and h2.h not in codewords:
-            codewords[h2.h] = [w for w in h2.iter_codewords() if w.bits]
-        # every entry with a verdict was evaluated over H2's words
-        words, distinct = codewords[h2.h], set(terms)
-        for h in new:
-            lhs, rhs = _lemma4_sides(h, r1, n2, words, distinct)
-            passes[h] = max(lhs) <= min(rhs)
-        if all(passes[h] for h in entries[h1.h, n2]):
+        if h2.h not in memos:
+            memos[h2.h] = _lemma4_memo(h2)
+        words, dist, passes = memos[h2.h]
+        for h in _lemma4_entries(h1, n2):
+            if h not in passes:
+                lhs, rhs = _lemma4_sides(h, n2, words, dist)
+                passes[h] = max(lhs) <= rhs
+        if all(passes.values()):  # every earlier pair passed, so a failing entry is this pair's
             continue
-        z1 = next(z1 for z1 in product(range(1 << n2), repeat=n1) if not passes[a[_pack(z1, n2)]])
-        lhs, rhs = _lemma4_sides(a[_pack(z1, n2)], r1, n2, words, terms)
-        z2_all = product(range(1 << r2), repeat=r1)
-        z2, r = next((z2, r) for z2, r in zip(z2_all, rhs) if r < max(lhs))
+        z1s = (BitMatrix(n1, n2, z1) for z1 in product(range(1 << n2), repeat=n1))
+        z1 = next(z1 for z1 in z1s if not passes[h := flatten(mat_mul(h1.h, z1)).bits])
+        lhs = _lemma4_sides(h, n2, words, dist)[0]
+        z2s = (BitMatrix(r1, r2, z2) for z2 in product(range(1 << r2), repeat=r1))
+        z2 = next(z2 for z2 in z2s if (r := (h ^ flatten(mat_mul(z2, h2.h)).bits).bit_count()) < max(lhs))
         j = next(j for j, l in enumerate(lhs) if l > r)
         counter = {
             "h1": h1.h.to01_rows(),
             "h2": h2.h.to01_rows(),
-            "z1": BitMatrix(n1, n2, z1).to01_rows(),
-            "z2": BitMatrix(r1, r2, z2).to01_rows(),
-            "codeword": words[j].to01(),
+            "z1": z1.to01_rows(),
+            "z2": z2.to01_rows(),
+            "codeword": BitVec(n2, words[j]).to01(),
             "lhs": lhs[j],
             "rhs": r,
         }

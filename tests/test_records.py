@@ -44,10 +44,10 @@ RECORDS = [
     (PathRecord, ("states", "energies", "max_energy"), ((BitVec(2, 0), BitVec(2, 1)), (0, 1), 1),
      ((BitVec(2, 0), BitVec(2, 2)), (0, 1), 1),
      "PathRecord(states=(BitVec('00'), BitVec('10')), energies=(0, 1), max_energy=1)"),
-    (BarrierResult, ("value", "witness", "target", "explored", "exact"),
-     (1, _WALK, BitVec(2, 1), 4, True), (1, _WALK, BitVec(2, 1), 4, False),
+    (BarrierResult, ("value", "witness", "target", "explored"),
+     (1, _WALK, BitVec(2, 1), 4), (1, _WALK, BitVec(2, 1), 5),
      "BarrierResult(value=1, witness=PathRecord(states=(BitVec('00'), BitVec('10')), "
-     "energies=(0, 1), max_energy=1), target=BitVec('10'), explored=4, exact=True)"),
+     "energies=(0, 1), max_energy=1), target=BitVec('10'), explored=4)"),
     # hashable stand-ins: a real table's best and tree are buffers and dicts
     (MinimaxTable, ("energy", "quotient", "best", "tree", "basis", "edges"),
      ("energy", Quotient(2, ()), (0, 1, 1, 2), (), (), ()),
@@ -98,7 +98,6 @@ def test_fields_cannot_be_set_or_deleted(cls, names, values, other, text):
 def test_defaults():
     assert BitVec(3) == BitVec(3, 0)
     assert DeformSpec(BitVec(3, 0b011), 0) == DeformSpec(BitVec(3, 0b011), 0, "vv")
-    assert BarrierResult(1, _WALK, 1, 4).exact is True
 
 
 def test_hgp_code_hash_is_cached_per_instance():

@@ -12,7 +12,7 @@ import oracles
 from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
-from hgpbarrier.f2core import BitMatrix, BitVec, combine, span
+from hgpbarrier.f2core import BitMatrix, BitVec, combine, flatten, mat_mul, span
 from hgpbarrier.hgp import HgpCode, build_hgp
 from hgpbarrier.logicals import PauliVec
 from hgpbarrier import barrier, logicals
@@ -385,18 +385,62 @@ def test_lemma4_default_family_shape():
 
 
 def test_lemma4_counterexample_fields(monkeypatch):
-    # force the per-entry kernel to trip so the counterexample payload is exercised
-    def rigged(h, r1, n2, words, terms):
-        return [5] * len(words), [1] * len(terms)
+    # force the per-entry kernel to trip so the counterexample payload is
+    # exercised; the right side is rescanned over Z2, where the all-zero Z1
+    # and Z2 give 0
+    def rigged(h, n2, words, dist):
+        return [5] * len(words), 1
 
     monkeypatch.setattr(V, "_lemma4_sides", rigged)
     h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
     r = V.check_lemma4(family=[(h, h)])
     assert not r.passed
     ce = r.counterexample
-    assert ce["lhs"] == 5 and ce["rhs"] == 1
+    assert ce["lhs"] == 5 and ce["rhs"] == 0
     assert ce["h1"] == ["110", "011"]
     assert len(ce["z1"]) == 3 and len(ce["z2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "planted, z1, z2, lhs, rhs",
+    [
+        ({9}, ["000", "100", "000"], ["00", "00"], 4, 2),
+        ({27, 3}, ["000", "110", "000"], ["10", "10"], 2, 0),
+    ],
+)
+def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, z1, z2, lhs, rhs):
+    # 2 added to the left side of the planted packed entries H1 Z1 of the
+    # default family's first pair; the pins were recorded from the
+    # span-table checker, so a rewrite must find the same counterexamples
+    real = V._lemma4_sides
+
+    def sides(h, *args):
+        left, right = real(h, *args)
+        return [l + 2 for l in left] if h in planted else left, right
+
+    monkeypatch.setattr(V, "_lemma4_sides", sides)
+    r = V.check_lemma4()
+    assert r.checked == 368_640
+    assert r.counterexample == {
+        "h1": ["110", "011"],
+        "h2": ["110", "011"],
+        "z1": z1,
+        "z2": z2,
+        "codeword": "111",
+        "lhs": lhs,
+        "rhs": rhs,
+    }
+
+
+def test_lemma4_passing_check_multiplies_no_matrices(monkeypatch):
+    # entries come from H1's column space and right sides from H2's row
+    # distances; only a failing entry's rescan multiplies matrices
+    def refuse(*args):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr(V, "mat_mul", refuse)
+    r = V.check_lemma4()
+    assert r.passed and r.checked == 368_640
 
 
 def test_lemma4_lists_each_h2_maps_codewords_once(monkeypatch):
@@ -411,64 +455,61 @@ def test_lemma4_lists_each_h2_maps_codewords_once(monkeypatch):
 
 
 def test_lemma4_kernel_matches_weight_reduction_gap():
-    # every triple of a two-pair family against the per-triple public API
+    # every triple of a two-pair family against the per-triple public API:
+    # an entry's sides are the largest left side over L and the least right
+    # side over Z2
     from hgpbarrier.deform import weight_reduction_gap
 
     fam = V.lemma4_default_family()
     checked = 0
     for h1, h2 in (fam[1], fam[13]):
         code = build_hgp(h1, h2)
-        words = [w for w in h2.iter_codewords() if w.bits]
-        z2_all = list(product(range(1 << h2.r), repeat=h1.r))
-        a, terms = V._lemma4_tables(h1, h2, {})
+        words, dist, _ = V._lemma4_memo(h2)
+        z2_all = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
         for z1 in product(range(1 << h2.n), repeat=h1.n):
-            lhs, rhs = V._lemma4_sides(a[V._pack(z1, h2.n)], h1.r, h2.n, words, terms)
-            assert len(rhs) == len(z2_all)
-            for z2, r in zip(z2_all, rhs):
-                for w, l in zip(words, lhs):
-                    m1, m2 = BitMatrix(h1.n, h2.n, z1), BitMatrix(h1.r, h2.r, z2)
-                    assert weight_reduction_gap(code, m1, m2, w) == (l, r)
-                    checked += 1
+            m1 = BitMatrix(h1.n, h2.n, z1)
+            lhs, rhs = V._lemma4_sides(flatten(mat_mul(h1.h, m1)).bits, h2.n, words, dist)
+            gaps = [weight_reduction_gap(code, m1, m2, BitVec(h2.n, w)) for m2 in z2_all for w in words]
+            assert (max(lhs), rhs) == (max(l for l, _ in gaps), min(r for _, r in gaps))
+            checked += len(gaps)
     assert checked == 512 * 16 * (1 + 3)  # 2^9 Z1, 2^4 Z2, one and three codewords
 
 
 def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
-    # planted sides where Z1 number 100 fails first at Z2 number 2 with the
-    # second codeword, while a codeword-first scan would stop at Z2 number 3
-    # with the first; the span-table scan must pick the (Z1, Z2, L) loop's triple.
-    # Each Z1 gets its own entry, its number in product order, which differs
-    # from its index in the span table
-    import random
+    # H1 = H2 = [111; 111]: each entry H1 Z1 is (v, v) for v the XOR of Z1's
+    # rows. Left sides are planted on v = 5 and v = 6; column-space order
+    # meets 6 first, while the first failing Z1 in product order, (0, 0, 5),
+    # has v = 5. Its planted sides fail first at Z2 number 1 with the second
+    # codeword, while a codeword-first scan would stop at Z2 number 5 with
+    # the first; the checker must pick the (Z1, Z2, L) loop's triple
+    from hgpbarrier.deform import weight_reduction_gap
 
-    rng = random.Random(4)
-    sides = [
-        (z1, [rng.randrange(3) for _ in range(3)], [rng.randrange(3, 6) for _ in range(16)])
-        for z1 in product(range(8), repeat=3)
-    ]
-    sides[100] = (sides[100][0], [2, 4, 3], [5, 5, 3, 1] + [0] * 12)
-    sides[200] = (sides[200][0], [5, 5, 5], [0] * 16)
-    entries = [0] * 512
-    for i, (z1, _, _) in enumerate(sides):
-        entries[V._pack(z1, 3)] = i
-    monkeypatch.setattr(V, "_lemma4_tables", lambda h1, h2, spans: (entries, [0] * 16))
-    monkeypatch.setattr(V, "_lemma4_sides", lambda h, r1, n2, words, terms: sides[h][1:])
-    h = ClassicalCode(BitMatrix.from_rows(["111", "111"]))  # three nonzero codewords
+    h = _code("111", "111")
+    planted = {5 | 5 << 3: [3, 4, 1], 6 | 6 << 3: [5, 5, 5]}
+    real = V._lemma4_sides
+    monkeypatch.setattr(V, "_lemma4_sides", lambda e, *a: (planted.get(e, real(e, *a)[0]), real(e, *a)[1]))
+    assert [e for e in V._lemma4_entries(h, 3) if e in planted] == [6 | 6 << 3, 5 | 5 << 3]
     r = V.check_lemma4(family=[(h, h)])
-    words = [w for w in h.iter_codewords() if w.bits]
-    z1, z2, w, l, rr = next(
-        (z1, z2, w, l, rr)
-        for z1, lhs, rhs in sides
-        for z2, rr in zip(product(range(4), repeat=2), rhs)
-        for w, l in zip(words, lhs)
-        if l > rr
-    )
-    assert (z1, z2, w, l, rr) == (sides[100][0], (0, 2), words[1], 4, 3)
+    code, words = build_hgp(h, h), V._lemma4_memo(h)[0]
+
+    def scan():
+        for z1 in product(range(8), repeat=3):
+            m1 = BitMatrix(3, 3, z1)
+            left = planted.get(flatten(mat_mul(h.h, m1)).bits)
+            for z2 in product(range(4), repeat=2):
+                for k, w in enumerate(words):
+                    l, rr = weight_reduction_gap(code, m1, BitMatrix(2, 2, z2), BitVec(3, w))
+                    if (left[k] if left else l) > rr:
+                        return z1, z2, k, left[k] if left else l, rr
+
+    z1, z2, k, l, rr = scan()
+    assert (z1, z2, k, l, rr) == ((0, 0, 5), (0, 1), 1, 4, 3)
     assert r.counterexample == {
         "h1": ["111", "111"],
         "h2": ["111", "111"],
         "z1": BitMatrix(3, 3, z1).to01_rows(),
         "z2": BitMatrix(2, 2, z2).to01_rows(),
-        "codeword": w.to01(),
+        "codeword": BitVec(3, words[k]).to01(),
         "lhs": l,
         "rhs": rr,
     }
@@ -477,28 +518,27 @@ def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
 
 def test_lemma4_evaluates_each_distinct_entry_once(monkeypatch):
     # the sides of a pair depend on Z1 only through its entry H1 Z1: at most
-    # 2^6 distinct entries per 2x3 pair, against 2^9 matrices Z1
+    # 2^6 distinct entries per 2x3 H1, against 2^9 matrices Z1
     entries, evaluated = [], []
-    real_tables, real_sides = V._lemma4_tables, V._lemma4_sides
+    real_entries, real_sides = V._lemma4_entries, V._lemma4_sides
 
-    def tables(h1, h2, spans):
-        a, terms = real_tables(h1, h2, spans)
-        entries.append(set(a))
+    def listed(h1, n2):
+        entries.append(list(real_entries(h1, n2)))
         evaluated.append([])
-        return a, terms
+        return entries[-1]
 
     def sides(h, *args):
         evaluated[-1].append(h)
         return real_sides(h, *args)
 
-    monkeypatch.setattr(V, "_lemma4_tables", tables)
+    monkeypatch.setattr(V, "_lemma4_entries", listed)
     monkeypatch.setattr(V, "_lemma4_sides", sides)
     r = V.check_lemma4()
     assert r.passed and r.checked == 368640
     assert len(entries) == 25
-    for distinct, hs in zip(entries, evaluated):
-        assert len(hs) == len(set(hs)) and set(hs) <= distinct
-        assert len(distinct) <= 64
+    for hs, ev in zip(entries, evaluated):
+        assert len(ev) == len(set(ev)) and set(ev) <= set(hs)
+        assert len(hs) <= 64
 
 
 def test_lemma4_shares_entry_verdicts_across_pairs_with_one_h2_map(monkeypatch):
@@ -514,29 +554,34 @@ def test_lemma4_shares_entry_verdicts_across_pairs_with_one_h2_map(monkeypatch):
 
 
 def test_lemma4_verdicts_are_kept_per_h2_map_over_every_term(monkeypatch):
-    # two pairs share their H1 map but not their H2 map; planted sides fail
-    # only on the second map's largest Z2 H2 term, so a verdict shared across
-    # H2 maps, or taken over fewer than all distinct terms, misses it
+    # two pairs share their H1 but not their H2; planted left sides fail
+    # only against the second H2, so a verdict shared across H2 maps misses
+    # it. On the default family each H2 evaluates at most its 64 entries
     h, g = _code("110", "011"), _code("111", "111")
-    _, terms = V._lemma4_tables(h, g, {})
-    bad = max(terms)
-    words = [w for w in g.iter_codewords() if w.bits]
+    real = V._lemma4_sides
+    calls = []
 
-    def planted(e, r1, n2, ws, ts):
-        return [1] * len(ws), [0 if len(ws) == len(words) and t == bad else 5 for t in ts]
+    def planted(e, n2, ws, dist):
+        calls.append(id(dist))
+        lhs, rhs = real(e, n2, ws, dist)
+        return ([l + 2 for l in lhs] if len(ws) == 3 else lhs), rhs
 
     monkeypatch.setattr(V, "_lemma4_sides", planted)
     r = V.check_lemma4(family=[(h, h), (h, g)])
-    z2 = next(z2 for z2, t in zip(product(range(4), repeat=2), terms) if t == bad)
     assert r.counterexample == {
         "h1": ["110", "011"],
         "h2": ["111", "111"],
         "z1": BitMatrix(3, 3, (0, 0, 0)).to01_rows(),
-        "z2": BitMatrix(2, 2, z2).to01_rows(),
-        "codeword": words[0].to01(),
-        "lhs": 1,
+        "z2": BitMatrix(2, 2, (0, 0)).to01_rows(),
+        "codeword": BitVec(3, V._lemma4_memo(g)[0][0]).to01(),
+        "lhs": 2,
         "rhs": 0,
     }
+    monkeypatch.setattr(V, "_lemma4_sides", lambda *a: calls.append(id(a[3])) or real(*a))
+    calls.clear()
+    assert V.check_lemma4().passed
+    per_h2 = [calls.count(d) for d in set(calls)]
+    assert len(per_h2) == 5 and max(per_h2) <= 64 and sum(per_h2) <= 320
 
 
 @st.composite
@@ -560,13 +605,27 @@ def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2):
     status, checked = oracles.collapse_scan(m1, m2)
     r = V.check_lemma4(family=[(h1, h2)])
     assert (r.status, r.checked) == (status, checked)
-    # every Z1's sides are the sides of its span-table entry
+    # every Z1's sides are the sides of its entry: the left side per
+    # codeword, the right side the least over Z2
     lhs, rhs = oracles.collapse_sides(m1, m2)
-    words = sorted((w for w in h2.iter_codewords() if w.bits), key=lambda w: w.bits)
-    a, terms = V._lemma4_tables(h1, h2, {})
+    words, dist, _ = V._lemma4_memo(h2)
     for i, z1 in enumerate(product(range(1 << h2.n), repeat=h1.n)):
-        got = V._lemma4_sides(a[V._pack(z1, h2.n)], h1.r, h2.n, words, terms)
-        assert got == (lhs[i].tolist(), rhs[i].tolist())
+        entry = flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
+        got = V._lemma4_sides(entry, h2.n, sorted(words), dist)
+        assert got == (lhs[i].tolist(), rhs[i].min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_check_matrix(), _check_matrix())
+@example(_code("110", "000"), _code("011", "000"))  # zero rows
+@example(_code("101", "101"), _code("110", "110"))  # duplicate rows
+def test_lemma4_entries_are_each_product_h1_z1_once(h1, h2):
+    entries = list(V._lemma4_entries(h1, h2.n))
+    products = {
+        flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
+        for z1 in product(range(1 << h2.n), repeat=h1.n)
+    }
+    assert len(entries) == len(set(entries)) and set(entries) == products
 
 
 def test_lemma4_cap_bounds_span_tables():
