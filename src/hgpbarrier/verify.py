@@ -21,7 +21,6 @@ import copy
 import math
 import random
 import time
-from collections.abc import Iterator
 from itertools import accumulate, product
 from operator import itemgetter
 
@@ -392,30 +391,23 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     return _report("lemma3", instance, len(values), details, counter)
 
 
-def _lemma4_entries(h1: ClassicalCode, n2: int) -> Iterator[int]:
-    """Each matrix H1 Z1, over the n1 x n2 matrices Z1, once, packed row-major
-    (row a at bits a * n2): these are the r1 x n2 matrices whose columns lie
-    in H1's column space, the span of each basis column in each column place."""
-    cols = quotient(h1.h.transpose().row_bits, h1.r).rows
-    return span([sum(1 << (a * n2 + j) for a in _ones(c)) for c in cols for j in range(n2)])
-
-
-def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], list[int], dict]:
-    """What the entries' sides read for H2, with room for their verdicts: (its
-    nonzero codewords, each n2-bit row's distance to its row space, {})."""
+def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], list[int], bool]:
+    """What lemma4 reads of H2: (its nonzero codewords, its row space, whether
+    every row-space vector is even against every one of those codewords)."""
     rowspace = list(span(quotient(h2.h.row_bits, h2.n).rows))
-    dist = [min((v ^ s).bit_count() for s in rowspace) for v in range(1 << h2.n)]
-    return [w.bits for w in h2.iter_codewords() if w.bits], dist, {}
+    words = [w.bits for w in h2.iter_codewords() if w.bits]
+    return words, rowspace, not any((s & w).bit_count() & 1 for s in rowspace for w in words)
 
 
-def _lemma4_sides(h: int, n2: int, words: list[int], dist: list[int]) -> tuple[list[int], int]:
+def _lemma4_sides(h: int, n2: int, words: list[int], rowspace: list[int]) -> tuple[list[int], int]:
     """Both sides of the collapse inequality for one packed entry h = H1 Z1:
     (wt(h L) per codeword L, the least wt(h + Z2 H2) over Z2). Row i of h L is
     the parity of row i of h against L; row i of Z2 H2 ranges over H2's row
     space whatever the other rows are, so the least right side is the sum of
     each row's distance to that row space."""
     rows = [(h >> s) & ((1 << n2) - 1) for s in range(0, h.bit_length(), n2)]
-    return [sum((row & w).bit_count() & 1 for row in rows) for w in words], sum(dist[row] for row in rows)
+    lhs = [sum((row & w).bit_count() & 1 for row in rows) for w in words]
+    return lhs, sum(min((row ^ s).bit_count() for s in rowspace) for row in rows)
 
 
 def check_lemma4(
@@ -424,16 +416,18 @@ def check_lemma4(
     instance: str = "2x3 family",
 ) -> VerifyReport:
     """Column collapse never gains weight: wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2),
-    exhaustively over all Z1, Z2 and nonzero codewords of H2.
+    exhaustively over all Z1, Z2 and nonzero codewords L of H2.
 
-    Both sides depend on Z1 only through the entry H1 Z1, and the inequality
-    holds on every triple of an entry exactly when its largest left side is
-    at most its least right side, which given the entry depends only on H2.
-    So each distinct entry is evaluated once per H2, shared by the pairs that
-    have it; only if one fails are the Z1 scanned in ``product`` order to the
-    first whose entry fails, and its (Z2, L) rescanned, for the first
-    counterexample of the plain (Z1, Z2, L) scan. ``cap`` bounds the
-    2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
+    Over the rows h_i of H1 Z1, the left side sums the parities h_i . L, each
+    at most 1, and the least right side over Z2 sums the rows' distances to
+    H2's row space, each at least 1 off it. So a triple fails only through a
+    row s in the row space that is odd against some L, and any such s fails
+    some entry if H1 is nonzero: Z1 = s in row j, where H1 has a 1 in column
+    j, gives rows s or 0. One verdict per H2 thus decides a pair with a
+    nonzero H1: whether H2's row space is even against its codewords. Only a
+    failing pair scans Z1 in ``product`` order, then the first failing Z1's
+    (Z2, L), for the first counterexample of the plain (Z1, Z2, L) scan.
+    ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
     """
     if family is None:
         family = lemma4_default_family()
@@ -446,22 +440,20 @@ def check_lemma4(
             continue
         n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
         if (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
-            raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 table entries exceed cap {cap}")
+            raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 matrices Z1 and Z2 exceed cap {cap}")
         checked += (1 << (n1 * n2 + r1 * r2)) * n_words
         if counter is not None:
             continue
         if h2.h not in memos:
             memos[h2.h] = _lemma4_memo(h2)
-        words, dist, passes = memos[h2.h]
-        for h in _lemma4_entries(h1, n2):
-            if h not in passes:
-                lhs, rhs = _lemma4_sides(h, n2, words, dist)
-                passes[h] = max(lhs) <= rhs
-        if all(passes.values()):  # every earlier pair passed, so a failing entry is this pair's
+        words, rowspace, passes = memos[h2.h]
+        if passes or not any(h1.h.row_bits):
             continue
         z1s = (BitMatrix(n1, n2, z1) for z1 in product(range(1 << n2), repeat=n1))
-        z1 = next(z1 for z1 in z1s if not passes[h := flatten(mat_mul(h1.h, z1)).bits])
-        lhs = _lemma4_sides(h, n2, words, dist)[0]
+        for z1 in z1s:
+            lhs, rhs = _lemma4_sides(h := flatten(mat_mul(h1.h, z1)).bits, n2, words, rowspace)
+            if max(lhs) > rhs:
+                break
         z2s = (BitMatrix(r1, r2, z2) for z2 in product(range(1 << r2), repeat=r1))
         z2 = next(z2 for z2 in z2s if (r := (h ^ flatten(mat_mul(z2, h2.h)).bits).bit_count()) < max(lhs))
         j = next(j for j, l in enumerate(lhs) if l > r)
@@ -484,13 +476,22 @@ def _parent_barrier(c: ClassicalCode, cap: int) -> int | float:
         return math.inf
 
 
+def _typed_floor(ops, vv: int | float, cc: int | float) -> int | float:
+    """The least parent barrier over the types of the canonical operators
+    ``ops``: ``vv`` if one has a nonzero lambda, ``cc`` if one a nonzero kappa."""
+    return min(
+        vv if any(any(op.lam.row_bits) for op in ops) else math.inf,
+        cc if any(any(op.kappa.row_bits) for op in ops) else math.inf,
+    )
+
+
 def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every nontrivial canonical Z operator costs at least
-    min(Delta(H1), Delta(H2^T))."""
+    min(Delta(H1), Delta(H2^T)) over the operator types the code has."""
     _require_logicals(code)
     d1 = _parent_barrier(code.h1, cap)
     d2t = _parent_barrier(code.h2.transpose(), cap)
-    floor = min(d1, d2t)
+    floor = _typed_floor(canonical_z_basis(code), d1, d2t)
     values = _canonical_z_values(code, cap)
     counter = _first_below(values, floor, "floor")
     details = {
@@ -545,10 +546,7 @@ def check_main_equality(
         ops = basis(code)
         checked += len(ops)
         canonical[kind] = min(table.value(op.realized.part(kind).bits) for op in ops)
-        expect = min(
-            parents[vv_parent] if any(any(op.lam.row_bits) for op in ops) else math.inf,
-            parents[cc_parent] if any(any(op.kappa.row_bits) for op in ops) else math.inf,
-        )
+        expect = _typed_floor(ops, parents[vv_parent], parents[cc_parent])
         if canonical[kind] != expect and counter is None:
             expected = _json_value(expect)
             counter = {"side": kind.upper(), "canonical": canonical[kind], "expected": expected}

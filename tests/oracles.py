@@ -280,16 +280,19 @@ def _all_matrices(rows: int, cols: int) -> np.ndarray:
     return ((index >> shift) & 1).astype(np.int64)
 
 
-def collapse_sides(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def collapse_sides(
+    h1: np.ndarray, h2: np.ndarray, words: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of wt(H1 Z1 L) <= wt(H1 Z1 + Z2 H2) for every triple.
 
     Returns (lhs, rhs) with lhs[i, k] = wt(H1 Z1_i L_k) and
     rhs[i, j] = wt(H1 Z1_i + Z2_j H2), where Z1_i and Z2_j run over every
-    matrix in ``_all_matrices`` order and L_k over the nonzero codewords of H2
-    in ascending integer order (bit c is entry c).
+    matrix in ``_all_matrices`` order and L_k over ``words`` (bit c is entry
+    c), by default the nonzero codewords of H2 in ascending integer order.
     """
     (r1, n1), (r2, n2) = h1.shape, h2.shape
-    words = [v for v in range(1, 1 << n2) if not (h2 @ [(v >> c) & 1 for c in range(n2)] % 2).any()]
+    if words is None:
+        words = [v for v in range(1, 1 << n2) if not (h2 @ [(v >> c) & 1 for c in range(n2)] % 2).any()]
     ell = np.array([[(v >> c) & 1 for c in range(n2)] for v in words], dtype=np.int64).reshape(-1, n2)
     h1z1 = np.einsum("ab,ibc->iac", h1, _all_matrices(n1, n2)) % 2
     z2h2 = np.einsum("jab,bc->jac", _all_matrices(r1, r2), h2) % 2
@@ -298,9 +301,10 @@ def collapse_sides(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lhs, rhs
 
 
-def collapse_scan(h1: np.ndarray, h2: np.ndarray) -> tuple[str, int]:
-    """(status, triples checked) of the plain (Z1, Z2, L) scan of one pair."""
-    lhs, rhs = collapse_sides(h1, h2)
+def collapse_scan(h1: np.ndarray, h2: np.ndarray, words: list[int] | None = None) -> tuple[str, int]:
+    """(status, triples checked) of the plain (Z1, Z2, L) scan of one pair,
+    over ``words`` as in ``collapse_sides``."""
+    lhs, rhs = collapse_sides(h1, h2, words)
     fails = lhs[:, None, :] > rhs[:, :, None]
     return ("fail" if fails.any() else "pass"), fails.size
 

@@ -12,7 +12,7 @@ import oracles
 from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
-from hgpbarrier.f2core import BitMatrix, BitVec, combine, flatten, mat_mul, span
+from hgpbarrier.f2core import BitMatrix, BitVec, combine, flatten, mat_mul, mat_vec, span, weight
 from hgpbarrier.hgp import HgpCode, build_hgp
 from hgpbarrier.logicals import PauliVec
 from hgpbarrier import barrier, logicals
@@ -384,61 +384,95 @@ def test_lemma4_default_family_shape():
         assert (h2.r, h2.n) == (2, 3)
 
 
-def test_lemma4_counterexample_fields(monkeypatch):
-    # force the per-entry kernel to trip so the counterexample payload is
-    # exercised; the right side is rescanned over Z2, where the all-zero Z1
-    # and Z2 give 0
-    def rigged(h, n2, words, dist):
-        return [5] * len(words), 1
+def _plant(mp, code, index, word):
+    """Make ``iter_codewords`` of ``code``'s check matrix list the 01-string
+    ``word``, usually a non-codeword, in place of its nonzero codeword
+    number ``index``; every other matrix lists its real codewords."""
+    real = ClassicalCode.iter_codewords
+    listed = list(real(code))
+    listed[index + 1] = BitVec.from01(word)  # after the zero word
+    mp.setattr(ClassicalCode, "iter_codewords", lambda self: iter(listed) if self.h == code.h else real(self))
 
-    monkeypatch.setattr(V, "_lemma4_sides", rigged)
-    h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
+
+def _plain_scan(family):
+    """The first failing triple of the plain (Z1, Z2, L) scan of ``family``, as
+    ``check_lemma4`` reports it, or None. The right side comes from
+    ``weight_reduction_gap`` and the left side is wt(H1 (Z1 L)) over the
+    words H2 lists, since that function refuses a planted non-codeword."""
+    from hgpbarrier.deform import weight_reduction_gap
+
+    for h1, h2 in family:
+        code, words = build_hgp(h1, h2), [w for w in h2.iter_codewords() if w.bits]
+        z2s = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
+        for z1 in product(range(1 << h2.n), repeat=h1.n):
+            m1 = BitMatrix(h1.n, h2.n, z1)
+            lhs = [weight(mat_vec(h1.h, mat_vec(m1, w))) for w in words]
+            for m2 in z2s:
+                rhs = weight_reduction_gap(code, m1, m2, BitVec(h2.n, 0))[1]
+                for w, l in zip(words, lhs):
+                    if l > rhs:
+                        return {
+                            "h1": h1.h.to01_rows(),
+                            "h2": h2.h.to01_rows(),
+                            "z1": m1.to01_rows(),
+                            "z2": m2.to01_rows(),
+                            "codeword": w.to01(),
+                            "lhs": l,
+                            "rhs": rhs,
+                        }
+    return None
+
+
+def test_lemma4_counterexample_fields(monkeypatch):
+    # H2's only codeword 111 replaced by 100, odd against the row-space
+    # vector 110: a failing pair's payload names that word
+    h = _code("110", "011")
+    _plant(monkeypatch, h, 0, "100")
     r = V.check_lemma4(family=[(h, h)])
-    assert not r.passed
+    assert not r.passed and r.checked == 512 * 16
     ce = r.counterexample
-    assert ce["lhs"] == 5 and ce["rhs"] == 0
-    assert ce["h1"] == ["110", "011"]
+    assert ce == _plain_scan([(h, h)])
+    assert ce["codeword"] == "100" and ce["lhs"] > ce["rhs"]
+    assert ce["h1"] == ce["h2"] == ["110", "011"]
     assert len(ce["z1"]) == 3 and len(ce["z2"]) == 2
 
 
 @pytest.mark.parametrize(
-    "planted, z1, z2, lhs, rhs",
+    "planted, index, word, z1, z2, lhs",
     [
-        ({9}, ["000", "100", "000"], ["00", "00"], 4, 2),
-        ({27, 3}, ["000", "110", "000"], ["10", "10"], 2, 0),
+        (("110", "011"), 0, "001", ["000", "000", "101"], ["00", "11"], 1),
+        (("110", "110"), 1, "100", ["000", "000", "110"], ["00", "10"], 1),
     ],
+    ids=["first-h2", "fourth-h2"],
 )
-def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, z1, z2, lhs, rhs):
-    # 2 added to the left side of the planted packed entries H1 Z1 of the
-    # default family's first pair; the pins were recorded from the
-    # span-table checker, so a rewrite must find the same counterexamples
-    real = V._lemma4_sides
-
-    def sides(h, *args):
-        left, right = real(h, *args)
-        return [l + 2 for l in left] if h in planted else left, right
-
-    monkeypatch.setattr(V, "_lemma4_sides", sides)
+def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, index, word, z1, z2, lhs):
+    # a non-codeword planted in one H2's word list of the default family:
+    # the first pair with that H2 fails, and the reported triple is the one
+    # an independent plain scan finds first
+    fam = V.lemma4_default_family()
+    _plant(monkeypatch, _code(*planted), index, word)
     r = V.check_lemma4()
     assert r.checked == 368_640
-    assert r.counterexample == {
+    first = next(i for i, (_, h2) in enumerate(fam) if h2.h.to01_rows() == list(planted))
+    assert r.counterexample == _plain_scan(fam[: first + 1]) == {
         "h1": ["110", "011"],
-        "h2": ["110", "011"],
+        "h2": list(planted),
         "z1": z1,
         "z2": z2,
-        "codeword": "111",
+        "codeword": word,
         "lhs": lhs,
-        "rhs": rhs,
+        "rhs": 0,
     }
 
 
 def test_lemma4_passing_check_multiplies_no_matrices(monkeypatch):
-    # entries come from H1's column space and right sides from H2's row
-    # distances; only a failing entry's rescan multiplies matrices
+    # a pair passes on its H2's verdict alone; only a failing pair's scan
+    # multiplies matrices or evaluates an entry's sides
     def refuse(*args):
-        raise AssertionError("mat_mul called")
+        raise AssertionError("called")
 
     monkeypatch.setattr(V, "mat_mul", refuse)
+    monkeypatch.setattr(V, "_lemma4_sides", refuse)
     r = V.check_lemma4()
     assert r.passed and r.checked == 368_640
 
@@ -464,11 +498,11 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
     checked = 0
     for h1, h2 in (fam[1], fam[13]):
         code = build_hgp(h1, h2)
-        words, dist, _ = V._lemma4_memo(h2)
+        words, rowspace, _ = V._lemma4_memo(h2)
         z2_all = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
         for z1 in product(range(1 << h2.n), repeat=h1.n):
             m1 = BitMatrix(h1.n, h2.n, z1)
-            lhs, rhs = V._lemma4_sides(flatten(mat_mul(h1.h, m1)).bits, h2.n, words, dist)
+            lhs, rhs = V._lemma4_sides(flatten(mat_mul(h1.h, m1)).bits, h2.n, words, rowspace)
             gaps = [weight_reduction_gap(code, m1, m2, BitVec(h2.n, w)) for m2 in z2_all for w in words]
             assert (max(lhs), rhs) == (max(l for l, _ in gaps), min(r for _, r in gaps))
             checked += len(gaps)
@@ -476,112 +510,35 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
 
 
 def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
-    # H1 = H2 = [111; 111]: each entry H1 Z1 is (v, v) for v the XOR of Z1's
-    # rows. Left sides are planted on v = 5 and v = 6; column-space order
-    # meets 6 first, while the first failing Z1 in product order, (0, 0, 5),
-    # has v = 5. Its planted sides fail first at Z2 number 1 with the second
-    # codeword, while a codeword-first scan would stop at Z2 number 5 with
-    # the first; the checker must pick the (Z1, Z2, L) loop's triple
-    from hgpbarrier.deform import weight_reduction_gap
-
+    # H1 = H2 = [111; 111], whose row space is {000, 111}, with the second of
+    # its three even codewords replaced by the odd word 010. The first
+    # failing Z1 in product order is number 7, (0, 0, 7), whose entry has the
+    # rows 111 and 111; its first failing Z2 is number 5, (1, 1), with the
+    # planted second word
     h = _code("111", "111")
-    planted = {5 | 5 << 3: [3, 4, 1], 6 | 6 << 3: [5, 5, 5]}
-    real = V._lemma4_sides
-    monkeypatch.setattr(V, "_lemma4_sides", lambda e, *a: (planted.get(e, real(e, *a)[0]), real(e, *a)[1]))
-    assert [e for e in V._lemma4_entries(h, 3) if e in planted] == [6 | 6 << 3, 5 | 5 << 3]
+    _plant(monkeypatch, h, 1, "010")
     r = V.check_lemma4(family=[(h, h)])
-    code, words = build_hgp(h, h), V._lemma4_memo(h)[0]
-
-    def scan():
-        for z1 in product(range(8), repeat=3):
-            m1 = BitMatrix(3, 3, z1)
-            left = planted.get(flatten(mat_mul(h.h, m1)).bits)
-            for z2 in product(range(4), repeat=2):
-                for k, w in enumerate(words):
-                    l, rr = weight_reduction_gap(code, m1, BitMatrix(2, 2, z2), BitVec(3, w))
-                    if (left[k] if left else l) > rr:
-                        return z1, z2, k, left[k] if left else l, rr
-
-    z1, z2, k, l, rr = scan()
-    assert (z1, z2, k, l, rr) == ((0, 0, 5), (0, 1), 1, 4, 3)
-    assert r.counterexample == {
+    assert r.counterexample == _plain_scan([(h, h)]) == {
         "h1": ["111", "111"],
         "h2": ["111", "111"],
-        "z1": BitMatrix(3, 3, z1).to01_rows(),
-        "z2": BitMatrix(2, 2, z2).to01_rows(),
-        "codeword": BitVec(3, words[k]).to01(),
-        "lhs": l,
-        "rhs": rr,
+        "z1": BitMatrix(3, 3, (0, 0, 7)).to01_rows(),
+        "z2": BitMatrix(2, 2, (1, 1)).to01_rows(),
+        "codeword": "010",
+        "lhs": 2,
+        "rhs": 0,
     }
     assert r.checked == 512 * 16 * 3
 
 
-def test_lemma4_evaluates_each_distinct_entry_once(monkeypatch):
-    # the sides of a pair depend on Z1 only through its entry H1 Z1: at most
-    # 2^6 distinct entries per 2x3 H1, against 2^9 matrices Z1
-    entries, evaluated = [], []
-    real_entries, real_sides = V._lemma4_entries, V._lemma4_sides
-
-    def listed(h1, n2):
-        entries.append(list(real_entries(h1, n2)))
-        evaluated.append([])
-        return entries[-1]
-
-    def sides(h, *args):
-        evaluated[-1].append(h)
-        return real_sides(h, *args)
-
-    monkeypatch.setattr(V, "_lemma4_entries", listed)
-    monkeypatch.setattr(V, "_lemma4_sides", sides)
-    r = V.check_lemma4()
-    assert r.passed and r.checked == 368640
-    assert len(entries) == 25
-    for hs, ev in zip(entries, evaluated):
-        assert len(ev) == len(set(ev)) and set(ev) <= set(hs)
-        assert len(hs) <= 64
-
-
-def test_lemma4_shares_entry_verdicts_across_pairs_with_one_h2_map(monkeypatch):
-    # the sides depend on the pair only through the H2 side's map (r1, H2):
-    # 5 maps times at most 64 entries, against one evaluation per distinct
-    # entry of each of the 25 pairs (1 040) when nothing is shared
-    evaluated = []
-    real = V._lemma4_sides
-    monkeypatch.setattr(V, "_lemma4_sides", lambda *a: evaluated.append(a[0]) or real(*a))
-    r = V.check_lemma4()
-    assert r.passed and r.checked == 368640
-    assert len(evaluated) <= 5 * 64
-
-
 def test_lemma4_verdicts_are_kept_per_h2_map_over_every_term(monkeypatch):
-    # two pairs share their H1 but not their H2; planted left sides fail
-    # only against the second H2, so a verdict shared across H2 maps misses
-    # it. On the default family each H2 evaluates at most its 64 entries
+    # two pairs share their H1 but not their H2, and a non-codeword is
+    # planted only in the second H2's list, so a verdict shared across H2
+    # maps misses it
     h, g = _code("110", "011"), _code("111", "111")
-    real = V._lemma4_sides
-    calls = []
-
-    def planted(e, n2, ws, dist):
-        calls.append(id(dist))
-        lhs, rhs = real(e, n2, ws, dist)
-        return ([l + 2 for l in lhs] if len(ws) == 3 else lhs), rhs
-
-    monkeypatch.setattr(V, "_lemma4_sides", planted)
+    _plant(monkeypatch, g, 0, "111")
     r = V.check_lemma4(family=[(h, h), (h, g)])
-    assert r.counterexample == {
-        "h1": ["110", "011"],
-        "h2": ["111", "111"],
-        "z1": BitMatrix(3, 3, (0, 0, 0)).to01_rows(),
-        "z2": BitMatrix(2, 2, (0, 0)).to01_rows(),
-        "codeword": BitVec(3, V._lemma4_memo(g)[0][0]).to01(),
-        "lhs": 2,
-        "rhs": 0,
-    }
-    monkeypatch.setattr(V, "_lemma4_sides", lambda *a: calls.append(id(a[3])) or real(*a))
-    calls.clear()
-    assert V.check_lemma4().passed
-    per_h2 = [calls.count(d) for d in set(calls)]
-    assert len(per_h2) == 5 and max(per_h2) <= 64 and sum(per_h2) <= 320
+    assert r.counterexample == _plain_scan([(h, h), (h, g)])
+    assert r.counterexample["h2"] == ["111", "111"] and r.counterexample["codeword"] == "111"
 
 
 @st.composite
@@ -595,43 +552,41 @@ def _code(*rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_check_matrix(), _check_matrix())
-@example(_code("110", "000"), _code("011", "000"))  # zero rows
-@example(_code("101", "101"), _code("110", "110"))  # duplicate rows
-@example(_code("011", "010"), _code("01", "11"))  # a zero column
-@example(_code("111"), _code("000", "000"))  # every word a codeword
-def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2):
+@given(_check_matrix(), _check_matrix(), st.integers(0, 6))
+@example(_code("110", "000"), _code("011", "000"), 0)  # zero rows
+@example(_code("101", "101"), _code("110", "110"), 1)  # duplicate rows
+@example(_code("011", "010"), _code("01", "11"), 0)  # a zero column
+@example(_code("111"), _code("000", "000"), 0)  # every word a codeword
+@example(_code("000"), _code("110", "011"), 0)  # a zero H1 against a failing H2
+def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2, plant):
+    # the last nonzero codeword of H2, if any, is replaced by word
+    # plant % (2^n2 - 1) + 1, which may or may not be a codeword
+    words = [w.bits for w in h2.iter_codewords() if w.bits]
+    if words:
+        words[-1] = plant % ((1 << h2.n) - 1) + 1
     m1, m2 = oracles.np_from_bitmatrix(h1.h), oracles.np_from_bitmatrix(h2.h)
-    status, checked = oracles.collapse_scan(m1, m2)
-    r = V.check_lemma4(family=[(h1, h2)])
-    assert (r.status, r.checked) == (status, checked)
-    # every Z1's sides are the sides of its entry: the left side per
-    # codeword, the right side the least over Z2
-    lhs, rhs = oracles.collapse_sides(m1, m2)
-    words, dist, _ = V._lemma4_memo(h2)
+    status, checked = oracles.collapse_scan(m1, m2, words)
+    with pytest.MonkeyPatch.context() as mp:
+        if words:
+            _plant(mp, h2, len(words) - 1, BitVec(h2.n, words[-1]).to01())
+        r = V.check_lemma4(family=[(h1, h2)])
+        plain = _plain_scan([(h1, h2)]) if status == "fail" else None
+        listed, rowspace, _ = V._lemma4_memo(h2)
+    assert (r.status, r.checked, r.counterexample) == (status, checked, plain)
+    assert listed == words
+    # every Z1's sides are the sides of its entry: the left side per listed
+    # word, the right side the least over Z2
+    lhs, rhs = oracles.collapse_sides(m1, m2, words)
     for i, z1 in enumerate(product(range(1 << h2.n), repeat=h1.n)):
         entry = flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
-        got = V._lemma4_sides(entry, h2.n, sorted(words), dist)
+        got = V._lemma4_sides(entry, h2.n, words, rowspace)
         assert got == (lhs[i].tolist(), rhs[i].min())
 
 
-@settings(max_examples=40, deadline=None)
-@given(_check_matrix(), _check_matrix())
-@example(_code("110", "000"), _code("011", "000"))  # zero rows
-@example(_code("101", "101"), _code("110", "110"))  # duplicate rows
-def test_lemma4_entries_are_each_product_h1_z1_once(h1, h2):
-    entries = list(V._lemma4_entries(h1, h2.n))
-    products = {
-        flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
-        for z1 in product(range(1 << h2.n), repeat=h1.n)
-    }
-    assert len(entries) == len(set(entries)) and set(entries) == products
-
-
-def test_lemma4_cap_bounds_span_tables():
+def test_lemma4_cap_bounds_z1_and_z2_matrices():
     h = ClassicalCode(BitMatrix.from_rows(["110", "011"]))
     assert V.check_lemma4(family=[(h, h)], cap=512 + 16).passed
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^2\^9 \+ 2\^4 lemma4 matrices Z1 and Z2 exceed cap 527$"):
         V.check_lemma4(family=[(h, h)], cap=512 + 16 - 1)
 
 
@@ -651,16 +606,15 @@ def test_prop1_surface_infinite_transpose_side(instances):
     assert r.details["floor"] == 1
 
 
-def test_prop1_floor_is_untyped():
-    # k1^T = 0, so the product has no check-check Z logical and main's typed
-    # expectation skips Delta(H2^T); prop1's floor still takes it. Pinned
-    # so that a typed floor changes these numbers on purpose
+def test_prop1_floor_is_typed():
+    # k1^T = 0, so the product has no check-check Z logical, and prop1's
+    # floor skips Delta(H2^T) = 1 as main's expectation does
     h1 = ClassicalCode(BitMatrix.from_rows(["1010", "0011", "1111"]))
     h2 = ClassicalCode(BitMatrix.from_rows(["01", "01"]))
     assert h1.transpose().k == 0
     prop1 = V.check_proposition1(build_hgp(h1, h2))
     assert prop1.passed
-    assert prop1.details == {"delta_h1": 2, "delta_h2t": 1, "floor": 1, "canonical_min": 2}
+    assert prop1.details == {"delta_h1": 2, "delta_h2t": 1, "floor": 2, "canonical_min": 2}
     main = V.check_main_equality(h1, h2)
     assert main.passed and main.details["canonical_z"] == 2
 
