@@ -95,17 +95,13 @@ DEFAULT_PAULI_CAP = 1 << 20  # 2^(n + k) full-Pauli quotient states
 class PathRecord(_Record):
     """A walk of states with per-state energies; steps touch one coordinate."""
 
-    _fields = ("states", "energies", "max_energy")
-
     def __init__(self, states: tuple, energies: tuple[int, ...], max_energy: int):
         if len(states) != len(energies):
             raise DimensionMismatch("one energy per state required")
         expected = max(energies, default=0)
         if max_energy != expected:
             raise DimensionMismatch(f"max_energy {max_energy} != {expected}")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "max_energy", max_energy)
+        self._store(locals())
 
     def steps(self) -> int:
         return max(len(self.states) - 1, 0)
@@ -138,13 +134,8 @@ def _flip(prev, state) -> tuple[int, str]:
 
 
 class BarrierResult(_Record):
-    _fields = ("value", "witness", "target", "explored")
-
     def __init__(self, value: int, witness: PathRecord, target: object, explored: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "explored", explored)
+        self._store(locals())
 
 
 class SyndromeEnergy:
@@ -533,18 +524,12 @@ class MinimaxTable(_Record):
     (``_flips``) also walk the tree's parent moves.
     """
 
-    _fields = ("energy", "quotient", "best", "tree", "basis", "edges")
     _shown = ("energy",)
 
     def __init__(
         self, energy: SyndromeEnergy, quotient: Quotient, best, tree: _Tree, basis: tuple, edges: tuple
     ):
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "best", best)
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "edges", edges)
+        self._store(locals())
 
     @property
     def n_dim(self) -> int:

@@ -42,25 +42,19 @@ DEFAULT_ENUM_CAP = 1 << 20
 class CodeParams(_Record):
     """Block length, dimension, and exact distance (inf when there are no codewords)."""
 
-    _fields = ("n", "k", "d")
-
     def __init__(self, n: int, k: int, d: int | float):
         if not 0 <= k <= n:
             raise DimensionMismatch(f"dimension {k} outside [0, {n}]")
         if k >= 1 and d < 1:
             raise DimensionMismatch("nonzero codes have distance at least 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
+        self._store(locals())
 
 
 class ClassicalCode(_Record):
-    _fields = ("h",)
-
     def __init__(self, h: BitMatrix):
         if h.rows < 1 or h.cols < 1:
             raise EmptyMatrix("parity-check matrix needs at least one row and one column")
-        object.__setattr__(self, "h", h)
+        self._store(locals())
 
     @property
     def n(self) -> int:

@@ -57,12 +57,8 @@ class DeformSpec(_Record):
     check-check block along a codeword of H1^T.
     """
 
-    _fields = ("l_c", "alpha", "block")
-
     def __init__(self, l_c: BitVec, alpha: int, block: str = "vv"):
-        object.__setattr__(self, "l_c", l_c)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "block", block)
+        self._store(locals())
         if alpha not in self.col_set:
             raise DimensionMismatch(f"alpha {alpha} not in the collapsed set")
         if block not in ("vv", "cc"):

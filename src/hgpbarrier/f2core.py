@@ -50,25 +50,38 @@ def _ones(bits: int) -> Iterator[int]:
 
 
 class _Record:
-    """A frozen value record. ``_fields`` names its fields, which the
-    subclass's ``__init__`` sets through ``object.__setattr__``; records of
-    one type compare and hash as their field tuples, and the repr shows the
-    fields in ``_shown`` (all of them unless a subclass says otherwise).
-    Instances keep a ``__dict__``, so ``cached_property`` works on them."""
-
-    _fields = ()
+    """A frozen value record. Its fields are its ``__init__``'s positional
+    parameters, in order, unless the class names them in ``_fields``; the
+    ``__init__`` checks its arguments and stores them with
+    ``self._store(locals())``. Records of one type compare and hash as their
+    field tuples, and the repr shows the fields in ``_shown`` (all of them
+    unless a subclass says otherwise). Instances keep a ``__dict__``, so
+    ``cached_property`` works on them."""
 
     def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = fields = vars(cls).get("_fields", code.co_varnames[1 : code.co_argcount])
         # closures over one C getter per class: a method would look the
         # getter up on each call, twice per comparison
-        get = attrgetter(*cls._fields)
-        cls._shown = vars(cls).get("_shown", cls._fields)
+        get = attrgetter(*fields)
+        cls._shown = vars(cls).get("_shown", fields)
+        # object's own store, found once per class past the frozen
+        # __setattr__, keeps the fields in the instance's inline values;
+        # filling the __dict__ directly would slow every later field read
+        # and grow every record
+        store = super(_Record, cls).__setattr__
+
+        def _store(self, scope: dict) -> None:
+            for name in fields:
+                store(self, name, scope[name])
+
+        cls._store = _store
         cls.__eq__ = lambda self, other: (
             get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
         )
         if "__hash__" in vars(cls):  # HgpCode caches its hash; a VerifyReport has none
             return
-        if len(cls._fields) == 1:  # the getter returns a lone field bare
+        if len(fields) == 1:  # the getter returns a lone field bare
             cls.__hash__ = lambda self: hash((get(self),))
         else:
             cls.__hash__ = lambda self: hash(get(self))
@@ -96,15 +109,12 @@ class BitVec(_Record):
         be zero.
     """
 
-    _fields = ("n", "bits")
-
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
             raise DimensionMismatch("vector length must be nonnegative")
         if bits < 0 or bits >> n:
             raise IndexOutOfRange(f"payload has bits beyond length {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
+        self._store(locals())
 
     @classmethod
     def from_ints(cls, entries: Iterable[int]) -> "BitVec":
@@ -171,8 +181,6 @@ class BitVec(_Record):
 class BitMatrix(_Record):
     """A GF(2) matrix stored as one packed integer per row."""
 
-    _fields = ("rows", "cols", "row_bits")
-
     def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
@@ -181,9 +189,7 @@ class BitMatrix(_Record):
         for r in row_bits:
             if r < 0 or r >> cols:
                 raise IndexOutOfRange(f"row has bits beyond {cols} columns")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_bits", row_bits)
+        self._store(locals())
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> "BitMatrix":
@@ -254,12 +260,8 @@ class BitMatrix(_Record):
 class RrefResult(_Record):
     """Reduced row-echelon form with its pivot columns."""
 
-    _fields = ("rref", "pivot_cols", "rank")
-
     def __init__(self, rref: BitMatrix, pivot_cols: tuple[int, ...], rank: int):
-        object.__setattr__(self, "rref", rref)
-        object.__setattr__(self, "pivot_cols", pivot_cols)
-        object.__setattr__(self, "rank", rank)
+        self._store(locals())
 
     @property
     def free_cols(self) -> tuple[int, ...]:
@@ -482,11 +484,8 @@ class Quotient(_Record):
     ``dim`` can be checked against a cap before anything of size n is built.
     """
 
-    _fields = ("n", "rows")
-
     def __init__(self, n: int, rows: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        self._store(locals())
 
     @property
     def rank(self) -> int:

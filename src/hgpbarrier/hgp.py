@@ -29,13 +29,8 @@ __all__ = [
 
 
 class HgpCode(_Record):
-    _fields = ("h1", "h2", "hx", "hz")
-
     def __init__(self, h1: ClassicalCode, h2: ClassicalCode, hx: BitMatrix, hz: BitMatrix):
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hz", hz)
+        self._store(locals())
 
     # caches key on codes, and the fields' hash walks four matrices: take it once
     _hash = cached_property(lambda self: hash((self.h1, self.h2, self.hx, self.hz)))

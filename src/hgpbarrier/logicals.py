@@ -52,14 +52,10 @@ __all__ = [
 class PauliVec(_Record):
     """Binary symplectic representation: x and z flip patterns over N qubits."""
 
-    _fields = ("n", "x", "z")
-
     def __init__(self, n: int, x: BitVec, z: BitVec):
         if x.n != n or z.n != n:
             raise DimensionMismatch(f"parts of length {x.n}/{z.n} on {n} qubits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        self._store(locals())
 
     @classmethod
     def identity(cls, n: int) -> "PauliVec":
@@ -114,13 +110,8 @@ class CanonicalOp(_Record):
     bit-bit block and kappa on the check-check block, and the Pauli they
     realize."""
 
-    _fields = ("kind", "lam", "kappa", "realized")
-
     def __init__(self, kind: str, lam: BitMatrix, kappa: BitMatrix, realized: PauliVec):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "realized", realized)
+        self._store(locals())
 
     def coefficient(self) -> tuple[str, int, int]:
         """(block, row, column) of the one nonzero coefficient, block "vv"

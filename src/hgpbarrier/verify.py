@@ -86,7 +86,7 @@ CLAIMS = tuple(_CLAIMS)
 class VerifyReport(_Record):
     """One check's outcome. Unlike the other records it is mutable (the
     runner sets ``elapsed``) and unhashable, and ``elapsed`` is shown but
-    takes no part in equality."""
+    takes no part in equality, so ``_fields`` leaves it out."""
 
     _fields = ("claim", "instance", "status", "checked", "details", "counterexample", "seed")
     _shown = (*_fields, "elapsed")
@@ -103,13 +103,7 @@ class VerifyReport(_Record):
         seed: int | None = None,
         elapsed: float = 0.0,
     ):
-        self.claim = claim
-        self.instance = instance
-        self.status = status
-        self.checked = checked
-        self.details = details
-        self.counterexample = counterexample
-        self.seed = seed
+        self._store(locals())
         self.elapsed = elapsed
 
     @property
@@ -236,10 +230,10 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
 
 
 def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
-    """Random stabilizer (x bits, z bits): each row of HX, then of HZ, with
-    probability 1/2, summed as x | z << n."""
+    """Random stabilizer (x bits, z bits): each generator x | z << n, the
+    rows of HX and then of HZ, with probability 1/2."""
     n, bits = code.n_qubits, 0
-    for r in (*code.hx.row_bits, *(r << n for r in code.hz.row_bits)):
+    for r in _pauli_inputs(code)[1]:
         if rng.random() < 0.5:
             bits ^= r
     return bits & ((1 << n) - 1), bits >> n
@@ -391,12 +385,12 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     return _report("lemma3", instance, len(values), details, counter)
 
 
-def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], list[int], bool]:
-    """What lemma4 reads of H2: (its nonzero codewords, its row space, whether
-    every row-space vector is even against every one of those codewords)."""
-    rowspace = list(span(quotient(h2.h.row_bits, h2.n).rows))
+def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], bool]:
+    """What lemma4 reads of H2: (its nonzero codewords, whether every row of
+    H2 is even against every one of those codewords). Parity is linear, so
+    the rows decide it for every vector of their row space."""
     words = [w.bits for w in h2.iter_codewords() if w.bits]
-    return words, rowspace, not any((s & w).bit_count() & 1 for s in rowspace for w in words)
+    return words, not any((row & w).bit_count() & 1 for row in h2.h.row_bits for w in words)
 
 
 def _lemma4_sides(h: int, n2: int, words: list[int], rowspace: list[int]) -> tuple[list[int], int]:
@@ -424,8 +418,9 @@ def check_lemma4(
     row s in the row space that is odd against some L, and any such s fails
     some entry if H1 is nonzero: Z1 = s in row j, where H1 has a 1 in column
     j, gives rows s or 0. One verdict per H2 thus decides a pair with a
-    nonzero H1: whether H2's row space is even against its codewords. Only a
-    failing pair scans Z1 in ``product`` order, then the first failing Z1's
+    nonzero H1: whether H2's row space is even against its codewords, which
+    its rows decide, parity being linear. Only a failing pair spans the row
+    space and scans Z1 in ``product`` order, then the first failing Z1's
     (Z2, L), for the first counterexample of the plain (Z1, Z2, L) scan.
     ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
     """
@@ -446,9 +441,10 @@ def check_lemma4(
             continue
         if h2.h not in memos:
             memos[h2.h] = _lemma4_memo(h2)
-        words, rowspace, passes = memos[h2.h]
+        words, passes = memos[h2.h]
         if passes or not any(h1.h.row_bits):
             continue
+        rowspace = list(span(quotient(h2.h.row_bits, h2.n).rows))
         z1s = (BitMatrix(n1, n2, z1) for z1 in product(range(1 << n2), repeat=n1))
         for z1 in z1s:
             lhs, rhs = _lemma4_sides(h := flatten(mat_mul(h1.h, z1)).bits, n2, words, rowspace)

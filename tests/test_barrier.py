@@ -154,6 +154,13 @@ class TestBottleneckSearch:
         assert validate_path(res.witness, syn)
         assert res.witness.states[-1] == BitVec.from01("11111")
 
+    def test_energy_of_another_width_rejected(self):
+        syn = SyndromeEnergy(ring_repetition(3).h.row_bits, 3)
+        with pytest.raises(DimensionMismatch) as exc:
+            bottleneck_search(syn, 4, BitVec(4, 0b111))
+        assert type(exc.value) is DimensionMismatch
+        assert str(exc.value) == "energy over 3 dims, search over 4"
+
     def test_plain_callable_energy_rejected(self):
         syn = SyndromeEnergy(ring_repetition(3).h.row_bits, 3)
         with pytest.raises(TypeError):
@@ -521,6 +528,13 @@ class TestStabilizerPath:
             s = PauliVec.x_type(r0 ^ r4)
             combo = BitVec.from_support(18, [0, 4])
             assert stabilizer_path(code, s, combo).max_energy == 4
+
+    def test_combo_length_checked(self):
+        code = toric()
+        with pytest.raises(DimensionMismatch) as exc:
+            stabilizer_path(code, PauliVec.identity(18), BitVec(17))
+        assert type(exc.value) is DimensionMismatch
+        assert str(exc.value) == "combo length 17, need 18"
 
     def test_combo_must_reproduce_pauli(self):
         code = toric()

@@ -191,6 +191,15 @@ def test_barrier_wrong_path_count(files, capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+def test_barrier_quantum_needs_two_files(files, capsys):
+    code, out, err = run(capsys, "barrier", "quantum", files / "ring3.alist")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": "barrier quantum takes exactly two matrix files",
+    }
+
+
 def test_barrier_cap_exceeded(files, capsys):
     code, _, err = run(
         capsys, "barrier", "quantum", files / "ring5.alist", files / "ring5.alist",

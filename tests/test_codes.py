@@ -211,6 +211,39 @@ class TestAlist:
         with pytest.raises(ParseError):
             parse_alist("3 2\n2 2\n")
 
+    # open_repetition(3) as alist: sizes, max degrees, degree lines, bits, checks
+    _OPEN3 = ["3 2", "2 2", "1 2 1", "2 2", "1", "1 2", "2", "1 2", "2 3"]
+
+    @pytest.mark.parametrize(
+        "index, line, error, lineno, message",
+        [
+            (1, "3 2", InconsistentDegrees, 3, "declared max column degree 3, actual 2"),
+            (1, "2 3", InconsistentDegrees, 4, "declared max row degree 3, actual 2"),
+            (8, None, ParseError, 8, "expected 9 lines for n=3, m=2, found 8"),
+            (5, "1 1", InconsistentDegrees, 6, "duplicate neighbor"),
+        ],
+        ids=["max-column-degree", "max-row-degree", "line-count", "duplicate-neighbor"],
+    )
+    def test_rejection_names_its_line(self, index, line, error, lineno, message):
+        # line None drops line ``index`` instead of replacing it
+        lines = list(self._OPEN3)
+        if line is None:
+            del lines[index]
+        else:
+            lines[index] = line
+        with pytest.raises(ParseError) as exc:
+            parse_alist("\n".join(lines) + "\n")
+        assert type(exc.value) is error
+        assert str(exc.value) == f"line {lineno}: {message}"
+        assert exc.value.line == lineno
+
+    def test_edge_count_mismatch_has_no_line(self):
+        # bit 1 lists check 1, whose own list is the padding token alone
+        with pytest.raises(InconsistentDegrees) as exc:
+            parse_alist("1 1\n1 0\n1\n0\n1\n0\n")
+        assert str(exc.value) == "bit side lists 1 edges, check side lists 0"
+        assert exc.value.line is None
+
 
 class TestAutoDetection:
     def test_detects_dense(self):

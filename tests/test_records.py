@@ -1,6 +1,8 @@
 """The value records' semantics: construction, equality, hash, repr,
 immutability and validation, pinned per record type."""
 
+import inspect
+
 import pytest
 
 from hgpbarrier.barrier import BarrierResult, MinimaxTable, PathRecord
@@ -93,6 +95,18 @@ def test_fields_cannot_be_set_or_deleted(cls, names, values, other, text):
     with pytest.raises(AttributeError):
         x.unlisted = 0
     assert x == cls(*values)
+
+
+@pytest.mark.parametrize("cls, names, values, other, text", RECORDS, ids=_ID)
+def test_fields_are_the_constructor_parameters(cls, names, values, other, text):
+    # a record names its fields once, as its __init__'s parameters
+    assert cls._fields == tuple(inspect.signature(cls).parameters) == names
+
+
+def test_verify_report_fields_leave_out_elapsed():
+    # the one record that names its fields: elapsed is shown, not compared
+    assert VerifyReport._fields == tuple(inspect.signature(VerifyReport).parameters)[:-1]
+    assert VerifyReport._shown == (*VerifyReport._fields, "elapsed")
 
 
 def test_defaults():

@@ -24,6 +24,33 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_package_module_calls_object_setattr():
+    # a record's __init__ stores its fields with self._store(locals()), the
+    # one store path: _Record looks object's store up once per class, and
+    # VerifyReport's class-level ``__setattr__ = object.__setattr__`` is an
+    # assignment. No other module reaches past a record's frozen __setattr__
+    sources = sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+    assert calls == []
+    reads = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+    ]
+    assert reads == ["f2core.py", "verify.py"]
+
+
 def test_package_imports_only_stdlib():
     # the runtime needs nothing outside the standard library; numpy and
     # hypothesis are for tests only

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hgpbarrier.barrier import MinimaxTable, pauli_barrier_general, sector_table
+from hgpbarrier.barrier import BarrierResult, MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
 from hgpbarrier.f2core import BitMatrix, BitVec, combine, flatten, mat_mul, mat_vec, span, weight
@@ -43,6 +43,18 @@ class _PlantedTable:
 
     def coset_values(self, base):
         return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base)]
+
+
+def _plant_sectors(mp, planted):
+    """Make verify's sector tables read ``planted[sector]``, a dict of
+    vectors to planted values, over their real values."""
+    real = V.sector_table
+
+    def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
+        table = real(code, sector, cap)
+        return _PlantedTable(table, planted[sector]) if sector in planted else table
+
+    mp.setattr(V, "sector_table", planted_table)
 
 
 def test_lemma1_surface_exhaustive_pairs(instances):
@@ -109,6 +121,22 @@ def test_lemma1_forced_failure_reports_the_first_worst_stabilizer(name, mode, co
     assert r.counterexample == counter
 
 
+def test_lemma1_reports_a_constructive_walk_above_the_bound(instances, monkeypatch):
+    # with the bound planted at surface_3's worst barrier 1, every stabilizer
+    # holds, but a walk that applies its generators one by one climbs above
+    # it: the first such walk of the seeded combos is reported
+    code = instances["surface_3"]
+    real = V._stabilizer_setup
+    monkeypatch.setattr(V, "_stabilizer_setup", lambda code, cap: (*real(code, cap)[:3], 1))
+    r = V.check_lemma1(code, instance="surface_3")
+    assert r.details["worst_barrier"] == 1
+    assert r.counterexample == {"combo_bits": 3155, "path_max": 4, "bound": 1}
+    gens = barrier._pauli_inputs(code)[1]
+    end, n = combine(gens, 3155), code.n_qubits
+    s = PauliVec(n, BitVec(n, end & ((1 << n) - 1)), BitVec(n, end >> n))
+    assert barrier.stabilizer_path(code, s, BitVec(len(gens), 3155)).max_energy == 4
+
+
 @pytest.mark.parametrize(
     "planted",
     [{"x": 10}, {"z": 10}, {"x": 10, "z": 20}, {"x": 0, "z": 20}],
@@ -121,15 +149,7 @@ def test_lemma1_paired_mode_reports_the_first_worst_pair_of_a_plain_scan(
     # order), so only x, only z, or both reach the worst barrier
     code = instances["surface_3"]
     rowspaces = {s: list(span(V.sector_table(code, s).quotient.rows)) for s in ("x", "z")}
-    real = V.sector_table
-
-    def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
-        table = real(code, sector, cap)
-        if sector not in planted:
-            return table
-        return _PlantedTable(table, {rowspaces[sector][planted[sector]]: 99})
-
-    monkeypatch.setattr(V, "sector_table", planted_table)
+    _plant_sectors(monkeypatch, {s: {rowspaces[s][i]: 99} for s, i in planted.items()})
     tx, tz = V.sector_table(code, "x"), V.sector_table(code, "z")
     pairs = product(rowspaces["x"], rowspaces["z"])
     x_bits, z_bits = max(pairs, key=lambda p: max(tx.value(p[0]), tz.value(p[1])))
@@ -256,13 +276,7 @@ def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
     ids=["sampled", "sweep", "sweep-later-coset"],
 )
 def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, sweep, counter):
-    real = V.sector_table
-
-    def planted_table(code, sector, cap=V.DEFAULT_STATE_CAP):
-        table = real(code, sector, cap)
-        return _PlantedTable(table, planted) if sector == "x" else table
-
-    monkeypatch.setattr(V, "sector_table", planted_table)
+    _plant_sectors(monkeypatch, {"x": planted})
     r = V.check_theorem1(instances[name], samples=100, seed=0, instance=name)
     assert r.details["stabilizer_sweep"] == sweep
     assert not r.passed
@@ -363,6 +377,15 @@ def test_lemma3_toric_min(instances):
     r = V.check_lemma3(instances["toric_3"], instance="toric_3")
     assert r.details["elementary_min"] == 2
     assert r.details["composite_min"] == 2
+
+
+def test_lemma3_reports_the_first_composite_below_the_elementary_min(instances, monkeypatch):
+    # toric_3's canonical Z operators have z bits 292 and 229376; their
+    # product, selection 3, is planted at 1, below both elementary values 2
+    _plant_sectors(monkeypatch, {"z": {292 ^ 229376: 1}})
+    r = V.check_lemma3(instances["toric_3"], instance="toric_3")
+    assert r.details == {"elementary_min": 2, "composite_min": 1}
+    assert r.counterexample == {"selection": 3, "barrier": 1, "elementary_min": 2}
 
 
 # -- lemma4 checker -----------------------------------------------------------------
@@ -466,13 +489,15 @@ def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, index, 
 
 
 def test_lemma4_passing_check_multiplies_no_matrices(monkeypatch):
-    # a pair passes on its H2's verdict alone; only a failing pair's scan
-    # multiplies matrices or evaluates an entry's sides
+    # a pair passes on its H2's verdict alone, read off H2's rows; only a
+    # failing pair's scan spans the row space, multiplies matrices or
+    # evaluates an entry's sides
     def refuse(*args):
         raise AssertionError("called")
 
     monkeypatch.setattr(V, "mat_mul", refuse)
     monkeypatch.setattr(V, "_lemma4_sides", refuse)
+    monkeypatch.setattr(V, "span", refuse)
     r = V.check_lemma4()
     assert r.passed and r.checked == 368_640
 
@@ -498,7 +523,8 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
     checked = 0
     for h1, h2 in (fam[1], fam[13]):
         code = build_hgp(h1, h2)
-        words, rowspace, _ = V._lemma4_memo(h2)
+        words, _ = V._lemma4_memo(h2)
+        rowspace = list(span(h2.h.row_bits))
         z2_all = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
         for z1 in product(range(1 << h2.n), repeat=h1.n):
             m1 = BitMatrix(h1.n, h2.n, z1)
@@ -571,12 +597,13 @@ def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2, plant):
             _plant(mp, h2, len(words) - 1, BitVec(h2.n, words[-1]).to01())
         r = V.check_lemma4(family=[(h1, h2)])
         plain = _plain_scan([(h1, h2)]) if status == "fail" else None
-        listed, rowspace, _ = V._lemma4_memo(h2)
+        listed, _ = V._lemma4_memo(h2)
     assert (r.status, r.checked, r.counterexample) == (status, checked, plain)
     assert listed == words
     # every Z1's sides are the sides of its entry: the left side per listed
     # word, the right side the least over Z2
     lhs, rhs = oracles.collapse_sides(m1, m2, words)
+    rowspace = list(span(h2.h.row_bits))
     for i, z1 in enumerate(product(range(1 << h2.n), repeat=h1.n)):
         entry = flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
         got = V._lemma4_sides(entry, h2.n, words, rowspace)
@@ -597,6 +624,15 @@ def test_prop1_registry(instances):
         r = V.check_proposition1(instances[name], instance=name)
         assert r.passed, name
         assert r.details["canonical_min"] >= r.details["floor"]
+
+
+def test_prop1_reports_the_first_selection_below_the_floor(instances, monkeypatch):
+    # toric_3's second canonical Z operator, z bits 229376, is planted at 1,
+    # below the floor min(Delta(H1), Delta(H2^T)) = 2
+    _plant_sectors(monkeypatch, {"z": {229376: 1}})
+    r = V.check_proposition1(instances["toric_3"], instance="toric_3")
+    assert r.details == {"delta_h1": 2, "delta_h2t": 2, "floor": 2, "canonical_min": 1}
+    assert r.counterexample == {"selection": 2, "barrier": 1, "floor": 2}
 
 
 def test_prop1_surface_infinite_transpose_side(instances):
@@ -639,6 +675,41 @@ def test_main_surface_ignores_empty_transpose_codes():
     assert d["quantum"] == 1
     assert d["parents"]["h1t"] is None and d["parents"]["h2t"] is None
     assert d["canonical_z"] == 1 and d["canonical_x"] == 1
+
+
+@pytest.mark.parametrize(
+    "planted, counter",
+    [
+        ({"z": {292: 99}}, {"side": "Z", "canonical": 99, "expected": 1}),
+        ({"x": {448: 99}}, {"side": "X", "canonical": 99, "expected": 1}),
+    ],
+    ids=["z", "x"],
+)
+def test_main_reports_a_canonical_side_off_its_typed_floor(monkeypatch, planted, counter):
+    # surface_3's one canonical Z operator (z bits 292) or X operator (x bits
+    # 448) planted at 99, off the parent barrier 1 its type expects
+    _plant_sectors(monkeypatch, planted)
+    r = V.check_main_equality(open_repetition(3), open_repetition(3), instance="surface_3")
+    assert r.counterexample == counter
+
+
+def test_main_reports_the_full_barrier_off_the_parents_when_the_condition_holds(monkeypatch):
+    # a product whose sparsity bound reads 0 puts toric_3 under the
+    # condition min(parents) > w_c w_q; the real quantum barrier 2 then meets
+    # the parents' minimum, and a planted 99 is reported against it
+    monkeypatch.setattr(V, "build_hgp", _tampered)
+    r = V.check_main_equality(ring_repetition(3), ring_repetition(3), instance="toric_3")
+    assert r.passed and r.details["condition_holds"] is True
+    real = V.quantum_barrier
+
+    def planted(code, sector, cap):
+        result = real(code, sector, cap)
+        return BarrierResult(99, result.witness, result.target, result.explored)
+
+    monkeypatch.setattr(V, "quantum_barrier", planted)
+    r = V.check_main_equality(ring_repetition(3), ring_repetition(3), instance="toric_3")
+    assert r.counterexample == {"side": "full", "quantum": 99, "min_parents": 2}
+    assert r.details["full_equality_observed"] is False
 
 
 def test_main_requires_logicals():
@@ -699,6 +770,24 @@ def test_css_restriction_enumerates_logicals_under_its_cap(instances, monkeypatc
     monkeypatch.setattr(logicals, "_enumerate_coset", recording)
     r = V.check_css_restriction(instances["tiny_2"], cap=1 << 22, instance="tiny_2")
     assert r.passed and caps == [1 << 22, 1 << 22]
+
+
+@pytest.mark.parametrize(
+    "kind, packed, counter",
+    [
+        ("z", 5 << 5, {"z_bits": 5, "full": 99, "sector": 1}),
+        ("x", 3, {"x_bits": 3, "full": 99, "sector": 1}),
+    ],
+)
+def test_css_restriction_reports_a_full_value_off_the_sector_value(
+    instances, monkeypatch, kind, packed, counter
+):
+    # the full-Pauli value of tiny_2's first pure-Z (z bits 5) or pure-X
+    # (x bits 3) logical, packed x | z << 5, is planted at 99
+    real = V.pauli_table
+    monkeypatch.setattr(V, "pauli_table", lambda c, cap: _PlantedTable(real(c, cap), {packed: 99}))
+    r = V.check_css_restriction(instances["tiny_2"], instance="tiny_2")
+    assert r.checked == 8 and r.counterexample == counter
 
 
 @pytest.mark.parametrize("name", ("tiny_2", "ring_2", "rect_2_3", "rect_3_2"))
