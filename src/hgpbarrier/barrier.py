@@ -356,7 +356,11 @@ class _Tree(dict):
     state. The first state popped next to s pushes it, so its parent is the
     neighbour of least (layer, state), reached by the lowest move index with
     that image; zero images never reach a new state. The lift is the XOR of
-    lift_moves along the tree path from 0 (0 without stabilizers)."""
+    lift_moves along the tree path from 0 (0 without stabilizers). Trees
+    compare by ``order`` (a table compares its quotient beside it), not by
+    the entries derived so far; like a dict, a tree is unhashable."""
+
+    __ne__ = object.__ne__  # dict's own would compare the derived entries
 
     def __init__(self, order, quotient: Quotient):
         super().__init__({0: (None, 0)})
@@ -365,6 +369,9 @@ class _Tree(dict):
         for i, m in enumerate(self.images):
             if m:
                 self.first.setdefault(m, i)
+
+    def __eq__(self, other):
+        return self.order == other.order if isinstance(other, _Tree) else NotImplemented
 
     def __missing__(self, state: int) -> tuple[int, int]:
         order, first, n_dim = self.order, self.first, self.n_dim
@@ -715,15 +722,6 @@ def _pauli_walk(code: HgpCode, flips: Iterable[int], state=None) -> PathRecord:
     return _walk(flips, _energy(rows, n2), state or partial(_pauli_state, n=code.n_qubits))
 
 
-def _stabilizer_flips(code: HgpCode, combo_bits: int, end: int) -> list[int]:
-    """Coordinates of x | z << n flipped by each selected generator in turn;
-    NotAStabilizer unless the generators multiply to the packed ``end``."""
-    gens = _pauli_inputs(code)[1]
-    if combine(gens, combo_bits) != end:
-        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
-    return [q for g in _ones(combo_bits) for q in _ones(gens[g])]
-
-
 def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
     """Exhaustive minimax table over the full Pauli group, states x | z << n
     modulo HX on x and HZ on z: 2^(n + k) quotient states, which ``cap``
@@ -810,9 +808,11 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     gens = _pauli_inputs(code)[1]
     if generator_combo.n != len(gens):
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
-    n = code.n_qubits
+    n, combo = code.n_qubits, generator_combo.bits
     _check_pauli(s, n)
-    return _pauli_walk(code, _stabilizer_flips(code, generator_combo.bits, s.x.bits | s.z.bits << n))
+    if combine(gens, combo) != s.x.bits | s.z.bits << n:
+        raise NotAStabilizer("selected generators do not multiply to the given Pauli")
+    return _pauli_walk(code, [q for g in _ones(combo) for q in _ones(gens[g])])
 
 
 def validate_path(record: PathRecord, energy: Callable) -> bool:

@@ -209,8 +209,8 @@ def _op_record(op) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.paths and args.claim in ("all", "lemma4"):
-        _emit_error("usage", f"verify {args.claim} runs on built-in instances only")
+    if args.paths and args.claim == "all":
+        _emit_error("usage", "verify all runs on built-in instances only")
         return EXIT_USAGE
     if args.paths and len(args.paths) != 2:
         _emit_error("usage", "verify takes zero or two matrix files")

@@ -3,8 +3,8 @@
 Each checker evaluates one claim exhaustively (or by seeded sampling where
 the claim quantifies over an intractably large set) and returns a report
 carrying the measured quantities. A failing report always includes a
-counterexample that can be re-evaluated with the barrier and deform
-primitives alone.
+counterexample that can be re-evaluated with the barrier primitives alone;
+lemma4's re-evaluates through f2core's matrix products.
 
 The exact barrier of any Pauli that commutes with every check splits into
 independent sector problems: project a path onto its z (or x) component and
@@ -21,7 +21,7 @@ import copy
 import math
 import random
 import time
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import itemgetter
 
 from .barrier import (
@@ -29,7 +29,6 @@ from .barrier import (
     DEFAULT_STATE_CAP,
     _pauli_inputs,
     _pauli_walk,
-    _stabilizer_flips,
     classical_barrier,
     classical_table,
     pauli_table,
@@ -39,7 +38,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, _Record, combine, flatten, mat_mul, quotient, span
+from .f2core import BitMatrix, BitVec, _ones, _Record, combine, mat_add, mat_mul, mat_vec, weight
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -207,14 +206,14 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         else:
             x_bits, z_bits = max(xs, key=itemgetter(0))[1], max(zs, key=itemgetter(0))[1]
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
-    # constructive side: stabilizer_path's walks, on packed states, stay under
-    # the bound; the energy after each full generator is recorded, not asserted
+    # constructive side: stabilizer_path's walks (the drawn generators in turn,
+    # on packed states) stay under the bound; the energy after each is recorded
     gens = _pauli_inputs(code)[1]
     baselines = []
     rng = random.Random(0)
     for _ in range(8):
         combo_bits = rng.randrange(1 << len(gens))
-        path = _pauli_walk(code, _stabilizer_flips(code, combo_bits, combine(gens, combo_bits)), int)
+        path = _pauli_walk(code, [q for g in _ones(combo_bits) for q in _ones(gens[g])], int)
         if path.max_energy > bound and counter is None:
             counter = {"combo_bits": combo_bits, "path_max": path.max_energy, "bound": bound}
         # path indices where each selected generator has just been fully applied
@@ -385,23 +384,13 @@ def check_lemma3(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     return _report("lemma3", instance, len(values), details, counter)
 
 
-def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], bool]:
-    """What lemma4 reads of H2: (its nonzero codewords, whether every row of
-    H2 is even against every one of those codewords). Parity is linear, so
-    the rows decide it for every vector of their row space."""
+def _lemma4_memo(h2: ClassicalCode) -> tuple[list[int], tuple[int, int] | None]:
+    """What lemma4 reads of H2: (its nonzero codewords, the first (row index
+    i, codeword L) with row i of H2 odd against L, or None). Parity is
+    linear, so the rows decide it for every vector of their row space."""
     words = [w.bits for w in h2.iter_codewords() if w.bits]
-    return words, not any((row & w).bit_count() & 1 for row in h2.h.row_bits for w in words)
-
-
-def _lemma4_sides(h: int, n2: int, words: list[int], rowspace: list[int]) -> tuple[list[int], int]:
-    """Both sides of the collapse inequality for one packed entry h = H1 Z1:
-    (wt(h L) per codeword L, the least wt(h + Z2 H2) over Z2). Row i of h L is
-    the parity of row i of h against L; row i of Z2 H2 ranges over H2's row
-    space whatever the other rows are, so the least right side is the sum of
-    each row's distance to that row space."""
-    rows = [(h >> s) & ((1 << n2) - 1) for s in range(0, h.bit_length(), n2)]
-    lhs = [sum((row & w).bit_count() & 1 for row in rows) for w in words]
-    return lhs, sum(min((row ^ s).bit_count() for s in rowspace) for row in rows)
+    rows = enumerate(h2.h.row_bits)
+    return words, next(((i, w) for i, row in rows for w in words if (row & w).bit_count() & 1), None)
 
 
 def check_lemma4(
@@ -419,10 +408,12 @@ def check_lemma4(
     some entry if H1 is nonzero: Z1 = s in row j, where H1 has a 1 in column
     j, gives rows s or 0. One verdict per H2 thus decides a pair with a
     nonzero H1: whether H2's row space is even against its codewords, which
-    its rows decide, parity being linear. Only a failing pair spans the row
-    space and scans Z1 in ``product`` order, then the first failing Z1's
-    (Z2, L), for the first counterexample of the plain (Z1, Z2, L) scan.
-    ``cap`` bounds the 2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
+    its rows decide, parity being linear. A failing pair reports that
+    argument's triple: Z1 holds the first odd row i of H2 in row j, j the
+    first column in which H1 has a 1, Z2 holds e_i in each row where column
+    j of H1 has a 1, so Z2 H2 = H1 Z1, and both sides, evaluated through
+    f2core, read lhs >= 1 against rhs = 0. ``cap`` bounds the
+    2^(n1 n2) + 2^(r1 r2) matrices Z1 and Z2 of each pair.
     """
     if family is None:
         family = lemma4_default_family()
@@ -441,26 +432,22 @@ def check_lemma4(
             continue
         if h2.h not in memos:
             memos[h2.h] = _lemma4_memo(h2)
-        words, passes = memos[h2.h]
-        if passes or not any(h1.h.row_bits):
+        odd = memos[h2.h][1]
+        if odd is None or not any(h1.h.row_bits):
             continue
-        rowspace = list(span(quotient(h2.h.row_bits, h2.n).rows))
-        z1s = (BitMatrix(n1, n2, z1) for z1 in product(range(1 << n2), repeat=n1))
-        for z1 in z1s:
-            lhs, rhs = _lemma4_sides(h := flatten(mat_mul(h1.h, z1)).bits, n2, words, rowspace)
-            if max(lhs) > rhs:
-                break
-        z2s = (BitMatrix(r1, r2, z2) for z2 in product(range(1 << r2), repeat=r1))
-        z2 = next(z2 for z2 in z2s if (r := (h ^ flatten(mat_mul(z2, h2.h)).bits).bit_count()) < max(lhs))
-        j = next(j for j, l in enumerate(lhs) if l > r)
+        i, word = odd
+        j = min((row & -row).bit_length() - 1 for row in h1.h.row_bits if row)
+        z1 = BitMatrix(n1, n2, tuple(h2.h.row_bits[i] if c == j else 0 for c in range(n1)))
+        z2 = BitMatrix(r1, r2, tuple((row >> j & 1) << i for row in h1.h.row_bits))
+        entry, codeword = mat_mul(h1.h, z1), BitVec(n2, word)
         counter = {
             "h1": h1.h.to01_rows(),
             "h2": h2.h.to01_rows(),
             "z1": z1.to01_rows(),
             "z2": z2.to01_rows(),
-            "codeword": BitVec(n2, words[j]).to01(),
-            "lhs": lhs[j],
-            "rhs": r,
+            "codeword": codeword.to01(),
+            "lhs": weight(mat_vec(entry, codeword)),
+            "rhs": weight(mat_add(entry, mat_mul(z2, h2.h))),
         }
     return _report("lemma4", instance, checked, {"pairs": len(family)}, counter)
 
@@ -608,15 +595,15 @@ def run_claim(
 ) -> list[VerifyReport]:
     """Reports of one claim: on its registry instances, or, given ``pair``,
     on the product of those two parents, reported under ``instance``.
-    lemma4 checks its own matrix family and takes no pair."""
+    lemma4 checks its own matrix family, or, given ``pair``, that one pair
+    (H1, H2)."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {', '.join(CLAIMS)}")
     checker, names = _CLAIMS[claim]
     check = globals()[checker]
-    if claim == "lemma4":
-        if pair is not None:
-            raise ValueError("lemma4 runs on its built-in family only")
-        return [_timed(check, cap=cap)]
+    if claim == "lemma4":  # its own family, or the one pair given
+        given = {"family": [pair], "instance": instance} if pair is not None else {}
+        return [_timed(check, cap=cap, **given)]
     pairs = {instance: pair} if pair is not None else {name: _PARENTS[name] for name in names}
     # main checks the two parents; every other claim their product
     subjects = pairs if claim == "main" else {name: (build_hgp(*p),) for name, p in pairs.items()}

@@ -499,12 +499,22 @@ def test_verify_on_a_file_pair_is_pinned(files, capsys, monkeypatch, claim, seed
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_lemma4_rejects_paths(files, capsys):
-    code, _, err = run(
-        capsys, "verify", "lemma4", files / "open3.txt", files / "open3.txt"
-    )
+def test_verify_lemma4_on_a_file_pair(files, capsys, monkeypatch):
+    # lemma4 on the one pair (H1, H2) = (open3, open3): every Z1 (3 x 3),
+    # Z2 (2 x 2) and nonzero codeword of H2 (k2 = 1)
+    monkeypatch.chdir(files)
+    code, out, _ = run(capsys, "verify", "lemma4", "open3.txt", "open3.txt")
+    assert code == 0
+    report, summary = map(json.loads, out.splitlines())
+    assert report["instance"] == "open3.txt x open3.txt"
+    assert (report["status"], report["checked"]) == ("pass", 2 ** (3 * 3 + 2 * 2) * (2**1 - 1))
+    assert summary == {"summary": {"claims": 1, "passes": 1, "fails": 0}}
+
+
+def test_verify_all_rejects_paths(files, capsys):
+    code, _, err = run(capsys, "verify", "all", files / "open3.txt", files / "open3.txt")
     assert code == 2
-    assert json.loads(err)["error"] == "usage"
+    assert json.loads(err) == {"error": "usage", "detail": "verify all runs on built-in instances only"}
 
 
 def test_verify_wrong_path_count(files, capsys):

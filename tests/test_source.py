@@ -353,7 +353,6 @@ def test_private_imports_between_modules_are_pinned():
         "hgp": ["f2core._Record"],
         "logicals": ["f2core._Record"],
         "verify": [
-            "barrier._pauli_inputs", "barrier._pauli_walk", "barrier._stabilizer_flips",
-            "f2core._Record", "f2core._ones",
+            "barrier._pauli_inputs", "barrier._pauli_walk", "f2core._Record", "f2core._ones",
         ],
     }

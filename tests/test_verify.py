@@ -1,8 +1,10 @@
 """Checker behavior: honest passes, forced failures, determinism."""
 
+import ast
 import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ import oracles
 from hgpbarrier.barrier import BarrierResult, MinimaxTable, pauli_barrier_general, sector_table
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.errors import CapExceeded, NoLogicals, NotAStabilizer
-from hgpbarrier.f2core import BitMatrix, BitVec, combine, flatten, mat_mul, mat_vec, span, weight
+from hgpbarrier.f2core import BitMatrix, BitVec, _ones, combine, mat_mul, mat_vec, span, weight
 from hgpbarrier.hgp import HgpCode, build_hgp
 from hgpbarrier.logicals import PauliVec
 from hgpbarrier import barrier, logicals
@@ -158,20 +160,16 @@ def test_lemma1_paired_mode_reports_the_first_worst_pair_of_a_plain_scan(
     assert r.counterexample == {"x_bits": x_bits, "z_bits": z_bits, "barrier": 99, "bound": 16}
 
 
-def test_lemma1_paired_mode_compares_no_pairs(instances, monkeypatch):
+def test_lemma1_paired_mode_compares_no_pairs(instances):
     # the first worst pair follows from the two sector scans, so no (x, z)
-    # pair is formed, while checked still counts them all
-    formed = []
-
-    def counted(*iterables, **kwargs):
-        for item in product(*iterables, **kwargs):
-            formed.append(item)
-            yield item
-
-    monkeypatch.setattr(V, "product", counted)
+    # pair is formed, while checked still counts them all; verify imports
+    # neither product to form pairs with nor the span, quotient and flatten
+    # that only a matrix scan would need
+    tree = ast.parse(Path(V.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"product", "span", "quotient", "flatten"})
     r = V.check_lemma1(instances["surface_3"], instance="surface_3")
     assert (r.details["mode"], r.checked) == ("paired", 4096)
-    assert formed == []
 
 
 @pytest.mark.parametrize("name", sorted(V._PARENTS))
@@ -186,22 +184,43 @@ def test_lemma1_worst_barrier_is_the_top_voltage_tag(name):
 
 @pytest.mark.parametrize("name", ("surface_3", "toric_3"))
 def test_lemma1_packed_walks_match_stabilizer_path(instances, name):
-    # lemma1 walks over packed x | z << n states; their energies are those
-    # of the public stabilizer_path, and a wrong end is still refused
+    # lemma1 walks over packed x | z << n states, flipping each drawn
+    # generator's qubits in turn; their energies are those of the public
+    # stabilizer_path, which still refuses a Pauli the generators miss
     code = instances[name]
     n, gens = code.n_qubits, barrier._pauli_inputs(code)[1]
     rng = random.Random(0)
     for _ in range(50):
         combo = rng.randrange(1 << len(gens))
         end = combine(gens, combo)
-        packed = barrier._pauli_walk(code, barrier._stabilizer_flips(code, combo, end), int)
+        packed = barrier._pauli_walk(code, [q for g in _ones(combo) for q in _ones(gens[g])], int)
         s = PauliVec(n, BitVec(n, end & ((1 << n) - 1)), BitVec(n, end >> n))
         path = barrier.stabilizer_path(code, s, BitVec(len(gens), combo))
         assert packed.energies == path.energies
         assert path.energies == tuple(barrier.energy_quantum(code, p) for p in path.states)
         assert packed.states == tuple(p.x.bits | p.z.bits << n for p in path.states)
+        wrong = PauliVec(n, BitVec(n, (end ^ 1) & ((1 << n) - 1)), s.z)
         with pytest.raises(NotAStabilizer):
-            barrier._stabilizer_flips(code, combo, end ^ 1)
+            barrier.stabilizer_path(code, wrong, BitVec(len(gens), combo))
+
+
+def test_lemma1_walks_are_stabilizer_paths(instances, monkeypatch):
+    # each of lemma1's eight seeded walks is the public stabilizer_path of its
+    # drawn generators, on packed states
+    code = instances["surface_3"]
+    n, gens = code.n_qubits, barrier._pauli_inputs(code)[1]
+    walks, real = [], V._pauli_walk
+    monkeypatch.setattr(V, "_pauli_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    V.check_lemma1(code, instance="surface_3")
+    rng = random.Random(0)
+    for walk in walks:
+        combo = rng.randrange(1 << len(gens))
+        end = combine(gens, combo)
+        s = PauliVec(n, BitVec(n, end & ((1 << n) - 1)), BitVec(n, end >> n))
+        path = barrier.stabilizer_path(code, s, BitVec(len(gens), combo))
+        assert walk.states == tuple(p.x.bits | p.z.bits << n for p in path.states)
+        assert walk.energies == path.energies
+    assert len(walks) == 8
 
 
 # -- thm1 checker ----------------------------------------------------------------
@@ -417,87 +436,91 @@ def _plant(mp, code, index, word):
     mp.setattr(ClassicalCode, "iter_codewords", lambda self: iter(listed) if self.h == code.h else real(self))
 
 
-def _plain_scan(family):
-    """The first failing triple of the plain (Z1, Z2, L) scan of ``family``, as
-    ``check_lemma4`` reports it, or None. The right side comes from
-    ``weight_reduction_gap`` and the left side is wt(H1 (Z1 L)) over the
-    words H2 lists, since that function refuses a planted non-codeword."""
-    from hgpbarrier.deform import weight_reduction_gap
+def _index(m: BitMatrix) -> int:
+    """m's index in ``oracles.collapse_sides`` order: row 0 is the leading
+    digit in base 2^cols."""
+    i = 0
+    for row in m.row_bits:
+        i = i << m.cols | row
+    return i
 
-    for h1, h2 in family:
-        code, words = build_hgp(h1, h2), [w for w in h2.iter_codewords() if w.bits]
-        z2s = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
-        for z1 in product(range(1 << h2.n), repeat=h1.n):
-            m1 = BitMatrix(h1.n, h2.n, z1)
-            lhs = [weight(mat_vec(h1.h, mat_vec(m1, w))) for w in words]
-            for m2 in z2s:
-                rhs = weight_reduction_gap(code, m1, m2, BitVec(h2.n, 0))[1]
-                for w, l in zip(words, lhs):
-                    if l > rhs:
-                        return {
-                            "h1": h1.h.to01_rows(),
-                            "h2": h2.h.to01_rows(),
-                            "z1": m1.to01_rows(),
-                            "z2": m2.to01_rows(),
-                            "codeword": w.to01(),
-                            "lhs": l,
-                            "rhs": rhs,
-                        }
-    return None
+
+def _check_counterexample(ce, words):
+    """A lemma4 counterexample is a failing triple of the numpy oracle over
+    the listed ``words``, and re-evaluates through f2core to its lhs > rhs = 0:
+    its Z2 H2 equals H1 Z1, as the checker's argument builds it, so the
+    right side wt(H1 Z1 + Z2 H2) is 0."""
+    h1, h2, z1, z2 = (BitMatrix.from_rows(ce[key]) for key in ("h1", "h2", "z1", "z2"))
+    word = BitVec.from01(ce["codeword"])
+    lhs, rhs = oracles.collapse_sides(oracles.np_from_bitmatrix(h1), oracles.np_from_bitmatrix(h2), words)
+    assert lhs[_index(z1), words.index(word.bits)] == ce["lhs"] > rhs[_index(z1), _index(z2)] == ce["rhs"] == 0
+    entry = mat_mul(h1, z1)
+    assert entry == mat_mul(z2, h2)
+    assert weight(mat_vec(entry, word)) == ce["lhs"]
+
+
+def _listed(code):
+    return [w.bits for w in code.iter_codewords() if w.bits]
 
 
 def test_lemma4_counterexample_fields(monkeypatch):
-    # H2's only codeword 111 replaced by 100, odd against the row-space
-    # vector 110: a failing pair's payload names that word
+    # H2's only codeword 111 replaced by 100, odd against H2's first row
+    # 110: Z1 holds that row in row 0, H1's first column with a 1, and Z2
+    # holds e_0 in row 0, the one row of H1 with a 1 in column 0
     h = _code("110", "011")
     _plant(monkeypatch, h, 0, "100")
     r = V.check_lemma4(family=[(h, h)])
     assert not r.passed and r.checked == 512 * 16
     ce = r.counterexample
-    assert ce == _plain_scan([(h, h)])
-    assert ce["codeword"] == "100" and ce["lhs"] > ce["rhs"]
-    assert ce["h1"] == ce["h2"] == ["110", "011"]
-    assert len(ce["z1"]) == 3 and len(ce["z2"]) == 2
+    assert ce == {
+        "h1": ["110", "011"],
+        "h2": ["110", "011"],
+        "z1": ["110", "000", "000"],
+        "z2": ["10", "00"],
+        "codeword": "100",
+        "lhs": 1,
+        "rhs": 0,
+    }
+    _check_counterexample(ce, _listed(h))
 
 
 @pytest.mark.parametrize(
-    "planted, index, word, z1, z2, lhs",
+    "planted, index, word, z1, z2",
     [
-        (("110", "011"), 0, "001", ["000", "000", "101"], ["00", "11"], 1),
-        (("110", "110"), 1, "100", ["000", "000", "110"], ["00", "10"], 1),
+        (("110", "011"), 0, "001", ["011", "000", "000"], ["01", "00"]),
+        (("110", "110"), 1, "100", ["110", "000", "000"], ["10", "00"]),
     ],
     ids=["first-h2", "fourth-h2"],
 )
-def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, index, word, z1, z2, lhs):
+def test_lemma4_planted_counterexamples_are_pinned(monkeypatch, planted, index, word, z1, z2):
     # a non-codeword planted in one H2's word list of the default family:
-    # the first pair with that H2 fails, and the reported triple is the one
-    # an independent plain scan finds first
+    # the first pair with that H2 fails, on H2's first row odd against the
+    # planted word, and the counting still covers the whole family
     fam = V.lemma4_default_family()
     _plant(monkeypatch, _code(*planted), index, word)
     r = V.check_lemma4()
     assert r.checked == 368_640
-    first = next(i for i, (_, h2) in enumerate(fam) if h2.h.to01_rows() == list(planted))
-    assert r.counterexample == _plain_scan(fam[: first + 1]) == {
+    assert r.counterexample == {
         "h1": ["110", "011"],
         "h2": list(planted),
         "z1": z1,
         "z2": z2,
         "codeword": word,
-        "lhs": lhs,
+        "lhs": 1,
         "rhs": 0,
     }
+    h2 = next(h2 for _, h2 in fam if h2.h.to01_rows() == list(planted))
+    _check_counterexample(r.counterexample, _listed(h2))
 
 
 def test_lemma4_passing_check_multiplies_no_matrices(monkeypatch):
     # a pair passes on its H2's verdict alone, read off H2's rows; only a
-    # failing pair's scan spans the row space, multiplies matrices or
-    # evaluates an entry's sides
+    # failing pair builds and multiplies its counterexample's matrices
     def refuse(*args):
         raise AssertionError("called")
 
-    monkeypatch.setattr(V, "mat_mul", refuse)
-    monkeypatch.setattr(V, "_lemma4_sides", refuse)
-    monkeypatch.setattr(V, "span", refuse)
+    for name in ("mat_mul", "mat_add", "mat_vec"):
+        monkeypatch.setattr(V, name, refuse)
     r = V.check_lemma4()
     assert r.passed and r.checked == 368_640
 
@@ -515,45 +538,48 @@ def test_lemma4_lists_each_h2_maps_codewords_once(monkeypatch):
 
 def test_lemma4_kernel_matches_weight_reduction_gap():
     # every triple of a two-pair family against the per-triple public API:
-    # an entry's sides are the largest left side over L and the least right
-    # side over Z2
+    # per Z1, the largest left side over L is the most row parities of the
+    # entry H1 Z1 against one L, and the least right side over Z2 the sum of
+    # the entry rows' distances to H2's row space
     from hgpbarrier.deform import weight_reduction_gap
 
     fam = V.lemma4_default_family()
     checked = 0
     for h1, h2 in (fam[1], fam[13]):
-        code = build_hgp(h1, h2)
-        words, _ = V._lemma4_memo(h2)
+        code, words = build_hgp(h1, h2), _listed(h2)
         rowspace = list(span(h2.h.row_bits))
         z2_all = [BitMatrix(h1.r, h2.r, z2) for z2 in product(range(1 << h2.r), repeat=h1.r)]
         for z1 in product(range(1 << h2.n), repeat=h1.n):
             m1 = BitMatrix(h1.n, h2.n, z1)
-            lhs, rhs = V._lemma4_sides(flatten(mat_mul(h1.h, m1)).bits, h2.n, words, rowspace)
+            rows = mat_mul(h1.h, m1).row_bits
+            lhs = max(sum((row & w).bit_count() & 1 for row in rows) for w in words)
+            rhs = sum(min((row ^ s).bit_count() for s in rowspace) for row in rows)
             gaps = [weight_reduction_gap(code, m1, m2, BitVec(h2.n, w)) for m2 in z2_all for w in words]
-            assert (max(lhs), rhs) == (max(l for l, _ in gaps), min(r for _, r in gaps))
+            assert (lhs, rhs) == (max(l for l, _ in gaps), min(r for _, r in gaps))
             checked += len(gaps)
     assert checked == 512 * 16 * (1 + 3)  # 2^9 Z1, 2^4 Z2, one and three codewords
 
 
 def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
     # H1 = H2 = [111; 111], whose row space is {000, 111}, with the second of
-    # its three even codewords replaced by the odd word 010. The first
-    # failing Z1 in product order is number 7, (0, 0, 7), whose entry has the
-    # rows 111 and 111; its first failing Z2 is number 5, (1, 1), with the
-    # planted second word
+    # its three even codewords replaced by the odd word 010. Row 0 of H2 is
+    # the first odd row, H1's first column with a 1 is column 0, and both
+    # rows of H1 have a 1 there: Z1 holds 111 in row 0, Z2 is e_0 twice, and
+    # the entry's two rows 111 both count against 010
     h = _code("111", "111")
     _plant(monkeypatch, h, 1, "010")
     r = V.check_lemma4(family=[(h, h)])
-    assert r.counterexample == _plain_scan([(h, h)]) == {
+    assert r.counterexample == {
         "h1": ["111", "111"],
         "h2": ["111", "111"],
-        "z1": BitMatrix(3, 3, (0, 0, 7)).to01_rows(),
-        "z2": BitMatrix(2, 2, (1, 1)).to01_rows(),
+        "z1": ["111", "000", "000"],
+        "z2": ["10", "10"],
         "codeword": "010",
         "lhs": 2,
         "rhs": 0,
     }
     assert r.checked == 512 * 16 * 3
+    _check_counterexample(r.counterexample, _listed(h))
 
 
 def test_lemma4_verdicts_are_kept_per_h2_map_over_every_term(monkeypatch):
@@ -563,8 +589,17 @@ def test_lemma4_verdicts_are_kept_per_h2_map_over_every_term(monkeypatch):
     h, g = _code("110", "011"), _code("111", "111")
     _plant(monkeypatch, g, 0, "111")
     r = V.check_lemma4(family=[(h, h), (h, g)])
-    assert r.counterexample == _plain_scan([(h, h), (h, g)])
-    assert r.counterexample["h2"] == ["111", "111"] and r.counterexample["codeword"] == "111"
+    assert r.checked == 512 * 16 * (1 + 3)  # one and three codewords
+    assert r.counterexample == {
+        "h1": ["110", "011"],
+        "h2": ["111", "111"],
+        "z1": ["111", "000", "000"],
+        "z2": ["10", "00"],
+        "codeword": "111",
+        "lhs": 1,
+        "rhs": 0,
+    }
+    _check_counterexample(r.counterexample, _listed(g))
 
 
 @st.composite
@@ -596,18 +631,15 @@ def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2, plant):
         if words:
             _plant(mp, h2, len(words) - 1, BitVec(h2.n, words[-1]).to01())
         r = V.check_lemma4(family=[(h1, h2)])
-        plain = _plain_scan([(h1, h2)]) if status == "fail" else None
         listed, _ = V._lemma4_memo(h2)
-    assert (r.status, r.checked, r.counterexample) == (status, checked, plain)
+    assert (r.status, r.checked) == (status, checked)
     assert listed == words
-    # every Z1's sides are the sides of its entry: the left side per listed
-    # word, the right side the least over Z2
-    lhs, rhs = oracles.collapse_sides(m1, m2, words)
-    rowspace = list(span(h2.h.row_bits))
-    for i, z1 in enumerate(product(range(1 << h2.n), repeat=h1.n)):
-        entry = flatten(mat_mul(h1.h, BitMatrix(h1.n, h2.n, z1))).bits
-        got = V._lemma4_sides(entry, h2.n, words, rowspace)
-        assert got == (lhs[i].tolist(), rhs[i].min())
+    # a failing pair reports a failing triple of the oracle, whose sides
+    # re-evaluate through f2core; a passing pair reports none
+    if status == "fail":
+        _check_counterexample(r.counterexample, words)
+    else:
+        assert r.counterexample is None
 
 
 def test_lemma4_cap_bounds_z1_and_z2_matrices():
@@ -858,8 +890,12 @@ def test_run_claim_on_a_pair_matches_the_registry_instance():
         explicit = V.run_claim(claim, pair=pair, instance="rect_2_3")
         assert [r.to_json_dict() for r in explicit] == [r.to_json_dict() for r in registry]
         assert V.summarize(explicit) == {"claims": 1, "passes": 1, "fails": 0}
-    with pytest.raises(ValueError):
-        V.run_claim("lemma4", pair=pair, instance="rect_2_3")
+    # lemma4 checks the pair itself, as check_lemma4 on a one-pair family
+    explicit = V.run_claim("lemma4", pair=pair, instance="rect_2_3")
+    direct = V.check_lemma4([pair], instance="rect_2_3")
+    assert [r.to_json_dict() for r in explicit] == [direct.to_json_dict()]
+    assert explicit[0].instance == "rect_2_3" and explicit[0].passed
+    assert explicit[0].checked == (1 << (2 * 3 + 1 * 2)) * 1
 
 
 def test_run_all_summary_shape():
