@@ -39,11 +39,10 @@ from .codes import (
     random_ldpc,
     ring_repetition,
 )
-from .hgp import HgpCode, build_hgp, css_check, hgp_parameters, qubit_index
+from .hgp import HgpCode, PauliVec, build_hgp, css_check, hgp_parameters, qubit_index
 from .logicals import (
     CanonicalOp,
     PauliClass,
-    PauliVec,
     canonical_x_basis,
     canonical_z_basis,
     classify,

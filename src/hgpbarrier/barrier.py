@@ -48,7 +48,7 @@ import sys
 from array import array
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import xor
 
 from .codes import ClassicalCode
@@ -63,8 +63,8 @@ from .errors import (
     WitnessError,
 )
 from .f2core import BitMatrix, BitVec, Quotient, _ones, _Record, combine, linear_table, mat_vec, quotient, span, weight
-from .hgp import HgpCode
-from .logicals import CanonicalOp, PauliVec, _is_z, elementary_leg
+from .hgp import HgpCode, PauliVec
+from .logicals import CanonicalOp, elementary_leg
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -134,8 +134,13 @@ def _flip(prev, state) -> tuple[int, str]:
 
 
 class BarrierResult(_Record):
-    def __init__(self, value: int, witness: PathRecord, target: object, explored: int):
+    def __init__(self, value: int, witness: PathRecord, explored: int):
         self._store(locals())
+
+    @property
+    def target(self):
+        """The state the witness ends at."""
+        return self.witness.states[-1]
 
 
 class SyndromeEnergy:
@@ -177,7 +182,7 @@ def _check_pauli(p: PauliVec, n: int) -> None:
 
 def energy_quantum(code: HgpCode, p: PauliVec) -> int:
     _check_pauli(p, code.n_qubits)
-    return weight(mat_vec(code.hx, p.z)) + weight(mat_vec(code.hz, p.x))
+    return sum(weight(mat_vec(code.sector(kind)[0], p.part(kind))) for kind in ("z", "x"))
 
 
 @lru_cache(maxsize=8)
@@ -454,13 +459,10 @@ def bottleneck_search(
     return _target_search(energy, (), _normalize_targets(targets, n_dim), cap)
 
 
-def _quotient_within(stab_rows: tuple[int, ...], n: int, cap: int) -> Quotient:
-    """F2^n / rowspace(stab_rows); CapExceeded if it has more than cap
-    states, before the quotient's per-byte tables are built."""
-    q = quotient(stab_rows, n)
-    if (1 << q.dim) > cap:
-        raise CapExceeded(f"2^{q.dim} quotient states exceed cap {cap}")
-    return q
+def _within(dim: int, cap: int) -> None:
+    """CapExceeded if 2^dim quotient states exceed cap, before any quotient table."""
+    if (1 << dim) > cap:
+        raise CapExceeded(f"2^{dim} quotient states exceed cap {cap}")
 
 
 def _reduce(basis, x: int) -> tuple[int, int]:
@@ -625,14 +627,14 @@ def _target_search(
     it ends at one n-bit vector of that state (recorded through ``state``,
     as in ``_walk``); with no stabilizers the quotient states are the
     vectors themselves."""
-    q = _quotient_within(stab_rows, energy.n_dim, cap)
+    q = quotient(stab_rows, energy.n_dim)
+    _within(q.dim, cap)
     end, value, pred, explored = _nearest(q.dim, q.images, energy.columns, len(energy.rows), target_pred)
     flips, s = [], end  # the tree path, walked back from the end
     while s:
         flips.append(pred[s])
         s ^= q.images[flips[-1]]
-    record = _walk(reversed(flips), energy, state)
-    return BarrierResult(value, record, record.states[-1], explored)
+    return BarrierResult(value, _walk(reversed(flips), energy, state), explored)
 
 
 def _nonzero_codeword(state: int, energy: int) -> bool:
@@ -640,7 +642,7 @@ def _nonzero_codeword(state: int, energy: int) -> bool:
 
 
 def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
-    _quotient_within((), c.n, cap)
+    _within(c.n, cap)
     return _table(c.h.row_bits, (), c.n)
 
 
@@ -650,17 +652,12 @@ def _sector_name(sector: str) -> str:
     return sector.lower()
 
 
-def _sector_matrices(code: HgpCode, sector: str) -> tuple[BitMatrix, BitMatrix]:
-    """(check matrix, stabilizer matrix) of a CSS sector: z-space is checked
-    by HX and taken modulo the rows of HZ, x-space the other way round."""
-    return (code.hx, code.hz) if _is_z(_sector_name(sector)) else (code.hz, code.hx)
-
-
 def sector_table(code: HgpCode, sector: str, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
     """Exhaustive minimax table for one CSS sector, over 2^(n - rank S)
-    quotient states; ``cap`` bounds that count."""
-    checks, stab = _sector_matrices(code, sector)
-    _quotient_within(stab.row_bits, code.n_qubits, cap)
+    quotient states; ``cap`` bounds that count, read off the parents."""
+    kind = _sector_name(sector)
+    _within(code.sector_dim(kind), cap)
+    checks, stab = code.sector(kind)
     return _table(checks.row_bits, stab.row_bits, code.n_qubits)
 
 
@@ -671,13 +668,14 @@ def classical_barrier(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> Barrier
     return _target_search(_energy(c.h.row_bits, c.n), (), _nonzero_codeword, cap)
 
 
-def _sector_result(code: HgpCode, sector: str, cap: int) -> BarrierResult:
+def _sector_result(code: HgpCode, kind: str, cap: int) -> BarrierResult:
     """Cheapest nontrivial logical of one sector, searched on the quotient:
     a nonzero quotient state without syndrome is a nontrivial logical coset,
     and the lifted tree path reaches one of its vectors at the coset's value."""
-    checks, stab = _sector_matrices(code, sector)
+    _within(code.sector_dim(kind), cap)
+    checks, stab = code.sector(kind)
     n = code.n_qubits
-    state = lambda b: PauliVec.of_kind(sector, BitVec(n, b))
+    state = lambda b: PauliVec.of_kind(kind, BitVec(n, b))
     return _target_search(_energy(checks.row_bits, n), stab.row_bits, _nonzero_codeword, cap, state)
 
 
@@ -700,35 +698,21 @@ def quantum_barrier(
     return min(results, key=lambda r: r.value)  # the z result on a tie
 
 
-@lru_cache(maxsize=64)
-def _pauli_inputs(code: HgpCode) -> tuple:
-    """``_table`` arguments for states x | z << n, modulo HX on x and HZ on z:
-    (check rows, stabilizer generators, 2n), the generators the HX rows then
-    the HZ rows; move q < n is an X flip of qubit q, move n + q a Z flip.
-    Cached per code; the table itself lives only in ``_table``'s cache."""
-    n = code.n_qubits
-    rows = code.hz.row_bits + tuple(r << n for r in code.hx.row_bits)
-    return rows, code.hx.row_bits + tuple(r << n for r in code.hz.row_bits), 2 * n
-
-
-def _pauli_state(bits: int, n: int) -> PauliVec:
-    """The Pauli on n qubits packed as x | z << n."""
-    return PauliVec(n, BitVec(n, bits & ((1 << n) - 1)), BitVec(n, bits >> n))
-
-
 def _pauli_walk(code: HgpCode, flips: Iterable[int], state=None) -> PathRecord:
-    """``_walk`` over x | z << n, its states PauliVecs by default."""
-    rows, _, n2 = _pauli_inputs(code)
-    return _walk(flips, _energy(rows, n2), state or partial(_pauli_state, n=code.n_qubits))
+    """``_walk`` over packed full-Pauli states (``HgpCode.pack``), its states
+    PauliVecs by default: move q < n flips qubit q's x bit, move n + q its z bit."""
+    n = code.n_qubits
+    state = state or (lambda b: PauliVec(n, *(BitVec(n, part) for part in code.unpack(b))))
+    return _walk(flips, _energy(code.pauli_rows[0], 2 * n), state)
 
 
 def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
-    """Exhaustive minimax table over the full Pauli group, states x | z << n
-    modulo HX on x and HZ on z: 2^(n + k) quotient states, which ``cap``
-    bounds. One cached table per code answers every target."""
-    rows, stab_rows, n2 = _pauli_inputs(code)
-    _quotient_within(stab_rows, n2, cap)
-    return _table(rows, stab_rows, n2)
+    """Exhaustive minimax table over the full Pauli group, packed states
+    modulo HX on x and HZ on z (``HgpCode.pauli_rows``): 2^(n + k) quotient
+    states, which ``cap`` bounds before HX or HZ is built. One cached table
+    per code answers every target."""
+    _within(code.n_qubits + code.k, cap)
+    return _table(*code.pauli_rows, 2 * code.n_qubits)
 
 
 def pauli_barrier_general(
@@ -748,9 +732,8 @@ def pauli_barrier_general(
     n = code.n_qubits
     _check_pauli(target, n)
     table = pauli_table(code, cap)
-    goal = target.x.bits | (target.z.bits << n)
-    record = _pauli_walk(code, table._flips(goal))
-    return BarrierResult(table.value(goal), record, record.states[-1], table.explored)
+    goal = code.pack(target.x.bits, target.z.bits)
+    return BarrierResult(table.value(goal), _pauli_walk(code, table._flips(goal)), table.explored)
 
 
 def normalizer_barrier(
@@ -766,13 +749,13 @@ def normalizer_barrier(
     """
     n = code.n_qubits
     _check_pauli(p, n)
-    if mat_vec(code.hz, p.x).bits or mat_vec(code.hx, p.z).bits:
+    if any(mat_vec(code.sector(kind)[0], p.part(kind)).bits for kind in ("x", "z")):
         raise OutsideNormalizer("Pauli anticommutes with a check; barrier is sector-mixed")
     tx = sector_table(code, "x", cap)
     tz = sector_table(code, "z", cap)
     value = max(tx.value(p.x.bits), tz.value(p.z.bits))
     record = _pauli_walk(code, tx._flips(p.x.bits) + [n + q for q in tz._flips(p.z.bits)])
-    return BarrierResult(value, record, record.states[-1], tx.explored + tz.explored)
+    return BarrierResult(value, record, tx.explored + tz.explored)
 
 
 def sweep_path_for_canonical(
@@ -790,8 +773,7 @@ def sweep_path_for_canonical(
     place = lambda b: PauliVec.of_kind(op.kind, placement(BitVec(parent.cols, b)))
     goal = lambda s, e: s == word.bits
     sweep = _target_search(_energy(parent.row_bits, parent.cols), (), goal, cap, place).witness
-    checks, _ = _sector_matrices(code, op.kind)
-    energy = _energy(checks.row_bits, code.n_qubits)
+    energy = _energy(code.sector(op.kind)[0].row_bits, code.n_qubits)
     # the quantum energy along the sweep reduces exactly to the classical one
     if tuple(energy(s.part(op.kind)) for s in sweep.states) != sweep.energies:
         raise WitnessError("sweep energies differ from its classical leg's")
@@ -802,15 +784,15 @@ def sweep_path_for_canonical(
 
 def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> PathRecord:
     """Constructive path to a stabilizer: apply each selected generator in
-    order, one qubit at a time. Generators are the HX rows followed by the
-    HZ rows; the peak energy is at most w_c * w_q.
+    order, one qubit at a time. Generators are those of
+    ``HgpCode.pauli_rows``; the peak energy is at most w_c * w_q.
     """
-    gens = _pauli_inputs(code)[1]
+    gens = code.pauli_rows[1]
     if generator_combo.n != len(gens):
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
-    n, combo = code.n_qubits, generator_combo.bits
-    _check_pauli(s, n)
-    if combine(gens, combo) != s.x.bits | s.z.bits << n:
+    combo = generator_combo.bits
+    _check_pauli(s, code.n_qubits)
+    if combine(gens, combo) != code.pack(s.x.bits, s.z.bits):
         raise NotAStabilizer("selected generators do not multiply to the given Pauli")
     return _pauli_walk(code, [q for g in _ones(combo) for q in _ones(gens[g])])
 

@@ -18,26 +18,10 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .errors import (
-    DimensionMismatch,
-    NotACodeword,
-    TrivialOperator,
-)
-from .f2core import (
-    BitMatrix,
-    BitVec,
-    _Record,
-    kernel_basis,
-    mat_add,
-    mat_mul,
-    mat_vec,
-    reshape,
-    tensor_vec,
-    vec_split,
-    weight,
-)
-from .hgp import HgpCode
-from .logicals import CanonicalOp, PauliVec, compose_canonical
+from .errors import DimensionMismatch, NotACodeword, TrivialOperator
+from .f2core import BitMatrix, BitVec, _Record, mat_add, mat_mul, mat_vec, reshape, tensor_vec, vec_split, weight
+from .hgp import HgpCode, PauliVec
+from .logicals import CanonicalOp, compose_canonical
 from .barrier import PathRecord, energy_quantum
 
 __all__ = [
@@ -70,16 +54,10 @@ class DeformSpec(_Record):
         return frozenset(self.l_c.support())
 
 
-def _check_matrix(code: HgpCode, block: str) -> tuple[BitMatrix, str, str]:
-    """(check, its name, its length's name): the matrix whose codewords
-    collapse ``block``, H2 for "vv" and H1^T for "cc"."""
-    if block == "vv":
-        return code.h2.h, "H2", "n2"
-    return code.h1.h.transpose(), "H1^T", "r1"
-
-
 def _check_spec(code: HgpCode, spec: DeformSpec) -> None:
-    check, name, length = _check_matrix(code, spec.block)
+    # a Z path collapses along the X parents' words: H2 ("vv"), H1^T ("cc")
+    check = code.parents("x")[spec.block == "cc"].h
+    name, length = ("H1^T", "r1") if spec.block == "cc" else ("H2", "n2")
     if spec.l_c.n != check.cols:
         raise DimensionMismatch(f"codeword length {spec.l_c.n}, need {length}={check.cols}")
     if mat_vec(check, spec.l_c).bits:
@@ -144,8 +122,8 @@ def _collapse_codeword(code: HgpCode, p: PauliVec) -> DeformSpec:
     basis vector that does is the first codeword in graded-lex order over
     the basis. A Z stabilizer collapses to the identity, so a Z logical
     collapses as its canonical part."""
-    for block in ("vv", "cc"):
-        for l_c in kernel_basis(_check_matrix(code, block)[0]):
+    for block, parent in zip(("vv", "cc"), code.parents("x")):
+        for l_c in parent.kernel:
             spec = DeformSpec(l_c, min(l_c.support()), block)
             if not _deform_checked(code, p, spec).is_identity():
                 return spec

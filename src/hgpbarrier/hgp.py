@@ -8,6 +8,12 @@ Given check matrices H1 (r1 x n1) and H2 (r2 x n2), the product CSS code has
 acting on N = n1*n2 + r1*r2 qubits. Qubits [0, n1*n2) form the bit-bit block
 (coordinates (i, j) with i < n1, j < n2, row-major); qubits [n1*n2, N) form
 the check-check block (coordinates (a, b) with a < r1, b < r2).
+
+A code is its two parents: HX and HZ are built on first read, after every
+cap has been read off the parents. The CSS conventions live here alone: the
+matrices that check and stabilize each sector (``HgpCode.sector``), the
+parents of Z and of X operators (``HgpCode.parents``), and the packing of
+full Paulis and generators (``HgpCode.pack``, ``HgpCode.pauli_rows``).
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
-from .errors import IndexOutOfRange, NoLogicals
-from .f2core import BitMatrix, _Record, hstack, kron, mat_mul
+from .errors import DimensionMismatch, IndexOutOfRange, NoLogicals
+from .f2core import BitMatrix, BitVec, _Record, hstack, kron, mat_mul
 
 __all__ = [
+    "PauliVec",
     "HgpCode",
     "build_hgp",
     "css_check",
@@ -28,44 +35,142 @@ __all__ = [
 ]
 
 
-class HgpCode(_Record):
-    def __init__(self, h1: ClassicalCode, h2: ClassicalCode, hx: BitMatrix, hz: BitMatrix):
+def _is_z(kind: str) -> bool:
+    if kind not in ("z", "x"):
+        raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
+    return kind == "z"
+
+
+class PauliVec(_Record):
+    """Binary symplectic representation: x and z flip patterns over N qubits."""
+
+    def __init__(self, n: int, x: BitVec, z: BitVec):
+        if x.n != n or z.n != n:
+            raise DimensionMismatch(f"parts of length {x.n}/{z.n} on {n} qubits")
         self._store(locals())
 
-    # caches key on codes, and the fields' hash walks four matrices: take it once
-    _hash = cached_property(lambda self: hash((self.h1, self.h2, self.hx, self.hz)))
+    @classmethod
+    def identity(cls, n: int) -> "PauliVec":
+        return cls(n, BitVec(n), BitVec(n))
+
+    @classmethod
+    def z_type(cls, z: BitVec) -> "PauliVec":
+        return cls(z.n, BitVec(z.n), z)
+
+    @classmethod
+    def x_type(cls, x: BitVec) -> "PauliVec":
+        return cls(x.n, x, BitVec(x.n))
+
+    @classmethod
+    def of_kind(cls, kind: str, v: BitVec) -> "PauliVec":
+        """The pure-``kind`` Pauli flipping ``v``: Z flips for kind "z", X
+        flips for kind "x"."""
+        return cls.z_type(v) if _is_z(kind) else cls.x_type(v)
+
+    def part(self, kind: str) -> BitVec:
+        """The z part for kind "z", the x part for kind "x"."""
+        return self.z if _is_z(kind) else self.x
+
+    def __mul__(self, other: "PauliVec") -> "PauliVec":
+        return PauliVec(self.n, self.x ^ other.x, self.z ^ other.z)
+
+    def weight(self) -> int:
+        return (self.x.bits | self.z.bits).bit_count()
+
+    def support(self) -> tuple[int, ...]:
+        return BitVec(self.n, self.x.bits | self.z.bits).support()
+
+    def is_identity(self) -> bool:
+        return not (self.x.bits or self.z.bits)
+
+
+class HgpCode(_Record):
+    """The product of ``h1`` and ``h2``. Its fields are the two parents; HX,
+    HZ and the transposed parents are built on first read and kept."""
+
+    def __init__(self, h1: ClassicalCode, h2: ClassicalCode):
+        self._store(locals())
+
+    # caches key on codes, and the fields' hash walks both parents: take it once
+    _hash = cached_property(lambda self: hash((self.h1, self.h2)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def n1(self) -> int:
-        return self.h1.n
+    @cached_property
+    def hx(self) -> BitMatrix:
+        h1, h2 = self.h1.h, self.h2.h
+        return hstack(kron(h1, BitMatrix.identity(self.n2)), kron(BitMatrix.identity(self.r1), h2.transpose()))
 
-    @property
-    def r1(self) -> int:
-        return self.h1.r
+    @cached_property
+    def hz(self) -> BitMatrix:
+        h1, h2 = self.h1.h, self.h2.h
+        return hstack(kron(BitMatrix.identity(self.n1), h2), kron(h1.transpose(), BitMatrix.identity(self.r2)))
 
-    @property
-    def n2(self) -> int:
-        return self.h2.n
-
-    @property
-    def r2(self) -> int:
-        return self.h2.r
-
-    @property
-    def vv_count(self) -> int:
-        return self.n1 * self.n2
+    # the parents' sizes, and the number of bit-bit qubits
+    n1 = property(lambda self: self.h1.n)
+    r1 = property(lambda self: self.h1.r)
+    n2 = property(lambda self: self.h2.n)
+    r2 = property(lambda self: self.h2.r)
+    vv_count = property(lambda self: self.n1 * self.n2)
 
     @cached_property
     def n_qubits(self) -> int:
         return self.n1 * self.n2 + self.r1 * self.r2
 
-    @property
+    @cached_property
+    def _transposes(self) -> tuple[ClassicalCode, ClassicalCode]:
+        return self.h1.transpose(), self.h2.transpose()
+
+    @cached_property
     def k(self) -> int:
-        """Logical qubits, k1*k2 + k1T*k2T; a transpose code has dimension r - rank."""
-        return self.h1.k * self.h2.k + (self.r1 - self.h1.rank) * (self.r2 - self.h2.rank)
+        """Logical qubits, k1*k2 + k1T*k2T."""
+        h1t, h2t = self._transposes
+        return self.h1.k * self.h2.k + h1t.k * h2t.k
+
+    def sector(self, kind: str) -> tuple[BitMatrix, BitMatrix]:
+        """(checks, stabilizers) of a CSS sector: z-space is checked by HX and
+        taken modulo the rows of HZ, x-space the other way round."""
+        return (self.hx, self.hz) if _is_z(kind) else (self.hz, self.hx)
+
+    def sector_dim(self, kind: str) -> int:
+        """log2 of the sector's quotient states, n - rank of its stabilizers,
+        read off the parents without building HX or HZ: HZ has n1*r2 rows and
+        the left kernel ker H1 (x) ker H2^T, so rank HZ = n1*r2 - k1*k2T, in
+        the sizes of z's parents; HX mirrors it in those of x's."""
+        vv, cc = self.parents(kind)
+        return self.n_qubits - vv.n * cc.n + vv.k * cc.k
+
+    def parents(self, kind: str) -> tuple[ClassicalCode, ClassicalCode]:
+        """(bit-bit parent, check-check parent) of ``kind``'s canonical
+        operators: their codewords are words of H1 and H2^T for Z, of H2 and
+        H1^T for X. Each is one code per product, with its cached rank and
+        kernel."""
+        h1t, h2t = self._transposes
+        return (self.h1, h2t) if _is_z(kind) else (self.h2, h1t)
+
+    @cached_property
+    def pauli_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(check rows, stabilizer generators) of the full Pauli group on
+        packed states x | z << n: the x sector's rows on the x bits, then
+        the z sector's on the z bits. So the energy of x | z << n is
+        wt(HZ x) + wt(HX z), and the generators are the HX rows as X, then
+        the HZ rows as Z."""
+        (x_checks, x_stabs), (z_checks, z_stabs) = self.sector("x"), self.sector("z")
+        packed = lambda xs, zs: (
+            tuple(self.pack(r, 0) for r in xs.row_bits) + tuple(self.pack(0, r) for r in zs.row_bits)
+        )
+        return packed(x_checks, z_checks), packed(x_stabs, z_stabs)
+
+    def pack(self, x: int, z: int) -> int:
+        """A Pauli's x and z flips as one int of 2n bits, x | z << n: the
+        packing of every full-Pauli state, check row and generator."""
+        return x | z << self.n_qubits
+
+    def unpack(self, bits: int) -> tuple[int, int]:
+        """The (x, z) flips that ``pack`` packed into ``bits``."""
+        n = self.n_qubits
+        return bits & ((1 << n) - 1), bits >> n
 
     @cached_property
     def w_c(self) -> int:
@@ -81,17 +186,9 @@ class HgpCode(_Record):
 
 @lru_cache(maxsize=256)
 def build_hgp(h1: ClassicalCode, h2: ClassicalCode) -> HgpCode:
-    """The product of ``h1`` and ``h2``, built once per pair of parents; a
-    repeated pair returns the same code, with its cached properties."""
-    hx = hstack(
-        kron(h1.h, BitMatrix.identity(h2.n)),
-        kron(BitMatrix.identity(h1.r), h2.h.transpose()),
-    )
-    hz = hstack(
-        kron(BitMatrix.identity(h1.n), h2.h),
-        kron(h1.h.transpose(), BitMatrix.identity(h2.r)),
-    )
-    return HgpCode(h1, h2, hx, hz)
+    """The product of ``h1`` and ``h2``, one per pair of parents; a repeated
+    pair returns the same code, with its cached matrices and properties."""
+    return HgpCode(h1, h2)
 
 
 def css_check(code: HgpCode) -> bool:
@@ -107,7 +204,7 @@ def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
     """
     if code.k == 0:
         raise NoLogicals("code has no logical qubits, distance undefined")
-    parents = (code.h1, code.h2, code.h1.transpose(), code.h2.transpose())
+    parents = (code.h1, code.h2, *code._transposes)
     return CodeParams(code.n_qubits, code.k, min(p.parameters(cap).d for p in parents))
 
 

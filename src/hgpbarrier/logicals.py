@@ -33,10 +33,10 @@ from .f2core import (
     tensor_vec,
     unit_matrices,
 )
-from .hgp import HgpCode
+from .hgp import HgpCode, PauliVec
 
 __all__ = [
-    "PauliVec",
+    "PauliVec",  # defined in hgp, with the other CSS conventions
     "PauliClass",
     "CanonicalOp",
     "canonical_z_basis",
@@ -47,55 +47,6 @@ __all__ = [
     "enumerate_z_logicals",
     "enumerate_x_logicals",
 ]
-
-
-class PauliVec(_Record):
-    """Binary symplectic representation: x and z flip patterns over N qubits."""
-
-    def __init__(self, n: int, x: BitVec, z: BitVec):
-        if x.n != n or z.n != n:
-            raise DimensionMismatch(f"parts of length {x.n}/{z.n} on {n} qubits")
-        self._store(locals())
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliVec":
-        return cls(n, BitVec(n), BitVec(n))
-
-    @classmethod
-    def z_type(cls, z: BitVec) -> "PauliVec":
-        return cls(z.n, BitVec(z.n), z)
-
-    @classmethod
-    def x_type(cls, x: BitVec) -> "PauliVec":
-        return cls(x.n, x, BitVec(x.n))
-
-    @classmethod
-    def of_kind(cls, kind: str, v: BitVec) -> "PauliVec":
-        """The pure-``kind`` Pauli flipping ``v``: Z flips for kind "z", X
-        flips for kind "x"."""
-        return cls.z_type(v) if _is_z(kind) else cls.x_type(v)
-
-    def part(self, kind: str) -> BitVec:
-        """The z part for kind "z", the x part for kind "x"."""
-        return self.z if _is_z(kind) else self.x
-
-    def __mul__(self, other: "PauliVec") -> "PauliVec":
-        return PauliVec(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def weight(self) -> int:
-        return (self.x.bits | self.z.bits).bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return BitVec(self.n, self.x.bits | self.z.bits).support()
-
-    def is_identity(self) -> bool:
-        return not (self.x.bits or self.z.bits)
-
-
-def _is_z(kind: str) -> bool:
-    if kind not in ("z", "x"):
-        raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
-    return kind == "z"
 
 
 class PauliClass(enum.Enum):
@@ -131,15 +82,14 @@ class CanonicalOp(_Record):
 @lru_cache(maxsize=256)
 def _ingredients(code: HgpCode, kind: str):
     """(vv left, vv right, cc left, cc right): the vectors whose tensor
-    products lam and kappa weight. Z takes kernels of H1 and H2^T and units
-    of H2 and H1^T; X is the mirror, kernels of H2 and H1^T and units of H1
-    and H2^T."""
-    h1, h2 = code.h1.h, code.h2.h
-    h1t, h2t = h1.transpose(), h2.transpose()
-    units = lambda m: tuple(BitVec.unit(m.cols, c) for c in rref(m).free_cols)
+    products lam and kappa weight. Each block pairs the kernel of ``kind``'s
+    parent with the units of the mirror kind's: for Z kernels of H1 and H2^T
+    and units of H2 and H1^T, for X the other way round."""
+    (h1, h2t), (h2, h1t) = code.parents("z"), code.parents("x")
+    units = lambda c: tuple(BitVec.unit(c.n, col) for col in rref(c.h).free_cols)
     if kind == "z":
-        return kernel_basis(h1), units(h2), units(h1t), kernel_basis(h2t)
-    return units(h1), kernel_basis(h2), kernel_basis(h1t), units(h2t)
+        return h1.kernel, units(h2), units(h1t), h2t.kernel
+    return units(h1), h2.kernel, h1t.kernel, units(h2t)
 
 
 def _fitted_ingredients(code: HgpCode, kind: str, lam: BitMatrix, kappa: BitMatrix):
@@ -210,10 +160,9 @@ def elementary_leg(code: HgpCode, op: CanonicalOp):
     block, i, j = op.coefficient()
     left, right = (vv_left[i], vv_right[j]) if block == "vv" else (cc_left[i], cc_right[j])
     n, shift = code.n_qubits, 0 if block == "vv" else code.vv_count
+    parent = code.parents(op.kind)[block == "cc"].h
     if (op.kind == "z") == (block == "vv"):  # the codeword is the left factor
-        parent = code.h1.h if block == "vv" else code.h1.h.transpose()
         return parent, left, lambda w: BitVec(n, tensor_vec(w, right).bits << shift)
-    parent = code.h2.h if block == "vv" else code.h2.h.transpose()
     return parent, right, lambda w: BitVec(n, tensor_vec(left, w).bits << shift)
 
 
@@ -221,32 +170,33 @@ def classify(code: HgpCode, p: PauliVec) -> PauliClass:
     """Place a Pauli in the normalizer hierarchy of the code."""
     if p.n != code.n_qubits:
         raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
-    if mat_vec(code.hx, p.z).bits or mat_vec(code.hz, p.x).bits:
+    sectors = [(*code.sector(kind), p.part(kind)) for kind in ("x", "z")]
+    if any(mat_vec(checks, v).bits for checks, _, v in sectors):
         return PauliClass.NON_COMMUTING
-    n = code.n_qubits
-    if p.x.bits in quotient(code.hx.row_bits, n) and p.z.bits in quotient(code.hz.row_bits, n):
+    if all(v.bits in quotient(stabs.row_bits, code.n_qubits) for _, stabs, v in sectors):
         if p.is_identity():
             return PauliClass.IDENTITY
         return PauliClass.STABILIZER
     return PauliClass.NONTRIVIAL_LOGICAL
 
 
-def _enumerate_coset(check: BitMatrix, stab_rows: BitMatrix, cap: int) -> Iterator[BitVec]:
-    basis = kernel_basis(check)
+def _enumerate_coset(code: HgpCode, kind: str, cap: int) -> Iterator[PauliVec]:
+    """The pure-``kind`` Paulis whose part is in the kernel of the sector's
+    checks and outside its stabilizers' row space."""
+    checks, stabs = code.sector(kind)
+    basis = kernel_basis(checks)
     if 1 << len(basis) > cap:
         raise CapExceeded(f"2^{len(basis)} kernel elements exceed cap {cap}")
-    split = quotient(stab_rows.row_bits, check.cols).split
+    split = quotient(stabs.row_bits, checks.cols).split
     for bits in span([v.bits for v in basis]):
         if split(bits)[0]:
-            yield BitVec(check.cols, bits)
+            yield PauliVec.of_kind(kind, BitVec(checks.cols, bits))
 
 
 def enumerate_z_logicals(code: HgpCode, cap: int = 1 << 20) -> Iterator[PauliVec]:
     """All Z parts in ker(HX) outside rowspace(HZ), as Z-type Paulis."""
-    for z in _enumerate_coset(code.hx, code.hz, cap):
-        yield PauliVec.z_type(z)
+    yield from _enumerate_coset(code, "z", cap)
 
 
 def enumerate_x_logicals(code: HgpCode, cap: int = 1 << 20) -> Iterator[PauliVec]:
-    for x in _enumerate_coset(code.hz, code.hx, cap):
-        yield PauliVec.x_type(x)
+    yield from _enumerate_coset(code, "x", cap)

@@ -27,7 +27,6 @@ from operator import itemgetter
 from .barrier import (
     DEFAULT_PAULI_CAP,
     DEFAULT_STATE_CAP,
-    _pauli_inputs,
     _pauli_walk,
     classical_barrier,
     classical_table,
@@ -208,7 +207,7 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
         counter = {"x_bits": x_bits, "z_bits": z_bits, "barrier": worst, "bound": bound}
     # constructive side: stabilizer_path's walks (the drawn generators in turn,
     # on packed states) stay under the bound; the energy after each is recorded
-    gens = _pauli_inputs(code)[1]
+    gens = code.pauli_rows[1]
     baselines = []
     rng = random.Random(0)
     for _ in range(8):
@@ -229,13 +228,13 @@ def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
 
 
 def _random_stabilizer(code: HgpCode, rng: random.Random) -> tuple[int, int]:
-    """Random stabilizer (x bits, z bits): each generator x | z << n, the
-    rows of HX and then of HZ, with probability 1/2."""
-    n, bits = code.n_qubits, 0
-    for r in _pauli_inputs(code)[1]:
+    """Random stabilizer (x bits, z bits): each of the code's packed
+    generators (``HgpCode.pauli_rows``) with probability 1/2."""
+    bits = 0
+    for r in code.pauli_rows[1]:
         if rng.random() < 0.5:
             bits ^= r
-    return bits & ((1 << n) - 1), bits >> n
+    return code.unpack(bits)
 
 
 def _random_logical(
@@ -425,7 +424,8 @@ def check_lemma4(
         if not n_words:
             continue
         n1, n2, r1, r2 = h1.n, h2.n, h1.r, h2.r
-        if (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
+        # exponents first: 2^(n1 n2) alone can outweigh the memory it guards
+        if max(n1 * n2, r1 * r2) >= cap.bit_length() or (1 << (n1 * n2)) + (1 << (r1 * r2)) > cap:
             raise CapExceeded(f"2^{n1 * n2} + 2^{r1 * r2} lemma4 matrices Z1 and Z2 exceed cap {cap}")
         checked += (1 << (n1 * n2 + r1 * r2)) * n_words
         if counter is not None:
@@ -472,8 +472,7 @@ def check_proposition1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: st
     """Every nontrivial canonical Z operator costs at least
     min(Delta(H1), Delta(H2^T)) over the operator types the code has."""
     _require_logicals(code)
-    d1 = _parent_barrier(code.h1, cap)
-    d2t = _parent_barrier(code.h2.transpose(), cap)
+    d1, d2t = (_parent_barrier(p, cap) for p in code.parents("z"))
     floor = _typed_floor(canonical_z_basis(code), d1, d2t)
     values = _canonical_z_values(code, cap)
     counter = _first_below(values, floor, "floor")
@@ -508,12 +507,8 @@ def check_main_equality(
     code = build_hgp(h1, h2)
     _require_logicals(code)
     quantum = quantum_barrier(code, "both", cap).value
-    parents = {
-        "h1": _parent_barrier(h1, cap),
-        "h2": _parent_barrier(h2, cap),
-        "h1t": _parent_barrier(h1.transpose(), cap),
-        "h2t": _parent_barrier(h2.transpose(), cap),
-    }
+    deltas = {kind: [_parent_barrier(p, cap) for p in code.parents(kind)] for kind in ("z", "x")}
+    parents = dict(zip(("h1", "h2t", "h2", "h1t"), deltas["z"] + deltas["x"]))
     min_parents = min(parents.values())
     bound = code.w_c * code.w_q
     condition = min_parents != math.inf and min_parents > bound
@@ -521,15 +516,12 @@ def check_main_equality(
     counter = None
     checked = 1
     canonical = {}
-    # Z operators' bit-bit codewords are words of H1, check-check ones of
-    # H2^T; the X side mirrors that through H1 <-> H2^T
-    sides = (("z", canonical_z_basis, "h1", "h2t"), ("x", canonical_x_basis, "h2", "h1t"))
-    for kind, basis, vv_parent, cc_parent in sides:
+    for kind, basis in (("z", canonical_z_basis), ("x", canonical_x_basis)):
         table = sector_table(code, kind, cap)
         ops = basis(code)
         checked += len(ops)
         canonical[kind] = min(table.value(op.realized.part(kind).bits) for op in ops)
-        expect = _typed_floor(ops, parents[vv_parent], parents[cc_parent])
+        expect = _typed_floor(ops, *deltas[kind])
         if canonical[kind] != expect and counter is None:
             expected = _json_value(expect)
             counter = {"side": kind.upper(), "canonical": canonical[kind], "expected": expected}
@@ -563,12 +555,12 @@ def check_css_restriction(
     ``pauli_barrier_general`` reads them, without building its witness walks."""
     _require_logicals(code)
     tables = {"z": sector_table(code, "z", cap), "x": sector_table(code, "x", cap)}
-    full_table, n = pauli_table(code, cap), code.n_qubits
+    full_table = pauli_table(code, cap)
     checked = 0
     counter = None
     for kind, logicals in (("z", enumerate_z_logicals), ("x", enumerate_x_logicals)):
         for p in logicals(code, cap):
-            full = full_table.value(p.x.bits | p.z.bits << n)
+            full = full_table.value(code.pack(p.x.bits, p.z.bits))
             sector = tables[kind].value(p.part(kind).bits)
             checked += 1
             if full != sector and counter is None:

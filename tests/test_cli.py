@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,26 @@ def test_wide_input_exits_3_before_its_quotient_is_built(tmp_path, capsys, monke
     assert (code, out) == (3, "")
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "cap-exceeded", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("barrier", "quantum"), ("barrier", "canonical", "--sector", "z"), ("verify", "lemma1")],
+    ids=["quantum", "canonical-z", "lemma1"],
+)
+def test_wide_product_exits_3_before_hx_or_hz_is_built(tmp_path, capsys, argv):
+    # two one-check files of 1000 columns: a 1 000 001-qubit product whose
+    # caps are read off the parents' ranks, so the request is refused
+    # without the kron over 10^6 columns that HX and HZ would take
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1 1000\n" + "1" * 1000 + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, wide, wide)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "cap-exceeded", "detail": "2^999001 quotient states exceed cap 16777216"}
+    product = cli._load_product((wide, wide), None)
+    assert not {"hx", "hz"} & set(vars(product))
 
 
 def test_memory_error_exits_3_with_one_json_line(files, capsys, monkeypatch):

@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
-from hgpbarrier.errors import IndexOutOfRange, NoLogicals
-from hgpbarrier.f2core import BitMatrix, hstack, kron, mat_mul
+from hgpbarrier.barrier import pauli_table, quantum_barrier, sector_table
+from hgpbarrier.errors import CapExceeded, DimensionMismatch, IndexOutOfRange, NoLogicals
+from hgpbarrier.f2core import BitMatrix, hstack, kron, mat_mul, quotient
 from hgpbarrier.hgp import (
     HgpCode,
     build_hgp,
@@ -95,7 +96,10 @@ class TestCssCheck:
         code = toric()
         rows = list(code.hx.row_bits)
         rows[0] ^= 1
-        broken = type(code)(code.h1, code.h2, BitMatrix(code.hx.rows, code.hx.cols, tuple(rows)), code.hz)
+        # HX is a cached property: a copy of the code gets the flipped matrix
+        # in its instance dict, out of reach of build_hgp's shared code
+        broken = HgpCode(code.h1, code.h2)
+        object.__setattr__(broken, "hx", BitMatrix(code.hx.rows, code.hx.cols, tuple(rows)))
         assert not css_check(broken)
 
 
@@ -193,16 +197,60 @@ class TestSparsity:
 
 
 def test_code_hash_is_taken_once(monkeypatch):
-    # caches keyed on a code hash it on every hit; the field hash walks four
-    # matrices, so it is taken once per code and kept
-    from hgpbarrier.barrier import _pauli_inputs
+    # caches keyed on a code hash it on every hit; the field hash walks both
+    # parents' matrices, so it is taken once per code and kept
+    from hgpbarrier.logicals import canonical_z_basis
 
     code = build_hgp(ring_repetition(3), ring_repetition(3))
+    canonical_z_basis(code)  # composed once, before any hash is counted
     calls = []
     real = BitMatrix.__hash__
     monkeypatch.setattr(BitMatrix, "__hash__", lambda m: calls.append(m) or real(m))
     for _ in range(100):
-        _pauli_inputs(code)
+        canonical_z_basis(code)
     assert len(calls) <= 4
-    twin = HgpCode(code.h1, code.h2, code.hx, code.hz)
+    twin = HgpCode(code.h1, code.h2)
     assert twin is not code and hash(twin) == hash(code) and twin == code
+
+
+def _random_code(rng):
+    r, n = rng.randint(1, 4), rng.randint(1, 6)
+    return ClassicalCode(BitMatrix(r, n, tuple(rng.randrange(1 << n) for _ in range(r))))
+
+
+def test_quotient_dimensions_come_from_the_parents():
+    # n - n1*r2 + k1*k2T states of the z sector, n - r1*n2 + k1T*k2 of the
+    # x sector and n + k of the full Pauli group, read off the parents'
+    # ranks, are the dimensions of the quotients of the built HZ, HX and
+    # generators; the random parents have zero and repeated rows
+    rng = random.Random(29)
+    for _ in range(300):
+        code = HgpCode(_random_code(rng), _random_code(rng))
+        n = code.n_qubits
+        for kind in ("z", "x"):
+            assert code.sector_dim(kind) == quotient(code.sector(kind)[1].row_bits, n).dim
+        assert n + code.k == quotient(code.pauli_rows[1], 2 * n).dim
+
+
+def test_counts_and_refused_caps_build_neither_hx_nor_hz():
+    # a code is its two parents: its counts, and every cap a table or a
+    # search refuses, are read off them, so no kron runs
+    wide = ClassicalCode(BitMatrix(1, 300, ((1 << 300) - 1,)))
+    code = build_hgp(wide, open_repetition(7))
+    assert (code.k, code.n_qubits) == (299, 2106)
+    refused = [
+        (lambda: sector_table(code, "z"), 306),
+        (lambda: sector_table(code, "x"), 2099),
+        (lambda: quantum_barrier(code, "z"), 306),
+        (lambda: pauli_table(code), 2405),
+    ]
+    for run, dim in refused:
+        with pytest.raises(CapExceeded, match=rf"^2\^{dim} quotient states exceed cap \d+$"):
+            run()
+    assert not {"hx", "hz"} & set(vars(code))
+
+
+@pytest.mark.parametrize("method", ["sector", "sector_dim", "parents"])
+def test_kinds_are_z_or_x(method):
+    with pytest.raises(DimensionMismatch, match="unknown kind 'y'"):
+        getattr(toric(), method)("y")

@@ -297,11 +297,11 @@ def test_coset_values_match_per_vector_reads(name, kind):
     # has no stabilizers, so its coset is base alone
     code = build_hgp(*_PARENTS[name])
     if kind == "pauli":
-        table, stab_rows = barrier.pauli_table(code), barrier._pauli_inputs(code)[1]
+        table, stab_rows = barrier.pauli_table(code), code.pauli_rows[1]
     elif kind == "classical":
         table, stab_rows = classical_table(code.h1), ()
     else:
-        table, stab_rows = sector_table(code, kind), barrier._sector_matrices(code, kind)[1].row_bits
+        table, stab_rows = sector_table(code, kind), code.sector(kind)[1].row_bits
     rows = table.quotient.rows
     assert rank(BitMatrix(len(rows), table.n_dim, rows)) == len(rows)
     assert set(span(rows)) == set(span(stab_rows))

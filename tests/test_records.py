@@ -31,10 +31,8 @@ RECORDS = [
     (CodeParams, ("n", "k", "d"), (7, 4, 3), (7, 4, 2), "CodeParams(n=7, k=4, d=3)"),
     (ClassicalCode, ("h",), (_M,), (BitMatrix(2, 3, (0b011, 0b111)),),
      "ClassicalCode(h=BitMatrix(2x3))"),
-    (HgpCode, ("h1", "h2", "hx", "hz"), (_CODE.h1, _CODE.h2, _CODE.hx, _CODE.hz),
-     (_OTHER_CODE.h1, _OTHER_CODE.h2, _OTHER_CODE.hx, _OTHER_CODE.hz),
-     "HgpCode(h1=ClassicalCode(h=BitMatrix(1x2)), h2=ClassicalCode(h=BitMatrix(1x2)), "
-     "hx=BitMatrix(2x5), hz=BitMatrix(2x5))"),
+    (HgpCode, ("h1", "h2"), (_CODE.h1, _CODE.h2), (_OTHER_CODE.h1, _OTHER_CODE.h2),
+     "HgpCode(h1=ClassicalCode(h=BitMatrix(1x2)), h2=ClassicalCode(h=BitMatrix(1x2)))"),
     (PauliVec, ("n", "x", "z"), (3, BitVec(3, 0), BitVec(3, 0b010)),
      (3, BitVec(3, 0b010), BitVec(3, 0b010)),
      "PauliVec(n=3, x=BitVec('000'), z=BitVec('010'))"),
@@ -46,10 +44,9 @@ RECORDS = [
     (PathRecord, ("states", "energies", "max_energy"), ((BitVec(2, 0), BitVec(2, 1)), (0, 1), 1),
      ((BitVec(2, 0), BitVec(2, 2)), (0, 1), 1),
      "PathRecord(states=(BitVec('00'), BitVec('10')), energies=(0, 1), max_energy=1)"),
-    (BarrierResult, ("value", "witness", "target", "explored"),
-     (1, _WALK, BitVec(2, 1), 4), (1, _WALK, BitVec(2, 1), 5),
+    (BarrierResult, ("value", "witness", "explored"), (1, _WALK, 4), (1, _WALK, 5),
      "BarrierResult(value=1, witness=PathRecord(states=(BitVec('00'), BitVec('10')), "
-     "energies=(0, 1), max_energy=1), target=BitVec('10'), explored=4)"),
+     "energies=(0, 1), max_energy=1), explored=4)"),
     # hashable stand-ins: a real table's best and tree are buffers and dicts
     (MinimaxTable, ("energy", "quotient", "best", "tree", "basis", "edges"),
      ("energy", Quotient(2, ()), (0, 1, 1, 2), (), (), ()),
@@ -115,10 +112,14 @@ def test_defaults():
 
 
 def test_hgp_code_hash_is_cached_per_instance():
-    code = HgpCode(_CODE.h1, _CODE.h2, _CODE.hx, _CODE.hz)
+    code = HgpCode(_CODE.h1, _CODE.h2)
     assert code == _CODE and code is not _CODE
-    assert hash(code) == hash((code.h1, code.h2, code.hx, code.hz))
+    assert hash(code) == hash((code.h1, code.h2))
     assert "_hash" in vars(code)
+
+
+def test_barrier_result_target_is_the_witness_endpoint():
+    assert BarrierResult(1, _WALK, 4).target == BitVec(2, 1)
 
 
 def test_verify_report_is_mutable_and_ignores_elapsed():

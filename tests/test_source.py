@@ -330,6 +330,21 @@ def test_row_reduction_lives_in_f2core():
     }
 
 
+def test_css_matrices_are_read_only_in_hgp():
+    # HX and HZ are built on first read from the parents, and hgp.py is the
+    # one place that knows which sector each of them checks and which it
+    # stabilizes (HgpCode.sector, HgpCode.pauli_rows): other modules ask it.
+    # The hgp command alone writes the two matrices out
+    found = sorted(
+        f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        if path.name != "hgp.py"
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        if any(isinstance(node, ast.Attribute) and node.attr in ("hx", "hz") for node in ast.walk(stmt))
+    )
+    assert found == ["cli.cmd_hgp"]
+
+
 def test_private_imports_between_modules_are_pinned():
     # a private name is a module's own business; each one another package
     # module imports ties the two together, so the set is pinned here and
@@ -346,13 +361,11 @@ def test_private_imports_between_modules_are_pinned():
         for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
     }
     assert {stem: names for stem, names in found.items() if names} == {
-        "barrier": ["f2core._Record", "f2core._ones", "logicals._is_z"],
+        "barrier": ["f2core._Record", "f2core._ones"],
         "codes": ["f2core._Record", "f2core._ones"],
         "cli": ["verify._json_value"],
         "deform": ["f2core._Record"],
         "hgp": ["f2core._Record"],
         "logicals": ["f2core._Record"],
-        "verify": [
-            "barrier._pauli_inputs", "barrier._pauli_walk", "f2core._Record", "f2core._ones",
-        ],
+        "verify": ["barrier._pauli_walk", "f2core._Record", "f2core._ones"],
     }

@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def _tampered(h1, h2):
     without touching the matrices. They go on a copy: build_hgp returns one
     shared code per parent pair, which the planted values must not reach."""
     code = build_hgp(h1, h2)
-    code = HgpCode(code.h1, code.h2, code.hx, code.hz)
+    code = HgpCode(code.h1, code.h2)
     object.__setattr__(code, "w_c", 0)
     object.__setattr__(code, "w_q", 0)
     return code
@@ -133,7 +134,7 @@ def test_lemma1_reports_a_constructive_walk_above_the_bound(instances, monkeypat
     r = V.check_lemma1(code, instance="surface_3")
     assert r.details["worst_barrier"] == 1
     assert r.counterexample == {"combo_bits": 3155, "path_max": 4, "bound": 1}
-    gens = barrier._pauli_inputs(code)[1]
+    gens = code.pauli_rows[1]
     end, n = combine(gens, 3155), code.n_qubits
     s = PauliVec(n, BitVec(n, end & ((1 << n) - 1)), BitVec(n, end >> n))
     assert barrier.stabilizer_path(code, s, BitVec(len(gens), 3155)).max_energy == 4
@@ -188,7 +189,7 @@ def test_lemma1_packed_walks_match_stabilizer_path(instances, name):
     # generator's qubits in turn; their energies are those of the public
     # stabilizer_path, which still refuses a Pauli the generators miss
     code = instances[name]
-    n, gens = code.n_qubits, barrier._pauli_inputs(code)[1]
+    n, gens = code.n_qubits, code.pauli_rows[1]
     rng = random.Random(0)
     for _ in range(50):
         combo = rng.randrange(1 << len(gens))
@@ -208,7 +209,7 @@ def test_lemma1_walks_are_stabilizer_paths(instances, monkeypatch):
     # each of lemma1's eight seeded walks is the public stabilizer_path of its
     # drawn generators, on packed states
     code = instances["surface_3"]
-    n, gens = code.n_qubits, barrier._pauli_inputs(code)[1]
+    n, gens = code.n_qubits, code.pauli_rows[1]
     walks, real = [], V._pauli_walk
     monkeypatch.setattr(V, "_pauli_walk", lambda *args: walks.append(real(*args)) or walks[-1])
     V.check_lemma1(code, instance="surface_3")
@@ -560,7 +561,7 @@ def test_lemma4_kernel_matches_weight_reduction_gap():
     assert checked == 512 * 16 * (1 + 3)  # 2^9 Z1, 2^4 Z2, one and three codewords
 
 
-def test_lemma4_reports_the_first_failing_triple_of_a_plain_scan(monkeypatch):
+def test_lemma4_constructed_triple_sets_z2_in_every_row_of_h1s_column_j(monkeypatch):
     # H1 = H2 = [111; 111], whose row space is {000, 111}, with the second of
     # its three even codewords replaced by the odd word 010. Row 0 of H2 is
     # the first odd row, H1's first column with a 1 is column 0, and both
@@ -619,7 +620,7 @@ def _code(*rows):
 @example(_code("011", "010"), _code("01", "11"), 0)  # a zero column
 @example(_code("111"), _code("000", "000"), 0)  # every word a codeword
 @example(_code("000"), _code("110", "011"), 0)  # a zero H1 against a failing H2
-def test_lemma4_per_entry_path_matches_a_plain_triple_scan(h1, h2, plant):
+def test_lemma4_verdict_and_count_match_the_oracle_triple_scan(h1, h2, plant):
     # the last nonzero codeword of H2, if any, is replaced by word
     # plant % (2^n2 - 1) + 1, which may or may not be a codeword
     words = [w.bits for w in h2.iter_codewords() if w.bits]
@@ -647,6 +648,21 @@ def test_lemma4_cap_bounds_z1_and_z2_matrices():
     assert V.check_lemma4(family=[(h, h)], cap=512 + 16).passed
     with pytest.raises(CapExceeded, match=r"^2\^9 \+ 2\^4 lemma4 matrices Z1 and Z2 exceed cap 527$"):
         V.check_lemma4(family=[(h, h)], cap=512 + 16 - 1)
+
+
+def test_lemma4_cap_is_checked_before_the_matrix_count_is_built():
+    # 2^(n1 n2) for a 1 x 20 000 pair is a 50 MB int; the exponents are
+    # compared with the cap first, so refusing the pair allocates nothing
+    # of that size
+    wide = ClassicalCode(BitMatrix(1, 20_000, ((1 << 20_000) - 1,)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"^2\^400000000 \+ 2\^1 lemma4 matrices Z1 and Z2 exceed cap 16777216$"):
+            V.check_lemma4(family=[(wide, wide)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # -- prop1 checker ---------------------------------------------------------------
@@ -736,7 +752,7 @@ def test_main_reports_the_full_barrier_off_the_parents_when_the_condition_holds(
 
     def planted(code, sector, cap):
         result = real(code, sector, cap)
-        return BarrierResult(99, result.witness, result.target, result.explored)
+        return BarrierResult(99, result.witness, result.explored)
 
     monkeypatch.setattr(V, "quantum_barrier", planted)
     r = V.check_main_equality(ring_repetition(3), ring_repetition(3), instance="toric_3")
