@@ -36,10 +36,12 @@ at the stabilizer lift(u) ^ m_q ^ lift(v), reachable at max(best u, best v).
 Voltages inserted in level order into an echelon basis tag each basis
 vector with the level it becomes reachable, and then
 
-    value(z) = max(best[[z]], highest tag used to reduce z ^ lift([z])).
+    value(z) = max(best[[z]], highest tag used to reduce z ^ lift([z])),
 
-This is the covering-space picture of voltage graphs (Gross & Tucker,
-*Topological Graph Theory*, ch. 2).
+so the largest value on the stabilizer coset z + S is max(best[[z]], highest
+tag): some vector of the coset uses the last basis vector. This is the
+covering-space picture of voltage graphs (Gross & Tucker, *Topological
+Graph Theory*, ch. 2).
 """
 
 from __future__ import annotations
@@ -361,11 +363,7 @@ class _Tree(dict):
     state. The first state popped next to s pushes it, so its parent is the
     neighbour of least (layer, state), reached by the lowest move index with
     that image; zero images never reach a new state. The lift is the XOR of
-    lift_moves along the tree path from 0 (0 without stabilizers). Trees
-    compare by ``order`` (a table compares its quotient beside it), not by
-    the entries derived so far; like a dict, a tree is unhashable."""
-
-    __ne__ = object.__ne__  # dict's own would compare the derived entries
+    lift_moves along the tree path from 0 (0 without stabilizers)."""
 
     def __init__(self, order, quotient: Quotient):
         super().__init__({0: (None, 0)})
@@ -374,9 +372,6 @@ class _Tree(dict):
         for i, m in enumerate(self.images):
             if m:
                 self.first.setdefault(m, i)
-
-    def __eq__(self, other):
-        return self.order == other.order if isinstance(other, _Tree) else NotImplemented
 
     def __missing__(self, state: int) -> tuple[int, int]:
         order, first, n_dim = self.order, self.first, self.n_dim
@@ -466,9 +461,9 @@ def _within(dim: int, cap: int) -> None:
 
 
 def _reduce(basis, x: int) -> tuple[int, int]:
-    """Reduce x by a tagged echelon basis: (residue, edges used)."""
+    """Reduce x by an echelon basis of (vector, edges used): (residue, edges used)."""
     edges = 0
-    for vec, _, vec_edges in basis:
+    for vec, vec_edges in basis:
         if x ^ vec < x:  # x has vec's leading bit
             x ^= vec
             edges ^= vec_edges
@@ -487,20 +482,24 @@ def _states_at(best, level: int):
 
 
 def _voltage_basis(best, tree: _Tree, quotient: Quotient):
-    """Tagged echelon basis of the voltages, edges taken in level order.
+    """(basis, edges, tags): an echelon basis of the voltages, edges taken
+    in level order.
 
     An edge (u, q, v) lies at level max(best u, best v) and carries the
     voltage lift(u) ^ lift_moves[q] ^ lift(v), lifts read off the ``tree``:
     zero on tree edges, the stabilizer closing its fundamental cycle
     otherwise. The voltages up to level t span H_t, the stabilizers joined
-    to 0 below t, so tagging each new basis vector with its level makes the
-    highest tag used to reduce x the level at which x joins. Entries are
-    (vector, tag, edges used) sorted by leading bit, highest first;
-    ``edges`` lists the (u, q, v) behind each accepted voltage, and "edges
-    used" is a bitmask over that list.
+    to 0 below t. ``edges`` lists the (u, q, v) whose voltages are
+    independent of those before them, and tags[j] is the level of the j-th,
+    the level at which the first j have all joined (tags[0] = 0). So the
+    last edge used to reduce x gives the level at which x joins. ``basis``
+    holds (vector, edges used) pairs sorted by leading bit, highest first,
+    "edges used" a bitmask over ``edges``.
     """
+    if not quotient.rows:
+        return (), (), (0,)
     moves, lift_moves = quotient.images, quotient.lift_moves
-    basis, edges = [], []
+    basis, edges, tags = [], [], [0]
     for t in range(max(best) + 1):
         for u in _states_at(best, t):
             for q, m in enumerate(moves):
@@ -512,12 +511,13 @@ def _voltage_basis(best, tree: _Tree, quotient: Quotient):
                     continue
                 g, used = _reduce(basis, g)
                 if g:
-                    basis.append((g, t, used ^ (1 << len(edges))))
+                    basis.append((g, used ^ (1 << len(edges))))
                     basis.sort(reverse=True)
                     edges.append((u, q, v))
+                    tags.append(t)
                     if len(edges) == quotient.rank:
-                        return tuple(basis), tuple(edges)
-    return tuple(basis), tuple(edges)
+                        return tuple(basis), tuple(edges), tuple(tags)
+    return tuple(basis), tuple(edges), tuple(tags)
 
 
 class MinimaxTable(_Record):
@@ -526,18 +526,18 @@ class MinimaxTable(_Record):
     The search runs on ``quotient``, F2^n modulo a stabilizer group that
     leaves the energy unchanged (the empty group for classical tables, where
     quotient states are the vectors themselves), under unit flips: move q
-    flips coordinate q. ``best`` holds each quotient state's value, and
-    ``tree`` each state's (parent move, tree lift), derived on demand from
-    the fill's layer order. ``value`` reads ``best``, the tree lift and the
-    voltage ``basis``'s edge map (``_edge_map``); the witness flips
-    (``_flips``) also walk the tree's parent moves.
+    flips coordinate q. A table is its fill: ``best`` holds each quotient
+    state's value and ``order`` the index of its layer in the pop order.
+    The search ``tree``, each state's (parent move, tree lift), is derived
+    from ``order`` on demand, and the voltages (``_voltage_basis``) from
+    ``best`` and the tree when the table is built. ``value`` reads ``best``,
+    the tree lift and the voltages' edge map (``_edge_map``); the witness
+    flips (``_flips``) also walk the tree's parent moves.
     """
 
     _shown = ("energy",)
 
-    def __init__(
-        self, energy: SyndromeEnergy, quotient: Quotient, best, tree: _Tree, basis: tuple, edges: tuple
-    ):
+    def __init__(self, energy: SyndromeEnergy, quotient: Quotient, best, order):
         self._store(locals())
 
     @property
@@ -548,25 +548,26 @@ class MinimaxTable(_Record):
     def explored(self) -> int:
         return 1 << self.quotient.dim
 
+    tree = cached_property(lambda self: _Tree(self.order, self.quotient))
+    _voltages = cached_property(lambda self: _voltage_basis(self.best, self.tree, self.quotient))
+
     @cached_property
-    def _edge_map(self) -> tuple[tuple, tuple[int, ...], list[int]]:
-        """(byte tables, tags, row edges): reduction by ``basis`` is linear, so
-        the edges it uses for x XOR tables[i] at byte i of x, and those for
-        lift coordinate 1 << j, quotient row j, are row_edges[j]; vector j uses
-        edge j and earlier ones, so the highest tag used is tags[edges.bit_length()]."""
-        used = [_reduce(self.basis, 1 << j)[1] for j in range(self.quotient.rank)]
-        tables = tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8))
-        return tables, (0, *(t for _, t, e in sorted(self.basis, key=lambda v: v[2].bit_length()))), used
+    def _edge_map(self) -> tuple[tuple, list[int]]:
+        """(byte tables, row edges): reduction by the voltage basis is
+        linear, so the edges it uses for x XOR tables[i] at byte i of x, and
+        those for lift coordinate 1 << j, quotient row j, are row_edges[j]."""
+        used = [_reduce(self._voltages[0], 1 << j)[1] for j in range(self.quotient.rank)]
+        return tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8)), used
 
     def _fiber(self, bits: int) -> tuple[int, int]:
-        """(quotient state, ``edges`` used from its tree lift to ``bits``)."""
+        """(quotient state, voltage edges used from its tree lift to ``bits``)."""
         if isinstance(bits, bool) or not isinstance(bits, int):
             raise TypeError(f"state must be an int, got {type(bits).__name__}")
         q = self.quotient
         if not 0 <= bits < 1 << q.n:
             raise IndexOutOfRange(f"state {bits:#x} outside [0, 2^{q.n})")
         state, coords = q.split(bits)
-        if self.basis:  # without stabilizers every lift is 0
+        if q.rows:  # without stabilizers every lift is 0
             coords ^= self.tree[state][1]
         used = 0
         for table in self._edge_map[0]:
@@ -576,16 +577,20 @@ class MinimaxTable(_Record):
 
     def value(self, bits: int) -> int:
         state, used = self._fiber(bits)
-        return max(self.best[state], self._edge_map[1][used.bit_length()])
+        return max(self.best[state], self._voltages[2][used.bit_length()])
+
+    def coset_max(self, base: int) -> int:
+        """The largest value on base + span(quotient.rows): its state's value
+        or, if higher, the level at which the last stabilizer joins 0."""
+        return max(self.best[self._fiber(base)[0]], self._voltages[2][-1])
 
     def coset_values(self, base: int) -> list[tuple[int, int]]:
         """(value, vector) of each vector of base + span(quotient.rows), in
         ``span`` order: one quotient state, and edges used linear in the
         vector, so each Gray step XORs in one row's edges."""
         state, used = self._fiber(base)
-        _, tags, row_edges = self._edge_map
-        levels = [max(self.best[state], tag) for tag in tags]
-        cosets = zip(span(self.quotient.rows), span(row_edges))
+        levels = [max(self.best[state], tag) for tag in self._voltages[2]]
+        cosets = zip(span(self.quotient.rows), span(self._edge_map[1]))
         return [(levels[(used ^ u).bit_length()], base ^ s) for s, u in cosets]
 
     def path(self, bits: int) -> PathRecord:
@@ -599,7 +604,7 @@ class MinimaxTable(_Record):
         state at or below the loop's level."""
         state, used = self._fiber(bits)
         flips = []
-        for j, (u, q, v) in enumerate(self.edges):
+        for j, (u, q, v) in enumerate(self._voltages[1]):
             if (used >> j) & 1:
                 flips += self.tree.moves(u) + [q] + self.tree.moves(v)[::-1]
         flips += self.tree.moves(state)
@@ -611,12 +616,12 @@ class MinimaxTable(_Record):
 
 @lru_cache(maxsize=64)
 def _table(rows: tuple, stab_rows: tuple, n: int) -> MinimaxTable:
-    """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap."""
+    """Exhaustive table over F2^n / rowspace(stab_rows); callers check the cap.
+    The voltages are built here with the fill, so a read stays a lookup."""
     q, energy = quotient(stab_rows, n), _energy(rows, n)
-    best, order = _flood(q.dim, q.images, energy.columns, len(rows))
-    tree = _Tree(order, q)
-    basis, edges = _voltage_basis(best, tree, q) if q.rows else ((), ())
-    return MinimaxTable(energy, q, best, tree, basis, edges)
+    table = MinimaxTable(energy, q, *_flood(q.dim, q.images, energy.columns, len(rows)))
+    table._voltages
+    return table
 
 
 def _target_search(
@@ -646,18 +651,11 @@ def classical_table(c: ClassicalCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTa
     return _table(c.h.row_bits, (), c.n)
 
 
-def _sector_name(sector: str) -> str:
-    if not isinstance(sector, str):
-        raise TypeError(f"sector must be a str, got {type(sector).__name__}")
-    return sector.lower()
-
-
 def sector_table(code: HgpCode, sector: str, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
     """Exhaustive minimax table for one CSS sector, over 2^(n - rank S)
     quotient states; ``cap`` bounds that count, read off the parents."""
-    kind = _sector_name(sector)
-    _within(code.sector_dim(kind), cap)
-    checks, stab = code.sector(kind)
+    _within(code.sector_dim(sector), cap)
+    checks, stab = code.sector(sector)
     return _table(checks.row_bits, stab.row_bits, code.n_qubits)
 
 
@@ -691,10 +689,8 @@ def quantum_barrier(
     """
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
-    s = _sector_name(sector)
-    if s not in ("z", "x", "both"):
-        raise DimensionMismatch(f"unknown sector {sector!r}, expected 'z', 'x', or 'both'")
-    results = [_sector_result(code, kind, cap) for kind in ("z", "x") if s in (kind, "both")]
+    kinds = ("z", "x") if sector == "both" else (sector,)
+    results = [_sector_result(code, kind, cap) for kind in kinds]
     return min(results, key=lambda r: r.value)  # the z result on a tie
 
 
@@ -702,8 +698,12 @@ def _pauli_walk(code: HgpCode, flips: Iterable[int], state=None) -> PathRecord:
     """``_walk`` over packed full-Pauli states (``HgpCode.pack``), its states
     PauliVecs by default: move q < n flips qubit q's x bit, move n + q its z bit."""
     n = code.n_qubits
-    state = state or (lambda b: PauliVec(n, *(BitVec(n, part) for part in code.unpack(b))))
-    return _walk(flips, _energy(code.pauli_rows[0], 2 * n), state)
+
+    def pauli(bits: int) -> PauliVec:
+        x, z = code.unpack(bits)
+        return PauliVec(n, BitVec(n, x), BitVec(n, z))
+
+    return _walk(flips, _energy(code.pauli_rows[0], 2 * n), state or pauli)
 
 
 def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:

@@ -127,6 +127,10 @@ def cmd_info(args) -> int:
 
 def cmd_hgp(args) -> int:
     code = _load_product((args.path1, args.path2), args.fmt)
+    # HX and HZ hold r1 n2 + n1 r2 rows of n entries, all written out
+    entries = (code.r1 * code.n2 + code.n1 * code.r2) * code.n_qubits
+    if entries > args.cap:
+        raise CapExceeded(f"{entries} entries of HX and HZ exceed cap {args.cap}")
     try:
         p = hgp_parameters(code, args.cap)
         k, d = p.k, p.d
@@ -193,6 +197,9 @@ def _requested_bases(sector: str):
 
 def cmd_logicals(args) -> int:
     code = _load_product((args.path1, args.path2), args.fmt)
+    # at most 2k operators, each printed with its support on n qubits
+    if code.k * code.n_qubits > args.cap:
+        raise CapExceeded(f"{code.k} operators on {code.n_qubits} qubits exceed cap {args.cap}")
     records = [_op_record(op) for _, basis in _requested_bases(args.sector) for op in basis(code)]
     _print_report({"count": len(records), "operators": records}, args.format)
     return EXIT_OK

@@ -9,7 +9,6 @@ reshape. All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -540,15 +539,9 @@ class Quotient(_Record):
         return w & mask, w >> dim
 
 
-_live = weakref.WeakValueDictionary()  # (rows, n) -> its Quotient, while anything holds it
-
-
 @lru_cache(maxsize=256)
 def quotient(rows: tuple[int, ...], n: int) -> Quotient:
-    """F2^n / rowspace of the packed ``rows``: one per (rows, n), split tables
-    and all, while this cache or anything else (a cached table, say) holds it."""
-    q = _live.get((rows, n))
-    if q is None:
-        res = rref(BitMatrix(len(rows), n, rows))
-        q = _live[rows, n] = Quotient(n, res.rref.row_bits[: res.rank])
-    return q
+    """F2^n / rowspace of the packed ``rows``: one per (rows, n) while
+    cached, split tables and all."""
+    res = rref(BitMatrix(len(rows), n, rows))
+    return Quotient(n, res.rref.row_bits[: res.rank])

@@ -36,9 +36,12 @@ __all__ = [
 
 
 def _is_z(kind: str) -> bool:
-    if kind not in ("z", "x"):
-        raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
-    return kind == "z"
+    """Whether ``kind`` is "z" rather than "x": the one check of a kind."""
+    if kind in ("z", "x"):
+        return kind == "z"
+    if not isinstance(kind, str):
+        raise TypeError(f"kind must be a str, got {type(kind).__name__}")
+    raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
 
 
 class PauliVec(_Record):

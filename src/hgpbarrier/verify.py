@@ -179,27 +179,19 @@ def _stabilizer_setup(code: HgpCode, cap: int):
     return tx, tz, len(tx.quotient.rows) + len(tz.quotient.rows) <= 12, code.w_c * code.w_q
 
 
-def _swept_max(table, maxima: dict, base: int) -> int:
-    """The greatest value on the stabilizer coset of ``base``, read once per
-    coset: ``maxima`` keeps it by the coset's quotient state."""
-    state = table.quotient.split(base)[0]
-    if state not in maxima:
-        maxima[state] = max(table.coset_values(base))[0]
-    return maxima[state]
-
-
 # -- single-claim checkers -----------------------------------------------------
 
 def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every stabilizer clears at most w_c * w_q energy: Delta(s) <= w_c w_q."""
     tx, tz, paired, bound = _stabilizer_setup(code, cap)
-    xs, zs = tx.coset_values(0), tz.coset_values(0)
-    # max over pairs of max(a, b) factors into the two sector maxima, so
-    # scanning each rowspace once is still exhaustive
-    worst = max(map(itemgetter(0), xs + zs))
-    mode, checked = ("paired", len(xs) * len(zs)) if paired else ("factored", len(xs) + len(zs))
+    # max over pairs of max(a, b) factors into the two sector maxima, each
+    # the maximum of one coset, the rowspace: exhaustive in one read each
+    worst = max(tx.coset_max(0), tz.coset_max(0))
+    nx, nz = 1 << tx.quotient.rank, 1 << tz.quotient.rank
+    mode, checked = ("paired", nx * nz) if paired else ("factored", nx + nz)
     counter = None
-    if worst > bound:
+    if worst > bound:  # only now is each rowspace scanned, for its worst vectors
+        xs, zs = tx.coset_values(0), tz.coset_values(0)
         if paired:  # the first worst pair of the x-major, z-minor scan of all pairs
             x_bits, z_bits = next((x, z) for a, x in xs for b, z in zs if max(a, b) == worst)
         else:
@@ -263,10 +255,9 @@ def check_theorem1(
 
     When the stabilizer rowspace has at most 2^12 elements, each sampled L is
     additionally checked against every stabilizer: the worst shift factorizes
-    into per-sector coset maxima, and a coset's maximum depends only on the
-    coset L + rowspace, so the sweep reads each coset's 2^rank values once per
-    call, however many samples land in it. Only a coset whose maximum breaks
-    the bound is rescanned from L for its first worst stabilizer.
+    into per-sector maxima of the cosets L + rowspace, each one table read
+    (``MinimaxTable.coset_max``). Only a coset whose maximum breaks the bound
+    is scanned from L for its first worst stabilizer.
     """
     if isinstance(samples, bool):
         raise TypeError(f"thm1 needs a sample count, got the bool {samples}")
@@ -277,7 +268,6 @@ def check_theorem1(
     zs = [op.realized.z.bits for op in canonical_z_basis(code)]
     xs = [op.realized.x.bits for op in canonical_x_basis(code)]
     rng = random.Random(seed)
-    maxima = ({}, {})  # the sweep's x and z coset maxima, by quotient state
     counter = None
     smallest_slack = None
     for _ in range(samples):
@@ -293,9 +283,9 @@ def check_theorem1(
             continue
         if d_ls <= rhs and sweep_all:
             # the sampled stabilizer holds; if some other one breaks the
-            # bound, rescan for the worst one of each sector
+            # bound, scan each sector's coset for its worst one
             sectors = ((tx, lx), (tz, lz))
-            if max(_swept_max(t, m, l) for (t, l), m in zip(sectors, maxima)) > rhs:
+            if max(t.coset_max(l) for t, l in sectors) > rhs:
                 worst = (max(t.coset_values(l), key=itemgetter(0)) for t, l in sectors)
                 (wx, x_bits), (wz, z_bits) = worst
                 sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)

@@ -571,21 +571,21 @@ class TestTables:
     def test_tables_compare_equal_whatever_has_been_read(self):
         # a table's search tree derives its entries when first asked for, so
         # two builds of one table hold different entries once one of them
-        # has answered a read; they still compare equal, by the layer order
+        # has answered a read; they still compare equal, by their fill
         code = toric()
         barrier_module._table.cache_clear()
         a = sector_table(code, "z")
         barrier_module._table.cache_clear()
         b = sector_table(code, "z")
         assert a is not b and a == b and not a != b
-        for read in (lambda t: t.value(5), lambda t: t.path(5), lambda t: t.coset_values(5)):
+        reads = (lambda t: t.value(5), lambda t: t.path(5), lambda t: t.coset_values(5), lambda t: t.coset_max(5))
+        for read in reads:
             read(a)
             assert a == b and not a != b
-            assert a.tree == b.tree and not a.tree != b.tree
         assert len(a.tree) > len(b.tree)
-        assert a.tree != sector_table(surface(), "z").tree
+        assert a != sector_table(surface(), "z")
         with pytest.raises(TypeError):
-            hash(a.tree)
+            hash(a)
 
     def test_classical_table(self):
         c = ring_repetition(5)
@@ -699,3 +699,33 @@ def test_wrong_typed_arguments_raise_type_error_before_any_search(monkeypatch, c
     monkeypatch.setattr(barrier_module, "_nearest", no_search)
     with pytest.raises(TypeError):
         call(table)
+
+
+@pytest.mark.parametrize("read", ["coset_max", "coset_values"])
+def test_coset_reads_check_their_base_as_value_does(read):
+    table = sector_table(surface(), "z")
+    n = table.n_dim
+    for bits in (-1, 1 << n):
+        with pytest.raises(IndexOutOfRange):
+            getattr(table, read)(bits)
+    for bad in (True, "0", 0.0, None):
+        with pytest.raises(TypeError):
+            getattr(table, read)(bad)
+    top = (1 << n) - 1  # the last state in range still answers
+    assert table.coset_max(top) == max(table.coset_values(top))[0]
+
+
+@pytest.mark.parametrize("sector", ["Z", "X", "Both", " z", "zx", "", "y"])
+def test_a_sector_is_exactly_z_x_or_both(monkeypatch, sector):
+    # one kind check, in hgp: names are matched exactly, so a mixed-case or
+    # padded one is unknown, and refused before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran before the sector was checked")
+
+    monkeypatch.setattr(barrier_module, "_flood", no_search)
+    monkeypatch.setattr(barrier_module, "_nearest", no_search)
+    for call in (quantum_barrier, sector_table):
+        with pytest.raises(DimensionMismatch, match="unknown kind"):
+            call(tiny_hgp(), sector)
+    with pytest.raises(DimensionMismatch, match="unknown kind"):
+        PauliVec.identity(2).part(sector)

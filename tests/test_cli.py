@@ -273,6 +273,69 @@ def test_wide_product_exits_3_before_hx_or_hz_is_built(tmp_path, capsys, argv):
     assert not {"hx", "hz"} & set(vars(product))
 
 
+def _refused_in_time(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    return json.loads(err)
+
+
+def test_wide_logicals_exit_3_before_any_operator_is_composed(tmp_path, capsys, monkeypatch):
+    # two one-check files of 1000 columns: 999^2 Z and as many X operators
+    # on 1 000 001 qubits, refused off the parents' ranks before one is
+    # composed or HX or HZ is built
+    def no_basis(code):
+        raise AssertionError("an operator was composed before the cap was checked")
+
+    monkeypatch.setattr(cli, "canonical_z_basis", no_basis)
+    monkeypatch.setattr(cli, "canonical_x_basis", no_basis)
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1 1000\n" + "1" * 1000 + "\n")
+    detail = "998001 operators on 1000001 qubits exceed cap 16777216"
+    assert _refused_in_time(capsys, "logicals", wide, wide) == {"error": "cap-exceeded", "detail": detail}
+    product = cli._load_product((wide, wide), None)
+    assert not {"hx", "hz"} & set(vars(product))
+
+
+def test_wide_hgp_exits_3_before_anything_is_built_or_written(tmp_path, capsys, monkeypatch):
+    # two 1000-bit rings: HX and HZ would be 2 * 10^6 rows of 2 * 10^6
+    # entries; refused before the parameters, weights or CSS check are
+    # computed, and no file is written
+    def not_yet(*args):
+        raise AssertionError("the product was read before the cap was checked")
+
+    monkeypatch.setattr(cli, "hgp_parameters", not_yet)
+    monkeypatch.setattr(cli, "css_check", not_yet)
+    ring = tmp_path / "ring.alist"
+    ring.write_text(emit_alist(ring_repetition(1000)))
+    detail = "4000000000000 entries of HX and HZ exceed cap 16777216"
+    err = _refused_in_time(capsys, "hgp", ring, ring, "--out", tmp_path / "prod")
+    assert err == {"error": "cap-exceeded", "detail": detail}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.alist"]
+    product = cli._load_product((ring, ring), None)
+    assert not {"hx", "hz", "w_c", "w_q"} & set(vars(product))
+
+
+@pytest.mark.parametrize(
+    "argv, fits, detail",
+    [
+        (("logicals",), 4, "1 operators on 13 qubits exceed cap 8"),
+        (("hgp", "--out", "prod"), 8, "156 entries of HX and HZ exceed cap 128"),
+    ],
+    ids=["logicals", "hgp"],
+)
+def test_output_caps_count_what_is_printed_or_written(files, tmp_path, capsys, monkeypatch, argv, fits, detail):
+    # open3 x open3 has k = 1 operator on 13 qubits, and HX and HZ hold
+    # 6 + 6 rows of 13 entries: refused one cap below, served at the cap
+    monkeypatch.chdir(tmp_path)
+    pair = (files / "open3.txt", files / "open3.txt")
+    err = _refused_in_time(capsys, argv[0], *pair, *argv[1:], "--max-dim", fits - 1)
+    assert err == {"error": "cap-exceeded", "detail": detail}
+    code, out, err = run(capsys, argv[0], *pair, *argv[1:], "--max-dim", fits)
+    assert (code, err) == (0, "") and out
+
+
 def test_memory_error_exits_3_with_one_json_line(files, capsys, monkeypatch):
     # a search the host cannot hold is a resource bound, not a failed claim
     # (exit 1); the engine is patched to raise, so nothing is allocated

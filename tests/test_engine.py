@@ -191,8 +191,8 @@ def test_energies_of_255_and_above_use_16_bit_tables(engine_calls):
     # so each of the 512 states is a layer of its own, past a byte's range
     rows = tuple(1 << i for i in range(9) for _ in range(1 << i))
     table = classical_table(ClassicalCode(BitMatrix(len(rows), 9, rows)))
-    assert max(table.tree.order) == 511
-    assert table.best.typecode == table.tree.order.typecode == "H"
+    assert max(table.order) == 511
+    assert table.best.typecode == table.order.typecode == "H"
     assert [table.value(s) for s in range(512)] == oracles.minimax_values(list(rows), 9)
     _check_against_heap(engine_calls, 2)
 

@@ -254,3 +254,10 @@ def test_counts_and_refused_caps_build_neither_hx_nor_hz():
 def test_kinds_are_z_or_x(method):
     with pytest.raises(DimensionMismatch, match="unknown kind 'y'"):
         getattr(toric(), method)("y")
+
+
+@pytest.mark.parametrize("kind", [None, 1, b"z", ("z",)])
+@pytest.mark.parametrize("method", ["sector", "sector_dim", "parents"])
+def test_a_kind_that_is_not_a_string_raises_type_error(method, kind):
+    with pytest.raises(TypeError, match="kind must be a str"):
+        getattr(toric(), method)(kind)

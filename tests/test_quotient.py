@@ -37,39 +37,40 @@ from hgpbarrier.logicals import PauliVec, canonical_z_basis
 from hgpbarrier.verify import _PARENTS, quantum_instances
 
 
-def _reference_reduce(basis, x):
-    """Reduction by a tagged echelon basis, written out: (residue, highest
-    tag used, edges used)."""
+def _reference_reduce(basis, tags, x):
+    """Reduction by an echelon basis of (vector, edges used), written out:
+    (residue, highest level of a vector used, edges used). A vector's level
+    is that of its own edge, the last of the edges it uses."""
     level = edges = 0
-    for vec, tag, vec_edges in basis:
+    for vec, vec_edges in basis:
         if x ^ vec < x:
             x ^= vec
-            level = max(level, tag)
+            level = max(level, tags[vec_edges.bit_length()])
             edges ^= vec_edges
     return x, level, edges
 
 
 def _check_edge_map(table):
-    """When the table has at most 2^12 lift-coordinate vectors, its edge
-    map gives, for each of them, the edges and level of a reduction by its
-    voltage basis, and that basis is the one ``_voltage_basis`` builds."""
+    """The voltages hold one edge per quotient row, tagged in level order
+    with the level of the edge, max(best u, best v); and when the table has
+    at most 2^12 lift-coordinate vectors, its edge map gives, for each of
+    them, the edges and level of a reduction by the voltage basis."""
     rank = table.quotient.rank
+    basis, edges, tags = table._voltages
+    assert len(basis) == len(edges) == len(tags) - 1 == rank and tags[0] == 0
+    assert list(tags) == sorted(tags)
+    assert list(tags[1:]) == [max(table.best[u], table.best[v]) for u, _, v in edges]
     if rank > 12:
         return
-    if table.quotient.rows:
-        assert barrier._voltage_basis(table.best, table.tree, table.quotient) == (
-            table.basis,
-            table.edges,
-        )
-    tables, tags, row_edges = table._edge_map
-    assert row_edges == [barrier._reduce(table.basis, 1 << j)[1] for j in range(rank)]
+    tables, row_edges = table._edge_map
+    assert row_edges == [barrier._reduce(basis, 1 << j)[1] for j in range(rank)]
     for x in range(1 << rank):
         used, coords = 0, x
         for t in tables:
             used ^= t[coords & 0xFF]
             coords >>= 8
-        _, level, edges = _reference_reduce(table.basis, x)
-        assert used == edges == barrier._reduce(table.basis, x)[1]
+        _, level, edges_used = _reference_reduce(basis, tags, x)
+        assert used == edges_used == barrier._reduce(basis, x)[1]
         assert tags[used.bit_length()] == level
 
 
@@ -155,7 +156,7 @@ def test_zero_and_parallel_moves_are_exercised():
 def test_classical_table_is_the_plain_unit_move_table():
     c = ring_repetition(5)
     table = classical_table(c)
-    assert table.quotient.rows == () and table.basis == ()
+    assert table.quotient.rows == () and table._voltages == ((), (), (0,))
     _check_edge_map(table)
     assert table.explored == len(table.best) == 32
     assert [table.value(s) for s in range(32)] == oracles.minimax_values(c.h.row_bits, 5)
@@ -277,7 +278,9 @@ def test_table_walk_missing_its_target_raises():
     # voltage loops; without them the walk stops at the zero vector
     target = toric.hz.row_bits[0]
     assert table.quotient.split(target)[0] == 0
-    broken = barrier.MinimaxTable(table.energy, table.quotient, table.best, table.tree, table.basis, ())
+    broken = barrier.MinimaxTable(table.energy, table.quotient, table.best, table.order)
+    basis, _, tags = table._voltages
+    broken.__dict__["_voltages"] = (basis, (), tags)
     with pytest.raises(WitnessError):
         broken.path(target)
 
@@ -309,6 +312,30 @@ def test_coset_values_match_per_vector_reads(name, kind):
     for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
         want = [(table.value(base ^ s), base ^ s) for s in span(rows)]
         assert table.coset_values(base) == want
+        assert table.coset_max(base) == max(want)[0]
+
+
+def _drawn_parent(rng, r_max=3, n_max=4):
+    r, n = rng.randint(1, r_max), rng.randint(1, n_max)
+    return _code(tuple(rng.randrange(1 << n) for _ in range(r)), n)
+
+
+def test_coset_max_is_the_top_of_a_full_coset_scan():
+    # coset_max reads one state's value and the top voltage tag; a scan
+    # reads every vector of the coset through the edge map. 120 seeded
+    # products, their sector tables and, up to 6 qubits, full-Pauli tables
+    rng = random.Random(2024)
+    pauli = 0
+    for _ in range(120):
+        code = build_hgp(_drawn_parent(rng), _drawn_parent(rng))
+        tables = [sector_table(code, "z"), sector_table(code, "x")]
+        if code.n_qubits <= 6:
+            tables.append(barrier.pauli_table(code))
+            pauli += 1
+        for table in tables:
+            for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
+                assert table.coset_max(base) == max(table.coset_values(base))[0]
+    assert pauli >= 20
 
 
 def test_classify_enumeration_and_sector_table_share_one_quotient(monkeypatch):
@@ -393,23 +420,12 @@ def test_random_products_pauli_barriers_match_oracle(h1, h2):
     _check_pauli_witnesses(code, want, n_paths=8)
 
 
-def test_a_cached_table_keeps_sharing_its_quotient():
-    # 300 other quotients push toric_3's HZ quotient out of the quotient
-    # cache, but the cached table still holds it, so it is returned again
-    code = quantum_instances()["toric_3"]
-    sector_table(code, "z")
-    for rows in range(1, 301):
-        f2core.quotient((rows,), 9)
-    assert sector_table(code, "z").quotient is f2core.quotient(code.hz.row_bits, code.n_qubits)
-
-
-def test_a_table_stores_its_tree_and_reads_the_rest_off_its_quotient():
-    assert list(inspect.signature(barrier.MinimaxTable).parameters) == [
-        "energy", "quotient", "best", "tree", "basis", "edges"
-    ]
+def test_a_table_stores_its_fill_and_reads_the_rest_off_its_quotient():
+    # the tree and the voltages are derived from best and order
+    assert list(inspect.signature(barrier.MinimaxTable).parameters) == ["energy", "quotient", "best", "order"]
     assert not hasattr(barrier, "_TreeParents") and not hasattr(barrier, "_TreeLifts")
     code = quantum_instances()["ring_2"]
     for table in (sector_table(code, "x"), classical_table(code.h1), barrier.pauli_table(code)):
         assert table.n_dim == table.quotient.n
-        assert table.explored == 1 << table.quotient.dim == len(table.best)
-        assert table.tree[0] == (None, 0)
+        assert table.explored == 1 << table.quotient.dim == len(table.best) == len(table.order)
+        assert table.tree.order is table.order and table.tree[0] == (None, 0)

@@ -47,10 +47,10 @@ RECORDS = [
     (BarrierResult, ("value", "witness", "explored"), (1, _WALK, 4), (1, _WALK, 5),
      "BarrierResult(value=1, witness=PathRecord(states=(BitVec('00'), BitVec('10')), "
      "energies=(0, 1), max_energy=1), explored=4)"),
-    # hashable stand-ins: a real table's best and tree are buffers and dicts
-    (MinimaxTable, ("energy", "quotient", "best", "tree", "basis", "edges"),
-     ("energy", Quotient(2, ()), (0, 1, 1, 2), (), (), ()),
-     ("energy", Quotient(2, ()), (0, 1, 1, 1), (), (), ()),
+    # hashable stand-ins: a real table's best and order are buffers
+    (MinimaxTable, ("energy", "quotient", "best", "order"),
+     ("energy", Quotient(2, ()), (0, 1, 1, 2), (0, 1, 2, 3)),
+     ("energy", Quotient(2, ()), (0, 1, 1, 1), (0, 1, 2, 3)),
      "MinimaxTable(energy='energy')"),
     (DeformSpec, ("l_c", "alpha", "block"), (BitVec(3, 0b011), 1, "cc"), (BitVec(3, 0b011), 0, "cc"),
      "DeformSpec(l_c=BitVec('110'), alpha=1, block='cc')"),

@@ -272,9 +272,10 @@ def test_every_cache_is_bounded():
 
 def test_basis_reduction_runs_only_where_the_read_map_is_built():
     # a table read is a lookup in the edge map that MinimaxTable._edge_map
-    # derives from the voltage basis once per table; a read that reduces by
-    # the basis again pays a Python loop over it per call, so _reduce is
-    # referenced only where that basis and that map are built
+    # derives from the voltages (_voltage_basis, built with the table) once
+    # per table; a read that reduces by the basis again pays a Python loop
+    # over it per call, so _reduce is referenced only where the voltage
+    # basis and that map are built
     found = sorted(
         f"{path.name}:{node.name}"
         for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
@@ -343,6 +344,21 @@ def test_css_matrices_are_read_only_in_hgp():
         if any(isinstance(node, ast.Attribute) and node.attr in ("hx", "hz") for node in ast.walk(stmt))
     )
     assert found == ["cli.cmd_hgp"]
+
+
+def test_table_internals_are_read_only_in_barrier():
+    # a table's voltages, edge map and fibers are barrier's business: the
+    # claim checkers read values, coset maxima and walks through the
+    # table's public methods
+    found = sorted(
+        path.name
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        if any(
+            isinstance(node, ast.Attribute) and node.attr in ("_voltages", "_edge_map", "_fiber")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        )
+    )
+    assert found == ["barrier.py"]
 
 
 def test_private_imports_between_modules_are_pinned():

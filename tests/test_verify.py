@@ -36,7 +36,8 @@ def test_registry_names(instances):
 # -- lemma1 ---------------------------------------------------------------------
 
 class _PlantedTable:
-    """A sector table whose vectors in ``planted`` read the planted value."""
+    """A sector table whose vectors in ``planted`` read the planted value,
+    through every read: one vector, a coset's values and a coset's maximum."""
 
     def __init__(self, table, planted):
         self.table, self.planted, self.quotient = table, planted, table.quotient
@@ -46,6 +47,9 @@ class _PlantedTable:
 
     def coset_values(self, base):
         return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base)]
+
+    def coset_max(self, base):
+        return max(self.coset_values(base))[0]
 
 
 def _plant_sectors(mp, planted):
@@ -175,12 +179,22 @@ def test_lemma1_paired_mode_compares_no_pairs(instances):
 
 @pytest.mark.parametrize("name", sorted(V._PARENTS))
 def test_lemma1_worst_barrier_is_the_top_voltage_tag(name):
-    # a third route to the worst stabilizer barrier: the highest level tag
-    # in the two sector tables' voltage bases
+    # lemma1 reads the worst stabilizer barrier as the higher of the two
+    # sector tables' top voltage tags. Up to 13 qubits that is checked
+    # against the full-space oracle's values over each whole stabilizer
+    # group, with no quotient; above, against a scan of every stabilizer
     code = build_hgp(*V._PARENTS[name])
     r = V.check_lemma1(code, instance=name)
-    tags = [tag for sector in ("x", "z") for _, tag, _ in sector_table(code, sector).basis]
-    assert r.details["worst_barrier"] == max(tags)
+    worst = {}
+    for sector in ("x", "z"):
+        checks, stabs = code.sector(sector)
+        if code.n_qubits <= 13:
+            values = oracles.minimax_values(checks.row_bits, code.n_qubits)
+            worst[sector] = max(values[s] for s in span(stabs.row_bits))
+        else:
+            worst[sector] = max(sector_table(code, sector).coset_values(0))[0]
+        assert sector_table(code, sector)._voltages[2][-1] == worst[sector]
+    assert r.details["worst_barrier"] == max(worst.values())
 
 
 @pytest.mark.parametrize("name", ("surface_3", "toric_3"))
@@ -317,27 +331,25 @@ def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples)
         V.check_theorem1(instances["surface_3"], samples=samples)
 
 
-def test_theorem1_sweeps_each_coset_once(instances, monkeypatch):
-    # 100 samples read 4 values each; the sweep reads each of surface_3's
-    # two x and two z cosets (2^6 vectors each) once, not once per sample
-    calls, cosets = [], []
-    real, real_coset = MinimaxTable.value, MinimaxTable.coset_values
-
-    def counted(self, bits):
-        calls.append(bits)
-        return real(self, bits)
-
-    monkeypatch.setattr(MinimaxTable, "value", counted)
-    coset_read = lambda self, base: cosets.append(base) or real_coset(self, base)
-    monkeypatch.setattr(MinimaxTable, "coset_values", coset_read)
-    r = V.check_theorem1(instances["surface_3"], samples=100, seed=0, instance="surface_3")
-    assert r.passed and r.details["stabilizer_sweep"] == "exhaustive"
-    assert len(calls) <= 700
-    assert len(cosets) == 4
+def test_passing_lemma1_and_theorem1_scan_no_coset(monkeypatch):
+    # a coset's maximum is one read (coset_max), so a passing lemma1 or thm1
+    # scans no coset: coset_values runs only to report a counterexample
+    scans = []
+    real = MinimaxTable.coset_values
+    monkeypatch.setattr(MinimaxTable, "coset_values", lambda self, base: scans.append(base) or real(self, base))
+    sweeps = set()
+    for name, pair in V._PARENTS.items():
+        code = build_hgp(*pair)
+        assert V.check_lemma1(code, instance=name).passed
+        r = V.check_theorem1(code, samples=100, seed=0, instance=name)
+        assert r.passed
+        sweeps.add(r.details["stabilizer_sweep"])
+    assert sweeps == {"exhaustive", "sampled"}
+    assert scans == []
 
 
 def test_coset_scans_make_no_per_vector_reads(instances, monkeypatch):
-    # lemma1 and thm1's sweep read whole cosets through coset_values; only
+    # lemma1 and thm1's sweep read coset maxima through coset_max; only
     # thm1's four sampled reads per sample go through value
     calls = []
     real = MinimaxTable.value
