@@ -38,9 +38,10 @@ vector with the level it becomes reachable, and then
 
     value(z) = max(best[[z]], highest tag used to reduce z ^ lift([z])),
 
-so the largest value on the stabilizer coset z + S is max(best[[z]], highest
-tag): some vector of the coset uses the last basis vector. This is the
-covering-space picture of voltage graphs (Gross & Tucker, *Topological
+so the largest value on S is the highest tag (``stabilizer_max``), and on
+the coset z + S it is max(value(z), highest tag): some vector of the coset
+uses the last basis vector, and every value is best[[z]] or a tag. This is
+the covering-space picture of voltage graphs (Gross & Tucker, *Topological
 Graph Theory*, ch. 2).
 """
 
@@ -64,8 +65,8 @@ from .errors import (
     OutsideNormalizer,
     WitnessError,
 )
-from .f2core import BitMatrix, BitVec, Quotient, _ones, _Record, combine, linear_table, mat_vec, quotient, span, weight
-from .hgp import HgpCode, PauliVec
+from .f2core import BitMatrix, BitVec, Quotient, _ones, _Record, combine, linear_table, mat_vec, quotient, weight
+from .hgp import HgpCode, PauliVec, _is_z
 from .logicals import CanonicalOp, elementary_leg
 
 __all__ = [
@@ -552,12 +553,11 @@ class MinimaxTable(_Record):
     _voltages = cached_property(lambda self: _voltage_basis(self.best, self.tree, self.quotient))
 
     @cached_property
-    def _edge_map(self) -> tuple[tuple, list[int]]:
-        """(byte tables, row edges): reduction by the voltage basis is
-        linear, so the edges it uses for x XOR tables[i] at byte i of x, and
-        those for lift coordinate 1 << j, quotient row j, are row_edges[j]."""
+    def _edge_map(self) -> tuple[tuple, ...]:
+        """Byte tables: reduction by the voltage basis is linear, so the
+        edges it uses for x XOR tables[i] at byte i of x."""
         used = [_reduce(self._voltages[0], 1 << j)[1] for j in range(self.quotient.rank)]
-        return tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8)), used
+        return tuple(tuple(linear_table(used[b : b + 8])) for b in range(0, len(used), 8))
 
     def _fiber(self, bits: int) -> tuple[int, int]:
         """(quotient state, voltage edges used from its tree lift to ``bits``)."""
@@ -570,7 +570,7 @@ class MinimaxTable(_Record):
         if q.rows:  # without stabilizers every lift is 0
             coords ^= self.tree[state][1]
         used = 0
-        for table in self._edge_map[0]:
+        for table in self._edge_map:
             used ^= table[coords & 0xFF]
             coords >>= 8
         return state, used
@@ -579,19 +579,12 @@ class MinimaxTable(_Record):
         state, used = self._fiber(bits)
         return max(self.best[state], self._voltages[2][used.bit_length()])
 
-    def coset_max(self, base: int) -> int:
-        """The largest value on base + span(quotient.rows): its state's value
-        or, if higher, the level at which the last stabilizer joins 0."""
-        return max(self.best[self._fiber(base)[0]], self._voltages[2][-1])
-
-    def coset_values(self, base: int) -> list[tuple[int, int]]:
-        """(value, vector) of each vector of base + span(quotient.rows), in
-        ``span`` order: one quotient state, and edges used linear in the
-        vector, so each Gray step XORs in one row's edges."""
-        state, used = self._fiber(base)
-        levels = [max(self.best[state], tag) for tag in self._voltages[2]]
-        cosets = zip(span(self.quotient.rows), span(self._edge_map[1]))
-        return [(levels[(used ^ u).bit_length()], base ^ s) for s, u in cosets]
+    @property
+    def stabilizer_max(self) -> int:
+        """The largest value on span(quotient.rows), the level at which the
+        last stabilizer joins 0 (0 without stabilizers); the largest value
+        on base + span(quotient.rows) is max(value(base), stabilizer_max)."""
+        return self._voltages[2][-1]
 
     def path(self, bits: int) -> PathRecord:
         """Peak-optimal walk to ``bits``, through the flips of ``_flips``."""
@@ -689,6 +682,8 @@ def quantum_barrier(
     """
     if code.k == 0:
         raise NoLogicals("code has no logical qubits")
+    if sector != "both":  # refused before any search, naming all three
+        _is_z(sector, "'z', 'x' or 'both'")
     kinds = ("z", "x") if sector == "both" else (sector,)
     results = [_sector_result(code, kind, cap) for kind in kinds]
     return min(results, key=lambda r: r.value)  # the z result on a tie

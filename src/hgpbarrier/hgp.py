@@ -35,13 +35,14 @@ __all__ = [
 ]
 
 
-def _is_z(kind: str) -> bool:
-    """Whether ``kind`` is "z" rather than "x": the one check of a kind."""
+def _is_z(kind: str, expected: str = "'z' or 'x'") -> bool:
+    """Whether ``kind`` is "z" rather than "x": the one check of a kind,
+    whose refusal names the ``expected`` kinds."""
     if kind in ("z", "x"):
         return kind == "z"
     if not isinstance(kind, str):
         raise TypeError(f"kind must be a str, got {type(kind).__name__}")
-    raise DimensionMismatch(f"unknown kind {kind!r}, expected 'z' or 'x'")
+    raise DimensionMismatch(f"unknown kind {kind!r}, expected {expected}")
 
 
 class PauliVec(_Record):

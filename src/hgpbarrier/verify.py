@@ -37,7 +37,7 @@ from .barrier import (
 )
 from .codes import ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
-from .f2core import BitMatrix, BitVec, _ones, _Record, combine, mat_add, mat_mul, mat_vec, weight
+from .f2core import BitMatrix, BitVec, _ones, _Record, combine, mat_add, mat_mul, mat_vec, span, weight
 from .hgp import HgpCode, build_hgp
 from .logicals import (
     canonical_x_basis,
@@ -172,26 +172,31 @@ def _require_logicals(code: HgpCode) -> None:
 
 
 def _stabilizer_setup(code: HgpCode, cap: int):
-    """(x table, z table, paired, w_c w_q): both sector tables, whose
-    quotients' rows span the two stabilizer rowspaces, and whether those
-    have at most 2^12 pairs, few enough to scan every pair."""
+    """(x table, z table, paired, worst, w_c w_q): both sector tables, whose
+    quotients' rows span the two stabilizer rowspaces, whether those have at
+    most 2^12 pairs, few enough to scan every pair, and the largest stabilizer
+    barrier, the higher of the two tables' ``stabilizer_max``."""
     tx, tz = sector_table(code, "x", cap), sector_table(code, "z", cap)
-    return tx, tz, len(tx.quotient.rows) + len(tz.quotient.rows) <= 12, code.w_c * code.w_q
+    paired = len(tx.quotient.rows) + len(tz.quotient.rows) <= 12
+    return tx, tz, paired, max(tx.stabilizer_max, tz.stabilizer_max), code.w_c * code.w_q
+
+
+def _coset_values(table, base: int) -> list[tuple[int, int]]:
+    """(value, vector) of each vector of base + span(table.quotient.rows),
+    in ``span`` order: a counterexample's scan, never a passing check's."""
+    return [(table.value(base ^ s), base ^ s) for s in span(table.quotient.rows)]
 
 
 # -- single-claim checkers -----------------------------------------------------
 
 def check_lemma1(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = "") -> VerifyReport:
     """Every stabilizer clears at most w_c * w_q energy: Delta(s) <= w_c w_q."""
-    tx, tz, paired, bound = _stabilizer_setup(code, cap)
-    # max over pairs of max(a, b) factors into the two sector maxima, each
-    # the maximum of one coset, the rowspace: exhaustive in one read each
-    worst = max(tx.coset_max(0), tz.coset_max(0))
+    tx, tz, paired, worst, bound = _stabilizer_setup(code, cap)
     nx, nz = 1 << tx.quotient.rank, 1 << tz.quotient.rank
     mode, checked = ("paired", nx * nz) if paired else ("factored", nx + nz)
     counter = None
     if worst > bound:  # only now is each rowspace scanned, for its worst vectors
-        xs, zs = tx.coset_values(0), tz.coset_values(0)
+        xs, zs = _coset_values(tx, 0), _coset_values(tz, 0)
         if paired:  # the first worst pair of the x-major, z-minor scan of all pairs
             x_bits, z_bits = next((x, z) for a, x in xs for b, z in zs if max(a, b) == worst)
         else:
@@ -254,17 +259,17 @@ def check_theorem1(
     Delta(L s) <= max(Delta(L), w_c w_q), over seeded (L, s) samples.
 
     When the stabilizer rowspace has at most 2^12 elements, each sampled L is
-    additionally checked against every stabilizer: the worst shift factorizes
-    into per-sector maxima of the cosets L + rowspace, each one table read
-    (``MinimaxTable.coset_max``). Only a coset whose maximum breaks the bound
-    is scanned from L for its first worst stabilizer.
+    additionally checked against every stabilizer: the largest value on the
+    coset L + rowspace is max(value(L), ``stabilizer_max``) per sector, and
+    value(L) <= Delta(L), so some stabilizer breaks the bound exactly when
+    the higher top does. Only then are L's cosets scanned for the worst one.
     """
     if isinstance(samples, bool):
         raise TypeError(f"thm1 needs a sample count, got the bool {samples}")
     if samples < 1:
         raise ValueError(f"thm1 needs at least one sample, got {samples}")
     _require_logicals(code)
-    tx, tz, sweep_all, bound = _stabilizer_setup(code, cap)
+    tx, tz, sweep_all, top, bound = _stabilizer_setup(code, cap)
     zs = [op.realized.z.bits for op in canonical_z_basis(code)]
     xs = [op.realized.x.bits for op in canonical_x_basis(code)]
     rng = random.Random(seed)
@@ -281,14 +286,12 @@ def check_theorem1(
             smallest_slack = slack
         if counter is not None:
             continue
-        if d_ls <= rhs and sweep_all:
-            # the sampled stabilizer holds; if some other one breaks the
-            # bound, scan each sector's coset for its worst one
-            sectors = ((tx, lx), (tz, lz))
-            if max(t.coset_max(l) for t, l in sectors) > rhs:
-                worst = (max(t.coset_values(l), key=itemgetter(0)) for t, l in sectors)
-                (wx, x_bits), (wz, z_bits) = worst
-                sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
+        if d_ls <= rhs and sweep_all and top > rhs:
+            # the sampled stabilizer holds but some other one breaks the
+            # bound: scan each sector's coset for its worst one
+            worst = (max(_coset_values(t, l), key=itemgetter(0)) for t, l in ((tx, lx), (tz, lz)))
+            (wx, x_bits), (wz, z_bits) = worst
+            sx, sz, d_ls = x_bits ^ lx, z_bits ^ lz, max(wx, wz)
         if d_ls > rhs:
             counter = {
                 "l_x": lx,

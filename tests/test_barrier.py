@@ -578,7 +578,7 @@ class TestTables:
         barrier_module._table.cache_clear()
         b = sector_table(code, "z")
         assert a is not b and a == b and not a != b
-        reads = (lambda t: t.value(5), lambda t: t.path(5), lambda t: t.coset_values(5), lambda t: t.coset_max(5))
+        reads = (lambda t: t.value(5), lambda t: t.path(5), lambda t: t.stabilizer_max)
         for read in reads:
             read(a)
             assert a == b and not a != b
@@ -701,20 +701,6 @@ def test_wrong_typed_arguments_raise_type_error_before_any_search(monkeypatch, c
         call(table)
 
 
-@pytest.mark.parametrize("read", ["coset_max", "coset_values"])
-def test_coset_reads_check_their_base_as_value_does(read):
-    table = sector_table(surface(), "z")
-    n = table.n_dim
-    for bits in (-1, 1 << n):
-        with pytest.raises(IndexOutOfRange):
-            getattr(table, read)(bits)
-    for bad in (True, "0", 0.0, None):
-        with pytest.raises(TypeError):
-            getattr(table, read)(bad)
-    top = (1 << n) - 1  # the last state in range still answers
-    assert table.coset_max(top) == max(table.coset_values(top))[0]
-
-
 @pytest.mark.parametrize("sector", ["Z", "X", "Both", " z", "zx", "", "y"])
 def test_a_sector_is_exactly_z_x_or_both(monkeypatch, sector):
     # one kind check, in hgp: names are matched exactly, so a mixed-case or
@@ -729,3 +715,23 @@ def test_a_sector_is_exactly_z_x_or_both(monkeypatch, sector):
             call(tiny_hgp(), sector)
     with pytest.raises(DimensionMismatch, match="unknown kind"):
         PauliVec.identity(2).part(sector)
+
+
+@pytest.mark.parametrize("sector", ["y", "Both", "", 1, None, b"z", ("z",)])
+def test_quantum_barrier_names_every_sector_it_takes(monkeypatch, sector):
+    # quantum_barrier also takes "both", so its refusal names all three,
+    # through the one kind check in hgp, before any search; a sector that is
+    # not a string is a TypeError there as anywhere
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran before the sector was checked")
+
+    monkeypatch.setattr(barrier_module, "_flood", no_search)
+    monkeypatch.setattr(barrier_module, "_nearest", no_search)
+    if isinstance(sector, str):
+        error, match = DimensionMismatch, f"^unknown kind {sector!r}, expected 'z', 'x' or 'both'$"
+    else:
+        error, match = TypeError, "kind must be a str"
+    with pytest.raises(error, match=match):
+        quantum_barrier(tiny_hgp(), sector)
+    with pytest.raises(DimensionMismatch, match="expected 'z' or 'x'$"):
+        sector_table(tiny_hgp(), "both")

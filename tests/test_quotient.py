@@ -34,7 +34,7 @@ from hgpbarrier.errors import CapExceeded, WitnessError
 from hgpbarrier.f2core import BitMatrix, BitVec, rank, span
 from hgpbarrier.hgp import build_hgp
 from hgpbarrier.logicals import PauliVec, canonical_z_basis
-from hgpbarrier.verify import _PARENTS, quantum_instances
+from hgpbarrier.verify import _PARENTS, _coset_values, quantum_instances
 
 
 def _reference_reduce(basis, tags, x):
@@ -62,11 +62,9 @@ def _check_edge_map(table):
     assert list(tags[1:]) == [max(table.best[u], table.best[v]) for u, _, v in edges]
     if rank > 12:
         return
-    tables, row_edges = table._edge_map
-    assert row_edges == [barrier._reduce(basis, 1 << j)[1] for j in range(rank)]
     for x in range(1 << rank):
         used, coords = 0, x
-        for t in tables:
+        for t in table._edge_map:
             used ^= t[coords & 0xFF]
             coords >>= 8
         _, level, edges_used = _reference_reduce(basis, tags, x)
@@ -297,7 +295,9 @@ def test_coset_values_match_per_vector_reads(name, kind):
     # a coset is base + span(quotient.rows): for sector tables the rref rows
     # of their stabilizer matrix, for full-Pauli tables those of the
     # stabilizer generators, which span the same groups; a classical table
-    # has no stabilizers, so its coset is base alone
+    # has no stabilizers, so its coset is base alone and its stabilizer_max
+    # is 0. verify's counterexample scan lists the coset's per-vector reads
+    # in span order, and their top is one read of stabilizer_max
     code = build_hgp(*_PARENTS[name])
     if kind == "pauli":
         table, stab_rows = barrier.pauli_table(code), code.pauli_rows[1]
@@ -308,11 +308,12 @@ def test_coset_values_match_per_vector_reads(name, kind):
     rows = table.quotient.rows
     assert rank(BitMatrix(len(rows), table.n_dim, rows)) == len(rows)
     assert set(span(rows)) == set(span(stab_rows))
+    assert table.stabilizer_max == max(table.value(s) for s in span(rows))
     rng = random.Random(7)
     for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
         want = [(table.value(base ^ s), base ^ s) for s in span(rows)]
-        assert table.coset_values(base) == want
-        assert table.coset_max(base) == max(want)[0]
+        assert _coset_values(table, base) == want
+        assert max(want)[0] == max(table.value(base), table.stabilizer_max)
 
 
 def _drawn_parent(rng, r_max=3, n_max=4):
@@ -321,21 +322,26 @@ def _drawn_parent(rng, r_max=3, n_max=4):
 
 
 def test_coset_max_is_the_top_of_a_full_coset_scan():
-    # coset_max reads one state's value and the top voltage tag; a scan
-    # reads every vector of the coset through the edge map. 120 seeded
-    # products, their sector tables and, up to 6 qubits, full-Pauli tables
+    # the largest value on base + S is max(value(base), stabilizer_max):
+    # value(base) is best[[base]] or a tag at most the top one, which some
+    # vector of every coset reaches. Checked against full scans of S and of
+    # four cosets, over 120 seeded products' sector tables and, where
+    # n + k <= 12, their full-Pauli tables
     rng = random.Random(2024)
     pauli = 0
     for _ in range(120):
         code = build_hgp(_drawn_parent(rng), _drawn_parent(rng))
         tables = [sector_table(code, "z"), sector_table(code, "x")]
-        if code.n_qubits <= 6:
+        if code.n_qubits + code.k <= 12:
             tables.append(barrier.pauli_table(code))
             pauli += 1
         for table in tables:
+            stabilizers = list(span(table.quotient.rows))
+            assert table.stabilizer_max == max(table.value(s) for s in stabilizers)
             for base in [0] + [rng.randrange(1 << table.n_dim) for _ in range(3)]:
-                assert table.coset_max(base) == max(table.coset_values(base))[0]
-    assert pauli >= 20
+                top = max(table.value(base ^ s) for s in stabilizers)
+                assert top == max(table.value(base), table.stabilizer_max)
+    assert pauli >= 60
 
 
 def test_classify_enumeration_and_sector_table_share_one_quotient(monkeypatch):

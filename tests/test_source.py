@@ -348,8 +348,8 @@ def test_css_matrices_are_read_only_in_hgp():
 
 def test_table_internals_are_read_only_in_barrier():
     # a table's voltages, edge map and fibers are barrier's business: the
-    # claim checkers read values, coset maxima and walks through the
-    # table's public methods
+    # claim checkers read values, stabilizer maxima and walks through the
+    # table's public members
     found = sorted(
         path.name
         for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
@@ -365,7 +365,8 @@ def test_private_imports_between_modules_are_pinned():
     # a private name is a module's own business; each one another package
     # module imports ties the two together, so the set is pinned here and
     # grows only on purpose. deform collapses Paulis through the public
-    # compose_canonical and needs no logicals internals
+    # compose_canonical and needs no logicals internals; barrier checks
+    # quantum_barrier's sector through hgp's one kind check
     found = {
         path.stem: sorted(
             f"{node.module}.{alias.name}"
@@ -377,7 +378,7 @@ def test_private_imports_between_modules_are_pinned():
         for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
     }
     assert {stem: names for stem, names in found.items() if names} == {
-        "barrier": ["f2core._Record", "f2core._ones"],
+        "barrier": ["f2core._Record", "f2core._ones", "hgp._is_z"],
         "codes": ["f2core._Record", "f2core._ones"],
         "cli": ["verify._json_value"],
         "deform": ["f2core._Record"],

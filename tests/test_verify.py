@@ -37,7 +37,8 @@ def test_registry_names(instances):
 
 class _PlantedTable:
     """A sector table whose vectors in ``planted`` read the planted value,
-    through every read: one vector, a coset's values and a coset's maximum."""
+    through both reads: one vector's value and the stabilizer group's
+    maximum, here a scan of the group through ``value``."""
 
     def __init__(self, table, planted):
         self.table, self.planted, self.quotient = table, planted, table.quotient
@@ -45,11 +46,9 @@ class _PlantedTable:
     def value(self, bits):
         return self.planted.get(bits, self.table.value(bits))
 
-    def coset_values(self, base):
-        return [(self.planted.get(v, value), v) for value, v in self.table.coset_values(base)]
-
-    def coset_max(self, base):
-        return max(self.coset_values(base))[0]
+    @property
+    def stabilizer_max(self):
+        return max(self.value(s) for s in span(self.quotient.rows))
 
 
 def _plant_sectors(mp, planted):
@@ -134,7 +133,7 @@ def test_lemma1_reports_a_constructive_walk_above_the_bound(instances, monkeypat
     # it: the first such walk of the seeded combos is reported
     code = instances["surface_3"]
     real = V._stabilizer_setup
-    monkeypatch.setattr(V, "_stabilizer_setup", lambda code, cap: (*real(code, cap)[:3], 1))
+    monkeypatch.setattr(V, "_stabilizer_setup", lambda code, cap: (*real(code, cap)[:4], 1))
     r = V.check_lemma1(code, instance="surface_3")
     assert r.details["worst_barrier"] == 1
     assert r.counterexample == {"combo_bits": 3155, "path_max": 4, "bound": 1}
@@ -168,11 +167,19 @@ def test_lemma1_paired_mode_reports_the_first_worst_pair_of_a_plain_scan(
 def test_lemma1_paired_mode_compares_no_pairs(instances):
     # the first worst pair follows from the two sector scans, so no (x, z)
     # pair is formed, while checked still counts them all; verify imports
-    # neither product to form pairs with nor the span, quotient and flatten
-    # that only a matrix scan would need
+    # neither product to form pairs with nor the quotient and flatten that
+    # only a matrix scan would need, and reads span only in the
+    # counterexample scan of one coset
     tree = ast.parse(Path(V.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported.isdisjoint({"product", "span", "quotient", "flatten"})
+    assert imported.isdisjoint({"product", "quotient", "flatten"})
+    readers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "span" for n in ast.walk(node))
+    }
+    assert readers == {"_coset_values"}
     r = V.check_lemma1(instances["surface_3"], instance="surface_3")
     assert (r.details["mode"], r.checked) == ("paired", 4096)
 
@@ -180,20 +187,22 @@ def test_lemma1_paired_mode_compares_no_pairs(instances):
 @pytest.mark.parametrize("name", sorted(V._PARENTS))
 def test_lemma1_worst_barrier_is_the_top_voltage_tag(name):
     # lemma1 reads the worst stabilizer barrier as the higher of the two
-    # sector tables' top voltage tags. Up to 13 qubits that is checked
-    # against the full-space oracle's values over each whole stabilizer
-    # group, with no quotient; above, against a scan of every stabilizer
+    # sector tables' stabilizer_max, their top voltage tags. Up to 13 qubits
+    # that is checked against the full-space oracle's values over each whole
+    # stabilizer group, with no quotient; above, against a value read of
+    # every stabilizer
     code = build_hgp(*V._PARENTS[name])
     r = V.check_lemma1(code, instance=name)
     worst = {}
     for sector in ("x", "z"):
         checks, stabs = code.sector(sector)
+        table = sector_table(code, sector)
         if code.n_qubits <= 13:
             values = oracles.minimax_values(checks.row_bits, code.n_qubits)
             worst[sector] = max(values[s] for s in span(stabs.row_bits))
         else:
-            worst[sector] = max(sector_table(code, sector).coset_values(0))[0]
-        assert sector_table(code, sector)._voltages[2][-1] == worst[sector]
+            worst[sector] = max(table.value(s) for s in span(stabs.row_bits))
+        assert table.stabilizer_max == table._voltages[2][-1] == worst[sector]
     assert r.details["worst_barrier"] == max(worst.values())
 
 
@@ -281,36 +290,48 @@ def test_theorem1_builds_each_canonical_basis_once(instances, monkeypatch):
         # 160414, planted at 99
         (
             "toric_3",
-            {160414: 99},
+            {"x": {160414: 99}},
             "sampled",
             {"l_x": 249512, "l_z": 151140, "s_x": 113718, "s_z": 100062,
              "delta_l": 2, "delta_ls": 99, "bound": 16},
         ),
-        # surface_3 also sweeps every stabilizer: sample 0's own L s reads its
-        # true value, and the sweep finds L times HX's first rref row 2625,
-        # whose x part 3500 is planted at 99
+        # surface_3 also sweeps every stabilizer: HX's first rref row 2625 is
+        # planted at 99 and, as the coset identity asks of a real table, so
+        # is its translate 3500 in sample 0's x coset L + rowspace. Sample
+        # 0's own L s reads its true value; the top tag 99 breaks the bound,
+        # and the coset scan finds L times 2625
         (
             "surface_3",
-            {3500: 99},
+            {"x": {2625: 99, 2029 ^ 2625: 99}},
             "exhaustive",
             {"l_x": 2029, "l_z": 1103, "s_x": 2625, "s_z": 0,
              "delta_l": 1, "delta_ls": 99, "bound": 16},
         ),
-        # a planted x stabilizer, HX's first row 521: sample 0's L is in the
-        # other x coset, so only a sweep that keeps the cosets apart finds it,
-        # at the first L whose x part 3674 is itself a stabilizer
+        # the same in the z sector: HZ's first rref row 1541 and its
+        # translate in sample 0's z coset
         (
             "surface_3",
-            {521: 99},
+            {"z": {1541: 99, 1103 ^ 1541: 99}},
+            "exhaustive",
+            {"l_x": 2029, "l_z": 1103, "s_x": 0, "s_z": 1541,
+             "delta_l": 1, "delta_ls": 99, "bound": 16},
+        ),
+        # HX's first row 521 planted alone: the top tag breaks the bound at
+        # every sample, but no translate is planted, so each coset scan
+        # finds its true values until the first L whose x part 3674 is
+        # itself a stabilizer, whose coset holds 521
+        (
+            "surface_3",
+            {"x": {521: 99}},
             "exhaustive",
             {"l_x": 3674, "l_z": 6335, "s_x": 3155, "s_z": 0,
              "delta_l": 1, "delta_ls": 99, "bound": 16},
         ),
     ],
-    ids=["sampled", "sweep", "sweep-later-coset"],
+    ids=["sampled", "sweep", "sweep-z", "sweep-later-coset"],
 )
 def test_theorem1_counterexample_routes(monkeypatch, instances, name, planted, sweep, counter):
-    _plant_sectors(monkeypatch, {"x": planted})
+    _plant_sectors(monkeypatch, planted)
     r = V.check_theorem1(instances[name], samples=100, seed=0, instance=name)
     assert r.details["stabilizer_sweep"] == sweep
     assert not r.passed
@@ -331,12 +352,19 @@ def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples)
         V.check_theorem1(instances["surface_3"], samples=samples)
 
 
-def test_passing_lemma1_and_theorem1_scan_no_coset(monkeypatch):
-    # a coset's maximum is one read (coset_max), so a passing lemma1 or thm1
-    # scans no coset: coset_values runs only to report a counterexample
+def _counted_scans(monkeypatch):
+    """The bases of verify's coset scans, as they run."""
     scans = []
-    real = MinimaxTable.coset_values
-    monkeypatch.setattr(MinimaxTable, "coset_values", lambda self, base: scans.append(base) or real(self, base))
+    real = V._coset_values
+    monkeypatch.setattr(V, "_coset_values", lambda table, base: scans.append(base) or real(table, base))
+    return scans
+
+
+def test_passing_lemma1_and_theorem1_scan_no_coset(monkeypatch):
+    # a stabilizer group's maximum is one read (stabilizer_max), so a passing
+    # lemma1 or thm1 scans no coset: _coset_values runs only to report a
+    # counterexample
+    scans = _counted_scans(monkeypatch)
     sweeps = set()
     for name, pair in V._PARENTS.items():
         code = build_hgp(*pair)
@@ -348,17 +376,40 @@ def test_passing_lemma1_and_theorem1_scan_no_coset(monkeypatch):
     assert scans == []
 
 
+def test_theorem1_sweeps_only_where_the_top_tag_breaks_the_bound(instances, monkeypatch):
+    # with the bound planted at surface_3's top tag 1, samples with
+    # Delta(L) = 1 meet the top tag exactly and thm1 holds: no scan
+    code = instances["surface_3"]
+    real = V._stabilizer_setup
+    monkeypatch.setattr(V, "_stabilizer_setup", lambda code, cap: (*real(code, cap)[:4], 1))
+    scans = _counted_scans(monkeypatch)
+    r = V.check_theorem1(code, samples=100, seed=0, instance="surface_3")
+    assert r.passed and r.details["bound"] == 1 and r.details["smallest_slack"] == 0
+    assert scans == []
+
+
+def test_theorem1_sampled_mode_sweeps_no_coset(instances, monkeypatch):
+    # toric_3 only samples: a stabilizer planted above the bound, with its
+    # translate in sample 0's x coset, breaks the top tag, yet no sampled
+    # pair reads either, and no coset is swept
+    scans = _counted_scans(monkeypatch)
+    _plant_sectors(monkeypatch, {"x": {163905: 99, 249512 ^ 163905: 99}})
+    r = V.check_theorem1(instances["toric_3"], samples=100, seed=0, instance="toric_3")
+    assert r.passed and r.details["stabilizer_sweep"] == "sampled"
+    assert scans == []
+
+
 def test_coset_scans_make_no_per_vector_reads(instances, monkeypatch):
-    # lemma1 and thm1's sweep read coset maxima through coset_max; only
-    # thm1's four sampled reads per sample go through value
+    # lemma1 and thm1's sweep read the stabilizer maxima, which need no
+    # fiber; only thm1's four sampled reads per sample go through _fiber
     calls = []
-    real = MinimaxTable.value
+    real = MinimaxTable._fiber
 
     def counted(self, bits):
         calls.append(bits)
         return real(self, bits)
 
-    monkeypatch.setattr(MinimaxTable, "value", counted)
+    monkeypatch.setattr(MinimaxTable, "_fiber", counted)
     assert V.check_lemma1(instances["surface_3"], instance="surface_3").passed
     assert calls == []
     r = V.check_theorem1(instances["surface_3"], samples=100, seed=0, instance="surface_3")
