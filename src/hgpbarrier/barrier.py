@@ -54,7 +54,7 @@ from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache, reduce
 from operator import xor
 
-from .codes import ClassicalCode
+from .codes import DEFAULT_STATE_CAP, ClassicalCode
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -70,8 +70,7 @@ from .hgp import HgpCode, PauliVec, _is_z
 from .logicals import CanonicalOp, elementary_leg
 
 __all__ = [
-    "DEFAULT_STATE_CAP",
-    "DEFAULT_PAULI_CAP",
+    "DEFAULT_STATE_CAP",  # defined in codes, the one default cap
     "PathRecord",
     "BarrierResult",
     "SyndromeEnergy",
@@ -90,9 +89,6 @@ __all__ = [
     "stabilizer_path",
     "validate_path",
 ]
-
-DEFAULT_STATE_CAP = 1 << 24
-DEFAULT_PAULI_CAP = 1 << 20  # 2^(n + k) full-Pauli quotient states
 
 
 class PathRecord(_Record):
@@ -176,15 +172,8 @@ def energy_classical(c: ClassicalCode, x: BitVec) -> int:
     return weight(c.syndrome(x))
 
 
-def _check_pauli(p: PauliVec, n: int) -> None:
-    if not isinstance(p, PauliVec):
-        raise TypeError(f"expected a PauliVec, got {type(p).__name__}")
-    if p.n != n:
-        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {n}")
-
-
 def energy_quantum(code: HgpCode, p: PauliVec) -> int:
-    _check_pauli(p, code.n_qubits)
+    code.check_pauli(p)
     return sum(weight(mat_vec(code.sector(kind)[0], p.part(kind))) for kind in ("z", "x"))
 
 
@@ -701,7 +690,7 @@ def _pauli_walk(code: HgpCode, flips: Iterable[int], state=None) -> PathRecord:
     return _walk(flips, _energy(code.pauli_rows[0], 2 * n), state or pauli)
 
 
-def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
+def pauli_table(code: HgpCode, cap: int = DEFAULT_STATE_CAP) -> MinimaxTable:
     """Exhaustive minimax table over the full Pauli group, packed states
     modulo HX on x and HZ on z (``HgpCode.pauli_rows``): 2^(n + k) quotient
     states, which ``cap`` bounds before HX or HZ is built. One cached table
@@ -711,7 +700,7 @@ def pauli_table(code: HgpCode, cap: int = DEFAULT_PAULI_CAP) -> MinimaxTable:
 
 
 def pauli_barrier_general(
-    code: HgpCode, target: PauliVec, cap: int = DEFAULT_PAULI_CAP
+    code: HgpCode, target: PauliVec, cap: int = DEFAULT_STATE_CAP
 ) -> BarrierResult:
     """Minimax over the full Pauli group: states are (x, z) pairs, and a step
     flips the x or the z bit of one qubit. A Y step, which flips both, would
@@ -724,8 +713,7 @@ def pauli_barrier_general(
     quotient states, which ``cap`` bounds: one cached ``pauli_table`` per
     code answers every target. Used to cross-check the sector decomposition.
     """
-    n = code.n_qubits
-    _check_pauli(target, n)
+    code.check_pauli(target)
     table = pauli_table(code, cap)
     goal = code.pack(target.x.bits, target.z.bits)
     return BarrierResult(table.value(goal), _pauli_walk(code, table._flips(goal)), table.explored)
@@ -742,14 +730,13 @@ def normalizer_barrier(
     followed by the optimal z-sector path achieves the larger of the two
     sector values. Hence the barrier is exactly max(x-sector, z-sector).
     """
-    n = code.n_qubits
-    _check_pauli(p, n)
+    code.check_pauli(p)
     if any(mat_vec(code.sector(kind)[0], p.part(kind)).bits for kind in ("x", "z")):
         raise OutsideNormalizer("Pauli anticommutes with a check; barrier is sector-mixed")
     tx = sector_table(code, "x", cap)
     tz = sector_table(code, "z", cap)
     value = max(tx.value(p.x.bits), tz.value(p.z.bits))
-    record = _pauli_walk(code, tx._flips(p.x.bits) + [n + q for q in tz._flips(p.z.bits)])
+    record = _pauli_walk(code, tx._flips(p.x.bits) + [code.n_qubits + q for q in tz._flips(p.z.bits)])
     return BarrierResult(value, record, tx.explored + tz.explored)
 
 
@@ -765,9 +752,9 @@ def sweep_path_for_canonical(
     step, so the sweep attains the parent-code barrier of that codeword.
     """
     parent, word, placement = elementary_leg(code, op)
-    place = lambda b: PauliVec.of_kind(op.kind, placement(BitVec(parent.cols, b)))
+    place = lambda b: PauliVec.of_kind(op.kind, placement(BitVec(parent.n, b)))
     goal = lambda s, e: s == word.bits
-    sweep = _target_search(_energy(parent.row_bits, parent.cols), (), goal, cap, place).witness
+    sweep = _target_search(_energy(parent.h.row_bits, parent.n), (), goal, cap, place).witness
     energy = _energy(code.sector(op.kind)[0].row_bits, code.n_qubits)
     # the quantum energy along the sweep reduces exactly to the classical one
     if tuple(energy(s.part(op.kind)) for s in sweep.states) != sweep.energies:
@@ -786,7 +773,7 @@ def stabilizer_path(code: HgpCode, s: PauliVec, generator_combo: BitVec) -> Path
     if generator_combo.n != len(gens):
         raise DimensionMismatch(f"combo length {generator_combo.n}, need {len(gens)}")
     combo = generator_combo.bits
-    _check_pauli(s, code.n_qubits)
+    code.check_pauli(s)
     if combine(gens, combo) != code.pack(s.x.bits, s.z.bits):
         raise NotAStabilizer("selected generators do not multiply to the given Pauli")
     return _pauli_walk(code, [q for g in _ones(combo) for q in _ones(gens[g])])

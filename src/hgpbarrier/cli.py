@@ -19,7 +19,7 @@ import math
 import sys
 
 from .barrier import classical_barrier, quantum_barrier, sector_table
-from .codes import ClassicalCode, emit_dense, parse_alist, parse_auto, parse_dense
+from .codes import DEFAULT_STATE_CAP, ClassicalCode, emit_dense, parse_auto
 from .errors import CapExceeded, HgpBarrierError, NoLogicals, ParseError
 from .hgp import HgpCode, build_hgp, css_check, hgp_parameters
 from .logicals import canonical_x_basis, canonical_z_basis
@@ -45,30 +45,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE)
 
 
-def _load_code(path: str, fmt: str | None) -> ClassicalCode:
-    """The code in the file at ``path``. The file is read on every call; its
-    text is parsed once per process, so an edited file is parsed again."""
+def _load_code(path: str) -> ClassicalCode:
+    """The code in the file at ``path``, in the format its line count
+    decides (``parse_auto``). The file is read on every call; its text is
+    parsed once per process, so an edited file is parsed again."""
     try:
         with open(path) as f:
             text = f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"cannot decode {path}: {e.reason} at byte {e.start}") from e
-    return _parse(text, fmt)
+    return _parse(text)
 
 
 @functools.lru_cache(maxsize=256)
-def _parse(text: str, fmt: str | None) -> ClassicalCode:
-    # a parse error propagates and is not cached
-    if fmt == "alist":
-        return parse_alist(text)
-    if fmt == "dense":
-        return parse_dense(text)
+def _parse(text: str) -> ClassicalCode:
+    # parse_auto is read at call time, so a wrapper put in its place (as
+    # ``perfbench --trace`` does) sees every parse; an error is not cached
     return parse_auto(text)
 
 
-def _load_product(paths, fmt: str | None) -> HgpCode:
+def _load_product(paths) -> HgpCode:
     """The product of the two codes in ``paths``, loaded in order."""
-    return build_hgp(*(_load_code(path, fmt) for path in paths))
+    return build_hgp(*(_load_code(path) for path in paths))
 
 
 def _text_lines(obj, indent: str = "") -> list[str]:
@@ -111,7 +109,7 @@ def _print_result(report: dict, result, fmt: str) -> None:
 
 
 def cmd_info(args) -> int:
-    c = _load_code(args.path, args.fmt)
+    c = _load_code(args.path)
     p = c.parameters(args.cap)
     report = {
         "n": c.n,
@@ -126,7 +124,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_hgp(args) -> int:
-    code = _load_product((args.path1, args.path2), args.fmt)
+    code = _load_product((args.path1, args.path2))
     # HX and HZ hold r1 n2 + n1 r2 rows of n entries, all written out
     entries = (code.r1 * code.n2 + code.n1 * code.r2) * code.n_qubits
     if entries > args.cap:
@@ -165,13 +163,13 @@ def cmd_barrier(args) -> int:
         if args.sector != "both":
             _emit_error("usage", f"barrier classical has no {args.sector} sector")
             return EXIT_USAGE
-        c = _load_code(args.paths[0], args.fmt)
+        c = _load_code(args.paths[0])
         _print_result({"kind": "classical"}, classical_barrier(c, args.cap), args.format)
         return EXIT_OK
     if len(args.paths) != 2:
         _emit_error("usage", f"barrier {args.kind} takes exactly two matrix files")
         return EXIT_USAGE
-    code = _load_product(args.paths, args.fmt)
+    code = _load_product(args.paths)
     if args.kind == "quantum":
         result = quantum_barrier(code, args.sector, args.cap)
         _print_result({"kind": "quantum", "sector": args.sector}, result, args.format)
@@ -196,7 +194,7 @@ def _requested_bases(sector: str):
 
 
 def cmd_logicals(args) -> int:
-    code = _load_product((args.path1, args.path2), args.fmt)
+    code = _load_product((args.path1, args.path2))
     # at most 2k operators, each printed with its support on n qubits
     if code.k * code.n_qubits > args.cap:
         raise CapExceeded(f"{code.k} operators on {code.n_qubits} qubits exceed cap {args.cap}")
@@ -225,7 +223,7 @@ def cmd_verify(args) -> int:
     if args.claim == "all":
         reports, _ = run_all(seed=args.seed, cap=args.cap)
     else:
-        pair = tuple(_load_code(p, args.fmt) for p in args.paths) or None
+        pair = tuple(_load_code(p) for p in args.paths) or None
         reports = run_claim(
             args.claim, seed=args.seed, cap=args.cap, pair=pair, instance=" x ".join(args.paths)
         )
@@ -254,12 +252,9 @@ def _build_parser() -> _Parser:
         "--format", choices=("json", "text"), default="json", help="output format"
     )
     common.add_argument(
-        "--fmt", choices=("alist", "dense"), help="input format (default: sniff)"
-    )
-    common.add_argument(
         "--max-dim",
         type=int,
-        default=24,
+        default=DEFAULT_STATE_CAP.bit_length() - 1,
         dest="max_dim",
         help="log2 of the search state cap",
     )

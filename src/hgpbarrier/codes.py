@@ -36,7 +36,7 @@ __all__ = [
     "random_ldpc",
 ]
 
-DEFAULT_ENUM_CAP = 1 << 20
+DEFAULT_STATE_CAP = 1 << 24  # every library call's default cap, as the CLI's
 
 
 class CodeParams(_Record):
@@ -96,7 +96,7 @@ class ClassicalCode(_Record):
         for bits in span([v.bits for v in self.kernel]):
             yield BitVec(self.n, bits)
 
-    def parameters(self, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
+    def parameters(self, cap: int = DEFAULT_STATE_CAP) -> CodeParams:
         """Exact [n, k, d] with d found by enumerating all nonzero codewords."""
         k = self.k
         if k == 0:

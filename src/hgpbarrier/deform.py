@@ -75,8 +75,7 @@ def deform_pauli(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
 
 
 def _deform_checked(code: HgpCode, p: PauliVec, spec: DeformSpec) -> PauliVec:
-    if p.n != code.n_qubits:
-        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
+    code.check_pauli(p)
     vv, cc = vec_split(p.z, code.vv_count)
     if spec.block == "vv":
         grid, shift = reshape(vv, code.n1, code.n2), 0

@@ -12,15 +12,16 @@ the check-check block (coordinates (a, b) with a < r1, b < r2).
 A code is its two parents: HX and HZ are built on first read, after every
 cap has been read off the parents. The CSS conventions live here alone: the
 matrices that check and stabilize each sector (``HgpCode.sector``), the
-parents of Z and of X operators (``HgpCode.parents``), and the packing of
-full Paulis and generators (``HgpCode.pack``, ``HgpCode.pauli_rows``).
+parents of Z and of X operators (``HgpCode.parents``), the packing of
+full Paulis and generators (``HgpCode.pack``, ``HgpCode.pauli_rows``), and
+the check of a Pauli argument (``HgpCode.check_pauli``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .codes import DEFAULT_ENUM_CAP, ClassicalCode, CodeParams
+from .codes import DEFAULT_STATE_CAP, ClassicalCode, CodeParams
 from .errors import DimensionMismatch, IndexOutOfRange, NoLogicals
 from .f2core import BitMatrix, BitVec, _Record, hstack, kron, mat_mul
 
@@ -153,6 +154,14 @@ class HgpCode(_Record):
         h1t, h2t = self._transposes
         return (self.h1, h2t) if _is_z(kind) else (self.h2, h1t)
 
+    def check_pauli(self, p: PauliVec) -> None:
+        """The one check of a Pauli argument: TypeError unless ``p`` is a
+        PauliVec, DimensionMismatch unless it acts on this code's qubits."""
+        if not isinstance(p, PauliVec):
+            raise TypeError(f"expected a PauliVec, got {type(p).__name__}")
+        if p.n != self.n_qubits:
+            raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {self.n_qubits}")
+
     @cached_property
     def pauli_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(check rows, stabilizer generators) of the full Pauli group on
@@ -178,14 +187,16 @@ class HgpCode(_Record):
 
     @cached_property
     def w_c(self) -> int:
-        """Largest stabilizer weight across both check matrices."""
-        return max(r.bit_count() for r in (*self.hx.row_bits, *self.hz.row_bits))
+        """Largest stabilizer weight across both check matrices, read off the
+        parents: an HX row is a row of H1 beside a column of H2, an HZ row a
+        row of H2 beside a column of H1."""
+        return max(self.h1.w_c + self.h2.w_q, self.h2.w_c + self.h1.w_q)
 
     @cached_property
     def w_q(self) -> int:
-        """Largest number of stabilizers touching one qubit."""
-        columns = zip(self.hx.transpose().row_bits, self.hz.transpose().row_bits)
-        return max(x.bit_count() + z.bit_count() for x, z in columns)
+        """Largest number of stabilizers touching one qubit: a bit-bit qubit
+        meets a column of each parent, a check-check qubit a row of each."""
+        return max(self.h1.w_q + self.h2.w_q, self.h1.w_c + self.h2.w_c)
 
 
 @lru_cache(maxsize=256)
@@ -199,7 +210,7 @@ def css_check(code: HgpCode) -> bool:
     return mat_mul(code.hx, code.hz.transpose()).is_zero()
 
 
-def hgp_parameters(code: HgpCode, cap: int = DEFAULT_ENUM_CAP) -> CodeParams:
+def hgp_parameters(code: HgpCode, cap: int = DEFAULT_STATE_CAP) -> CodeParams:
     """[[n, k, d]] from the parent code parameters.
 
     k = k1*k2 + k1T*k2T. The distance is the minimum over the four parent

@@ -19,10 +19,12 @@ import enum
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .errors import CapExceeded, DimensionMismatch, NoLogicals, NotElementary, ShapeMismatch
+from .codes import DEFAULT_STATE_CAP
+from .errors import CapExceeded, NoLogicals, NotElementary, ShapeMismatch
 from .f2core import (
     BitMatrix,
     BitVec,
+    _ones,
     _Record,
     combine,
     kernel_basis,
@@ -70,9 +72,8 @@ class CanonicalOp(_Record):
         ones = [
             (block, i, j)
             for block, m in (("vv", self.lam), ("cc", self.kappa))
-            for i in range(m.rows)
-            for j in range(m.cols)
-            if m.entry(i, j)
+            for i, row in enumerate(m.row_bits)
+            for j in _ones(row)
         ]
         if len(ones) != 1:
             raise NotElementary("operator must have exactly one nonzero coefficient")
@@ -151,16 +152,17 @@ def canonical_x_basis(code: HgpCode) -> list[CanonicalOp]:
 
 
 def elementary_leg(code: HgpCode, op: CanonicalOp):
-    """(parent check matrix, parent codeword, placement) of an elementary
+    """(parent code, parent codeword, placement) of an elementary
     operator: the operator is ``placement(codeword)``, the codeword laid
     along one line of its block's grid, and ``placement`` maps any parent
-    vector onto that line. A Z operator's codeword is a word of H1 (bit-bit)
-    or H2^T (check-check), an X operator's a word of H2 or H1^T."""
+    vector onto that line. The parent is the code ``code.parents`` holds: a
+    Z operator's codeword is a word of H1 (bit-bit) or H2^T (check-check),
+    an X operator's a word of H2 or H1^T."""
     vv_left, vv_right, cc_left, cc_right = _fitted_ingredients(code, op.kind, op.lam, op.kappa)
     block, i, j = op.coefficient()
     left, right = (vv_left[i], vv_right[j]) if block == "vv" else (cc_left[i], cc_right[j])
     n, shift = code.n_qubits, 0 if block == "vv" else code.vv_count
-    parent = code.parents(op.kind)[block == "cc"].h
+    parent = code.parents(op.kind)[block == "cc"]
     if (op.kind == "z") == (block == "vv"):  # the codeword is the left factor
         return parent, left, lambda w: BitVec(n, tensor_vec(w, right).bits << shift)
     return parent, right, lambda w: BitVec(n, tensor_vec(left, w).bits << shift)
@@ -168,8 +170,7 @@ def elementary_leg(code: HgpCode, op: CanonicalOp):
 
 def classify(code: HgpCode, p: PauliVec) -> PauliClass:
     """Place a Pauli in the normalizer hierarchy of the code."""
-    if p.n != code.n_qubits:
-        raise DimensionMismatch(f"Pauli on {p.n} qubits, code has {code.n_qubits}")
+    code.check_pauli(p)
     sectors = [(*code.sector(kind), p.part(kind)) for kind in ("x", "z")]
     if any(mat_vec(checks, v).bits for checks, _, v in sectors):
         return PauliClass.NON_COMMUTING
@@ -193,10 +194,10 @@ def _enumerate_coset(code: HgpCode, kind: str, cap: int) -> Iterator[PauliVec]:
             yield PauliVec.of_kind(kind, BitVec(checks.cols, bits))
 
 
-def enumerate_z_logicals(code: HgpCode, cap: int = 1 << 20) -> Iterator[PauliVec]:
+def enumerate_z_logicals(code: HgpCode, cap: int = DEFAULT_STATE_CAP) -> Iterator[PauliVec]:
     """All Z parts in ker(HX) outside rowspace(HZ), as Z-type Paulis."""
     yield from _enumerate_coset(code, "z", cap)
 
 
-def enumerate_x_logicals(code: HgpCode, cap: int = 1 << 20) -> Iterator[PauliVec]:
+def enumerate_x_logicals(code: HgpCode, cap: int = DEFAULT_STATE_CAP) -> Iterator[PauliVec]:
     yield from _enumerate_coset(code, "x", cap)

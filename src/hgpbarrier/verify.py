@@ -25,8 +25,6 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .barrier import (
-    DEFAULT_PAULI_CAP,
-    DEFAULT_STATE_CAP,
     _pauli_walk,
     classical_barrier,
     classical_table,
@@ -35,7 +33,7 @@ from .barrier import (
     sector_table,
     sweep_path_for_canonical,
 )
-from .codes import ClassicalCode, open_repetition, ring_repetition
+from .codes import DEFAULT_STATE_CAP, ClassicalCode, open_repetition, ring_repetition
 from .errors import CapExceeded, NoLogicals
 from .f2core import BitMatrix, BitVec, _ones, _Record, combine, mat_add, mat_mul, mat_vec, span, weight
 from .hgp import HgpCode, build_hgp
@@ -264,8 +262,11 @@ def check_theorem1(
     value(L) <= Delta(L), so some stabilizer breaks the bound exactly when
     the higher top does. Only then are L's cosets scanned for the worst one.
     """
-    if isinstance(samples, bool):
-        raise TypeError(f"thm1 needs a sample count, got the bool {samples}")
+    # a bool is neither a count nor a seed, though it is an int; an unseeded
+    # Random would draw from system entropy, and the report could not be rerun
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"thm1's {name} must be an int, not {type(value).__name__}")
     if samples < 1:
         raise ValueError(f"thm1 needs at least one sample, got {samples}")
     _require_logicals(code)
@@ -321,7 +322,7 @@ def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
     for op in canonical_z_basis(code):
         parent, word, _ = elementary_leg(code, op)
         unrestricted = tz.value(op.realized.z.bits)
-        restricted = _unit_move_value(parent, word, cap)
+        restricted = classical_table(parent, cap).value(word.bits)
         # constructive witness: the single-line sweep stays in the subset and
         # must attain exactly the restricted optimum
         sweep = sweep_path_for_canonical(code, op, cap)
@@ -342,11 +343,6 @@ def check_lemma2(code: HgpCode, cap: int = DEFAULT_STATE_CAP, instance: str = ""
                 "witness_max": sweep.max_energy,
             }
     return _report("lemma2", instance, checked, {"per_operator": values}, counter)
-
-
-def _unit_move_value(parent: BitMatrix, word: BitVec, cap: int) -> int:
-    table = classical_table(ClassicalCode(parent), cap)
-    return table.value(word.bits)
 
 
 def _canonical_z_values(code: HgpCode, cap: int) -> dict[int, int]:
@@ -539,7 +535,7 @@ def check_main_equality(
 
 def check_css_restriction(
     code: HgpCode,
-    cap: int = DEFAULT_PAULI_CAP,
+    cap: int = DEFAULT_STATE_CAP,
     instance: str = "",
 ) -> VerifyReport:
     """Pure-sector logicals need no mixed-Pauli detours: the full Pauli-group

@@ -94,13 +94,13 @@ def test_bad_input_bytes_exit_2(tmp_path, capsys, content):
 
 
 def test_overlong_count_gives_a_short_error(tmp_path, capsys):
-    # the offending token is echoed as a short prefix, not whole
+    # a count too long to convert is no header; the token itself is echoed
+    # as a short prefix by the parsers (tests/test_codes.py)
     path = tmp_path / "big.alist"
     path.write_text("9" * 5000 + " 1\n1 1\n1\n1\n1\n1\n")
-    code, out, err = run(capsys, "info", path, "--fmt", "alist")
+    code, out, err = run(capsys, "info", path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "parse"
-    assert "(5000 characters)" in err
     assert len(err.encode()) < 300
 
 
@@ -108,30 +108,38 @@ BIG = "9" * 640  # the longest count a parser converts
 
 
 @pytest.mark.parametrize(
-    "fmt, text",
+    "text",
     [
-        ((), f"{BIG} {BIG}\n1 1\n1\n1\n"),  # line count fits neither format
-        (("--fmt", "alist"), f"{BIG} {BIG}\n1 1\n1\n1\n"),  # n values on a degree line
-        (("--fmt", "dense"), f"{BIG} 3\n101\n"),  # matrix rows
-        (("--fmt", "dense"), f"1 {BIG}\n101\n"),  # entries per row
+        f"{BIG} {BIG}\n1 1\n1\n1\n",  # line count fits neither format
+        f"1 {BIG}\n101\n",  # a dense file by its line count: entries per row
     ],
-    ids=("sniffed-line-count", "alist-degree-line", "dense-rows", "dense-entries"),
+    ids=("sniffed-line-count", "dense-entries"),
 )
-def test_huge_declared_sizes_give_a_short_error(tmp_path, capsys, fmt, text):
-    # a declared size is echoed as a short prefix, not whole
+def test_huge_declared_sizes_give_a_short_error(tmp_path, capsys, text):
+    # a declared size is echoed as a short prefix, not whole; the parsers'
+    # other size messages are reached by parsing directly (tests/test_codes.py)
     path = tmp_path / "big.txt"
     path.write_text(text)
-    code, out, err = run(capsys, "info", path, *fmt)
+    code, out, err = run(capsys, "info", path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "parse"
     assert " characters)" in err
     assert len(err.encode()) < 300
 
 
-def test_fmt_override_mismatch(files, capsys):
-    code, _, err = run(capsys, "info", files / "open3.txt", "--fmt", "alist")
-    assert code == 2
-    assert json.loads(err)["error"] == "parse"
+@pytest.mark.parametrize(
+    "flag",
+    [("--fmt", "alist"), ("--fmt", "dense"), ("--fmt=dense",)],
+    ids=["alist", "dense", "equals-dense"],
+)
+def test_fmt_is_a_usage_error(files, capsys, flag):
+    # the file's line count decides its format, so there is no option to
+    # override it
+    with pytest.raises(SystemExit) as ei:
+        main(["info", str(files / "open3.txt"), *flag])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "usage"
 
 
 # -- barrier --------------------------------------------------------------------
@@ -269,7 +277,7 @@ def test_wide_product_exits_3_before_hx_or_hz_is_built(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert json.loads(err) == {"error": "cap-exceeded", "detail": "2^999001 quotient states exceed cap 16777216"}
-    product = cli._load_product((wide, wide), None)
+    product = cli._load_product((wide, wide))
     assert not {"hx", "hz"} & set(vars(product))
 
 
@@ -294,7 +302,7 @@ def test_wide_logicals_exit_3_before_any_operator_is_composed(tmp_path, capsys, 
     wide.write_text("1 1000\n" + "1" * 1000 + "\n")
     detail = "998001 operators on 1000001 qubits exceed cap 16777216"
     assert _refused_in_time(capsys, "logicals", wide, wide) == {"error": "cap-exceeded", "detail": detail}
-    product = cli._load_product((wide, wide), None)
+    product = cli._load_product((wide, wide))
     assert not {"hx", "hz"} & set(vars(product))
 
 
@@ -313,7 +321,7 @@ def test_wide_hgp_exits_3_before_anything_is_built_or_written(tmp_path, capsys, 
     err = _refused_in_time(capsys, "hgp", ring, ring, "--out", tmp_path / "prod")
     assert err == {"error": "cap-exceeded", "detail": detail}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.alist"]
-    product = cli._load_product((ring, ring), None)
+    product = cli._load_product((ring, ring))
     assert not {"hx", "hz", "w_c", "w_q"} & set(vars(product))
 
 
@@ -667,7 +675,7 @@ def test_repeated_calls_do_not_carry_options_over(files, capsys):
         ["verify", "lemma3", files / "ring3.alist", files / "open3.txt"],
     ]
     flagged = [
-        ["info", files / "open3.txt", "--format", "text", "--fmt", "dense"],
+        ["info", files / "open3.txt", "--format", "text"],
         ["barrier", "quantum", files / "open3.txt", files / "open3.txt", "--sector", "x",
          "--max-dim", "8"],
         ["logicals", files / "ring3.alist", files / "open3.txt", "--sector", "x"],
@@ -805,11 +813,11 @@ def test_main_parses_as_the_top_level_parser_does(argv):
     "command, digest",
     [
         ((), "260e5c6d416c18492a65c317353623d88e2d64c9d4a35a28ea5b87de35a13544"),
-        (("info",), "d7ab040b094de9af98614b83c59b1744e86ec176d5dda4676d8347aa52adf58f"),
-        (("hgp",), "61afd538e5e463fdd11f3b6588eb2e966bf4a52126c60e7a282cfda227b9a151"),
-        (("barrier",), "c864bc2f7589dd2e11c656fa8a28debc15dd97fb93a3fe1551fdf4a04a10d661"),
-        (("logicals",), "63cba4f90282624e158f10432a8d5ce646d165ea045750dec9485f4785c04460"),
-        (("verify",), "cd89a13ba02993bda8e7c0b5c796d4c77c5917cd1fe4c6b379fc18468f924ad9"),
+        (("info",), "012238ac178f14cb990bd3aa3a6f2f2959c433261f30b09dcfc9cef40af5e737"),
+        (("hgp",), "d1b885cd7446f57b9014fc368271581ac794c2513b571a81dd8b3cc03e9be88d"),
+        (("barrier",), "527be475836dcf6570b4f3e53eb68af654224b99ed90544289937fb7140c24d6"),
+        (("logicals",), "cd106658db1ef1b09fc944b4594010fe65d313089186943d60f4df26b9a5eb1c"),
+        (("verify",), "456bea99586f8df873c2c54df8908f76898abfa9a2845fb7a3b5dd0a54600aef"),
     ],
     ids=["top", *_COMMANDS],
 )
@@ -836,8 +844,7 @@ def test_repeated_request_reuses_parse_product_and_basis(files, capsys, monkeypa
     first = run(capsys, *argv)
     assert first[0] == 0
     calls = []
-    for name in ("parse_alist", "parse_dense", "parse_auto"):
-        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "parse_auto", _counting(calls, "parse_auto", cli.parse_auto))
     monkeypatch.setattr(logicals, "_compose", _counting(calls, "_compose", logicals._compose))
     misses = hgp.build_hgp.cache_info().misses
     assert run(capsys, *argv) == first

@@ -271,6 +271,9 @@ fuzz_text = st.one_of(
 )
 
 
+BIG = "9" * 640  # the longest count a parser converts
+
+
 class TestParserFuzz:
     @settings(max_examples=300)
     @given(fuzz_text)
@@ -289,6 +292,24 @@ class TestParserFuzz:
             for parse in (parse_dense, parse_alist, parse_auto):
                 with pytest.raises(ParseError):
                     parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, shown",
+        [
+            (parse_alist, f"{BIG} {BIG}\n1 1\n1\n1\n", "(640 characters)"),  # n values on a degree line
+            (parse_dense, f"{BIG} 3\n101\n", "(640 characters)"),  # matrix rows
+            (parse_dense, f"1 {BIG}\n101\n", "(640 characters)"),  # entries per row
+            (parse_alist, "9" * 5000 + " 1\n1 1\n1\n1\n1\n1\n", "(5000 characters)"),  # the token
+        ],
+        ids=("alist-degree-line", "dense-rows", "dense-entries", "alist-overlong-token"),
+    )
+    def test_huge_declared_sizes_give_a_short_error(self, parse, text, shown):
+        # a declared size, or a token too long to be one, is echoed as a
+        # short prefix and its length, not whole
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert shown in str(ei.value)
+        assert len(str(ei.value)) < 200
 
     @given(small_code())
     def test_emit_then_parse_round_trips(self, c):

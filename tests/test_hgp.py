@@ -5,12 +5,14 @@ import random
 import pytest
 
 import oracles
+from hgpbarrier import barrier, deform, logicals
 from hgpbarrier.codes import ClassicalCode, open_repetition, ring_repetition
 from hgpbarrier.barrier import pauli_table, quantum_barrier, sector_table
 from hgpbarrier.errors import CapExceeded, DimensionMismatch, IndexOutOfRange, NoLogicals
-from hgpbarrier.f2core import BitMatrix, hstack, kron, mat_mul, quotient
+from hgpbarrier.f2core import BitMatrix, BitVec, hstack, kron, mat_mul, quotient
 from hgpbarrier.hgp import (
     HgpCode,
+    PauliVec,
     build_hgp,
     css_check,
     hgp_parameters,
@@ -47,18 +49,19 @@ class TestConstruction:
         assert surface().n_qubits == 13
 
     def test_n_qubits_and_w_q_match_their_definitions(self):
+        # w_c and w_q are read off the parents' weights; the oracle is HX and
+        # HZ themselves, zero rows and columns included
         rng = random.Random(0)
-        for _ in range(30):
+        for _ in range(600):
             h1, h2 = random_code(rng), random_code(rng)
             code = build_hgp(h1, h2)
             assert code.n_qubits == h1.n * h2.n + h1.r * h2.r
             # a repeated pair returns the cached code with the same value
             assert build_hgp(h1, h2) is code and code.n_qubits == h1.n * h2.n + h1.r * h2.r
-            touching = [
-                sum((r >> q) & 1 for r in code.hx.row_bits + code.hz.row_bits)
-                for q in range(code.n_qubits)
-            ]
+            rows = code.hx.row_bits + code.hz.row_bits
+            touching = [sum((r >> q) & 1 for r in rows) for q in range(code.n_qubits)]
             assert code.w_q == max(touching)
+            assert code.w_c == max(r.bit_count() for r in rows)
 
     def test_identity_second_factor_collapses(self):
         # with H2 = I_1 the two blocks are just H1 and the identity
@@ -261,3 +264,39 @@ def test_kinds_are_z_or_x(method):
 def test_a_kind_that_is_not_a_string_raises_type_error(method, kind):
     with pytest.raises(TypeError, match="kind must be a str"):
         getattr(toric(), method)(kind)
+
+
+_COLLAPSE = deform.DeformSpec(BitVec(3, 0b111), 0)  # surface_3's H2 codeword 111
+_PAULI_DOORS = {
+    "energy_quantum": barrier.energy_quantum,
+    "pauli_barrier_general": barrier.pauli_barrier_general,
+    "normalizer_barrier": barrier.normalizer_barrier,
+    "stabilizer_path": lambda code, p: barrier.stabilizer_path(code, p, BitVec(len(code.pauli_rows[1]))),
+    "classify": logicals.classify,
+    "deform_pauli": lambda code, p: deform.deform_pauli(code, p, _COLLAPSE),
+    "deform_path": lambda code, p: deform.deform_path(code, barrier.PathRecord((p,), (0,), 0), _COLLAPSE),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("x", TypeError, "expected a PauliVec, got str"),
+        (BitVec(13, 1), TypeError, "expected a PauliVec, got BitVec"),
+        (None, TypeError, "expected a PauliVec, got NoneType"),
+        (PauliVec.identity(14), DimensionMismatch, "Pauli on 14 qubits, code has 13"),
+    ],
+    ids=["str", "bitvec", "none", "wrong-length"],
+)
+@pytest.mark.parametrize("door", list(_PAULI_DOORS))
+def test_every_pauli_argument_passes_the_code_check(monkeypatch, door, bad, error, message):
+    # HgpCode.check_pauli is the one check of a Pauli argument, run before
+    # any table is filled or target searched
+    def no_search(*args):
+        raise AssertionError("a search ran before the Pauli was checked")
+
+    monkeypatch.setattr(barrier, "_flood", no_search)
+    monkeypatch.setattr(barrier, "_nearest", no_search)
+    barrier._table.cache_clear()
+    with pytest.raises(error, match=f"^{message}$"):
+        _PAULI_DOORS[door](surface(), bad)

@@ -199,7 +199,8 @@ class TestElementaryLeg:
             for op in ops:
                 assert op.kind == kind
                 parent, word, placement = elementary_leg(code, op)
-                assert mat_vec(parent, word).bits == 0
+                assert any(parent is p for p in code.parents(kind))
+                assert parent.syndrome(word).bits == 0
                 realized = op.realized.z if kind == "z" else op.realized.x
                 assert placement(word) == realized
 

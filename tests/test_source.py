@@ -383,6 +383,53 @@ def test_private_imports_between_modules_are_pinned():
         "cli": ["verify._json_value"],
         "deform": ["f2core._Record"],
         "hgp": ["f2core._Record"],
-        "logicals": ["f2core._Record"],
+        "logicals": ["f2core._Record", "f2core._ones"],
         "verify": ["barrier._pauli_walk", "f2core._Record", "f2core._ones"],
     }
+
+
+def test_every_cap_defaults_to_the_one_constant():
+    # a library call that omits its cap refuses exactly what the CLI and
+    # verify all refuse: each cap parameter with a default defaults to
+    # DEFAULT_STATE_CAP, which codes.py alone assigns
+    defaults, assigned = [], []
+    for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defaults += [
+                    f"{path.name}:{node.lineno} {ast.unparse(d)}" for arg, d in pairs if arg.arg == "cap"
+                ]
+        assigned += [
+            path.name for stmt in tree.body for name in _definitions(stmt) if name.startswith("DEFAULT_")
+        ]
+    assert defaults and all(d.endswith(" DEFAULT_STATE_CAP") for d in defaults), defaults
+    assert assigned == ["codes.py"]
+    assert barrier.DEFAULT_STATE_CAP == 1 << 24
+
+
+def _raised_texts(tree) -> list[str]:
+    """The literal text of every string in every raise statement."""
+    return [
+        sub.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    ]
+
+
+def test_only_hgp_raises_the_pauli_argument_errors():
+    # HgpCode.check_pauli is the one check of a Pauli argument; a module
+    # that checks a Pauli's type or length itself keeps a second copy
+    found = sorted(
+        path.name
+        for path in sorted(Path(hgpbarrier.__file__).parent.glob("*.py"))
+        for text in _raised_texts(ast.parse(path.read_text(), filename=str(path)))
+        if "expected a PauliVec" in text or text.startswith("Pauli on ")
+    )
+    assert found == ["hgp.py", "hgp.py"]

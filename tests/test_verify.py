@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -352,6 +353,23 @@ def test_theorem1_rejects_fewer_than_one_sample(instances, monkeypatch, samples)
         V.check_theorem1(instances["surface_3"], samples=samples)
 
 
+@pytest.mark.parametrize(
+    "given",
+    [{"samples": 1.5}, {"samples": "3"}, {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True}],
+    ids=["samples-float", "samples-str", "seed-none", "seed-float", "seed-str", "seed-bool"],
+)
+def test_theorem1_rejects_a_seed_or_sample_count_that_is_no_int(instances, monkeypatch, given):
+    # an unseeded or oddly seeded sample could not be rerun from its report,
+    # and a float count would fail only after both tables are built
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the arguments were checked")
+
+    monkeypatch.setattr(V, "sector_table", no_table)
+    (name,) = given
+    with pytest.raises(TypeError, match=f"thm1's {name} must be an int"):
+        V.check_theorem1(instances["surface_3"], **given)
+
+
 def _counted_scans(monkeypatch):
     """The bases of verify's coset scans, as they run."""
     scans = []
@@ -440,7 +458,9 @@ def test_lemma2_toric_values(instances):
 
 
 def test_lemma2_forced_failure(monkeypatch, instances):
-    monkeypatch.setattr(V, "_unit_move_value", lambda parent, word, cap: 99)
+    # every restricted value is read off the parent's classical table
+    planted = SimpleNamespace(value=lambda bits: 99)
+    monkeypatch.setattr(V, "classical_table", lambda parent, cap: planted)
     r = V.check_lemma2(instances["surface_3"], instance="tampered")
     assert not r.passed
     assert r.counterexample["restricted"] == 99
